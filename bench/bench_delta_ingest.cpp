@@ -9,12 +9,20 @@
 //                    the latency the delta path pays, measured over
 //                    FA_DELTA_TICKS batches of a live synthetic feed
 //   apply_p99_s      worst batch observed (fires dirty whole regions)
+// and the same for the sharded serving view (the default shard layout
+// over the same world): sharded_rebuild_s adds the re-shard a
+// rebuild-per-change sharded deployment pays, and sharded_apply_*_s
+// time the same feed through the shard-native apply (shard::apply_delta)
+// over the shard columns.
 //
-// The acceptance gate is the trailer's delta_speedup
-// (rebuild_s / apply_mean_s): publishing a delta-built epoch must be
-// >= 10x faster than the full rebuild it replaces. The final epoch is
-// checked byte-identical to a from-scratch rebuild of the same state
-// before the trailer prints — a fast wrong answer fails the run.
+// The acceptance gates are the trailer's delta_speedup and
+// sharded_speedup (rebuild / mean apply): publishing a delta-built
+// epoch must be >= 10x faster than the full rebuild it replaces, on
+// both paths. Each final epoch is also checked byte-identical to a
+// from-scratch rebuild of the same state (the sharded one as
+// encode_sharded of a fresh re-shard over the same layout). The exit
+// code is non-zero when any gate misses — a fast wrong answer or a slow
+// right one fails the run.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -26,7 +34,33 @@
 #include "core/world.hpp"
 #include "delta/apply.hpp"
 #include "delta/feed.hpp"
+#include "shard/apply.hpp"
+#include "shard/codec.hpp"
 #include "store/codec.hpp"
+
+namespace {
+
+struct ApplyTimes {
+  double mean_s = 0.0;
+  double p99_s = 0.0;
+  double max_s = 0.0;
+};
+
+ApplyTimes summarize(std::vector<double> seconds) {
+  ApplyTimes t;
+  if (seconds.empty()) return t;
+  double sum = 0.0;
+  for (const double s : seconds) sum += s;
+  std::sort(seconds.begin(), seconds.end());
+  t.mean_s = sum / static_cast<double>(seconds.size());
+  t.p99_s = seconds[std::min(seconds.size() - 1,
+                             static_cast<std::size_t>(
+                                 static_cast<double>(seconds.size()) * 0.99))];
+  t.max_s = seconds.back();
+  return t;
+}
+
+}  // namespace
 
 int main() {
   using namespace fa;
@@ -40,66 +74,93 @@ int main() {
   const std::size_t ticks =
       ticks_env ? static_cast<std::size_t>(std::atol(ticks_env)) : 16;
 
-  // Baseline: the rebuild-per-change path (fresh build, fresh tally).
+  // Baseline: the rebuild-per-change path (fresh build, fresh tally),
+  // plus the re-shard a sharded deployment adds on top.
   bench::Stopwatch rebuild_timer;
   core::World rebuilt = core::World::build(cfg);
   core::ProviderRiskResult rebuilt_risk = core::run_provider_risk(rebuilt);
   const double rebuild_s = rebuild_timer.seconds();
-  std::printf("full rebuild: %.3fs (%zu transceivers)\n", rebuild_s,
-              rebuilt.corpus().size());
+  bench::Stopwatch shard_timer;
+  shard::ShardedWorld view =
+      shard::ShardedWorld::from_world(rebuilt, rebuilt_risk);
+  const double sharded_rebuild_s = rebuild_s + shard_timer.seconds();
+  std::printf("full rebuild: %.3fs (%zu transceivers), +%.3fs to shard "
+              "into %zu\n",
+              rebuild_s, rebuilt.corpus().size(),
+              sharded_rebuild_s - rebuild_s, view.shard_count());
 
-  // Delta path: a live feed over the same world, one epoch per batch.
-  core::World world = std::move(rebuilt);
-  core::ProviderRiskResult risk = std::move(rebuilt_risk);
+  // Delta path: a live feed over the same world, one epoch per batch,
+  // through both appliers (each with its own generator and ingestor
+  // seeded alike, so both see the same batches).
   delta::FeedOptions feed_options;
   feed_options.seed = cfg.seed + 1;
-  delta::FeedGenerator gen(world, feed_options);
+  delta::FeedGenerator gen(rebuilt, feed_options);
+  delta::FeedGenerator sharded_gen(rebuilt, feed_options);
   delta::FeedIngestor ingestor;
+  delta::FeedIngestor sharded_ingestor;
+  core::World world = std::move(rebuilt);
+  core::ProviderRiskResult risk = std::move(rebuilt_risk);
   std::vector<double> apply_s;
-  apply_s.reserve(ticks);
+  std::vector<double> sharded_apply_s;
   std::size_t events_applied = 0;
   std::size_t dirty_total = 0;
+  std::size_t shards_rebuilt = 0;
   for (std::size_t tick = 0; tick < ticks; ++tick) {
-    std::vector<delta::FeedEvent> raw = gen.tick();
-    bench::Stopwatch apply_timer;
-    auto cleaned = ingestor.ingest(std::move(raw));
-    if (!cleaned.ok()) {
-      std::fprintf(stderr, "ingest failed: %s\n",
-                   cleaned.status().to_string().c_str());
-      return 1;
+    {
+      std::vector<delta::FeedEvent> raw = gen.tick();
+      bench::Stopwatch apply_timer;
+      auto cleaned = ingestor.ingest(std::move(raw));
+      if (!cleaned.ok()) {
+        std::fprintf(stderr, "ingest failed: %s\n",
+                     cleaned.status().to_string().c_str());
+        return 1;
+      }
+      auto applied = delta::Applier::apply(world, risk, cleaned.value(), {});
+      if (!applied.ok()) {
+        std::fprintf(stderr, "apply failed: %s\n",
+                     applied.status().to_string().c_str());
+        return 1;
+      }
+      delta::ApplyResult result = std::move(applied).take();
+      apply_s.push_back(apply_timer.seconds());
+      events_applied += result.stats.events - result.stats.quarantined;
+      dirty_total += result.stats.dirty_transceivers;
+      world = std::move(result.world);
+      risk = std::move(result.provider_risk);
     }
-    auto applied = delta::Applier::apply(world, risk, cleaned.value(), {});
-    if (!applied.ok()) {
-      std::fprintf(stderr, "apply failed: %s\n",
-                   applied.status().to_string().c_str());
-      return 1;
+    {
+      std::vector<delta::FeedEvent> raw = sharded_gen.tick();
+      bench::Stopwatch apply_timer;
+      auto cleaned = sharded_ingestor.ingest(std::move(raw));
+      if (!cleaned.ok()) {
+        std::fprintf(stderr, "ingest failed: %s\n",
+                     cleaned.status().to_string().c_str());
+        return 1;
+      }
+      auto applied = shard::apply_delta(view, cleaned.value(), {});
+      if (!applied.ok()) {
+        std::fprintf(stderr, "sharded apply failed: %s\n",
+                     applied.status().to_string().c_str());
+        return 1;
+      }
+      shard::ShardApplyResult result = std::move(applied).take();
+      sharded_apply_s.push_back(apply_timer.seconds());
+      shards_rebuilt += result.shards.rebuilt;
+      view = std::move(result.world);
     }
-    delta::ApplyResult result = std::move(applied).take();
-    apply_s.push_back(apply_timer.seconds());
-    events_applied += result.stats.events - result.stats.quarantined;
-    dirty_total += result.stats.dirty_transceivers;
-    world = std::move(result.world);
-    risk = std::move(result.provider_risk);
   }
-  double apply_sum = 0.0;
-  double apply_max = 0.0;
-  for (const double s : apply_s) {
-    apply_sum += s;
-    apply_max = std::max(apply_max, s);
-  }
-  std::vector<double> sorted = apply_s;
-  std::sort(sorted.begin(), sorted.end());
-  const double apply_mean_s = apply_sum / static_cast<double>(ticks);
-  const double apply_p99_s =
-      sorted[std::min(sorted.size() - 1,
-                      static_cast<std::size_t>(
-                          static_cast<double>(sorted.size()) * 0.99))];
+  const ApplyTimes mono = summarize(apply_s);
+  const ApplyTimes sharded = summarize(sharded_apply_s);
   std::printf(
       "delta apply: %zu batches, %zu events, mean %.4fs, max %.4fs "
       "(%zu cache entries dirtied)\n",
-      ticks, events_applied, apply_mean_s, apply_max, dirty_total);
+      ticks, events_applied, mono.mean_s, mono.max_s, dirty_total);
+  std::printf(
+      "shard-native apply: mean %.4fs, max %.4fs (%zu shard rewrites over "
+      "%zu batches)\n",
+      sharded.mean_s, sharded.max_s, shards_rebuilt, ticks);
 
-  // Correctness gate: the final delta-built epoch must be
+  // Correctness gate: each final delta-built epoch must be
   // byte-identical to a from-scratch rebuild of the same state.
   core::World::BuildOptions opts;
   auto reference = core::World::from_parts(
@@ -120,11 +181,27 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: delta-built epoch diverges from rebuild\n");
   }
+  const bool sharded_byte_identical =
+      shard::encode_sharded(view) ==
+      shard::encode_sharded(shard::ShardedWorld::from_world(
+          ref_world, ref_risk, view.layout()));
+  if (!sharded_byte_identical) {
+    std::fprintf(stderr,
+                 "FAIL: shard-native epoch diverges from a fresh re-shard\n");
+  }
 
-  const double speedup = apply_mean_s > 0.0 ? rebuild_s / apply_mean_s : 0.0;
+  const auto speedup_of = [](double rebuild, double apply) {
+    return apply > 0.0 ? rebuild / apply : 0.0;
+  };
+  const double speedup = speedup_of(rebuild_s, mono.mean_s);
+  const double sharded_speedup =
+      speedup_of(sharded_rebuild_s, sharded.mean_s);
   const bool delta_faster = speedup >= 10.0;
+  const bool sharded_faster = sharded_speedup >= 10.0;
   std::printf("update-to-serving speedup: %.1fx (%s the 10x gate)\n",
               speedup, delta_faster ? "clears" : "MISSES");
+  std::printf("sharded update-to-serving speedup: %.1fx (%s the 10x gate)\n",
+              sharded_speedup, sharded_faster ? "clears" : "MISSES");
 
   io::JsonObject payload;
   payload["transceivers"] = world.corpus().size();
@@ -132,13 +209,24 @@ int main() {
   payload["events_applied"] = events_applied;
   payload["dirty_transceivers"] = dirty_total;
   payload["rebuild_s"] = rebuild_s;
-  payload["apply_mean_s"] = apply_mean_s;
-  payload["apply_p99_s"] = apply_p99_s;
-  payload["apply_max_s"] = apply_max;
+  payload["apply_mean_s"] = mono.mean_s;
+  payload["apply_p99_s"] = mono.p99_s;
+  payload["apply_max_s"] = mono.max_s;
   payload["byte_identical"] = byte_identical;
   payload["delta_speedup"] = speedup;
   payload["delta_faster"] = delta_faster;
+  payload["shards"] = view.shard_count();
+  payload["sharded_rebuild_s"] = sharded_rebuild_s;
+  payload["sharded_apply_mean_s"] = sharded.mean_s;
+  payload["sharded_apply_p99_s"] = sharded.p99_s;
+  payload["sharded_shards_rebuilt"] = shards_rebuilt;
+  payload["sharded_byte_identical"] = sharded_byte_identical;
+  payload["sharded_speedup"] = sharded_speedup;
+  payload["sharded_faster"] = sharded_faster;
   bench::print_json_trailer("delta_ingest", io::JsonValue{std::move(payload)},
                             &run_timer);
-  return byte_identical ? 0 : 1;
+  return byte_identical && sharded_byte_identical && delta_faster &&
+                 sharded_faster
+             ? 0
+             : 1;
 }

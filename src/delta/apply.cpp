@@ -5,6 +5,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -18,18 +20,10 @@ namespace fa::delta {
 
 namespace {
 
-constexpr std::string_view kApplySite = "delta.apply";
-
 fault::Status invalid(const FeedEvent& e, std::string message) {
   return fault::Status::error(fault::ErrCode::kOutOfRange, e.seq,
                               std::string(kApplySite), std::move(message));
 }
-
-// One staged hazard-surface edit (fire perimeter or box patch), kept in
-// event order so overlapping edits resolve exactly as a replay would.
-struct WhpEdit {
-  const FeedEvent* event = nullptr;
-};
 
 // The lon/lat image of an Albers box. The inverse projection's
 // coordinate extremes over a rectangle are attained on its boundary
@@ -53,13 +47,35 @@ geo::BBox lonlat_image(const geo::AlbersConus& proj, const geo::BBox& albers) {
 
 }  // namespace
 
-fault::Result<ApplyResult> Applier::apply(
-    const core::World& base, const core::ProviderRiskResult& base_risk,
-    std::span<const FeedEvent> events, const ApplyOptions& options) {
-  using fault::ErrCode;
+void RiskTally::add(cellnet::Provider p, synth::WhpClass c,
+                    std::ptrdiff_t sign) {
+  core::ProviderRiskRow& row = risk.rows[static_cast<std::size_t>(p)];
+  const auto bump = [sign](std::size_t& v) {
+    v = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(v) + sign);
+  };
+  bump(row.fleet);
+  switch (c) {
+    case synth::WhpClass::kModerate:
+      bump(row.moderate);
+      break;
+    case synth::WhpClass::kHigh:
+      bump(row.high);
+      break;
+    case synth::WhpClass::kVeryHigh:
+      bump(row.very_high);
+      break;
+    default:
+      return;  // fleet adjusted above; no at-risk bucket involved
+  }
+  if (p == cellnet::Provider::kRegional) regional_at_risk_changed = true;
+}
+
+fault::Result<StagedBatch> Applier::stage(std::span<const FeedEvent> events,
+                                          std::size_t n,
+                                          const ApplyOptions& options,
+                                          ApplyStats& stats) {
   using fault::RecoveryPolicy;
   using fault::Status;
-  const obs::Span span(obs::metrics::kDeltaApplyNs);
   obs::count(obs::metrics::kDeltaApplies);
   obs::count(obs::metrics::kDeltaApplyEvents, events.size());
 
@@ -71,21 +87,7 @@ fault::Result<ApplyResult> Applier::apply(
     return e.status();
   }
 
-  const std::vector<cellnet::Transceiver>& base_txr =
-      base.corpus().transceivers();
-  const std::size_t n = base_txr.size();
-
-  ApplyResult out;
-  ApplyStats& stats = out.stats;
   stats.events = events.size();
-
-  // ---- stage 1: validate and stage the batch (seq order) -------------
-  std::vector<bool> alive(n, true);
-  std::vector<bool> has_move(n, false);
-  std::vector<geo::LonLat> move_to(n);
-  std::vector<const FeedEvent*> adds;
-  std::vector<WhpEdit> whp_edits;
-
   const auto reject = [&](Status status) -> std::optional<Status> {
     if (options.policy == RecoveryPolicy::kStrict) return status;
     ++stats.quarantined;
@@ -95,6 +97,12 @@ fault::Result<ApplyResult> Applier::apply(
     return std::nullopt;
   };
 
+  StagedBatch batch;
+  std::unordered_set<std::uint32_t> retired;
+  std::unordered_map<std::uint32_t, geo::LonLat> moved;
+  const auto alive = [&](std::uint32_t target) {
+    return target < n && !retired.contains(target);
+  };
   for (const FeedEvent& e : events) {
     if (Status shape = validate_shape(e); !shape.ok()) {
       if (auto fail = reject(std::move(shape))) return *fail;
@@ -102,49 +110,62 @@ fault::Result<ApplyResult> Applier::apply(
     }
     switch (e.kind) {
       case EventKind::kRetireTransceiver:
-        if (e.target >= n || !alive[e.target]) {
+        if (!alive(e.target)) {
           if (auto fail = reject(invalid(e, "retire of dead target"))) {
             return *fail;
           }
           continue;
         }
-        alive[e.target] = false;
+        retired.insert(e.target);
         ++stats.retires;
         break;
       case EventKind::kMoveTransceiver:
-        if (e.target >= n || !alive[e.target]) {
+        if (!alive(e.target)) {
           if (auto fail = reject(invalid(e, "move of dead target"))) {
             return *fail;
           }
           continue;
         }
-        has_move[e.target] = true;  // last move in seq order wins
-        move_to[e.target] = e.txr.position;
+        moved[e.target] = e.txr.position;  // last move in seq order wins
         ++stats.moves;
         break;
       case EventKind::kAddTransceiver:
-        adds.push_back(&e);
+        batch.adds.push_back(&e);
         ++stats.adds;
         break;
       case EventKind::kFirePerimeter:
-        whp_edits.push_back({&e});
+        batch.whp_edits.push_back(&e);
         ++stats.fires;
         break;
       case EventKind::kWhpPatch:
-        whp_edits.push_back({&e});
+        batch.whp_edits.push_back(&e);
         ++stats.patches;
         break;
     }
   }
+  batch.retired.assign(retired.begin(), retired.end());
+  std::sort(batch.retired.begin(), batch.retired.end());
+  for (const auto& [target, to] : moved) {
+    if (!retired.contains(target)) batch.moves.push_back({target, to});
+  }
+  std::sort(batch.moves.begin(), batch.moves.end(),
+            [](const StagedBatch::Move& a, const StagedBatch::Move& b) {
+              return a.target < b.target;
+            });
+  return batch;
+}
 
-  // ---- stage 2: hazard-surface patches (copy-on-write) ---------------
+WhpPatch Applier::patch_whp(const std::shared_ptr<const synth::WhpModel>& base,
+                            std::span<const FeedEvent* const> edits,
+                            ApplyStats& stats) {
   // Edits land on a private copy only if at least one cell actually
   // changes value; an all-no-op batch keeps sharing the base surface.
-  const synth::WhpModel& base_whp = base.whp();
+  const synth::WhpModel& base_whp = *base;
   const geo::AlbersConus& proj = base_whp.projection();
   const raster::GridGeometry& geom = base_whp.grid().geom();
 
-  std::shared_ptr<const synth::WhpModel> new_whp = base.whp_ptr();
+  WhpPatch out;
+  out.whp = base;
   synth::WhpModel* mutable_whp = nullptr;
   // One box of changed cells PER EDIT, not a batch-wide union: a batch
   // whose fires land on opposite coasts would otherwise dirty a
@@ -160,15 +181,15 @@ fault::Result<ApplyResult> Applier::apply(
     if (mutable_whp == nullptr) {
       auto copy = std::make_shared<synth::WhpModel>(base_whp);
       mutable_whp = copy.get();
-      new_whp = std::shared_ptr<const synth::WhpModel>(std::move(copy));
+      out.whp = std::shared_ptr<const synth::WhpModel>(std::move(copy));
     }
     mutable_whp->grid_.at(c, r) = value;
     edit_box->expand(geom.cell_box(c, r));
     ++stats.whp_cells_changed;
   };
 
-  for (const WhpEdit& edit : whp_edits) {
-    const FeedEvent& e = *edit.event;
+  for (const FeedEvent* edit : edits) {
+    const FeedEvent& e = *edit;
     geo::BBox this_edit;
     edit_box = &this_edit;
     if (e.kind == EventKind::kFirePerimeter) {
@@ -226,70 +247,74 @@ fault::Result<ApplyResult> Applier::apply(
     }
     if (this_edit.valid()) changed_boxes.push_back(this_edit);
   }
-  edit_box = nullptr;
-  out.whp_shared = mutable_whp == nullptr;
   obs::count(obs::metrics::kDeltaApplyWhpCells, stats.whp_cells_changed);
 
-  // ---- stage 3: dirty transceivers ------------------------------------
-  // A surviving transceiver needs its hazard class recomputed iff its
-  // projected position lands in a changed cell. Candidates come from
-  // the spatial index over the lon/lat image of the changed region; the
-  // recompute is a no-op for candidates whose cell didn't change, so a
-  // generous margin costs time, never correctness.
-  std::vector<bool> dirty(n, false);
-  if (mutable_whp != nullptr) {
-    const double margin_deg =
-        std::max(geom.cell_w, geom.cell_h) / 70'000.0 + 0.05;
-    for (const geo::BBox& box : changed_boxes) {
-      const geo::BBox region =
-          lonlat_image(proj, box.inflated(geom.cell_w)).inflated(margin_deg);
-      base.txr_index().query_candidates(
-          region, [&](std::uint32_t id, geo::Vec2) { dirty[id] = true; });
-      out.dirty_boxes.push_back(region);
-    }
+  // A transceiver needs its hazard class recomputed iff its projected
+  // position lands in a changed cell. The lon/lat image of each changed
+  // box bounds where such positions can be; the recompute is a no-op
+  // for positions whose cell didn't change, so a generous margin costs
+  // time, never correctness.
+  const double margin_deg =
+      std::max(geom.cell_w, geom.cell_h) / 70'000.0 + 0.05;
+  for (const geo::BBox& box : changed_boxes) {
+    out.dirty_regions.push_back(
+        lonlat_image(proj, box.inflated(geom.cell_w)).inflated(margin_deg));
   }
+  return out;
+}
 
-  // ---- stage 4: successor corpus + caches -----------------------------
-  // Survivors in base order keep (or recompute) their caches; adds take
-  // the tail ids — exactly the order validate_stage would re-densify.
+fault::Result<ApplyResult> Applier::apply(
+    const core::World& base, const core::ProviderRiskResult& base_risk,
+    std::span<const FeedEvent> events, const ApplyOptions& options) {
+  const obs::Span span(obs::metrics::kDeltaApplyNs);
+  const std::vector<cellnet::Transceiver>& base_txr =
+      base.corpus().transceivers();
+  const std::size_t n = base_txr.size();
+
+  ApplyResult out;
+  ApplyStats& stats = out.stats;
+  auto staged = stage(events, n, options, stats);
+  if (!staged.ok()) return staged.status();
+  const StagedBatch& batch = staged.value();
+
+  WhpPatch patch = patch_whp(base.whp_ptr(), batch.whp_edits, stats);
+  out.whp_shared = patch.whp == base.whp_ptr();
+
+  // Dirty transceivers: candidates of the base spatial index over each
+  // region whose hazard surface changed, ascending and unique.
+  std::vector<std::uint32_t> dirty;
+  for (const geo::BBox& region : patch.dirty_regions) {
+    base.txr_index().query_candidates(
+        region, [&](std::uint32_t id, geo::Vec2) { dirty.push_back(id); });
+  }
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+
+  // Successor corpus + caches. Survivors in base order keep (or
+  // recompute) their caches; adds take the tail ids — exactly the order
+  // validate_stage would re-densify. The staged lists are ascending, so
+  // one cursor each walks them alongside the base ids.
+  const std::size_t n_kept = n - batch.retired.size();
   index::PointDelta delta;
   delta.new_id_of.resize(n);
-  std::size_t n_kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    delta.new_id_of[i] = alive[i] ? static_cast<std::uint32_t>(n_kept++)
-                                  : index::PointDelta::kDropped;
+  {
+    std::size_t next = 0;
+    auto retired = batch.retired.begin();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (retired != batch.retired.end() && *retired == i) {
+        delta.new_id_of[i] = index::PointDelta::kDropped;
+        ++retired;
+      } else {
+        delta.new_id_of[i] = static_cast<std::uint32_t>(next++);
+      }
+    }
   }
 
-  core::ProviderRiskResult risk = base_risk;
-  bool regional_at_risk_changed = false;
-  const auto risk_tally = [&](cellnet::Provider p, synth::WhpClass c,
-                              std::ptrdiff_t sign) {
-    core::ProviderRiskRow& row = risk.rows[static_cast<std::size_t>(p)];
-    row.fleet = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(row.fleet) + sign);
-    switch (c) {
-      case synth::WhpClass::kModerate:
-        row.moderate = static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(row.moderate) + sign);
-        break;
-      case synth::WhpClass::kHigh:
-        row.high = static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(row.high) + sign);
-        break;
-      case synth::WhpClass::kVeryHigh:
-        row.very_high = static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(row.very_high) + sign);
-        break;
-      default:
-        return;  // fleet adjusted above; no at-risk bucket involved
-    }
-    if (p == cellnet::Provider::kRegional) regional_at_risk_changed = true;
-  };
-
+  RiskTally tally{base_risk};
   core::World w;
   w.config_ = base.config_;
   w.atlas_ = base.atlas_;
-  w.whp_ = new_whp;
+  w.whp_ = patch.whp;
   w.counties_ = base.counties_;
   // From-parts contract: a world of final state S carries zero ingest
   // counters however S was reached; feed quarantine counts live in
@@ -297,40 +322,45 @@ fault::Result<ApplyResult> Applier::apply(
   w.ingest_dropped_ = 0;
   w.ingest_repaired_ = 0;
 
-  const synth::WhpModel& whp = *new_whp;
+  const synth::WhpModel& whp = *patch.whp;
   std::vector<cellnet::Transceiver> txr;
-  txr.reserve(n_kept + adds.size());
-  w.txr_class_.resize(n_kept + adds.size());
-  w.txr_county_.resize(n_kept + adds.size());
-  w.txr_provider_.resize(n_kept + adds.size());
+  txr.reserve(n_kept + batch.adds.size());
+  w.txr_class_.resize(n_kept + batch.adds.size());
+  w.txr_county_.resize(n_kept + batch.adds.size());
+  w.txr_provider_.resize(n_kept + batch.adds.size());
 
+  auto move = batch.moves.begin();
+  auto dirty_it = dirty.begin();
   for (std::size_t i = 0; i < n; ++i) {
-    if (!alive[i]) {
-      risk_tally(base.txr_provider(static_cast<std::uint32_t>(i)),
-                 base.txr_class(static_cast<std::uint32_t>(i)), -1);
+    const auto old_id = static_cast<std::uint32_t>(i);
+    const bool is_move = move != batch.moves.end() && move->target == old_id;
+    const bool is_dirty = dirty_it != dirty.end() && *dirty_it == old_id;
+    if (is_dirty) ++dirty_it;
+    const std::uint32_t new_id = delta.new_id_of[i];
+    if (new_id == index::PointDelta::kDropped) {
+      tally.add(base.txr_provider(old_id), base.txr_class(old_id), -1);
       continue;
     }
-    const auto old_id = static_cast<std::uint32_t>(i);
-    const std::uint32_t new_id = delta.new_id_of[i];
     cellnet::Transceiver t = base_txr[i];
     t.id = new_id;
     std::uint8_t cls = base.txr_class_[i];
     std::int32_t county = base.txr_county_[i];
-    if (has_move[i]) {
-      t.position = move_to[i];
+    if (is_move) {
+      t.position = move->to;
+      ++move;
       cls = static_cast<std::uint8_t>(whp.class_at(t.position));
       county = base.counties().county_of(t.position);
       delta.moved.push_back({old_id, t.position.as_vec()});
       ++stats.dirty_transceivers;
-    } else if (dirty[i]) {
+    } else if (is_dirty) {
       cls = static_cast<std::uint8_t>(whp.class_at(t.position));
       ++stats.dirty_transceivers;
     }
     if (cls != base.txr_class_[i]) {
-      risk_tally(base.txr_provider(old_id), base.txr_class(old_id), -1);
-      risk_tally(base.txr_provider(old_id), static_cast<synth::WhpClass>(cls),
-                 +1);
-      // risk_tally adjusts fleet on both legs; membership is unchanged.
+      tally.add(base.txr_provider(old_id), base.txr_class(old_id), -1);
+      tally.add(base.txr_provider(old_id), static_cast<synth::WhpClass>(cls),
+                +1);
+      // add() adjusts fleet on both legs; membership is unchanged.
     }
     w.txr_class_[new_id] = cls;
     w.txr_county_[new_id] = county;
@@ -338,7 +368,7 @@ fault::Result<ApplyResult> Applier::apply(
     txr.push_back(t);
   }
 
-  for (const FeedEvent* e : adds) {
+  for (const FeedEvent* e : batch.adds) {
     const auto new_id = static_cast<std::uint32_t>(txr.size());
     cellnet::Transceiver t = e->txr;
     t.id = new_id;
@@ -347,7 +377,7 @@ fault::Result<ApplyResult> Applier::apply(
     w.txr_county_[new_id] = base.counties().county_of(t.position);
     const cellnet::Provider p = w.providers_.resolve(t.mcc, t.mnc);
     w.txr_provider_[new_id] = static_cast<std::uint8_t>(p);
-    risk_tally(p, cls, +1);
+    tally.add(p, cls, +1);
     delta.added.push_back(t.position.as_vec());
     txr.push_back(t);
     ++stats.dirty_transceivers;
@@ -357,11 +387,10 @@ fault::Result<ApplyResult> Applier::apply(
   w.corpus_ = cellnet::CellCorpus{std::move(txr)};
   w.txr_index_ = base.txr_index().applied(delta);
 
-  // The regional-brand count is a distinct-set cardinality, so it is not
-  // incrementable from row deltas alone: when anything touched regional
-  // at-risk membership, re-scan — one pass of two array reads per
-  // record, no projection or geometry, still far from rebuild cost.
-  if (regional_at_risk_changed) {
+  // When anything touched regional at-risk membership, re-scan the
+  // brands — one pass of two array reads per record, no projection or
+  // geometry, still far from rebuild cost.
+  if (tally.regional_at_risk_changed) {
     std::set<std::string_view> brands;
     const std::vector<cellnet::Transceiver>& all =
         w.corpus_.transceivers();
@@ -376,11 +405,11 @@ fault::Result<ApplyResult> Applier::apply(
       }
       brands.insert(w.providers_.brand(t.mcc, t.mnc));
     }
-    risk.regional_brands_at_risk = brands.size();
+    tally.risk.regional_brands_at_risk = brands.size();
   }
 
   out.world = std::move(w);
-  out.provider_risk = risk;
+  out.provider_risk = tally.risk;
   return out;
 }
 

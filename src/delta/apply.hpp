@@ -10,9 +10,17 @@
 // county / provider, transceivers whose WHP cell changed are
 // recomputed, and the spatial index is maintained through
 // GridIndex::applied (itself byte-identical to a fresh build).
+//
+// The batch-level stages — semantic validation into a StagedBatch and
+// the copy-on-write WHP edits — are shared with the sharded applier
+// (shard/apply.hpp), which runs them over shard columns instead of a
+// monolithic world.
 #pragma once
 
+#include <algorithm>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "core/provider_risk.hpp"
 #include "core/world.hpp"
@@ -20,6 +28,10 @@
 #include "fault/diagnostics.hpp"
 
 namespace fa::delta {
+
+// Where an apply's failures are attributed (fault seam and Status
+// source).
+inline constexpr std::string_view kApplySite = "delta.apply";
 
 struct ApplyOptions {
   // Semantic validation policy. Strict: the first invalid event (dead /
@@ -41,6 +53,8 @@ struct ApplyStats {
   // Cache entries recomputed (movers, adds, hazard-region survivors) —
   // the measure of how much of the world the batch actually dirtied.
   std::size_t dirty_transceivers = 0;
+
+  bool operator==(const ApplyStats&) const = default;
 };
 
 struct ApplyResult {
@@ -50,12 +64,55 @@ struct ApplyResult {
   // True when the batch left the WHP surface untouched and the new
   // world shares the base's WhpModel allocation (structure sharing).
   bool whp_shared = false;
-  // Lon/lat regions whose hazard surface changed (one per WHP edit,
-  // inflated by the same margin the dirty-transceiver scan used). Every
-  // transceiver whose cached class this batch could have changed lies
-  // inside one of these boxes — what lets a sharded view rebuild only
-  // the shards the batch touched.
-  std::vector<geo::BBox> dirty_boxes;
+};
+
+// A batch after semantic validation against a base epoch of `n`
+// transceivers. Validation runs in seq order: a retire after a move of
+// the same target retires it, a move after a retire is a dead-target
+// error, and the last move of a target wins. Sized by the batch, never
+// by the base.
+struct StagedBatch {
+  struct Move {
+    std::uint32_t target = 0;  // base id
+    geo::LonLat to;
+  };
+  std::vector<std::uint32_t> retired;  // base ids, ascending
+  std::vector<Move> moves;             // surviving targets, ascending
+  std::vector<const FeedEvent*> adds;  // seq order: successor ids n_kept..
+  std::vector<const FeedEvent*> whp_edits;  // fires + patches, seq order
+
+  // Successor id of a surviving base id: survivors re-densify in base
+  // order, so the remap is monotone and subtracts the retired ids below.
+  std::uint32_t new_id(std::uint32_t old_id) const {
+    return old_id - static_cast<std::uint32_t>(
+                        std::lower_bound(retired.begin(), retired.end(),
+                                         old_id) -
+                        retired.begin());
+  }
+};
+
+// The provider-risk aggregate, maintained incrementally: add() moves
+// one transceiver of provider `p` and class `c` into (+1) or out of
+// (-1) its row.
+struct RiskTally {
+  core::ProviderRiskResult risk;
+  // Set when an at-risk regional transceiver joined or left a row: the
+  // distinct-brand count is a set cardinality, not incrementable from
+  // row deltas, and needs a recount.
+  bool regional_at_risk_changed = false;
+
+  void add(cellnet::Provider p, synth::WhpClass c, std::ptrdiff_t sign);
+};
+
+// The hazard surface after a batch's WHP edits.
+struct WhpPatch {
+  // The base's allocation when no edit changed a cell; otherwise a
+  // private copy carrying the edits.
+  std::shared_ptr<const synth::WhpModel> whp;
+  // One lon/lat region per edit that changed at least one cell: every
+  // transceiver whose class the batch could have changed lies inside
+  // one. Empty when `whp` is the base's.
+  std::vector<geo::BBox> dirty_regions;
 };
 
 // Stateless; a struct (not free functions) so core::World and
@@ -68,6 +125,24 @@ struct Applier {
   static fault::Result<ApplyResult> apply(
       const core::World& base, const core::ProviderRiskResult& base_risk,
       std::span<const FeedEvent> events, const ApplyOptions& options = {});
+
+  // -- stages shared with the sharded applier ---------------------------
+  // Opens an apply of `events` over a base of `n` transceivers: counts
+  // delta.applies / delta.apply.events, runs the "delta.apply" fault
+  // seam (keyed by the first seq), then validates the batch per
+  // `options.policy`, filling the event tallies of `stats` (events,
+  // quarantined, adds, retires, moves, fires, patches). Errors are the
+  // injected fault or, under Strict, the first invalid event.
+  static fault::Result<StagedBatch> stage(std::span<const FeedEvent> events,
+                                          std::size_t n,
+                                          const ApplyOptions& options,
+                                          ApplyStats& stats);
+
+  // Applies the staged fire perimeters and box patches, in seq order, to
+  // a copy-on-write successor of `base`; sets stats.whp_cells_changed.
+  static WhpPatch patch_whp(const std::shared_ptr<const synth::WhpModel>& base,
+                            std::span<const FeedEvent* const> edits,
+                            ApplyStats& stats);
 };
 
 }  // namespace fa::delta

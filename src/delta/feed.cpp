@@ -15,23 +15,50 @@ namespace {
 
 constexpr std::string_view kFeedSite = "delta.feed";
 
+std::vector<geo::LonLat> corpus_positions(const core::World& world) {
+  std::vector<geo::LonLat> out;
+  out.reserve(world.corpus().size());
+  for (const cellnet::Transceiver& t : world.corpus().transceivers()) {
+    out.push_back(t.position);
+  }
+  return out;
+}
+
 }  // namespace
 
 FeedGenerator::FeedGenerator(const core::World& world,
                              const FeedOptions& options)
-    : options_(options), world_(&world), rng_(options.seed) {
-  const std::vector<cellnet::Transceiver>& txr =
-      world.corpus().transceivers();
-  positions_.reserve(txr.size());
-  for (const cellnet::Transceiver& t : txr) positions_.push_back(t.position);
+    : FeedGenerator(corpus_positions(world), options) {}
+
+FeedGenerator::FeedGenerator(std::vector<geo::LonLat> positions,
+                             const FeedOptions& options)
+    : options_(options), rng_(options.seed), positions_(std::move(positions)) {
+  dead_.assign(positions_.size(), 0);
+  alive_ = positions_.size();
+  for (std::size_t at = 0; at < positions_.size(); at += kBlock) {
+    block_live_.push_back(
+        static_cast<std::uint32_t>(std::min(kBlock, positions_.size() - at)));
+  }
+}
+
+std::size_t FeedGenerator::slot_of(std::uint32_t id) const {
+  std::size_t rank = id;
+  std::size_t block = 0;
+  while (rank >= block_live_[block]) rank -= block_live_[block++];
+  for (std::size_t slot = block * kBlock;; ++slot) {
+    if (dead_[slot] != 0) continue;
+    if (rank == 0) return slot;
+    --rank;
+  }
 }
 
 geo::LonLat FeedGenerator::random_onshore_position() {
-  const geo::BBox box = world_->atlas().conus_bbox();
+  const synth::UsAtlas& atlas = synth::UsAtlas::get();
+  const geo::BBox box = atlas.conus_bbox();
   for (int attempt = 0; attempt < 64; ++attempt) {
     const geo::LonLat p{rng_.uniform(box.min_x, box.max_x),
                         rng_.uniform(box.min_y, box.max_y)};
-    if (world_->atlas().state_of(p) >= 0) return p;
+    if (atlas.state_of(p) >= 0) return p;
   }
   return geo::LonLat{box.center().x, box.center().y};
 }
@@ -85,10 +112,9 @@ FeedEvent FeedGenerator::fresh_event(std::uint64_t t_ms) {
   // Retire/move need an untouched live target; degrade to an add when
   // the mirror cannot supply one (tiny corpora, heavy churn).
   const auto pick_target = [&](std::uint32_t& out) {
-    if (positions_.empty()) return false;
+    if (alive_ == 0) return false;
     for (int attempt = 0; attempt < 16; ++attempt) {
-      const auto id =
-          static_cast<std::uint32_t>(rng_.below(positions_.size()));
+      const auto id = static_cast<std::uint32_t>(rng_.below(alive_));
       if (touched_.insert(id).second) {
         out = id;
         return true;
@@ -106,17 +132,18 @@ FeedEvent FeedGenerator::fresh_event(std::uint64_t t_ms) {
     case 1:
       e.kind = EventKind::kRetireTransceiver;
       e.target = target;
-      retired_.push_back(target);
+      retired_.push_back(slot_of(target));
       return e;
     case 2: {
       e.kind = EventKind::kMoveTransceiver;
       e.target = target;
-      const geo::LonLat from = positions_[target];
+      const std::size_t slot = slot_of(target);
+      const geo::LonLat from = positions_[slot];
       e.txr.position = {from.lon + rng_.normal(0.0, 0.01),
                         from.lat + rng_.normal(0.0, 0.008)};
       e.txr.position.lon = std::clamp(e.txr.position.lon, -180.0, 180.0);
       e.txr.position.lat = std::clamp(e.txr.position.lat, -90.0, 90.0);
-      moved_.emplace_back(target, e.txr.position);
+      moved_.emplace_back(slot, e.txr.position);
       return e;
     }
     case 3:
@@ -141,13 +168,13 @@ FeedEvent FeedGenerator::fresh_event(std::uint64_t t_ms) {
       e.txr.position.lon = std::clamp(e.txr.position.lon, -180.0, 180.0);
       e.txr.position.lat = std::clamp(e.txr.position.lat, -90.0, 90.0);
       e.txr.state =
-          static_cast<std::int16_t>(world_->atlas().state_of(site));
+          static_cast<std::int16_t>(synth::UsAtlas::get().state_of(site));
       e.txr.radio = static_cast<cellnet::RadioType>(
           rng_.below(cellnet::kNumRadioTypes));
       const auto provider = static_cast<cellnet::Provider>(
           rng_.below(cellnet::kNumProviders));
       const std::vector<cellnet::MncRecord> blocks =
-          world_->provider_registry().blocks_of(provider);
+          providers_.blocks_of(provider);
       const cellnet::MncRecord& block = blocks[rng_.below(blocks.size())];
       e.txr.mcc = block.mcc;
       e.txr.mnc = block.mnc;
@@ -187,18 +214,22 @@ std::vector<FeedEvent> FeedGenerator::tick() {
     std::swap(batch[i - 1], batch[rng_.below(i)]);
   }
 
-  // Advance the mirror exactly the way the Applier re-densifies:
-  // survivors in old-id order, movers at their destination, adds last.
-  std::vector<bool> dead(positions_.size(), false);
-  for (const std::uint32_t id : retired_) dead[id] = true;
-  for (const auto& [id, to] : moved_) positions_[id] = to;
-  std::vector<geo::LonLat> next;
-  next.reserve(positions_.size() - retired_.size() + added_.size());
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    if (!dead[i]) next.push_back(positions_[i]);
+  // Advance the mirror the way the Applier re-densifies: retired slots
+  // drop out of the dense order, movers keep their slot at the
+  // destination, adds take fresh slots at the end.
+  for (const std::size_t slot : retired_) {
+    dead_[slot] = 1;
+    --block_live_[slot / kBlock];
   }
-  next.insert(next.end(), added_.begin(), added_.end());
-  positions_ = std::move(next);
+  alive_ -= retired_.size();
+  for (const auto& [slot, to] : moved_) positions_[slot] = to;
+  for (const geo::LonLat& p : added_) {
+    if (positions_.size() % kBlock == 0) block_live_.push_back(0);
+    ++block_live_.back();
+    positions_.push_back(p);
+    dead_.push_back(0);
+  }
+  alive_ += added_.size();
 
   ++ticks_;
   while (!window_.empty() && window_.front().first <= ticks_) {

@@ -9,6 +9,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cellnet/providers.hpp"
 #include "core/world.hpp"
 #include "delta/event.hpp"
 #include "fault/diagnostics.hpp"
@@ -39,10 +40,17 @@ struct FeedOptions {
 // every retire/move target it emits is a valid dense id of the epoch
 // the next batch applies to: call tick() to get a raw batch, apply it
 // (all of it — the generator assumes its own output is accepted), and
-// tick() again for the successor epoch's batch.
+// tick() again for the successor epoch's batch. A tick costs O(events),
+// not O(corpus).
 class FeedGenerator {
  public:
+  // Copies the corpus positions of `world`, the epoch the first batch
+  // applies to; the world is not referenced after construction.
   FeedGenerator(const core::World& world, const FeedOptions& options);
+  // The same, for a corpus given as its positions in id order (a sharded
+  // view has no monolithic world to hand over).
+  FeedGenerator(std::vector<geo::LonLat> positions,
+                const FeedOptions& options);
 
   // One feed poll: fresh events plus re-served duplicates from the
   // lookback window, deterministically shuffled (arrival order is not
@@ -52,7 +60,7 @@ class FeedGenerator {
   std::uint64_t ticks() const { return ticks_; }
   std::uint64_t next_seq() const { return next_seq_; }
   // Transceivers alive in the generator's mirror of the current epoch.
-  std::size_t alive() const { return positions_.size(); }
+  std::size_t alive() const { return alive_; }
 
  private:
   struct Fire {
@@ -61,21 +69,33 @@ class FeedGenerator {
     int segments = 0;
   };
 
+  // Slots per live-count block: a dense-id lookup walks at most
+  // slots/kBlock counts and one block.
+  static constexpr std::size_t kBlock = 4096;
+
   FeedEvent fresh_event(std::uint64_t t_ms);
   FeedEvent fire_event(std::uint64_t t_ms);
   geo::LonLat random_onshore_position();
+  // Slot holding dense id `id` of the current epoch.
+  std::size_t slot_of(std::uint32_t id) const;
 
   FeedOptions options_;
-  const core::World* world_;
+  cellnet::ProviderRegistry providers_;  // the built-in registry
   synth::Rng rng_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t ticks_ = 0;
-  // Mirror of the live epoch's corpus: positions_[dense id]. Rebuilt
-  // per tick exactly the way the Applier re-densifies.
-  std::vector<geo::LonLat> positions_;
+  // Mirror of the live epoch's corpus without re-densifying it: every
+  // transceiver the feed has seen keeps a slot (the base corpus in id
+  // order, then adds in arrival order), a retire tombstones its slot,
+  // and dense id d is the d-th live slot — the Applier's order, since it
+  // keeps survivors in base order and appends adds.
+  std::vector<geo::LonLat> positions_;     // by slot
+  std::vector<std::uint8_t> dead_;         // by slot
+  std::vector<std::uint32_t> block_live_;  // live slots per block
+  std::size_t alive_ = 0;
   // This tick's pending mutations (applied to the mirror at tick end).
-  std::vector<std::uint32_t> retired_;
-  std::vector<std::pair<std::uint32_t, geo::LonLat>> moved_;
+  std::vector<std::size_t> retired_;  // slots
+  std::vector<std::pair<std::size_t, geo::LonLat>> moved_;  // slot, to
   std::vector<geo::LonLat> added_;
   std::unordered_set<std::uint32_t> touched_;  // targets used this tick
   // Active fires, indexed by bbox so a new ignition that lands on an

@@ -59,6 +59,7 @@
 #include "delta/feed.hpp"
 #include "net/server.hpp"
 #include "serve/server.hpp"
+#include "shard/world.hpp"
 #include "synth/scenario.hpp"
 
 namespace {
@@ -89,6 +90,22 @@ bool arg_flag(int argc, char** argv, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
+}
+
+// The live-feed generator, mirroring the serving epoch's corpus. A
+// sharded epoch hands over its positions straight from the shard
+// columns, so a cold-started sharded store feeds without materializing
+// a monolithic world. The generator copies what it needs: nothing pins
+// the epoch once later ones retire it.
+std::unique_ptr<fa::delta::FeedGenerator> make_feed(
+    const fa::serve::Server& server, const fa::delta::FeedOptions& options) {
+  const std::shared_ptr<const fa::serve::Snapshot> snap =
+      server.snapshots().acquire();
+  if (const fa::shard::ShardedWorld* view = snap->sharded()) {
+    return std::make_unique<fa::delta::FeedGenerator>(
+        view->positions_by_id().take(), options);
+  }
+  return std::make_unique<fa::delta::FeedGenerator>(snap->world(), options);
 }
 
 void persist(fa::serve::Server& server, const char* when) {
@@ -165,12 +182,8 @@ int main(int argc, char** argv) {
     std::signal(SIGHUP, on_rebuild);
 
     // Live feed: generator + ingestor are built lazily against the
-    // serving world so a store-loaded epoch feeds from its actual
+    // serving epoch so a store-loaded epoch feeds from its actual
     // corpus, not a rebuilt one.
-    // feed_root pins the snapshot the generator mirrors — FeedGenerator
-    // holds a raw pointer to that world, which must outlive it even
-    // after later epochs retire the snapshot.
-    std::shared_ptr<const serve::Snapshot> feed_root;
     std::unique_ptr<delta::FeedGenerator> feed;
     std::optional<delta::FeedIngestor> ingestor;
     const bool feed_enabled = arg_flag(argc, argv, "--feed");
@@ -180,9 +193,7 @@ int main(int argc, char** argv) {
       delta::FeedOptions feed_options;
       feed_options.seed = static_cast<std::uint64_t>(
           arg_double(argc, argv, "--feed-seed", 1.0));
-      feed_root = server.snapshots().acquire();
-      feed = std::make_unique<delta::FeedGenerator>(feed_root->world(),
-                                                    feed_options);
+      feed = make_feed(server, feed_options);
       ingestor.emplace(delta::IngestOptions{});
       std::fprintf(stderr, "fa_served: live feed on (interval %ldms)\n",
                    feed_interval_ms);
@@ -204,9 +215,7 @@ int main(int argc, char** argv) {
             // retire/move targets stay valid.
             delta::FeedOptions feed_options;
             feed_options.seed = feed->next_seq() + 1;
-            feed_root = server.snapshots().acquire();
-            feed = std::make_unique<delta::FeedGenerator>(
-                feed_root->world(), feed_options);
+            feed = make_feed(server, feed_options);
             // Fresh generator restarts seqs at 0; a kept watermark
             // would drop everything as stale.
             ingestor.emplace(delta::IngestOptions{});

@@ -786,8 +786,8 @@ struct NetServer::Impl {
         // a FIN) below max_outbox_bytes never triggers EPOLLOUT or the
         // overflow drop, so without this check the connection would pin
         // its slot forever.
-        if (now_ns - conn->outbox_progress_ns >
-            opts.write_timeout_ms * 1'000'000ull) {
+        if (write_stalled(now_ns, conn->outbox_progress_ns,
+                          opts.write_timeout_ms)) {
           expired.push_back(conn);
         }
         continue;

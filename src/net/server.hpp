@@ -68,6 +68,18 @@ struct NetServerOptions {
   obs::Registry* registry = nullptr;
 };
 
+// The timeout sweep's write-stall verdict: a non-empty outbox whose last
+// send progress (`progress_ns`) is more than `timeout_ms` behind `now_ns`.
+// The sweep reads its clock before it locks a connection, so a worker
+// can stamp progress after that read; a stamp later than `now_ns` is
+// fresh progress, never a stall (an unsigned `now_ns - progress_ns`
+// would wrap and close a healthy connection).
+constexpr bool write_stalled(std::uint64_t now_ns, std::uint64_t progress_ns,
+                             std::uint64_t timeout_ms) {
+  return now_ns > progress_ns &&
+         now_ns - progress_ns > timeout_ms * 1'000'000ull;
+}
+
 class NetServer {
  public:
   // Binds, listens, and starts the IO thread and workers. Throws

@@ -108,48 +108,28 @@ void Server::cold_start_sharded(const synth::ScenarioConfig& config) {
   if (!(rec.world.config() == config)) return;
   shard::ShardedWorld view = std::move(rec.world);
   // Replay the generation's delta-log chain, exactly like the
-  // monolithic ladder — but replaying needs the monolithic world, so
-  // the view only materializes when the chain is non-empty: the common
-  // no-log cold start stays zero-copy. A degraded view (quarantined
-  // shards) cannot materialize; it serves the bare generation image and
-  // the log disengages, same contract as a diverged batch.
-  std::optional<core::World> world;
-  core::ProviderRiskResult risk = view.provider_risk();
+  // monolithic ladder, through the same shard-native apply the live
+  // feed uses: untouched shards keep viewing the mmap, and no monolithic
+  // world is ever built. A degraded view (quarantined shards) fails the
+  // first batch; it serves the bare generation image and the log
+  // disengages, same contract as a diverged batch.
   if (auto log = delta::DeltaLog::open(*store_dir_, rec.generation.number,
                                        rec.generation.crc);
       log.ok()) {
     delta_log_.emplace(std::move(log).take());
     delta::DeltaLog::Replay replayed = delta_log_->replay();
-    bool diverged = false;
-    if (!replayed.batches.empty()) {
-      if (auto materialized = view.materialize(); materialized.ok()) {
-        world.emplace(std::move(materialized).take());
-      } else {
-        diverged = true;
+    delta::ApplyOptions apply_options;
+    apply_options.policy = options_.policy;
+    for (const std::vector<delta::FeedEvent>& batch : replayed.batches) {
+      auto applied = shard::apply_delta(view, batch, apply_options);
+      if (!applied.ok()) {
+        delta_log_.reset();
+        break;
       }
+      view = std::move(applied).take().world;
     }
-    if (world.has_value()) {
-      for (const std::vector<delta::FeedEvent>& batch : replayed.batches) {
-        delta::ApplyOptions apply_options;
-        apply_options.policy = options_.policy;
-        auto applied = delta::Applier::apply(*world, risk, batch,
-                                             apply_options);
-        if (!applied.ok()) {
-          diverged = true;
-          break;
-        }
-        delta::ApplyResult result = std::move(applied).take();
-        view = shard::apply_update(view, result);
-        world.emplace(std::move(result.world));
-        risk = std::move(result.provider_risk);
-      }
-    }
-    if (diverged) delta_log_.reset();
   }
-  store_.publish(world.has_value()
-                     ? Snapshot::adopt_sharded(std::move(view), 1,
-                                               std::move(*world))
-                     : Snapshot::adopt_sharded(std::move(view), 1));
+  store_.publish(Snapshot::adopt_sharded(std::move(view), 1));
   loaded_from_store_ = true;
 }
 
@@ -315,41 +295,38 @@ fault::Status Server::apply_delta(std::span<const delta::FeedEvent> events,
                                   delta::ApplyStats* stats) {
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
   const std::shared_ptr<const Snapshot> snap = store_.acquire();
-  const shard::ShardedWorld* base = snap->sharded();
-  // A sharded epoch applies deltas against its materialized world; the
-  // materialization can fail (a degraded cold-start view has shards
-  // with no data to scatter back), and that failure gets the same
-  // survivability contract as any other failed swap.
-  const core::World* base_world = nullptr;
-  try {
-    base_world = &snap->world();
-  } catch (const fault::IoError& e) {
-    swaps_failed_.add();
-    return e.status();
-  }
   delta::ApplyOptions apply_options;
   apply_options.policy = options_.policy;
-  auto applied = delta::Applier::apply(*base_world, snap->provider_risk(),
-                                       events, apply_options);
-  if (!applied.ok()) {
-    // Same survivability contract as a failed rebuild(): nothing
-    // published, the current epoch keeps serving.
-    swaps_failed_.add();
-    return applied.status();
-  }
-  delta::ApplyResult result = std::move(applied).take();
-  if (stats != nullptr) *stats = result.stats;
-  if (base != nullptr) {
-    // Route the batch's dirty boxes to the touched shards only; every
-    // untouched shard's columns are shared with the serving view by
-    // refcount (shard.delta.{rebuilt,shared} count the split).
-    shard::ShardedWorld next = shard::apply_update(*base, result);
-    publish_locked(Snapshot::adopt_sharded(std::move(next), snap->epoch() + 1,
-                                           std::move(result.world)));
+  // A sharded epoch applies straight from its shard columns (untouched
+  // shards are shared with the serving view by refcount;
+  // shard.delta.{rebuilt,shared} count the split); a monolithic one
+  // through delta::Applier. Either way a failure (injected delta.apply
+  // fault, strict-policy validation error, degraded sharded view) gets
+  // the same survivability contract as a failed rebuild(): nothing
+  // published, the current epoch keeps serving.
+  std::shared_ptr<const Snapshot> next;
+  if (const shard::ShardedWorld* base = snap->sharded()) {
+    auto applied = shard::apply_delta(*base, events, apply_options);
+    if (!applied.ok()) {
+      swaps_failed_.add();
+      return applied.status();
+    }
+    shard::ShardApplyResult result = std::move(applied).take();
+    if (stats != nullptr) *stats = result.stats;
+    next = Snapshot::adopt_sharded(std::move(result.world), snap->epoch() + 1);
   } else {
-    publish_locked(Snapshot::adopt(std::move(result.world), snap->epoch() + 1,
-                                   std::move(result.provider_risk)));
+    auto applied = delta::Applier::apply(snap->world(), snap->provider_risk(),
+                                         events, apply_options);
+    if (!applied.ok()) {
+      swaps_failed_.add();
+      return applied.status();
+    }
+    delta::ApplyResult result = std::move(applied).take();
+    if (stats != nullptr) *stats = result.stats;
+    next = Snapshot::adopt(std::move(result.world), snap->epoch() + 1,
+                           std::move(result.provider_risk));
   }
+  publish_locked(std::move(next));
   if (delta_log_) {
     if (!delta_log_->append(events).ok()) {
       // The serving state now leads the durable chain by this batch; a

@@ -72,13 +72,6 @@ std::shared_ptr<const Snapshot> Snapshot::adopt_sharded(
       std::nullopt));
 }
 
-std::shared_ptr<const Snapshot> Snapshot::adopt_sharded(
-    shard::ShardedWorld sharded, Epoch epoch, core::World world) {
-  return std::shared_ptr<const Snapshot>(new Snapshot(
-      std::make_shared<const shard::ShardedWorld>(std::move(sharded)), epoch,
-      std::move(world)));
-}
-
 fault::Result<std::shared_ptr<const Snapshot>> Snapshot::build_sharded(
     const synth::ScenarioConfig& config, Epoch epoch,
     fault::RecoveryPolicy policy, const shard::LayoutOptions& layout) {

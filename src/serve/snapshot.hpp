@@ -63,36 +63,35 @@ class Snapshot {
   static std::shared_ptr<const Snapshot> adopt(
       core::World world, Epoch epoch, core::ProviderRiskResult provider_risk);
 
-  // Wraps a geo-sharded view (fa::shard) as an epoch. Interactive
-  // queries route through the scatter/gather planner (planner.cpp) and
-  // never touch a monolithic World; world() materializes one lazily for
-  // the paths that need id-ordered arrays (ensemble queries, delta
-  // applies). The second overload is for callers that already hold the
-  // monolithic world the view was sharded from (rebuilds, delta
-  // applies) — passing it skips the materialization entirely.
+  // Wraps a geo-sharded view (fa::shard) as an epoch: a cold-started
+  // view, or the successor a shard-native delta apply produced.
+  // Interactive queries route through the scatter/gather planner
+  // (planner.cpp) and delta applies read the shard columns directly;
+  // neither touches a monolithic World. world() materializes one lazily
+  // only for the paths that still need id-ordered arrays (ensemble
+  // queries).
   static std::shared_ptr<const Snapshot> adopt_sharded(
       shard::ShardedWorld sharded, Epoch epoch);
-  static std::shared_ptr<const Snapshot> adopt_sharded(
-      shard::ShardedWorld sharded, Epoch epoch, core::World world);
 
   // build()'s sharded twin: same injection seam, same diagnostics
   // plumbing, but the built world is partitioned by `layout` and the
   // snapshot serves through the planner. The monolithic world is
   // retained (it was just built — re-materializing it later would be
-  // pure waste), so ensemble queries and delta applies stay cheap.
+  // pure waste), so ensemble queries on this epoch stay cheap; delta
+  // applies never need it.
   static fault::Result<std::shared_ptr<const Snapshot>> build_sharded(
       const synth::ScenarioConfig& config, Epoch epoch,
       fault::RecoveryPolicy policy = fault::RecoveryPolicy::kQuarantine,
       const shard::LayoutOptions& layout = {});
 
   Epoch epoch() const { return epoch_; }
-  // Monolithic world backing this epoch. For a sharded snapshot opened
-  // zero-copy this *materializes* on first use (validated scatter back
-  // to id order, counted as shard.materializes) and caches the result
-  // for the snapshot's lifetime; a view too damaged to materialize
-  // (quarantined shards) throws fault::IoError. Sharded callers on the
-  // interactive query path never get here — the planner answers off
-  // the shard columns directly.
+  // Monolithic world backing this epoch. For a sharded snapshot with no
+  // retained world (opened zero-copy, or produced by a delta apply) this
+  // *materializes* on first use (validated scatter back to id order,
+  // counted as shard.materializes) and caches the result for the
+  // snapshot's lifetime; a view too damaged to materialize (quarantined
+  // shards) throws fault::IoError. Sharded interactive queries and delta
+  // applies never get here — they read the shard columns directly.
   const core::World& world() const;
   // Null for monolithic snapshots.
   const shard::ShardedWorld* sharded() const { return sharded_.get(); }

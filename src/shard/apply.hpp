@@ -1,21 +1,33 @@
-// Selective re-shard after a delta batch.
-//
-// apply_update() advances a sharded view to the successor epoch a
-// delta::Applier produced, rebuilding only the shards the batch
-// touched and sharing every other shard's columns with the base view
-// by refcount (the sharded analogue of the delta layer's
-// structure-sharing contract).
+// Shard-native delta apply: base sharded view + accepted feed events ->
+// successor sharded view, computed from the base's shard columns and
+// the batch alone. No monolithic core::World is built, copied or
+// materialized, and the layout is never re-balanced: a lineage's
+// tile->shard table is fixed at birth, only membership flows between
+// shards.
 //
 // Equivalence contract (pinned by tests/shard/apply_test.cpp): the
-// result is indistinguishable — encode_sharded bytes included — from
-// ShardedWorld::from_world(update.world, update.provider_risk,
-// base.layout()). The layout itself is never re-balanced: a lineage's
-// tile->shard table is fixed at birth, only membership flows between
-// shards, which is what makes "rebuild touched shards" and "re-shard
-// from scratch over the same layout" the same function.
+// successor is indistinguishable — encode_sharded bytes, provider-risk
+// aggregate and every ApplyStats field — from
+//   ShardedWorld::from_world(delta::Applier::apply(base world, ...).world,
+//                            risk, base.layout())
+// where the base world is base.materialize(). Validation and the WHP
+// edits are delta::Applier's own stages (Applier::stage, patch_whp);
+// hazard-dirty survivors are the ones Applier's global-grid candidate
+// query would visit, found through each shard's local grid instead.
+//
+// Cost tracks the batch and the shards it touches, not the corpus:
+//   * an untouched shard shares its columns with the base by refcount;
+//     when the batch retired ids elsewhere, only its ids column is
+//     rewritten (the remap is monotone, so bin order holds);
+//   * a touched shard — a member left or arrived, or a hazard edit
+//     changed a member's class — is rewritten in one streaming pass:
+//     survivor runs copy in bin order, incoming adds and movers merge
+//     into their cells by (cell, new id), and the shard re-bins from its
+//     own columns only when local_grid_dims changes.
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "delta/apply.hpp"
 #include "shard/world.hpp"
@@ -23,18 +35,26 @@
 namespace fa::shard {
 
 struct ShardApplyStats {
-  std::size_t rebuilt = 0;  // shards rebuilt this apply
-  std::size_t shared = 0;   // shards shared with the base by refcount
-  // The batch retired transceivers: ids re-densify globally, every
-  // shard's id column changes, so the whole view rebuilds.
-  bool full_reshard = false;
+  std::size_t rebuilt = 0;  // shards whose columns were rewritten
+  // Shards sharing their base's columns by refcount; one whose only
+  // change is the id remap shares every column but `ids`.
+  std::size_t shared = 0;
 };
 
-// `base` must be the view the delta was applied over (update.world is
-// its successor). A degraded base (quarantined shards) falls back to a
-// full re-shard — the base columns cannot be trusted for diffing.
-ShardedWorld apply_update(const ShardedWorld& base,
-                          const delta::ApplyResult& update,
-                          ShardApplyStats* stats = nullptr);
+struct ShardApplyResult {
+  ShardedWorld world;
+  delta::ApplyStats stats;
+  ShardApplyStats shards;
+};
+
+// `events` must be in increasing seq order (FeedIngestor output). Fails
+// closed — nothing is produced — on the injected "delta.apply" fault, a
+// Strict validation failure, a degraded base (a quarantined shard has no
+// columns to carry forward), or base columns that contradict themselves
+// (an id out of range or held twice, a target id held nowhere, an
+// attribute out of its domain).
+fault::Result<ShardApplyResult> apply_delta(
+    const ShardedWorld& base, std::span<const delta::FeedEvent> events,
+    const delta::ApplyOptions& options = {});
 
 }  // namespace fa::shard

@@ -26,8 +26,9 @@ Status mat_fail(ErrCode code, std::uint64_t offset, std::string message) {
   return Status::error(code, offset, "shard.materialize", std::move(message));
 }
 
-}  // namespace
-
+// Builds one shard's columns for `member_ids` (ascending global ids)
+// against a world's per-transceiver arrays, via a shard-local GridIndex
+// over `bounds`.
 Shard build_shard(const core::World& world,
                   std::span<const std::uint32_t> member_ids,
                   const geo::BBox& bounds) {
@@ -80,13 +81,21 @@ Shard build_shard(const core::World& world,
   c.xs = store::Access::binned_x(local);
   c.ys = store::Access::binned_y(local);
   c.cell_start = store::Access::cell_start(local);
+  return view_columns(std::move(columns), bounds, cols, rows);
+}
 
+}  // namespace
+
+Shard view_columns(std::shared_ptr<const ShardColumns> columns,
+                   const geo::BBox& bounds, int cols, int rows) {
+  const ShardColumns& c = *columns;
   Shard s;
   s.bounds = bounds;
   s.cols = cols;
   s.rows = rows;
-  s.inv_cw = store::Access::inv_cw(local);
-  s.inv_ch = store::Access::inv_ch(local);
+  // The GridIndex constructor's expressions (and the codec's on open).
+  s.inv_cw = static_cast<double>(cols) / std::max(bounds.width(), 1e-12);
+  s.inv_ch = static_cast<double>(rows) / std::max(bounds.height(), 1e-12);
   s.ids = c.ids;
   s.xs = c.xs;
   s.ys = c.ys;
@@ -159,6 +168,36 @@ ShardedWorld ShardedWorld::from_world(const core::World& world,
       },
       exec::ExecOptions{.grain = 1});
   return sw;
+}
+
+fault::Result<std::vector<geo::LonLat>> ShardedWorld::positions_by_id()
+    const {
+  if (quarantined_ > 0) {
+    return mat_fail(ErrCode::kIoFailure, quarantined_,
+                    std::to_string(quarantined_) + " shard(s) quarantined");
+  }
+  const std::uint64_t total = meta_.transceivers;
+  std::vector<geo::LonLat> out(total);
+  std::vector<std::uint8_t> seen(total, 0);
+  std::uint64_t held = 0;
+  for (const Shard& sh : shards_) {
+    held += sh.n();
+    for (std::size_t k = 0; k < sh.n(); ++k) {
+      const std::uint32_t id = sh.ids[k];
+      if (id >= total || seen[id]) {
+        return mat_fail(ErrCode::kSchema, id,
+                        "shard ids are not a permutation of the corpus");
+      }
+      seen[id] = 1;
+      out[id] = {sh.xs[k], sh.ys[k]};
+    }
+  }
+  if (held != total) {
+    return mat_fail(ErrCode::kSchema, held,
+                    "shard columns hold " + std::to_string(held) +
+                        " points, meta says " + std::to_string(total));
+  }
+  return out;
 }
 
 fault::Result<core::World> ShardedWorld::materialize() const {

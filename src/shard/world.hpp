@@ -9,12 +9,12 @@
 // shard query is a sequential sweep over contiguous spans: no gather
 // through a global id permutation, no per-record decode.
 //
-// The spans are views. An in-memory build (from_world, delta rebuild)
+// The spans are views. An in-memory build (from_world, delta apply)
 // points them into owned column vectors; an opened FASHRD01 container
 // points them straight into the mmap, which is what makes shard open
 // O(sections) instead of O(bytes). Every shard keeps its storage alive
 // through `payload`, so a successor view after a delta apply can mix
-// rebuilt shards (fresh vectors) with untouched ones (the base's
+// rewritten shards (fresh vectors) with untouched ones (the base's
 // payload, by refcount) without copying either.
 //
 // Determinism contract (pinned by tests/shard/equivalence_test.cpp):
@@ -76,8 +76,12 @@ struct Shard {
   std::span<const std::int32_t> county;
 
   // Keeps the spans' storage alive: a ShardColumns for in-memory
-  // shards, the shared MappedFile for opened containers.
+  // shards, the shared MappedFile for opened containers. A shard whose
+  // only change in a delta apply was the id remap keeps its base's
+  // `payload` and views its rewritten ids through `ids_payload` (null
+  // when `ids` lives in `payload` too).
   std::shared_ptr<const void> payload;
+  std::shared_ptr<const void> ids_payload;
 
   std::size_t n() const { return ids.size(); }
 
@@ -167,6 +171,12 @@ class ShardedWorld {
   // Errors when any shard is quarantined or the columns are corrupt.
   fault::Result<core::World> materialize() const;
 
+  // Every transceiver's position, indexed by id — what a live-feed
+  // generator mirrors — scattered straight from the shard columns, with
+  // no world materialized. Errors when a shard is quarantined or the id
+  // columns are not a permutation of [0, total_points()).
+  fault::Result<std::vector<geo::LonLat>> positions_by_id() const;
+
  private:
   friend struct Codec;    // shard/codec.cpp
   friend struct Applier;  // shard/apply.cpp
@@ -182,12 +192,11 @@ class ShardedWorld {
   std::size_t quarantined_ = 0;
 };
 
-// Builds one shard's columns for `member_ids` (ascending global ids)
-// against a world's per-transceiver arrays, via a shard-local GridIndex
-// over `bounds` — shared by from_world and the delta rebuilder so a
-// rebuilt shard is bit-identical to a from-scratch one.
-Shard build_shard(const core::World& world,
-                  std::span<const std::uint32_t> member_ids,
-                  const geo::BBox& bounds);
+// A shard viewing `columns` — one shard's complete columns in local bin
+// order over a cols x rows grid on `bounds` — with the binning
+// index::GridIndex derives for that grid. from_world and the delta
+// applier both finish through here, so their shards bin identically.
+Shard view_columns(std::shared_ptr<const ShardColumns> columns,
+                   const geo::BBox& bounds, int cols, int rows);
 
 }  // namespace fa::shard

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -213,6 +214,48 @@ TEST(FeedChain, StrictPolicyAcceptsEveryGeneratedTarget) {
     world = std::move(result.world);
     risk = std::move(result.provider_risk);
   }
+}
+
+TEST(FeedChain, MoveOriginsTrackTheAppliedEpoch) {
+  // The generator never re-densifies its mirror (tombstoned slots plus
+  // per-block live counts stand in for it), so check the dense-id ->
+  // position mapping itself: a move lands within a few noise sigmas
+  // (0.01 deg lon, 0.008 deg lat) of where the applied epoch has its
+  // target. A churn-heavy dense feed crosses many slot blocks and
+  // appends new ones.
+  FeedOptions options;
+  options.seed = 123;
+  options.events_per_tick_mean = 96.0;
+  options.w_retire = 4.0;
+  options.w_move = 4.0;
+  FeedGenerator gen(small_world(), options);
+  FeedIngestor ingestor;
+  core::World world = small_world();
+  core::ProviderRiskResult risk = small_risk();
+  std::size_t moves = 0;
+  for (int tick = 0; tick < 30; ++tick) {
+    auto cleaned = ingestor.ingest(gen.tick());
+    ASSERT_TRUE(cleaned.ok());
+    for (const FeedEvent& e : cleaned.value()) {
+      if (e.kind != EventKind::kMoveTransceiver) continue;
+      ASSERT_LT(e.target, world.corpus().size());
+      const geo::LonLat at = world.corpus().transceivers()[e.target].position;
+      EXPECT_LT(std::abs(e.txr.position.lon - at.lon), 0.15)
+          << "tick " << tick << " target " << e.target;
+      EXPECT_LT(std::abs(e.txr.position.lat - at.lat), 0.12)
+          << "tick " << tick << " target " << e.target;
+      ++moves;
+    }
+    ApplyOptions strict;
+    strict.policy = fault::RecoveryPolicy::kStrict;
+    auto applied = Applier::apply(world, risk, cleaned.value(), strict);
+    ASSERT_TRUE(applied.ok()) << applied.status().to_string();
+    ApplyResult result = std::move(applied).take();
+    ASSERT_EQ(gen.alive(), result.world.corpus().size());
+    world = std::move(result.world);
+    risk = std::move(result.provider_risk);
+  }
+  EXPECT_GT(moves, 500u);
 }
 
 }  // namespace

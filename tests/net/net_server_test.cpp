@@ -492,6 +492,22 @@ TEST(NetServer, WriteStallTimeoutReapsStalledOutbox) {
   net.shutdown();
 }
 
+TEST(NetServer, WriteStallVerdictIgnoresProgressStampedAfterTheSweepClock) {
+  // The sweep reads `now` before it locks a connection; a worker that
+  // stamps outbox progress in between leaves progress > now. That is
+  // fresh progress: an unsigned `now - progress` would wrap to ~2^64 ns
+  // and reap a healthy connection as write-stalled.
+  constexpr std::uint64_t kNow = 5'000'000'000ull;
+  for (const std::uint64_t ahead : {1ull, 1'000ull, 2'000'000'000ull}) {
+    EXPECT_FALSE(write_stalled(kNow, kNow + ahead, 150)) << ahead;
+    EXPECT_FALSE(write_stalled(kNow, kNow + ahead, 0)) << ahead;
+  }
+  EXPECT_FALSE(write_stalled(kNow, kNow, 0));
+  EXPECT_FALSE(write_stalled(kNow, kNow - 150'000'000ull, 150));
+  EXPECT_TRUE(write_stalled(kNow, kNow - 150'000'001ull, 150));
+  EXPECT_TRUE(write_stalled(kNow, 0, 150));
+}
+
 TEST(NetServer, RejectsSignedOrPaddedContentLength) {
   serve::Server& backend = shared_server();
   NetServer net(backend, {});

@@ -1,8 +1,9 @@
 // Server integration for sharded serving: byte-identity with the
 // monolithic server through the public front door, FASHRD01 persistence
-// and zero-copy cold start, incremental deltas that rebuild only the
-// touched shards, degraded serving over a damaged store, and epoch
-// purity under concurrent queries while swaps land (the TSan target).
+// and zero-copy cold start, shard-native deltas (fail-closed contracts,
+// and a log replay that never materializes a monolithic world), degraded
+// serving over a damaged store, and epoch purity under concurrent
+// queries while swaps land (the TSan target).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "delta/feed.hpp"
+#include "fault/injector.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "shard/codec.hpp"
 #include "shard_test_util.hpp"
@@ -32,6 +35,78 @@ serve::ServerOptions sharded_options(const std::string& store_dir = "") {
   options.shard_layout = small_layout();
   options.store_dir = store_dir;
   return options;
+}
+
+std::string serving_image(const serve::Server& server) {
+  return encode_sharded(*server.snapshots().acquire()->sharded());
+}
+
+std::uint64_t swaps_failed(serve::Server& server) {
+  return server.registry().counter(obs::metrics::kServeSwapsFailed).value();
+}
+
+// The counter checks below need obs on whatever FA_OBS says.
+struct ObsOn {
+  bool was = obs::enabled();
+  ObsOn() { obs::set_enabled(true); }
+  ~ObsOn() { obs::set_enabled(was); }
+};
+
+// A hand-built batch valid against any non-trivial epoch: retire id 0,
+// add one site near Denver.
+std::vector<delta::FeedEvent> retire_and_add() {
+  delta::FeedEvent retire;
+  retire.seq = 0;
+  retire.kind = delta::EventKind::kRetireTransceiver;
+  retire.target = 0;
+  delta::FeedEvent add;
+  add.seq = 1;
+  add.kind = delta::EventKind::kAddTransceiver;
+  add.txr.position = {-104.99, 39.74};
+  add.txr.mcc = 310;
+  add.txr.mnc = 410;
+  return {retire, add};
+}
+
+// Flips one byte of the newest committed generation so that exactly one
+// shard payload fails its CRC (the frame and globals stay clean).
+void damage_one_shard(const std::string& store_dir) {
+  auto dir = store::StoreDir::open(store_dir);
+  ASSERT_TRUE(dir.ok());
+  auto manifest = dir.value().read_manifest();
+  ASSERT_TRUE(manifest.ok());
+  ASSERT_FALSE(manifest.value().generations.empty());
+  const std::string path =
+      dir.value().file_path(manifest.value().generations.back().filename);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  std::string dirty;
+  for (std::size_t frac = 3; frac <= 7; ++frac) {
+    std::string candidate = bytes;
+    const std::size_t at = bytes.size() * frac / 10;
+    candidate[at] = static_cast<char>(candidate[at] ^ 0x40);
+    auto report = inspect_sharded(candidate.data(), candidate.size(), "probe");
+    if (!report.ok() || !report.value().globals_ok) continue;
+    std::size_t bad = 0;
+    for (const ShardReport& sh : report.value().shards) {
+      if (!sh.crc_ok) ++bad;
+    }
+    if (bad == 1) {
+      dirty = std::move(candidate);
+      break;
+    }
+  }
+  ASSERT_FALSE(dirty.empty());
+  std::ofstream out(path, std::ios::binary);
+  out.write(dirty.data(), static_cast<std::streamsize>(dirty.size()));
+}
+
+AnyResponse without_epoch(AnyResponse r) {
+  std::visit([](auto& response) { response.epoch = 0; }, r);
+  return r;
 }
 
 TEST(ServeSharded, FrontDoorMatchesMonolithicServer) {
@@ -117,40 +192,8 @@ TEST(ServeSharded, DamagedStoreServesDegradedAndRefusesPersist) {
     serve::Server server(st::small_config(), sharded_options(tmp.path));
     ASSERT_TRUE(server.save_snapshot().ok());
   }
-  // Damage exactly one shard payload in the committed generation.
-  auto dir = store::StoreDir::open(tmp.path);
-  ASSERT_TRUE(dir.ok());
-  auto manifest = dir.value().read_manifest();
-  ASSERT_TRUE(manifest.ok());
-  ASSERT_FALSE(manifest.value().generations.empty());
-  const std::string path =
-      dir.value().file_path(manifest.value().generations.back().filename);
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  std::string dirty;
-  for (std::size_t frac = 3; frac <= 7; ++frac) {
-    std::string candidate = bytes;
-    const std::size_t at = bytes.size() * frac / 10;
-    candidate[at] = static_cast<char>(candidate[at] ^ 0x40);
-    auto report = inspect_sharded(candidate.data(), candidate.size(), "probe");
-    if (!report.ok() || !report.value().globals_ok) continue;
-    std::size_t bad = 0;
-    for (const ShardReport& sh : report.value().shards) {
-      if (!sh.crc_ok) ++bad;
-    }
-    if (bad == 1) {
-      dirty = std::move(candidate);
-      break;
-    }
-  }
-  ASSERT_FALSE(dirty.empty());
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(dirty.data(), static_cast<std::streamsize>(dirty.size()));
-  }
+  damage_one_shard(tmp.path);
+  ASSERT_FALSE(HasFatalFailure());
 
   serve::Server degraded(st::small_config(), sharded_options(tmp.path));
   EXPECT_TRUE(degraded.loaded_from_store());
@@ -206,6 +249,106 @@ TEST(ServeSharded, ConcurrentQueriesStayEpochPureAcrossSwaps) {
   for (std::thread& t : readers) t.join();
   EXPECT_GT(asked.load(), 0u);
   ASSERT_NE(server.snapshots().acquire()->sharded(), nullptr);
+}
+
+TEST(ServeSharded, ApplyOnDegradedColdStartFailsClosed) {
+  ObsOn obs_on;
+  TempDir tmp;
+  {
+    serve::Server server(st::small_config(), sharded_options(tmp.path));
+    ASSERT_TRUE(server.save_snapshot().ok());
+  }
+  damage_one_shard(tmp.path);
+  ASSERT_FALSE(HasFatalFailure());
+  serve::Server degraded(st::small_config(), sharded_options(tmp.path));
+  ASSERT_TRUE(degraded.loaded_from_store());
+  ASSERT_EQ(degraded.snapshots().acquire()->sharded()->quarantined_count(),
+            1u);
+  const std::uint64_t failed_before = swaps_failed(degraded);
+  const fault::Status status = degraded.apply_delta(retire_and_add());
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(degraded.epoch(), 1u);
+  EXPECT_EQ(swaps_failed(degraded), failed_before + 1);
+}
+
+TEST(ServeSharded, InjectedApplyFaultPublishesNothing) {
+  ObsOn obs_on;
+  serve::Server server(st::small_config(), sharded_options());
+  const std::string before = serving_image(server);
+  const std::uint64_t failed_before = swaps_failed(server);
+  {
+    fault::ScopedInjector arm(
+        fault::Injector::parse("seed=1,delta.apply=1").take());
+    const fault::Status status = server.apply_delta(retire_and_add());
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code, fault::ErrCode::kInjected);
+    EXPECT_EQ(status.source, "delta.apply");
+  }
+  EXPECT_EQ(server.epoch(), 1u);
+  EXPECT_EQ(serving_image(server), before);
+  EXPECT_EQ(swaps_failed(server), failed_before + 1);
+  // Disarmed, the same batch publishes.
+  ASSERT_TRUE(server.apply_delta(retire_and_add()).ok());
+  EXPECT_EQ(server.epoch(), 2u);
+}
+
+TEST(ServeSharded, StrictPolicyFailurePublishesNothing) {
+  serve::ServerOptions options = sharded_options();
+  options.policy = fault::RecoveryPolicy::kStrict;
+  serve::Server server(st::small_config(), options);
+  const std::string before = serving_image(server);
+  std::vector<delta::FeedEvent> batch = retire_and_add();
+  batch[0].target = 0xfffffff0u;  // dead target: strict fails the batch
+  const fault::Status status = server.apply_delta(batch);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.offset, 0u);
+  EXPECT_EQ(server.epoch(), 1u);
+  EXPECT_EQ(serving_image(server), before);
+}
+
+TEST(ServeSharded, ColdStartReplayingARetireNeverMaterializes) {
+  ObsOn obs_on;
+  TempDir tmp;
+  const std::vector<AnyQuery> stream = st::make_stream(150, 59);
+  std::string final_image;
+  std::vector<AnyResponse> before;
+  {
+    serve::Server server(st::small_config(), sharded_options(tmp.path));
+    ASSERT_TRUE(server.save_snapshot().ok());
+    delta::FeedOptions feed_options;
+    feed_options.seed = 13;
+    delta::FeedGenerator gen(server.snapshots().acquire()->world(),
+                             feed_options);
+    delta::FeedIngestor ingestor;
+    std::size_t retires = 0;
+    for (int tick = 0; tick < 3; ++tick) {
+      auto cleaned = ingestor.ingest(gen.tick());
+      ASSERT_TRUE(cleaned.ok());
+      delta::ApplyStats stats;
+      ASSERT_TRUE(server.apply_delta(cleaned.value(), &stats).ok());
+      retires += stats.retires;
+    }
+    ASSERT_GT(retires, 0u) << "the logged batches never retired a site";
+    final_image = serving_image(server);
+    for (const AnyQuery& q : stream) {
+      before.push_back(without_epoch(ask(server, q)));
+    }
+  }
+  obs::ScopedRegistry scoped;
+  serve::ServerOptions options = sharded_options(tmp.path);
+  options.registry = &scoped.registry();
+  serve::Server revived(st::small_config(), options);
+  ASSERT_TRUE(revived.loaded_from_store());
+  EXPECT_EQ(scoped.registry().counter(obs::metrics::kDeltaLogReplayed).value(),
+            3u);
+  EXPECT_EQ(serving_image(revived), final_image);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(before[i] == without_epoch(ask(revived, stream[i])))
+        << "query " << i << " diverged after the replayed cold start";
+  }
+  EXPECT_EQ(
+      scoped.registry().counter(obs::metrics::kShardMaterializes).value(),
+      0u);
 }
 
 }  // namespace

@@ -102,7 +102,10 @@ const std::vector<BenchSchema>& schemas() {
       {"bench_delta_ingest", "delta_ingest",
        {"transceivers", "ticks", "events_applied", "dirty_transceivers",
         "rebuild_s", "apply_mean_s", "apply_p99_s", "byte_identical",
-        "delta_speedup", "delta_faster"},
+        "delta_speedup", "delta_faster", "shards", "sharded_rebuild_s",
+        "sharded_apply_mean_s", "sharded_apply_p99_s",
+        "sharded_shards_rebuilt", "sharded_byte_identical",
+        "sharded_speedup", "sharded_faster"},
        "", "FA_DELTA_TICKS=4"},
       {"bench_shard_scale", "shard_scale",
        {"transceivers", "shards", "mono_image_bytes", "shard_image_bytes",
