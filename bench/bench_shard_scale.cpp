@@ -14,9 +14,11 @@
 //   mono_qps/shard_qps closed-loop point-query throughput at
 //                      FA_SHARD_THREADS threads over each snapshot
 //
-// Acceptance gates in the trailer:
-//   cold_speedup  = mono_cold_s / shard_cold_s   >= 10x
-//   qps_ratio     = shard_qps / mono_qps         >= 2x
+// Reported in the trailer against their targets (read them from a
+// full-scale run; at smoke scale fixed overheads dominate and they miss):
+//   cold_speedup  = mono_cold_s / shard_cold_s   >= 10x  (cold_faster)
+//   qps_ratio     = shard_qps / mono_qps         >= 2x   (qps_faster)
+// Gated by the exit code:
 //   identity_ok   — every pooled query answered byte-identically by
 //                   both snapshots (the gate that makes the other two
 //                   mean anything)
@@ -184,7 +186,7 @@ int main() {
   const bool cold_faster = cold_speedup >= 10.0;
   std::printf(
       "sharded cold start to first query: %.4fs  (%.0fx, %s the 10x "
-      "gate)\n",
+      "target)\n",
       shard_cold_s, cold_speedup, cold_faster ? "clears" : "MISSES");
 
   // Byte-identity spot check over the whole pool before timing anything:
@@ -205,7 +207,7 @@ int main() {
   const bool qps_faster = qps_ratio >= 2.0;
   std::printf(
       "point QPS at %zu threads: monolithic %.0f, sharded %.0f  (%.2fx, "
-      "%s the 2x gate)\n",
+      "%s the 2x target)\n",
       threads, mono_qps, shard_qps, qps_ratio,
       qps_faster ? "clears" : "MISSES");
 

@@ -179,6 +179,8 @@ WhpPatch Applier::patch_whp(const std::shared_ptr<const synth::WhpModel>& base,
         mutable_whp != nullptr ? mutable_whp->grid_ : base_whp.grid();
     if (current.at(c, r) == value) return;
     if (mutable_whp == nullptr) {
+      // Copies the class grid only; the state, urban and road layers
+      // stay shared with the base.
       auto copy = std::make_shared<synth::WhpModel>(base_whp);
       mutable_whp = copy.get();
       out.whp = std::shared_ptr<const synth::WhpModel>(std::move(copy));

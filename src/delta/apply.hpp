@@ -80,15 +80,6 @@ struct StagedBatch {
   std::vector<Move> moves;             // surviving targets, ascending
   std::vector<const FeedEvent*> adds;  // seq order: successor ids n_kept..
   std::vector<const FeedEvent*> whp_edits;  // fires + patches, seq order
-
-  // Successor id of a surviving base id: survivors re-densify in base
-  // order, so the remap is monotone and subtracts the retired ids below.
-  std::uint32_t new_id(std::uint32_t old_id) const {
-    return old_id - static_cast<std::uint32_t>(
-                        std::lower_bound(retired.begin(), retired.end(),
-                                         old_id) -
-                        retired.begin());
-  }
 };
 
 // The provider-risk aggregate, maintained incrementally: add() moves

@@ -197,10 +197,19 @@ inline constexpr std::string_view kShardDegradedServes =
     "shard.degraded_serves";
 // Lazy monolithic-world materializations off a sharded view.
 inline constexpr std::string_view kShardMaterializes = "shard.materializes";
-// Delta applies routed through the sharded view: shards rebuilt vs
-// payload-shared untouched.
+// Delta applies routed through the sharded view: shards with a rewritten
+// page vs shards sharing their base's whole page table, and the same
+// split counted in pages (the copy-on-write unit).
 inline constexpr std::string_view kShardDeltaRebuilt = "shard.delta.rebuilt";
 inline constexpr std::string_view kShardDeltaShared = "shard.delta.shared";
+inline constexpr std::string_view kShardDeltaPagesRewritten =
+    "shard.delta.pages_rewritten";
+inline constexpr std::string_view kShardDeltaPagesShared =
+    "shard.delta.pages_shared";
+// Stable-id compactions: tombstones passed 1/8 of the live ids and an
+// apply rewrote every id dense.
+inline constexpr std::string_view kShardIdsCompactions =
+    "shard.ids.compactions";
 // Monolithic FASNAP01 generations migrated to a sharded view by the
 // recovery ladder.
 inline constexpr std::string_view kShardMigrations = "shard.migrations";
@@ -209,6 +218,9 @@ inline constexpr std::string_view kShardOpenNs = "shard.open_ns";
 inline constexpr std::string_view kShardBuildNs = "shard.build_ns";
 inline constexpr std::string_view kShardMaterializeNs =
     "shard.materialize_ns";
+// Lineage index builds (the first delta apply over a lineage root).
+inline constexpr std::string_view kShardLineageBuildNs =
+    "shard.lineage.build_ns";
 
 // -- live-feed incremental updates (`fa::delta`) ----------------------
 // Events emitted by the synthetic feed / seen by the ingestor.

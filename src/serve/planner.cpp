@@ -67,9 +67,10 @@ PointRiskResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
         degraded = true;
         continue;
       }
-      sh.query_spans(box, [&](std::uint32_t b, std::uint32_t e) {
+      sh.query_spans(box, [&](const shard::Page& pg, std::uint32_t b,
+                              std::uint32_t e) {
         for (std::uint32_t k = b; k < e; ++k) {
-          const geo::Vec2 p{sh.xs[k], sh.ys[k]};
+          const geo::Vec2 p{pg.xs[k], pg.ys[k]};
           if (!box.contains(p)) continue;
           const int side = disc.classify(p.x, p.y);
           if (side < 0) continue;
@@ -79,7 +80,7 @@ PointRiskResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
             continue;
           }
           ++r.nearby_txr;
-          if (synth::whp_at_risk(static_cast<synth::WhpClass>(sh.cls[k]))) {
+          if (synth::whp_at_risk(static_cast<synth::WhpClass>(pg.cls[k]))) {
             ++r.nearby_at_risk;
           }
         }
@@ -102,14 +103,15 @@ BBoxAggregateResponse evaluate_sharded(const shard::ShardedWorld& sw,
   std::vector<BBoxAggregateResponse> partial(touched.size());
   scatter(sw, touched, [&](const shard::Shard& sh, std::size_t i) {
     BBoxAggregateResponse& p = partial[i];
-    sh.query_spans(q.bbox, [&](std::uint32_t b, std::uint32_t e) {
+    sh.query_spans(q.bbox, [&](const shard::Page& pg, std::uint32_t b,
+                               std::uint32_t e) {
       for (std::uint32_t k = b; k < e; ++k) {
-        if (!q.bbox.contains({sh.xs[k], sh.ys[k]})) continue;
-        const auto c = static_cast<synth::WhpClass>(sh.cls[k]);
+        if (!q.bbox.contains({pg.xs[k], pg.ys[k]})) continue;
+        const auto c = static_cast<synth::WhpClass>(pg.cls[k]);
         ++p.transceivers;
         ++p.by_class[static_cast<std::size_t>(c)];
         if (synth::whp_at_risk(c)) ++p.at_risk;
-        ++p.by_provider[sh.provider[k]];
+        ++p.by_provider[pg.provider[k]];
       }
     });
   });
@@ -156,13 +158,13 @@ TopKSitesResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
   scatter(sw, touched, [&](const shard::Shard& sh, std::size_t i) {
     std::vector<RankedSite>& mine = partial[i];
     std::size_t in_box = 0;
-    sh.query_spans(box, [&in_box](std::uint32_t b, std::uint32_t e) {
-      in_box += e - b;
-    });
+    sh.query_spans(box, [&in_box](const shard::Page&, std::uint32_t b,
+                                  std::uint32_t e) { in_box += e - b; });
     mine.reserve(in_box);
-    sh.query_spans(box, [&](std::uint32_t b, std::uint32_t e) {
+    sh.query_spans(box, [&](const shard::Page& pg, std::uint32_t b,
+                            std::uint32_t e) {
       for (std::uint32_t k = b; k < e; ++k) {
-        const geo::Vec2 p{sh.xs[k], sh.ys[k]};
+        const geo::Vec2 p{pg.xs[k], pg.ys[k]};
         if (!box.contains(p)) continue;
         // Ranked sites need the exact distance anyway; the filter still
         // pre-rejects the bbox corners without a transcendental.
@@ -171,7 +173,7 @@ TopKSitesResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
         const double d = geo::haversine_m(q.center, pos);
         if (d > q.radius_m) continue;
         mine.push_back(
-            {sh.ids[k], pos, static_cast<synth::WhpClass>(sh.cls[k]), d});
+            {pg.ids[k], pos, static_cast<synth::WhpClass>(pg.cls[k]), d});
       }
     });
   });
@@ -185,7 +187,9 @@ TopKSitesResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
   r.candidates = static_cast<std::uint32_t>(candidates.size());
   // Strict total order (class desc, distance asc, id asc — ids are
   // unique), so the selected K and their order are independent of the
-  // concatenation order above.
+  // concatenation order above. The ids are stable ids until the end:
+  // dense ids are their ranks among the live ids, a monotone map, so
+  // ranking by either picks the same K in the same order.
   const auto riskier = [](const RankedSite& a, const RankedSite& b) {
     if (a.whp != b.whp) return a.whp > b.whp;
     if (a.distance_m != b.distance_m) return a.distance_m < b.distance_m;
@@ -195,6 +199,7 @@ TopKSitesResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
   std::partial_sort(candidates.begin(), candidates.begin() + k,
                     candidates.end(), riskier);
   candidates.resize(k);
+  for (RankedSite& site : candidates) site.txr_id = sw.dense_id(site.txr_id);
   r.sites = std::move(candidates);
   return r;
 }

@@ -64,12 +64,14 @@ class Snapshot {
       core::World world, Epoch epoch, core::ProviderRiskResult provider_risk);
 
   // Wraps a geo-sharded view (fa::shard) as an epoch: a cold-started
-  // view, or the successor a shard-native delta apply produced.
-  // Interactive queries route through the scatter/gather planner
-  // (planner.cpp) and delta applies read the shard columns directly;
-  // neither touches a monolithic World. world() materializes one lazily
-  // only for the paths that still need id-ordered arrays (ensemble
-  // queries).
+  // view, or the successor a shard-native delta apply produced — which
+  // shares every page its batch did not rewrite with the epoch before
+  // it, and may carry tombstoned stable ids (responses and world() see
+  // dense ids either way). Interactive queries route through the
+  // scatter/gather planner (planner.cpp) and delta applies read the
+  // shard pages directly; neither touches a monolithic World. world()
+  // materializes one lazily only for the paths that still need
+  // id-ordered arrays (ensemble queries).
   static std::shared_ptr<const Snapshot> adopt_sharded(
       shard::ShardedWorld sharded, Epoch epoch);
 

@@ -1,6 +1,6 @@
 // Shard-native delta apply: base sharded view + accepted feed events ->
-// successor sharded view, computed from the base's shard columns and
-// the batch alone. No monolithic core::World is built, copied or
+// successor sharded view, computed from the base's shard pages and the
+// batch alone. No monolithic core::World is built, copied or
 // materialized, and the layout is never re-balanced: a lineage's
 // tile->shard table is fixed at birth, only membership flows between
 // shards.
@@ -15,15 +15,26 @@
 // hazard-dirty survivors are the ones Applier's global-grid candidate
 // query would visit, found through each shard's local grid instead.
 //
-// Cost tracks the batch and the shards it touches, not the corpus:
-//   * an untouched shard shares its columns with the base by refcount;
-//     when the batch retired ids elsewhere, only its ids column is
-//     rewritten (the remap is monotone, so bin order holds);
-//   * a touched shard — a member left or arrived, or a hazard edit
-//     changed a member's class — is rewritten in one streaming pass:
-//     survivor runs copy in bin order, incoming adds and movers merge
-//     into their cells by (cell, new id), and the shard re-bins from its
-//     own columns only when local_grid_dims changes.
+// Cost tracks the batch, not the corpus (after the lineage root's first
+// apply, which builds the lineage index in one pass over the id
+// columns and checks them on the way):
+//   * retire/move targets arrive as dense ids, map to stable ids through
+//     the live set's select, and are located through the lineage index
+//     (stable id -> shard, page) by reading only the target's page;
+//   * a retire leaves a tombstone, so no survivor's id changes and no
+//     page is rewritten for an id shift;
+//   * a page holding a leaver, an arrival (an add, or a mover at its
+//     destination) or a survivor whose class a hazard edit changed is
+//     rewritten in one streaming pass — survivors in bin order, arrivals
+//     merged into their cells by (cell, stable id) — and every other
+//     page, and the page table of every other shard, is shared with the
+//     base by refcount;
+//   * a shard whose local_grid_dims step with its new size re-bins whole;
+//   * the provider-risk rows move by the batch's deltas, and the
+//     regional-brand count is recomputed from a per-(MCC, MNC) tally the
+//     same deltas maintain.
+// Compaction bounds a long run: once tombstones exceed 1/8 of the live
+// ids, every id is rewritten dense and the successor is a new root.
 #pragma once
 
 #include <cstddef>
@@ -35,10 +46,14 @@
 namespace fa::shard {
 
 struct ShardApplyStats {
-  std::size_t rebuilt = 0;  // shards whose columns were rewritten
-  // Shards sharing their base's columns by refcount; one whose only
-  // change is the id remap shares every column but `ids`.
-  std::size_t shared = 0;
+  std::size_t rebuilt = 0;  // shards with at least one rewritten page
+  std::size_t shared = 0;   // shards sharing the base's whole page table
+  std::size_t pages_rewritten = 0;
+  std::size_t pages_shared = 0;  // successor pages that are the base's
+  std::size_t bytes_copied = 0;  // column bytes written into new pages
+  // Tombstones crossed the compaction threshold: every id was rewritten
+  // dense and the successor is a new lineage root.
+  bool compacted = false;
 };
 
 struct ShardApplyResult {

@@ -1,8 +1,10 @@
 #include "shard/codec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "exec/exec.hpp"
 #include "obs/metrics.hpp"
@@ -214,6 +216,19 @@ bool check_shard(const SectionLookup& img, std::uint32_t owner,
   return true;
 }
 
+// One shard column as one section: every page's entries, in page order.
+template <class T>
+void section_pages(store::ImageBuilder& b, SectionKind kind,
+                   std::uint32_t owner, const Shard& sh,
+                   std::span<const T> Page::*column) {
+  b.begin(kind, owner);
+  for (std::size_t p = 0; p < sh.page_count(); ++p) {
+    const Page& pg = sh.page(p);
+    b.span((pg.*column).data() + pg.begin(), pg.n());
+  }
+  b.end();
+}
+
 }  // namespace
 
 // Friend of ShardedWorld: assembles a view from decoded parts.
@@ -292,25 +307,55 @@ std::string encode_sharded(const ShardedWorld& sw) {
     b.end();
   }
 
+  // Ids leave the view dense: a view with tombstones ranks each stable id
+  // among the live ones (rank is monotone, so bin order holds).
+  const bool dense_ids = sw.tombstones() == 0;
+  std::vector<std::uint32_t> dense;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const Shard& sh = sw.shard(s);
     const std::uint32_t owner = static_cast<std::uint32_t>(s);
-    b.section_span(SectionKind::kShardIds, owner, sh.ids.data(), sh.n());
-    b.section_span(SectionKind::kShardX, owner, sh.xs.data(), sh.n());
-    b.section_span(SectionKind::kShardY, owner, sh.ys.data(), sh.n());
-    b.section_span(SectionKind::kShardCellStart, owner, sh.cell_start.data(),
-                   sh.cell_start.size());
-    b.section_span(SectionKind::kShardClass, owner, sh.cls.data(), sh.n());
-    b.section_span(SectionKind::kShardProvider, owner, sh.provider.data(),
-                   sh.n());
-    b.section_span(SectionKind::kShardRadio, owner, sh.radio.data(), sh.n());
-    b.section_span(SectionKind::kShardMcc, owner, sh.mcc.data(), sh.n());
-    b.section_span(SectionKind::kShardMnc, owner, sh.mnc.data(), sh.n());
-    b.section_span(SectionKind::kShardCellId, owner, sh.cell_id.data(),
-                   sh.n());
-    b.section_span(SectionKind::kShardState, owner, sh.state.data(), sh.n());
-    b.section_span(SectionKind::kShardCounty, owner, sh.county.data(),
-                   sh.n());
+    b.begin(SectionKind::kShardIds, owner);
+    for (std::size_t p = 0; p < sh.page_count(); ++p) {
+      const Page& pg = sh.page(p);
+      const auto ids = pg.ids.subspan(pg.begin(), pg.n());
+      if (dense_ids) {
+        b.span(ids.data(), ids.size());
+        continue;
+      }
+      dense.resize(ids.size());
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        dense[k] = sw.dense_id(ids[k]);
+      }
+      b.vec(dense);
+    }
+    b.end();
+    section_pages(b, SectionKind::kShardX, owner, sh, &Page::xs);
+    section_pages(b, SectionKind::kShardY, owner, sh, &Page::ys);
+    {
+      // The shard's cols*rows+1 prefix sums, re-based page by page.
+      std::vector<std::uint32_t> cell_start;
+      if (sh.page_count() > 0) {
+        cell_start.reserve(sh.cells() + 1);
+        cell_start.push_back(0);
+      }
+      for (std::size_t p = 0; p < sh.page_count(); ++p) {
+        const Page& pg = sh.page(p);
+        const std::uint32_t base = cell_start.back() - pg.begin();
+        for (std::size_t j = 1; j < pg.cell_start.size(); ++j) {
+          cell_start.push_back(base + pg.cell_start[j]);
+        }
+      }
+      b.section_span(SectionKind::kShardCellStart, owner, cell_start.data(),
+                     cell_start.size());
+    }
+    section_pages(b, SectionKind::kShardClass, owner, sh, &Page::cls);
+    section_pages(b, SectionKind::kShardProvider, owner, sh, &Page::provider);
+    section_pages(b, SectionKind::kShardRadio, owner, sh, &Page::radio);
+    section_pages(b, SectionKind::kShardMcc, owner, sh, &Page::mcc);
+    section_pages(b, SectionKind::kShardMnc, owner, sh, &Page::mnc);
+    section_pages(b, SectionKind::kShardCellId, owner, sh, &Page::cell_id);
+    section_pages(b, SectionKind::kShardState, owner, sh, &Page::state);
+    section_pages(b, SectionKind::kShardCounty, owner, sh, &Page::county);
   }
   return b.finish();
 }
@@ -384,37 +429,32 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
       shard_count,
       [&](std::size_t s) {
         const ShardRecord& r = parts.records[s];
-        Shard& sh = shards[s];
-        sh.bounds = r.bounds;
-        sh.cols = std::max(1, static_cast<int>(r.cols));
-        sh.rows = std::max(1, static_cast<int>(r.rows));
-        // Same expressions the GridIndex constructor uses, so a reopened
-        // shard bins queries exactly like the one that was encoded.
-        sh.inv_cw = static_cast<double>(sh.cols) /
-                    std::max(sh.bounds.width(), 1e-12);
-        sh.inv_ch = static_cast<double>(sh.rows) /
-                    std::max(sh.bounds.height(), 1e-12);
-        sh.payload = payload;
-
+        const int cols = std::max(1, static_cast<int>(r.cols));
+        const int rows = std::max(1, static_cast<int>(r.rows));
         const SectionInfo* secs[store::kShardSectionsPerShard] = {};
         if (!check_shard(img, static_cast<std::uint32_t>(s), r,
                          options.deep_verify, secs)) {
-          sh.quarantined = true;
+          shards[s] = shard_grid(r.bounds, cols, rows);
+          shards[s].quarantined = true;
           bad[s] = 1;
           return;
         }
-        sh.ids = section_span<std::uint32_t>(img, *secs[0]);
-        sh.xs = section_span<double>(img, *secs[1]);
-        sh.ys = section_span<double>(img, *secs[2]);
-        sh.cell_start = section_span<std::uint32_t>(img, *secs[3]);
-        sh.cls = section_span<std::uint8_t>(img, *secs[4]);
-        sh.provider = section_span<std::uint8_t>(img, *secs[5]);
-        sh.radio = section_span<std::uint8_t>(img, *secs[6]);
-        sh.mcc = section_span<std::uint16_t>(img, *secs[7]);
-        sh.mnc = section_span<std::uint16_t>(img, *secs[8]);
-        sh.cell_id = section_span<std::uint32_t>(img, *secs[9]);
-        sh.state = section_span<std::int16_t>(img, *secs[10]);
-        sh.county = section_span<std::int32_t>(img, *secs[11]);
+        Page whole;
+        whole.ids = section_span<std::uint32_t>(img, *secs[0]);
+        whole.xs = section_span<double>(img, *secs[1]);
+        whole.ys = section_span<double>(img, *secs[2]);
+        whole.cell_start = section_span<std::uint32_t>(img, *secs[3]);
+        whole.cls = section_span<std::uint8_t>(img, *secs[4]);
+        whole.provider = section_span<std::uint8_t>(img, *secs[5]);
+        whole.radio = section_span<std::uint8_t>(img, *secs[6]);
+        whole.mcc = section_span<std::uint16_t>(img, *secs[7]);
+        whole.mnc = section_span<std::uint16_t>(img, *secs[8]);
+        whole.cell_id = section_span<std::uint32_t>(img, *secs[9]);
+        whole.state = section_span<std::int16_t>(img, *secs[10]);
+        whole.county = section_span<std::int32_t>(img, *secs[11]);
+        whole.payload = payload;
+        // A reopened shard bins queries exactly like the one encoded.
+        shards[s] = page_shard(whole, r.bounds, cols, rows);
       },
       exec::ExecOptions{.grain = 1});
   std::size_t quarantined = 0;

@@ -12,9 +12,12 @@
 // global sections, structurally checks each shard (column lengths agree
 // with the layout record, cell_start is a monotone prefix-sum ending at
 // n_s — the memory-safety floor for span queries), and then points the
-// shard column spans straight into the caller's mapping. No per-record
+// shard's pages straight into the caller's mapping. No per-record
 // decode, no copy of the dominant payload: open cost is O(sections +
-// cells), independent of the transceiver count.
+// cells + pages), independent of the transceiver count. The encoder
+// writes each shard's pages back to back with dense ids (a view with
+// tombstones ranks its stable ids on the way out), so the bytes are
+// those of a fresh build over the same state.
 //
 // A shard that fails its structural checks (or, under deep_verify, its
 // payload CRCs) is quarantined — empty columns, flag set — rather than

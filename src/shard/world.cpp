@@ -1,6 +1,7 @@
 #include "shard/world.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -84,32 +85,171 @@ Shard build_shard(const core::World& world,
   return view_columns(std::move(columns), bounds, cols, rows);
 }
 
+// A page viewing every column of `columns`.
+Page view_page(std::shared_ptr<const ShardColumns> columns) {
+  const ShardColumns& c = *columns;
+  Page p;
+  p.cell_start = c.cell_start;
+  p.ids = c.ids;
+  p.xs = c.xs;
+  p.ys = c.ys;
+  p.cls = c.cls;
+  p.provider = c.provider;
+  p.radio = c.radio;
+  p.mcc = c.mcc;
+  p.mnc = c.mnc;
+  p.cell_id = c.cell_id;
+  p.state = c.state;
+  p.county = c.county;
+  p.payload = std::move(columns);
+  return p;
+}
+
 }  // namespace
 
-Shard view_columns(std::shared_ptr<const ShardColumns> columns,
-                   const geo::BBox& bounds, int cols, int rows) {
-  const ShardColumns& c = *columns;
+Shard shard_grid(const geo::BBox& bounds, int cols, int rows) {
   Shard s;
   s.bounds = bounds;
   s.cols = cols;
   s.rows = rows;
-  // The GridIndex constructor's expressions (and the codec's on open).
+  // The GridIndex constructor's expressions.
   s.inv_cw = static_cast<double>(cols) / std::max(bounds.width(), 1e-12);
   s.inv_ch = static_cast<double>(rows) / std::max(bounds.height(), 1e-12);
-  s.ids = c.ids;
-  s.xs = c.xs;
-  s.ys = c.ys;
-  s.cell_start = c.cell_start;
-  s.cls = c.cls;
-  s.provider = c.provider;
-  s.radio = c.radio;
-  s.mcc = c.mcc;
-  s.mnc = c.mnc;
-  s.cell_id = c.cell_id;
-  s.state = c.state;
-  s.county = c.county;
-  s.payload = std::move(columns);
   return s;
+}
+
+Shard page_shard(const Page& whole, const geo::BBox& bounds, int cols,
+                 int rows) {
+  Shard s = shard_grid(bounds, cols, rows);
+  s.points = whole.n();
+  const std::size_t cells = s.cells();
+  auto pages = std::make_shared<PageTable>();
+  pages->reserve((cells + kPageCells - 1) / kPageCells);
+  for (std::size_t first = 0; first < cells; first += kPageCells) {
+    const std::size_t count = std::min<std::size_t>(kPageCells, cells - first);
+    Page& page = pages->emplace_back(whole);
+    page.cell_start = whole.cell_start.subspan(first, count + 1);
+  }
+  s.pages = std::move(pages);
+  return s;
+}
+
+Shard view_columns(std::shared_ptr<const ShardColumns> columns,
+                   const geo::BBox& bounds, int cols, int rows) {
+  return page_shard(view_page(std::move(columns)), bounds, cols, rows);
+}
+
+// -- LiveIds ------------------------------------------------------------
+
+void LiveIds::Chunk::reindex() {
+  std::uint16_t live = 0;
+  for (std::size_t w = 0; w < kChunkWords; ++w) {
+    rank[w] = live;
+    live = static_cast<std::uint16_t>(live + std::popcount(words[w]));
+  }
+}
+
+LiveIds LiveIds::all(std::size_t n) {
+  LiveIds out;
+  const std::size_t per_chunk = std::size_t{1} << kChunkShift;
+  for (std::size_t first = 0; first < n; first += per_chunk) {
+    auto c = std::make_shared<Chunk>();
+    const std::size_t bits = std::min(per_chunk, n - first);
+    std::fill_n(c->words.begin(), bits / 64, ~std::uint64_t{0});
+    if (bits % 64 != 0) {
+      c->words[bits / 64] = (std::uint64_t{1} << (bits % 64)) - 1;
+    }
+    c->reindex();
+    out.before_.push_back(first);
+    out.chunks_.push_back(std::move(c));
+  }
+  out.end_ = n;
+  out.count_ = n;
+  return out;
+}
+
+bool LiveIds::contains(std::uint32_t id) const {
+  if (id >= end_) return false;
+  const Chunk& c = *chunks_[id >> kChunkShift];
+  const std::size_t bit = id & ((1u << kChunkShift) - 1);
+  return (c.words[bit >> 6] >> (bit & 63)) & 1u;
+}
+
+std::uint32_t LiveIds::rank(std::uint32_t id) const {
+  if (id >= end_) return static_cast<std::uint32_t>(count_);
+  const std::size_t chunk = id >> kChunkShift;
+  const Chunk& c = *chunks_[chunk];
+  const std::size_t bit = id & ((1u << kChunkShift) - 1);
+  const std::uint64_t below = c.words[bit >> 6] &
+                              ((std::uint64_t{1} << (bit & 63)) - 1);
+  return static_cast<std::uint32_t>(before_[chunk] + c.rank[bit >> 6] +
+                                    std::popcount(below));
+}
+
+std::uint32_t LiveIds::select(std::uint32_t dense) const {
+  // The last chunk (word) whose earlier-live count is <= dense holds it:
+  // the ones after it start past dense, and it is non-empty past dense.
+  const std::size_t chunk =
+      static_cast<std::size_t>(
+          std::upper_bound(before_.begin(), before_.end(), dense) -
+          before_.begin()) -
+      1;
+  const Chunk& c = *chunks_[chunk];
+  const auto within = static_cast<std::uint32_t>(dense - before_[chunk]);
+  const std::size_t w =
+      static_cast<std::size_t>(
+          std::upper_bound(c.rank.begin(), c.rank.end(), within) -
+          c.rank.begin()) -
+      1;
+  std::uint64_t word = c.words[w];
+  for (std::uint32_t skip = within - c.rank[w]; skip > 0; --skip) {
+    word &= word - 1;
+  }
+  return static_cast<std::uint32_t>((chunk << kChunkShift) + w * 64 +
+                                    static_cast<std::size_t>(
+                                        std::countr_zero(word)));
+}
+
+LiveIds LiveIds::edited(std::span<const std::uint32_t> retired,
+                        std::size_t added) const {
+  LiveIds out = *this;
+  std::vector<Chunk*> owned(chunks_.size(), nullptr);
+  const auto writable = [&](std::size_t chunk) -> Chunk& {
+    if (chunk == out.chunks_.size()) {
+      auto fresh = std::make_shared<Chunk>();
+      owned.push_back(fresh.get());
+      out.chunks_.push_back(std::move(fresh));
+    }
+    if (owned[chunk] == nullptr) {
+      auto copy = std::make_shared<Chunk>(*out.chunks_[chunk]);
+      owned[chunk] = copy.get();
+      out.chunks_[chunk] = std::move(copy);
+    }
+    return *owned[chunk];
+  };
+  const std::size_t mask = (std::size_t{1} << kChunkShift) - 1;
+  for (const std::uint32_t id : retired) {
+    Chunk& c = writable(id >> kChunkShift);
+    c.words[(id & mask) >> 6] &= ~(std::uint64_t{1} << (id & 63));
+  }
+  for (std::uint64_t id = end_; id < end_ + added; ++id) {
+    Chunk& c = writable(static_cast<std::size_t>(id >> kChunkShift));
+    c.words[(id & mask) >> 6] |= std::uint64_t{1} << (id & 63);
+  }
+  for (Chunk* c : owned) {
+    if (c != nullptr) c->reindex();
+  }
+  out.end_ = end_ + added;
+  out.count_ = count_ - retired.size() + added;
+  out.before_.resize(out.chunks_.size());
+  std::uint64_t live = 0;
+  for (std::size_t chunk = 0; chunk < out.chunks_.size(); ++chunk) {
+    out.before_[chunk] = live;
+    const Chunk& c = *out.chunks_[chunk];
+    live += c.rank.back() + static_cast<std::uint64_t>(
+                                std::popcount(c.words.back()));
+  }
+  return out;
 }
 
 ShardedWorld ShardedWorld::from_world(const core::World& world,
@@ -170,33 +310,56 @@ ShardedWorld ShardedWorld::from_world(const core::World& world,
   return sw;
 }
 
-fault::Result<std::vector<geo::LonLat>> ShardedWorld::positions_by_id()
-    const {
+template <class Visit>
+Status ShardedWorld::scatter_dense(Visit&& visit) const {
   if (quarantined_ > 0) {
     return mat_fail(ErrCode::kIoFailure, quarantined_,
                     std::to_string(quarantined_) + " shard(s) quarantined");
   }
   const std::uint64_t total = meta_.transceivers;
-  std::vector<geo::LonLat> out(total);
-  std::vector<std::uint8_t> seen(total, 0);
   std::uint64_t held = 0;
-  for (const Shard& sh : shards_) {
-    held += sh.n();
-    for (std::size_t k = 0; k < sh.n(); ++k) {
-      const std::uint32_t id = sh.ids[k];
-      if (id >= total || seen[id]) {
-        return mat_fail(ErrCode::kSchema, id,
-                        "shard ids are not a permutation of the corpus");
-      }
-      seen[id] = 1;
-      out[id] = {sh.xs[k], sh.ys[k]};
-    }
-  }
+  for (const Shard& sh : shards_) held += sh.n();
   if (held != total) {
     return mat_fail(ErrCode::kSchema, held,
                     "shard columns hold " + std::to_string(held) +
                         " points, meta says " + std::to_string(total));
   }
+  const std::uint64_t end = stable_end();
+  std::vector<std::uint8_t> seen(total, 0);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& sh = shards_[s];
+    for (std::size_t p = 0; p < sh.page_count(); ++p) {
+      const Page& pg = sh.page(p);
+      for (std::uint32_t k = pg.begin(); k < pg.end(); ++k) {
+        const std::uint32_t stable = pg.ids[k];
+        if (stable >= end || (live_ && !live_->contains(stable))) {
+          return mat_fail(ErrCode::kOutOfRange, stable,
+                          "shard " + std::to_string(s) +
+                              " references transceiver id out of range");
+        }
+        const std::uint32_t dense = dense_id(stable);
+        if (seen[dense]) {
+          return mat_fail(ErrCode::kSchema, dense,
+                          "transceiver id appears in more than one bin");
+        }
+        seen[dense] = 1;
+        if (Status st = visit(dense, pg, k); !st.ok()) return st;
+      }
+    }
+  }
+  // held == total and no duplicates => every live id seen exactly once.
+  return Status{};
+}
+
+fault::Result<std::vector<geo::LonLat>> ShardedWorld::positions_by_id()
+    const {
+  std::vector<geo::LonLat> out(meta_.transceivers);
+  const Status status = scatter_dense(
+      [&out](std::uint32_t dense, const Page& pg, std::uint32_t k) {
+        out[dense] = {pg.xs[k], pg.ys[k]};
+        return Status{};
+      });
+  if (!status.ok()) return status;
   return out;
 }
 
@@ -204,73 +367,47 @@ fault::Result<core::World> ShardedWorld::materialize() const {
   obs::Span span(obs::metrics::kShardMaterializeNs);
   obs::count(obs::metrics::kShardMaterializes);
 
-  if (quarantined_ > 0) {
-    return mat_fail(ErrCode::kIoFailure, quarantined_,
-                    "cannot materialize: " + std::to_string(quarantined_) +
-                        " shard(s) quarantined");
-  }
+  // Scatter back to dense-id order, proving along the way that the id
+  // columns hold every live id once and that every stored value is in
+  // domain — the zero-copy open skipped per-record validation on
+  // purpose, so this is where a tampered mmap gets caught.
   const std::uint64_t total = meta_.transceivers;
-  std::uint64_t held = 0;
-  for (const Shard& s : shards_) held += s.n();
-  if (held != total) {
-    return mat_fail(ErrCode::kSchema, held,
-                    "shard columns hold " + std::to_string(held) +
-                        " points, meta says " + std::to_string(total));
-  }
-
-  // Scatter back to id order, proving along the way that shard ids form
-  // a permutation of [0, total) and that every stored value is in domain
-  // — the zero-copy open skipped per-record validation on purpose, so
-  // this is where a tampered mmap gets caught.
   std::vector<cellnet::Transceiver> txr(total);
   std::vector<geo::Vec2> positions(total);
   std::vector<std::uint8_t> cls(total);
   std::vector<std::int32_t> county(total);
   std::vector<std::uint8_t> provider(total);
-  std::vector<std::uint8_t> seen(total, 0);
   const std::int32_t county_count =
       static_cast<std::int32_t>(counties_->counties().size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = shards_[s];
-    for (std::size_t k = 0; k < sh.n(); ++k) {
-      const std::uint32_t gid = sh.ids[k];
-      if (gid >= total) {
-        return mat_fail(ErrCode::kOutOfRange, gid,
-                        "shard " + std::to_string(s) +
-                            " references transceiver id out of range");
-      }
-      if (seen[gid]) {
-        return mat_fail(ErrCode::kSchema, gid,
-                        "transceiver id appears in more than one bin");
-      }
-      seen[gid] = 1;
-      const geo::LonLat pos{sh.xs[k], sh.ys[k]};
-      if (!geo::is_valid(pos)) {
-        return mat_fail(ErrCode::kOutOfRange, gid,
-                        "transceiver position outside lon/lat domain");
-      }
-      if (sh.cls[k] >= synth::kNumWhpClasses ||
-          sh.radio[k] >= cellnet::kNumRadioTypes ||
-          sh.provider[k] >= cellnet::kNumProviders ||
-          sh.county[k] < -1 || sh.county[k] >= county_count) {
-        return mat_fail(ErrCode::kOutOfRange, gid,
-                        "transceiver attribute out of domain");
-      }
-      cellnet::Transceiver& t = txr[gid];
-      t.id = gid;
-      t.position = pos;
-      t.radio = static_cast<cellnet::RadioType>(sh.radio[k]);
-      t.mcc = sh.mcc[k];
-      t.mnc = sh.mnc[k];
-      t.cell_id = sh.cell_id[k];
-      t.state = sh.state[k];
-      positions[gid] = {sh.xs[k], sh.ys[k]};
-      cls[gid] = sh.cls[k];
-      county[gid] = sh.county[k];
-      provider[gid] = sh.provider[k];
-    }
-  }
-  // held == total and no duplicates ⇒ every id seen: a full permutation.
+  const Status status = scatter_dense(
+      [&](std::uint32_t gid, const Page& pg, std::uint32_t k) {
+        const geo::LonLat pos{pg.xs[k], pg.ys[k]};
+        if (!geo::is_valid(pos)) {
+          return mat_fail(ErrCode::kOutOfRange, gid,
+                          "transceiver position outside lon/lat domain");
+        }
+        if (pg.cls[k] >= synth::kNumWhpClasses ||
+            pg.radio[k] >= cellnet::kNumRadioTypes ||
+            pg.provider[k] >= cellnet::kNumProviders ||
+            pg.county[k] < -1 || pg.county[k] >= county_count) {
+          return mat_fail(ErrCode::kOutOfRange, gid,
+                          "transceiver attribute out of domain");
+        }
+        cellnet::Transceiver& t = txr[gid];
+        t.id = gid;
+        t.position = pos;
+        t.radio = static_cast<cellnet::RadioType>(pg.radio[k]);
+        t.mcc = pg.mcc[k];
+        t.mnc = pg.mnc[k];
+        t.cell_id = pg.cell_id[k];
+        t.state = pg.state[k];
+        positions[gid] = {pg.xs[k], pg.ys[k]};
+        cls[gid] = pg.cls[k];
+        county[gid] = pg.county[k];
+        provider[gid] = pg.provider[k];
+        return Status{};
+      });
+  if (!status.ok()) return status;
 
   // Rebuild the monolithic index over the same domain and dims the
   // original build used — same clamped binning, same counting sort, so

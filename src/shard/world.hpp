@@ -9,13 +9,27 @@
 // shard query is a sequential sweep over contiguous spans: no gather
 // through a global id permutation, no per-record decode.
 //
-// The spans are views. An in-memory build (from_world, delta apply)
-// points them into owned column vectors; an opened FASHRD01 container
-// points them straight into the mmap, which is what makes shard open
-// O(sections) instead of O(bytes). Every shard keeps its storage alive
-// through `payload`, so a successor view after a delta apply can mix
-// rewritten shards (fresh vectors) with untouched ones (the base's
-// payload, by refcount) without copying either.
+// Pages. A shard's local cells are cut, in bin order, into pages of
+// kPageCells consecutive cells; a page holds the column entries of its
+// cells and is the unit of copy-on-write. The pages are views: a fresh
+// build (from_world, a re-binned shard, a compaction) points every page
+// of a shard into one owned ShardColumns, an opened FASHRD01 container
+// points them straight into the mmap (so open stays O(sections +
+// pages)), and a delta apply gives each page it rewrites one block of
+// its own holding all of its columns. A successor view shares every page an apply did not
+// touch — and the whole page table of a shard it did not touch — with
+// its base by refcount.
+//
+// Stable ids. The id columns hold *stable* ids: a retire leaves a
+// tombstone instead of renumbering the survivors, and an add takes the
+// next unused stable id. The dense id a response or an encoded image
+// carries is the stable id's rank among the live ones (dense_id()),
+// which keeps survivors in base order — the order delta::Applier's
+// re-densification gives — so ranking by stable id and by dense id
+// agree. A root view (from_world, or opened from a container) has no
+// tombstones and no live set: its stable ids are the dense ids. Ids
+// become dense only where they leave fa::shard: the planner's top-K
+// ids, encode_sharded, materialize and positions_by_id.
 //
 // Determinism contract (pinned by tests/shard/equivalence_test.cpp):
 // for any query, scattering over shards_overlapping() and merging in
@@ -25,9 +39,12 @@
 // order-independent sums or totally-ordered rankings.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/provider_risk.hpp"
@@ -38,8 +55,15 @@
 
 namespace fa::shard {
 
-// Owned in-memory column storage for one shard (the from-world builder
-// and the delta rebuilder produce these; an opened container does not).
+// Local cells per page. Large enough that page tables stay a sliver of
+// the columns and a query row rarely splits; small enough that a
+// paper-scale tick rewrites ~13 MB of pages instead of ~170 MB of whole
+// shards. 64 and 128 measured the same apply time (DESIGN.md, "Pages and
+// stable ids").
+inline constexpr std::uint32_t kPageCells = 256;
+
+// Owned in-memory column storage for one shard, in local bin order (a
+// fresh build, a re-binned or compacted shard).
 struct ShardColumns {
   std::vector<std::uint32_t> ids;
   std::vector<double> xs, ys;
@@ -51,39 +75,61 @@ struct ShardColumns {
   std::vector<std::int32_t> county;
 };
 
-// One shard: local-grid geometry plus column views in local bin order.
-// Entry k is transceiver ids[k] at (xs[k], ys[k]) with hazard class
-// cls[k], etc. — evaluation reads columns positionally and only ever
-// *copies* ids into responses, so a corrupt id can mislabel an answer
-// but never index out of bounds.
+// The entries of up to kPageCells consecutive local cells. cell_start
+// holds one offset per cell plus one, and the entries of the page's
+// j-th cell are [cell_start[j], cell_start[j+1]) of the column spans —
+// offsets index the spans directly, whether they view a whole shard's
+// storage or the page's own. Entry k is stable id ids[k] at (xs[k],
+// ys[k]) with hazard class cls[k], etc. — evaluation reads columns
+// positionally and only ever *copies* ids into responses, so a corrupt
+// id can mislabel an answer but never index out of bounds.
+struct Page {
+  // The spans every query reads come first, within two cache lines.
+  std::span<const std::uint32_t> cell_start;
+  std::span<const double> xs, ys;
+  std::span<const std::uint8_t> cls, provider;
+  std::span<const std::uint32_t> ids;
+  std::span<const std::uint8_t> radio;
+  std::span<const std::uint16_t> mcc, mnc;
+  std::span<const std::uint32_t> cell_id;
+  std::span<const std::int16_t> state;
+  std::span<const std::int32_t> county;
+  // Keeps the spans' storage alive: a ShardColumns, a rewritten page's
+  // block, or the shared MappedFile of an opened container.
+  std::shared_ptr<const void> payload;
+
+  std::uint32_t begin() const { return cell_start.front(); }
+  std::uint32_t end() const { return cell_start.back(); }
+  std::size_t n() const { return end() - begin(); }
+};
+
+// Pages by value: a query reaches a page's spans in one hop from the
+// table, and a rewrite copies a touched shard's table (a few hundred
+// small views) rather than its columns.
+using PageTable = std::vector<Page>;
+
+// One shard: local-grid geometry plus its page table.
 struct Shard {
   geo::BBox bounds;  // union of member tile boxes (layout extent)
   int cols = 0;
   int rows = 0;
   double inv_cw = 0.0;
   double inv_ch = 0.0;
-  // Structurally or checksum-damaged at open: columns are empty and the
-  // planner answers queries that touch this shard degraded.
+  // Structurally or checksum-damaged at open: no pages, and the planner
+  // answers queries that touch this shard degraded.
   bool quarantined = false;
+  std::size_t points = 0;  // entries over all pages
+  // Page p covers local cells [p * kPageCells, (p + 1) * kPageCells),
+  // the last page fewer. Shared whole by a successor that leaves the
+  // shard untouched.
+  std::shared_ptr<const PageTable> pages;
 
-  std::span<const std::uint32_t> ids;
-  std::span<const double> xs, ys;
-  std::span<const std::uint32_t> cell_start;  // cols*rows+1 prefix sums
-  std::span<const std::uint8_t> cls, provider, radio;
-  std::span<const std::uint16_t> mcc, mnc;
-  std::span<const std::uint32_t> cell_id;
-  std::span<const std::int16_t> state;
-  std::span<const std::int32_t> county;
-
-  // Keeps the spans' storage alive: a ShardColumns for in-memory
-  // shards, the shared MappedFile for opened containers. A shard whose
-  // only change in a delta apply was the id remap keeps its base's
-  // `payload` and views its rewritten ids through `ids_payload` (null
-  // when `ids` lives in `payload` too).
-  std::shared_ptr<const void> payload;
-  std::shared_ptr<const void> ids_payload;
-
-  std::size_t n() const { return ids.size(); }
+  std::size_t n() const { return points; }
+  std::size_t cells() const {
+    return static_cast<std::size_t>(cols) * static_cast<std::size_t>(rows);
+  }
+  std::size_t page_count() const { return pages ? pages->size() : 0; }
+  const Page& page(std::size_t p) const { return (*pages)[p]; }
 
   // Clamped local binning — the same expressions index::GridIndex uses,
   // over the same bounds/dims, so local cell ranges cover exactly the
@@ -97,28 +143,83 @@ struct Shard {
     return r < 0 ? 0 : (r >= rows ? rows - 1 : r);
   }
 
-  // fn(begin, end) per row-contiguous candidate span, mirroring
-  // GridIndex::query_spans — except with no bounds-intersect early-out:
-  // the planner already routed this shard by exact clamped-tile
-  // arithmetic, and skipping here on a floating-point bbox comparison
-  // could drop an edge-clamped point the monolithic path would count.
+  // fn(page, begin, end) per row-contiguous candidate span, mirroring
+  // GridIndex::query_spans — a row span that crosses a page boundary
+  // splits there, and [begin, end) indexes the page's column spans.
+  // There is no bounds-intersect early-out: the planner already routed
+  // this shard by exact clamped-tile arithmetic, and skipping here on a
+  // floating-point bbox comparison could drop an edge-clamped point the
+  // monolithic path would count.
   template <class Fn>
   void query_spans(const geo::BBox& query, Fn&& fn) const {
-    if (ids.empty() || !query.valid()) return;
-    const int c0 = col_of(query.min_x);
-    const int c1 = col_of(query.max_x);
+    query_pages(query, [&](std::size_t p, std::uint32_t begin,
+                           std::uint32_t end) { fn(page(p), begin, end); });
+  }
+
+  // query_spans, handing the visitor the page's index instead.
+  template <class Fn>
+  void query_pages(const geo::BBox& query, Fn&& fn) const {
+    if (points == 0 || !query.valid()) return;
+    const std::size_t c0 = static_cast<std::size_t>(col_of(query.min_x));
+    const std::size_t c1 = static_cast<std::size_t>(col_of(query.max_x));
     const int r0 = row_of(query.min_y);
     const int r1 = row_of(query.max_y);
     for (int r = r0; r <= r1; ++r) {
       const std::size_t row = static_cast<std::size_t>(r) * cols;
-      const std::uint32_t begin =
-          cell_start[row + static_cast<std::size_t>(c0)];
-      const std::uint32_t end =
-          cell_start[row + static_cast<std::size_t>(c1) + 1];
-      if (begin < end) fn(begin, end);
+      const std::size_t last = row + c1;
+      for (std::size_t cell = row + c0; cell <= last;) {
+        const std::size_t p = cell / kPageCells;
+        const std::size_t first = p * kPageCells;
+        const std::size_t stop =
+            std::min<std::size_t>(last, first + kPageCells - 1);
+        const std::span<const std::uint32_t> starts = page(p).cell_start;
+        const std::uint32_t begin = starts[cell - first];
+        const std::uint32_t end = starts[stop + 1 - first];
+        if (begin < end) fn(p, begin, end);
+        cell = stop + 1;
+      }
     }
   }
 };
+
+// The live stable ids of a view that has tombstones: a bitmap over
+// [0, end()) with a rank directory, copy-on-write in fixed chunks so a
+// successor copies only the chunks its retires and adds touch.
+class LiveIds {
+ public:
+  // Every id in [0, n) live.
+  static LiveIds all(std::size_t n);
+
+  std::uint64_t end() const { return end_; }  // next unused stable id
+  std::uint64_t count() const { return count_; }
+  bool contains(std::uint32_t id) const;
+  // Live ids below `id` — a live id's dense id.
+  std::uint32_t rank(std::uint32_t id) const;
+  // The live id of rank `dense` (dense < count()).
+  std::uint32_t select(std::uint32_t dense) const;
+  // A successor: `retired` (live ids) cleared, then `added` fresh ids
+  // taken from end().
+  LiveIds edited(std::span<const std::uint32_t> retired,
+                 std::size_t added) const;
+
+ private:
+  static constexpr unsigned kChunkShift = 16;
+  static constexpr std::size_t kChunkWords =
+      (std::size_t{1} << kChunkShift) / 64;
+  struct Chunk {
+    std::array<std::uint64_t, kChunkWords> words{};
+    // Live bits in the earlier words of the chunk.
+    std::array<std::uint16_t, kChunkWords> rank{};
+    void reindex();
+  };
+
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  std::vector<std::uint64_t> before_;  // live ids in earlier chunks
+  std::uint64_t end_ = 0;
+  std::uint64_t count_ = 0;
+};
+
+struct Lineage;  // shard/apply.cpp: stable id -> page index, brand tally
 
 class ShardedWorld {
  public:
@@ -162,24 +263,42 @@ class ShardedWorld {
   }
   const core::ProviderRiskResult& provider_risk() const { return risk_; }
 
+  // Dense id of a live stable id: its rank among the live ids (the
+  // identity for a view with no tombstones).
+  std::uint32_t dense_id(std::uint32_t stable) const {
+    return live_ ? live_->rank(stable) : stable;
+  }
+  // One past the largest stable id the view has handed out.
+  std::uint64_t stable_end() const {
+    return live_ ? live_->end() : meta_.transceivers;
+  }
+  std::uint64_t tombstones() const { return stable_end() - total_points(); }
+
   // Reassembles the monolithic core::World: scatter every shard's
-  // columns back to id order (validating that shard ids form a
-  // permutation and every value is in domain — the open path skipped
-  // per-record validation on purpose), rebuild the global GridIndex,
-  // and cross-check the stored provider-risk aggregate. The result
-  // encodes byte-identical to the world the view was built from.
+  // columns back to dense-id order (validating that the live stable ids
+  // are each held exactly once and every value is in domain — the open
+  // path skipped per-record validation on purpose), rebuild the global
+  // GridIndex, and cross-check the stored provider-risk aggregate. The
+  // result encodes byte-identical to the world the view was built from.
   // Errors when any shard is quarantined or the columns are corrupt.
   fault::Result<core::World> materialize() const;
 
-  // Every transceiver's position, indexed by id — what a live-feed
+  // Every transceiver's position, indexed by dense id — what a live-feed
   // generator mirrors — scattered straight from the shard columns, with
   // no world materialized. Errors when a shard is quarantined or the id
-  // columns are not a permutation of [0, total_points()).
+  // columns do not hold each live id exactly once.
   fault::Result<std::vector<geo::LonLat>> positions_by_id() const;
 
  private:
   friend struct Codec;    // shard/codec.cpp
   friend struct Applier;  // shard/apply.cpp
+
+  // Calls visit(dense_id, page, k) for every entry, checking along the
+  // way that the id columns hold each live stable id exactly once; the
+  // first failure (or visit's first error Status) ends the walk. Serial,
+  // in shard and bin order.
+  template <class Visit>
+  fault::Status scatter_dense(Visit&& visit) const;
 
   store::MetaFields meta_;
   std::shared_ptr<const synth::WhpModel> whp_;
@@ -190,12 +309,27 @@ class ShardedWorld {
   int grows_ = 0;
   std::vector<Shard> shards_;
   std::size_t quarantined_ = 0;
+  // Null at a root (no tombstones: stable ids are dense ids).
+  std::shared_ptr<const LiveIds> live_;
+  // Built by the first delta apply over a lineage root, patched by every
+  // later one; null at a root.
+  std::shared_ptr<const Lineage> lineage_;
 };
 
-// A shard viewing `columns` — one shard's complete columns in local bin
-// order over a cols x rows grid on `bounds` — with the binning
-// index::GridIndex derives for that grid. from_world and the delta
-// applier both finish through here, so their shards bin identically.
+// A shard with no pages yet: bounds, dims and the binning
+// index::GridIndex derives for that grid.
+Shard shard_grid(const geo::BBox& bounds, int cols, int rows);
+
+// A shard paging `whole` — one shard's complete column spans in local
+// bin order over a cols x rows grid on `bounds`, with cell_start the
+// shard's cols*rows+1 prefix sums — with the binning index::GridIndex
+// derives for that grid. Every page views `whole`'s spans and keeps
+// `whole.payload` alive.
+Shard page_shard(const Page& whole, const geo::BBox& bounds, int cols,
+                 int rows);
+
+// page_shard over owned columns (from_world, a re-binned or compacted
+// shard).
 Shard view_columns(std::shared_ptr<const ShardColumns> columns,
                    const geo::BBox& bounds, int cols, int rows);
 

@@ -74,9 +74,10 @@ struct Access {
                                   raster::MaskRaster roads) {
     synth::WhpModel m;  // proj_ is parameter-free: default construction
     m.grid_ = std::move(grid);
-    m.states_ = std::move(states);
-    m.urban_ = std::move(urban);
-    m.roads_ = std::move(roads);
+    m.states_ =
+        std::make_shared<const raster::Raster<std::int16_t>>(std::move(states));
+    m.urban_ = std::make_shared<const raster::MaskRaster>(std::move(urban));
+    m.roads_ = std::make_shared<const raster::MaskRaster>(std::move(roads));
     return m;
   }
 

@@ -55,23 +55,23 @@ WhpModel generate_whp(const UsAtlas& atlas, const ScenarioConfig& config) {
 
   model.grid_ = raster::ClassRaster(
       geom, static_cast<std::uint8_t>(WhpClass::kNonBurnable));
-  model.states_ = raster::Raster<std::int16_t>(geom, -1);
-  model.urban_ = raster::MaskRaster(geom, 0);
-  model.roads_ = raster::MaskRaster(geom, 0);
+  raster::Raster<std::int16_t> states(geom, -1);
+  raster::MaskRaster urban(geom, 0);
+  raster::MaskRaster roads(geom, 0);
 
   // --- Urban cores -------------------------------------------------------
   for (const CityInfo& city : atlas.cities()) {
     const geo::Vec2 center = model.proj_.forward(city.position);
     const double r = urban_radius_m(city.metro_population);
     const geo::Polygon disc{geo::make_circle(center, r, 24)};
-    raster::rasterize_polygon(model.urban_, disc, 1);
+    raster::rasterize_polygon(urban, disc, 1);
   }
 
   // --- Road corridors from the shared network ------------------------------
   for (const RoadSegment& segment : RoadNetwork::get().segments()) {
     const std::vector<geo::Vec2> line{model.proj_.forward(segment.a),
                                       model.proj_.forward(segment.b)};
-    raster::rasterize_polyline(model.roads_, line, config.whp_cell_m * 0.6,
+    raster::rasterize_polyline(roads, line, config.whp_cell_m * 0.6,
                                1);
   }
 
@@ -82,7 +82,7 @@ WhpModel generate_whp(const UsAtlas& atlas, const ScenarioConfig& config) {
   // carry the most at-risk area.
   const ValueNoise noise(config.seed ^ 0x9D2C5680ULL);
   const double wavelength_m = 42000.0;  // hazard blob scale
-  const raster::FloatRaster urban_dist = raster::distance_transform(model.urban_);
+  const raster::FloatRaster urban_dist = raster::distance_transform(urban);
 
   // Row-parallel: every cell's score is a pure function of its own
   // coordinates (value noise, not sequential RNG), so rows classify
@@ -94,9 +94,9 @@ WhpModel generate_whp(const UsAtlas& atlas, const ScenarioConfig& config) {
       const geo::LonLat ll = model.proj_.inverse(center);
       const int state = atlas.state_of(ll);
       if (state < 0) continue;  // offshore / outside CONUS
-      model.states_.at(c, r) = static_cast<std::int16_t>(state);
+      states.at(c, r) = static_cast<std::int16_t>(state);
 
-      if (model.urban_.at(c, r) != 0) {
+      if (urban.at(c, r) != 0) {
         // Urban cores hold no wildfire fuel.
         model.grid_.at(c, r) =
             static_cast<std::uint8_t>(WhpClass::kNonBurnable);
@@ -122,12 +122,16 @@ WhpModel generate_whp(const UsAtlas& atlas, const ScenarioConfig& config) {
       else cls = WhpClass::kVeryHigh;
 
       // Managed road corridors carry little fuel regardless of terrain.
-      if (model.roads_.at(c, r) != 0) {
+      if (roads.at(c, r) != 0) {
         cls = std::min(cls, WhpClass::kLow);
       }
       model.grid_.at(c, r) = static_cast<std::uint8_t>(cls);
     }
   }, {.grain = 4});
+  model.states_ =
+      std::make_shared<const raster::Raster<std::int16_t>>(std::move(states));
+  model.urban_ = std::make_shared<const raster::MaskRaster>(std::move(urban));
+  model.roads_ = std::make_shared<const raster::MaskRaster>(std::move(roads));
   return model;
 }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "geo/projection.hpp"
@@ -46,12 +47,15 @@ constexpr bool whp_at_risk(WhpClass c) {
          c == WhpClass::kVeryHigh;
 }
 
+// A copy is cheap where it can be: live-feed edits only ever write the
+// class grid, so a copy-on-write successor owns a fresh grid and shares
+// the state, urban and road layers with its base by refcount.
 class WhpModel {
  public:
   const raster::ClassRaster& grid() const { return grid_; }
-  const raster::Raster<std::int16_t>& state_grid() const { return states_; }
-  const raster::MaskRaster& urban_mask() const { return urban_; }
-  const raster::MaskRaster& road_mask() const { return roads_; }
+  const raster::Raster<std::int16_t>& state_grid() const { return *states_; }
+  const raster::MaskRaster& urban_mask() const { return *urban_; }
+  const raster::MaskRaster& road_mask() const { return *roads_; }
   const geo::AlbersConus& projection() const { return proj_; }
 
   WhpClass class_at(geo::LonLat p) const {
@@ -65,14 +69,14 @@ class WhpModel {
     for (std::size_t i = 0; i < pts.size(); ++i) out[i] = class_at(pts[i]);
   }
   bool is_urban(geo::LonLat p) const {
-    return urban_.sample(proj_.forward(p), 0) != 0;
+    return urban_->sample(proj_.forward(p), 0) != 0;
   }
   bool is_road(geo::LonLat p) const {
-    return roads_.sample(proj_.forward(p), 0) != 0;
+    return roads_->sample(proj_.forward(p), 0) != 0;
   }
   // State index at a point as baked into the raster (-1 offshore).
   int state_at(geo::LonLat p) const {
-    return states_.sample(proj_.forward(p), -1);
+    return states_->sample(proj_.forward(p), -1);
   }
 
  private:
@@ -80,9 +84,12 @@ class WhpModel {
   friend struct fa::store::Access;  // snapshot restore sets the rasters
   friend struct fa::delta::Applier;  // cell patches on a private copy
   raster::ClassRaster grid_;
-  raster::Raster<std::int16_t> states_;
-  raster::MaskRaster urban_;
-  raster::MaskRaster roads_;
+  std::shared_ptr<const raster::Raster<std::int16_t>> states_ =
+      std::make_shared<const raster::Raster<std::int16_t>>();
+  std::shared_ptr<const raster::MaskRaster> urban_ =
+      std::make_shared<const raster::MaskRaster>();
+  std::shared_ptr<const raster::MaskRaster> roads_ =
+      std::make_shared<const raster::MaskRaster>();
   geo::AlbersConus proj_;
 };
 

@@ -2,10 +2,12 @@
 // reference derivation — materialize the base, apply the batch through
 // delta::Applier, re-shard the result from scratch over the base's
 // layout — in encode_sharded bytes, provider-risk aggregate and every
-// ApplyStats field, while sharing untouched shards with the base.
+// ApplyStats field, while rewriting only the pages the batch touches and
+// sharing every other page (and every untouched shard) with the base.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -13,6 +15,7 @@
 
 #include "delta/apply.hpp"
 #include "delta/feed.hpp"
+#include "serve/server.hpp"
 #include "shard/apply.hpp"
 #include "shard/codec.hpp"
 #include "shard_test_util.hpp"
@@ -101,14 +104,70 @@ std::size_t run_checked_chain(const delta::FeedOptions& feed_options,
   return retires;
 }
 
-// A transceiver's base id and position, read off the shard columns.
+// The k-th transceiver of shard s in bin order: its dense id (what feed
+// events target) and position, read off the shard pages.
 struct Member {
   std::uint32_t id = 0;
   geo::LonLat pos;
 };
 Member member(const ShardedWorld& view, std::size_t s, std::size_t k) {
   const Shard& sh = view.shard(s);
-  return {sh.ids[k], {sh.xs[k], sh.ys[k]}};
+  for (std::size_t p = 0; p < sh.page_count(); ++p) {
+    const Page& pg = sh.page(p);
+    if (k < pg.n()) {
+      const std::uint32_t at = pg.begin() + static_cast<std::uint32_t>(k);
+      return {view.dense_id(pg.ids[at]), {pg.xs[at], pg.ys[at]}};
+    }
+    k -= pg.n();
+  }
+  ADD_FAILURE() << "shard " << s << " has no entry " << k;
+  return {};
+}
+
+// Whether two pages view the same storage: every column, ids included,
+// pointer-equal.
+bool same_storage(const Page& a, const Page& b) {
+  return a.cell_start.data() == b.cell_start.data() &&
+         a.ids.data() == b.ids.data() && a.xs.data() == b.xs.data() &&
+         a.ys.data() == b.ys.data() && a.cls.data() == b.cls.data() &&
+         a.provider.data() == b.provider.data() &&
+         a.county.data() == b.county.data();
+}
+
+// (shard, page) of every successor page whose storage is not the base's.
+std::vector<std::pair<std::size_t, std::size_t>> rewritten_pages(
+    const ShardedWorld& base, const ShardedWorld& next) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  for (std::size_t s = 0; s < next.shard_count(); ++s) {
+    const Shard& a = base.shard(s);
+    const Shard& b = next.shard(s);
+    for (std::size_t p = 0; p < b.page_count(); ++p) {
+      if (p >= a.page_count() || !same_storage(a.page(p), b.page(p))) {
+        out.push_back({s, p});
+      }
+    }
+  }
+  return out;
+}
+
+// Whether shard s keeps its local grid dims when its membership changes
+// by `delta` (so an edit there rewrites pages, not the whole shard).
+bool dims_hold(const ShardedWorld& view, std::size_t s, int delta) {
+  const Shard& sh = view.shard(s);
+  int cols = 0;
+  int rows = 0;
+  local_grid_dims(sh.n() + delta, sh.bounds, cols, rows);
+  return cols == sh.cols && rows == sh.rows;
+}
+
+// The page of shard s holding local position `pos`.
+std::size_t page_at(const ShardedWorld& view, std::size_t s,
+                    geo::LonLat pos) {
+  const Shard& sh = view.shard(s);
+  const std::size_t cell =
+      static_cast<std::size_t>(sh.row_of(pos.lat)) * sh.cols +
+      static_cast<std::size_t>(sh.col_of(pos.lon));
+  return cell / kPageCells;
 }
 
 delta::FeedEvent make_event(std::uint64_t seq, delta::EventKind kind) {
@@ -150,25 +209,72 @@ TEST(ShardApply, DenseFeedChainMatches) {
   EXPECT_GT(run_checked_chain(feed_options, 8), 0u);
 }
 
-TEST(ShardApply, RetiringBatchRemapsIdsAndStillMatches) {
-  // One retire of the first id renumbers every other transceiver: each
-  // shard not otherwise touched shares every column but `ids`.
+TEST(ShardApply, OneAddRewritesExactlyOnePage) {
   const ShardedWorld& view = small_sharded();
+  std::size_t s = 0;
+  while (s < view.shard_count() &&
+         (view.shard(s).n() == 0 || !dims_hold(view, s, +1))) {
+    ++s;
+  }
+  ASSERT_LT(s, view.shard_count()) << "every shard re-bins on one add";
+  const Member at = member(view, s, view.shard(s).n() / 2);
+  const std::vector<delta::FeedEvent> batch{add_at(0, at.pos, 77)};
+  const ShardApplyResult next = apply_checked(view, batch, "one add");
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(next.shards.rebuilt, 1u);
+  EXPECT_EQ(next.shards.pages_rewritten, 1u);
+  EXPECT_EQ(next.shards.pages_shared + 1, [&view] {
+    std::size_t pages = 0;
+    for (const Shard& sh : view.shards()) pages += sh.page_count();
+    return pages;
+  }());
+  const auto rewritten = rewritten_pages(view, next.world);
+  ASSERT_EQ(rewritten.size(), 1u)
+      << "every page but the add's keeps its storage, ids included";
+  EXPECT_EQ(rewritten[0].first, s);
+  EXPECT_EQ(rewritten[0].second, page_at(view, s, at.pos));
+  for (std::size_t t = 0; t < view.shard_count(); ++t) {
+    if (t != s) {
+      EXPECT_EQ(next.world.shard(t).pages, view.shard(t).pages)
+          << "shard " << t << " must share its whole page table";
+    }
+  }
+}
+
+TEST(ShardApply, OneRetireRewritesOnePageAndNoOtherShardsIds) {
+  // A retire leaves a tombstone: the survivors keep their stable ids, so
+  // no other page — in this shard or any other — rewrites its ids.
+  const ShardedWorld& view = small_sharded();
+  std::size_t s = 0;
+  while (s < view.shard_count() &&
+         (view.shard(s).n() == 0 || !dims_hold(view, s, -1))) {
+    ++s;
+  }
+  ASSERT_LT(s, view.shard_count()) << "every shard re-bins on one retire";
+  const Member victim = member(view, s, view.shard(s).n() / 3);
   delta::FeedEvent retire = make_event(0, delta::EventKind::kRetireTransceiver);
-  retire.target = 0;
+  retire.target = victim.id;
   const std::vector<delta::FeedEvent> batch{retire};
-  const ShardApplyResult next = apply_checked(view, batch, "retire id 0");
+  const ShardApplyResult next = apply_checked(view, batch, "one retire");
   ASSERT_FALSE(HasFailure());
   EXPECT_EQ(next.shards.rebuilt, 1u);
   EXPECT_EQ(next.shards.shared, view.shard_count() - 1);
-  for (std::size_t s = 0; s < view.shard_count(); ++s) {
-    const Shard& a = view.shard(s);
-    const Shard& b = next.world.shard(s);
-    if (a.n() != b.n() || a.n() == 0) continue;  // lost id 0, or empty
-    EXPECT_EQ(a.xs.data(), b.xs.data()) << "shard " << s;
-    EXPECT_EQ(a.cls.data(), b.cls.data()) << "shard " << s;
-    EXPECT_NE(a.ids.data(), b.ids.data()) << "shard " << s;
-  }
+  EXPECT_EQ(next.shards.pages_rewritten, 1u);
+  const auto rewritten = rewritten_pages(view, next.world);
+  ASSERT_EQ(rewritten.size(), 1u);
+  EXPECT_EQ(rewritten[0].first, s);
+  EXPECT_EQ(rewritten[0].second, page_at(view, s, victim.pos));
+  EXPECT_EQ(next.world.tombstones(), 1u);
+
+  // A second retire chains off the tombstoned view (its dense ids are
+  // the survivors' ranks) and still matches.
+  delta::FeedEvent again = make_event(1, delta::EventKind::kRetireTransceiver);
+  again.target = victim.id;  // now names the survivor after the victim
+  const std::vector<delta::FeedEvent> second{again};
+  const ShardApplyResult after =
+      apply_checked(next.world, second, "retire over a tombstone");
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(after.world.tombstones(), 2u);
 }
 
 TEST(ShardApply, UntouchedShardsShareColumnStorage) {
@@ -188,17 +294,19 @@ TEST(ShardApply, UntouchedShardsShareColumnStorage) {
   ASSERT_GT(next.shards.shared, 0u) << "sparse batch still dirtied every shard";
   std::size_t pointer_shared = 0;
   for (std::size_t s = 0; s < next.world.shard_count(); ++s) {
-    if (next.world.shard(s).xs.data() == view.shard(s).xs.data()) {
-      ++pointer_shared;
-    }
+    if (next.world.shard(s).pages == view.shard(s).pages) ++pointer_shared;
   }
   EXPECT_EQ(pointer_shared, next.shards.shared)
       << "shards.shared must mean actual storage reuse, not a recount";
+  EXPECT_EQ(rewritten_pages(view, next.world).size(),
+            next.shards.pages_rewritten)
+      << "pages_rewritten must count pages whose storage changed";
 }
 
 TEST(ShardApply, ApplyOverOpenedContainerSharesTheMapping) {
-  // A delta landing on a zero-copy cold-started view: every column a
-  // shared shard did not rewrite must keep pointing into the container.
+  // A delta landing on a zero-copy cold-started view: every page the
+  // batch did not rewrite must keep pointing into the container — ids
+  // included, even though the batch retires.
   auto owned = std::make_shared<std::string>(testing::small_image());
   auto opened = open_sharded(owned->data(), owned->size(), owned,
                              "apply-over-mmap");
@@ -218,21 +326,35 @@ TEST(ShardApply, ApplyOverOpenedContainerSharesTheMapping) {
   delta::FeedIngestor ingestor;
   auto cleaned = ingestor.ingest(gen.tick());
   ASSERT_TRUE(cleaned.ok());
-  ASSERT_FALSE(cleaned.value().empty());
-  const ShardApplyResult next = apply_checked(base, cleaned.value(), "mmap");
+  std::vector<delta::FeedEvent> batch = cleaned.value();
+  ASSERT_FALSE(batch.empty());
+  delta::FeedEvent retire =
+      make_event(batch.back().seq + 1, delta::EventKind::kRetireTransceiver);
+  retire.target = static_cast<std::uint32_t>(base.total_points() - 1);
+  batch.push_back(retire);
+  const ShardApplyResult next = apply_checked(base, batch, "mmap");
   ASSERT_FALSE(HasFailure());
+  ASSERT_GT(next.stats.retires, 0u);
   ASSERT_GT(next.shards.shared, 0u);
   std::size_t viewing = 0;
+  std::size_t pages_viewing = 0;
   for (std::size_t s = 0; s < next.world.shard_count(); ++s) {
     const Shard& sh = next.world.shard(s);
-    if (!in_container(sh.xs.data())) continue;
-    ++viewing;
-    EXPECT_TRUE(in_container(sh.cls.data())) << "shard " << s;
-    if (next.stats.retires == 0) {
-      EXPECT_TRUE(in_container(sh.ids.data())) << "shard " << s;
+    bool all_in = true;
+    for (std::size_t p = 0; p < sh.page_count(); ++p) {
+      const Page& pg = sh.page(p);
+      if (!in_container(pg.xs.data())) {
+        all_in = false;
+        continue;
+      }
+      ++pages_viewing;
+      EXPECT_TRUE(in_container(pg.cls.data())) << "shard " << s;
+      EXPECT_TRUE(in_container(pg.ids.data())) << "shard " << s;
     }
+    viewing += all_in;
   }
   EXPECT_EQ(viewing, next.shards.shared);
+  EXPECT_EQ(pages_viewing, next.shards.pages_shared);
 }
 
 TEST(ShardApply, MoveAcrossShardsMatches) {
@@ -241,6 +363,8 @@ TEST(ShardApply, MoveAcrossShardsMatches) {
   ASSERT_GT(view.shard(0).n(), 0u);
   const std::size_t to_shard = view.shard_count() - 1;
   ASSERT_GT(view.shard(to_shard).n(), 0u);
+  ASSERT_TRUE(dims_hold(view, 0, -1));
+  ASSERT_TRUE(dims_hold(view, to_shard, +1));
   const Member mover = member(view, 0, view.shard(0).n() / 2);
   const Member landmark = member(view, to_shard, 0);
   ASSERT_EQ(view.layout().shard_of(landmark.pos.as_vec()), to_shard);
@@ -253,11 +377,14 @@ TEST(ShardApply, MoveAcrossShardsMatches) {
   EXPECT_EQ(next.world.shard(0).n(), view.shard(0).n() - 1);
   EXPECT_EQ(next.world.shard(to_shard).n(), view.shard(to_shard).n() + 1);
   EXPECT_EQ(next.shards.rebuilt, 2u);
+  EXPECT_EQ(next.shards.pages_rewritten, 2u) << "source and destination page";
+  EXPECT_EQ(rewritten_pages(view, next.world).size(), 2u);
 }
 
 TEST(ShardApply, AddsThatChangeLocalGridDimsMatch) {
   // Enough adds into one shard to cross a local_grid_dims step, plus a
-  // retire elsewhere so the re-binned shard's ids are remapped too.
+  // retire elsewhere, so the re-binned shard carries a tombstoned
+  // lineage's stable ids.
   const ShardedWorld& view = small_sharded();
   const std::size_t s = 1;
   const Shard& sh = view.shard(s);
@@ -309,11 +436,13 @@ TEST(ShardApply, HazardEditStraddlingAShardEdgeMatches) {
     std::size_t west = 0;
     std::size_t east = 0;
     for (const std::uint32_t sid : layout.shards_overlapping(box)) {
-      const Shard& sh = view.shard(sid);
-      for (std::size_t k = 0; k < sh.n(); ++k) {
-        if (!box.contains(geo::Vec2{sh.xs[k], sh.ys[k]})) continue;
-        (sh.xs[k] < edge ? west : east) += 1;
-      }
+      view.shard(sid).query_spans(box, [&](const Page& pg, std::uint32_t b,
+                                           std::uint32_t e) {
+        for (std::uint32_t k = b; k < e; ++k) {
+          if (!box.contains(geo::Vec2{pg.xs[k], pg.ys[k]})) continue;
+          (pg.xs[k] < edge ? west : east) += 1;
+        }
+      });
     }
     if (std::min(west, east) > best_side) {
       best_side = std::min(west, east);
@@ -370,6 +499,133 @@ TEST(ShardApply, QuarantinedInvalidEventsMatch) {
   EXPECT_EQ(next.stats.quarantined, 4u);
   EXPECT_EQ(next.stats.retires, 1u);
   EXPECT_EQ(next.stats.adds, 1u);
+}
+
+TEST(ShardApply, RetireHeavyChainCompactsAndServesLikeMonolithic) {
+  // Retire-dominated ticks: tombstones cross the 1/8 compaction
+  // threshold mid-chain, every tick still matches the reference, and a
+  // sharded Server fed the chain answers like a monolithic one — top-K
+  // ids (dense at the edge) included.
+  delta::FeedOptions feed_options;
+  feed_options.seed = 907;
+  feed_options.events_per_tick_mean = 640.0;
+  feed_options.w_retire = 24.0;
+  ShardedWorld view(small_sharded());
+  serve::Server mono(serve::testing::small_config());
+  serve::ServerOptions sharded;
+  sharded.sharded = true;
+  sharded.shard_layout = testing::small_layout();
+  serve::Server shrd(serve::testing::small_config(), sharded);
+  delta::FeedGenerator gen(small_world(), feed_options);
+  delta::FeedIngestor ingestor;
+  std::size_t compactions = 0;
+  for (int tick = 0; tick < 20; ++tick) {
+    auto cleaned = ingestor.ingest(gen.tick());
+    ASSERT_TRUE(cleaned.ok());
+    const std::string what = "retire-heavy tick " + std::to_string(tick);
+    ShardApplyResult next = apply_checked(view, cleaned.value(), what);
+    ASSERT_FALSE(HasFailure()) << what;
+    compactions += next.shards.compacted;
+    if (next.shards.compacted) {
+      EXPECT_EQ(next.world.tombstones(), 0u) << what;
+    }
+    view = std::move(next.world);
+    ASSERT_TRUE(mono.apply_delta(cleaned.value()).ok()) << what;
+    ASSERT_TRUE(shrd.apply_delta(cleaned.value()).ok()) << what;
+  }
+  EXPECT_GE(compactions, 1u) << "the chain never crossed the threshold";
+  EXPECT_GT(view.tombstones(), 0u) << "end between compactions";
+  EXPECT_EQ(encode_sharded(view),
+            encode_sharded(*shrd.snapshots().acquire()->sharded()));
+  const std::vector<serve::testing::AnyQuery> stream =
+      serve::testing::make_stream(200, 61);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(serve::testing::ask(mono, stream[i]) ==
+                serve::testing::ask(shrd, stream[i]))
+        << "query " << i << " diverged after the retire-heavy chain";
+  }
+}
+
+TEST(ShardApply, CorruptIdColumnsFailTheFirstApplyClosed) {
+  // The first apply over a lineage root builds the lineage index, and
+  // that pass rejects id columns that repeat or go out of range.
+  const auto tampered = [](auto&& edit) {
+    auto owned = std::make_shared<std::string>(testing::small_image());
+    auto opened = open_sharded(owned->data(), owned->size(), owned, "ids");
+    EXPECT_TRUE(opened.ok());
+    ShardedWorld view = std::move(opened).take();
+    const Shard& sh = view.shard(0);
+    std::size_t p = 0;
+    while (sh.page(p).n() < 2) ++p;
+    const Page& pg = sh.page(p);
+    const auto at = [&](std::uint32_t k) {
+      return owned->data() +
+             (reinterpret_cast<const char*>(&pg.ids[k]) - owned->data());
+    };
+    edit(pg, at);
+    return std::make_pair(std::move(owned), std::move(view));
+  };
+  const std::vector<delta::FeedEvent> batch{
+      add_at(0, member(small_sharded(), 1, 0).pos, 5)};
+
+  const auto [range_bytes, out_of_range] =
+      tampered([](const Page& pg, const auto& at) {
+        const std::uint32_t bad = 0xfffffff0u;
+        std::memcpy(at(pg.begin()), &bad, sizeof bad);
+      });
+  auto got = apply_delta(out_of_range, batch);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code, fault::ErrCode::kOutOfRange);
+  EXPECT_EQ(got.status().source, delta::kApplySite);
+
+  const auto [twice_bytes, twice] =
+      tampered([](const Page& pg, const auto& at) {
+        const std::uint32_t first = pg.ids[pg.begin()];
+        std::memcpy(at(pg.begin() + 1), &first, sizeof first);
+      });
+  got = apply_delta(twice, batch);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code, fault::ErrCode::kSchema);
+  EXPECT_EQ(got.status().source, delta::kApplySite);
+}
+
+TEST(ShardLiveIds, RankAndSelectMatchABruteForceSetAcrossChunks) {
+  // Retires spread over several 64 Ki-id chunks (one emptied whole) and
+  // adds that open a new chunk: rank and select must agree with a plain
+  // list of the live ids, and a successor must leave its base untouched.
+  constexpr std::uint32_t kN = 200'000;
+  std::vector<std::uint32_t> retired;
+  for (std::uint32_t id = 0; id < kN; ++id) {
+    if (id % 13 == 7 || (id >= 65'536 && id < 131'072)) retired.push_back(id);
+  }
+  const auto check = [](const LiveIds& live, std::uint64_t end,
+                        const std::vector<std::uint8_t>& dead) {
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t id = 0; id < end; ++id) {
+      if (!dead[id]) ids.push_back(id);
+    }
+    ASSERT_EQ(live.end(), end);
+    ASSERT_EQ(live.count(), ids.size());
+    for (std::uint32_t d = 0; d < ids.size(); ++d) {
+      ASSERT_EQ(live.select(d), ids[d]) << "dense " << d;
+      ASSERT_EQ(live.rank(ids[d]), d) << "stable " << ids[d];
+    }
+    for (std::uint32_t id = 0; id < end; ++id) {
+      ASSERT_EQ(live.contains(id), dead[id] == 0) << "stable " << id;
+    }
+  };
+  const LiveIds first = LiveIds::all(kN).edited(retired, 70'000);
+  std::vector<std::uint8_t> dead(kN + 70'000, 0);
+  for (const std::uint32_t id : retired) dead[id] = 1;
+  check(first, kN + 70'000, dead);
+
+  const std::vector<std::uint32_t> more{0, 200'001, 269'999};
+  const LiveIds second = first.edited(more, 5);
+  std::vector<std::uint8_t> dead2 = dead;
+  for (const std::uint32_t id : more) dead2[id] = 1;
+  dead2.resize(kN + 70'005, 0);
+  check(second, kN + 70'005, dead2);
+  check(first, kN + 70'000, dead);
 }
 
 TEST(ShardFeed, GeneratorFromShardColumnsMatchesGeneratorFromWorld) {

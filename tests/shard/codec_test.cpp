@@ -43,10 +43,17 @@ TEST(ShardCodec, OpenedViewMatchesBuiltView) {
   EXPECT_TRUE(view.config() == built.config());
   for (std::size_t s = 0; s < view.shard_count(); ++s) {
     ASSERT_EQ(view.shard(s).n(), built.shard(s).n()) << "shard " << s;
-    for (std::size_t k = 0; k < view.shard(s).n(); ++k) {
-      ASSERT_EQ(view.shard(s).ids[k], built.shard(s).ids[k]);
-      ASSERT_EQ(view.shard(s).xs[k], built.shard(s).xs[k]);
-      ASSERT_EQ(view.shard(s).cls[k], built.shard(s).cls[k]);
+    ASSERT_EQ(view.shard(s).page_count(), built.shard(s).page_count());
+    for (std::size_t p = 0; p < view.shard(s).page_count(); ++p) {
+      const Page& a = view.shard(s).page(p);
+      const Page& b = built.shard(s).page(p);
+      ASSERT_EQ(a.begin(), b.begin()) << "shard " << s << " page " << p;
+      ASSERT_EQ(a.end(), b.end()) << "shard " << s << " page " << p;
+      for (std::uint32_t k = a.begin(); k < a.end(); ++k) {
+        ASSERT_EQ(a.ids[k], b.ids[k]);
+        ASSERT_EQ(a.xs[k], b.xs[k]);
+        ASSERT_EQ(a.cls[k], b.cls[k]);
+      }
     }
   }
   // And the opened view re-encodes to the same bytes: open is lossless.

@@ -104,8 +104,10 @@ const std::vector<BenchSchema>& schemas() {
         "rebuild_s", "apply_mean_s", "apply_p99_s", "byte_identical",
         "delta_speedup", "delta_faster", "shards", "sharded_rebuild_s",
         "sharded_apply_mean_s", "sharded_apply_p99_s",
-        "sharded_shards_rebuilt", "sharded_byte_identical",
-        "sharded_speedup", "sharded_faster"},
+        "sharded_apply_steady_mean_s", "sharded_shards_rebuilt",
+        "sharded_apply_tick_s", "sharded_pages_rewritten",
+        "sharded_pages_shared", "sharded_bytes_copied",
+        "sharded_byte_identical", "sharded_speedup", "sharded_faster"},
        "", "FA_DELTA_TICKS=4"},
       {"bench_shard_scale", "shard_scale",
        {"transceivers", "shards", "mono_image_bytes", "shard_image_bytes",
