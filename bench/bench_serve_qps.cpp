@@ -2,12 +2,11 @@
 //
 // Builds one snapshot per server mode and drives it with 1/2/4/8 client
 // threads, each issuing a fixed count of queries back-to-back (closed
-// loop: the next request leaves when the previous answer lands). Three
+// loop: the next request leaves when the previous answer lands). Two
 // configurations per thread count:
 //
 //   direct   cache disabled — every request recomputes (the baseline)
 //   cached   sharded LRU on, fully warmed over the repeated-query pool
-//   batched  cache on, point queries through the admission queue
 //
 // The workload repeats a fixed pool of mixed-shape queries, the regime
 // the result cache is built for; the trailer reports QPS and p50/p99
@@ -47,7 +46,7 @@ std::vector<AnyQuery> query_pool(std::size_t distinct) {
   for (std::size_t i = 0; i < distinct; ++i) {
     switch (i % 4) {
       case 0:
-      case 1:  // point-heavy mix: the batcher's shape
+      case 1:  // point-heavy mix
         pool.push_back(
             serve::PointRiskQuery{{lon(rng), lat(rng)}, 40e3});
         break;
@@ -65,15 +64,13 @@ std::vector<AnyQuery> query_pool(std::size_t distinct) {
   return pool;
 }
 
-serve::PointRiskResponse ask(serve::Server& server, const AnyQuery& q,
-                             bool batched) {
+serve::PointRiskResponse ask(serve::Server& server, const AnyQuery& q) {
   return std::visit(
       [&](const auto& query) -> serve::PointRiskResponse {
         using Q = std::decay_t<decltype(query)>;
         serve::PointRiskResponse sink;  // per-type epochs folded into one
         if constexpr (std::is_same_v<Q, serve::PointRiskQuery>) {
-          sink = batched ? server.point_risk_batched(query)
-                         : server.point_risk(query);
+          sink = server.point_risk(query);
         } else if constexpr (std::is_same_v<Q, serve::BBoxAggregateQuery>) {
           sink.epoch = server.bbox_aggregate(query).epoch;
         } else if constexpr (std::is_same_v<Q, serve::ProviderExposureQuery>) {
@@ -96,7 +93,7 @@ struct LoadResult {
 // Runs `threads` closed-loop clients for `per_thread` queries each.
 LoadResult run_load(serve::Server& server, obs::Registry& registry,
                     const std::vector<AnyQuery>& pool, int threads,
-                    std::size_t per_thread, bool batched) {
+                    std::size_t per_thread) {
   using Clock = std::chrono::steady_clock;
   const std::uint64_t hits0 =
       registry.counter(obs::metrics::kServeCacheHits).value();
@@ -118,7 +115,7 @@ LoadResult run_load(serve::Server& server, obs::Registry& registry,
       for (std::size_t i = 0; i < per_thread; ++i) {
         const AnyQuery& q = pool[pick(rng)];
         const Clock::time_point t0 = Clock::now();
-        const serve::PointRiskResponse r = ask(server, q, batched);
+        const serve::PointRiskResponse r = ask(server, q);
         const Clock::time_point t1 = Clock::now();
         if (r.epoch == 0) std::abort();  // a served response is never epoch 0
         out.push_back(static_cast<std::uint64_t>(
@@ -181,11 +178,8 @@ int main() {
   struct Mode {
     const char* name;
     bool cache;
-    bool batched;
   };
-  const Mode modes[] = {{"direct", false, false},
-                        {"cached", true, false},
-                        {"batched", true, true}};
+  const Mode modes[] = {{"direct", false}, {"cached", true}};
   const int thread_counts[] = {1, 2, 4, 8};
 
   std::printf("workload: %zu distinct queries, %zu per client thread, "
@@ -195,8 +189,8 @@ int main() {
       {"Mode", "Threads", "QPS", "p50 (us)", "p99 (us)", "Hit rate"});
   io::JsonArray rows;
   // qps[mode][threads-row]
-  double qps[3][4] = {};
-  for (std::size_t m = 0; m < 3; ++m) {
+  double qps[2][4] = {};
+  for (std::size_t m = 0; m < 2; ++m) {
     const Mode& mode = modes[m];
     obs::Registry registry;
     serve::ServerOptions options;
@@ -210,12 +204,12 @@ int main() {
     if (mode.cache) {
       // Warm the cache over the whole pool so every timed row measures
       // the steady state rather than the first pass's compulsory misses.
-      for (const AnyQuery& q : pool) (void)ask(server, q, false);
+      for (const AnyQuery& q : pool) (void)ask(server, q);
     }
     for (std::size_t t = 0; t < 4; ++t) {
       const int threads = thread_counts[t];
-      const LoadResult r = run_load(server, registry, pool, threads,
-                                    kPerThread, mode.batched);
+      const LoadResult r =
+          run_load(server, registry, pool, threads, kPerThread);
       qps[m][t] = r.qps;
       table.add_row({mode.name, std::to_string(threads),
                      core::fmt_double(r.qps, 0),
@@ -225,7 +219,6 @@ int main() {
       rows.push_back(io::JsonObject{{"mode", std::string(mode.name)},
                                     {"threads", threads},
                                     {"cache", mode.cache},
-                                    {"batched", mode.batched},
                                     {"qps", r.qps},
                                     {"p50_us", r.p50_us},
                                     {"p99_us", r.p99_us},

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -125,16 +126,27 @@ fault::Status read_increment(const std::string& path,
   return {};
 }
 
+// The base image's whole-file CRC, read in fixed-size chunks chained
+// through crc32's seed: a paper-scale generation is hundreds of MB, and
+// neither a copy of it nor a second mapping belongs on the cold start.
 fault::Result<std::uint32_t> whole_file_crc(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return fault::Status::error(fault::ErrCode::kIoFailure, 0, path,
-                                "cannot open base image for crc");
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return errno_status(path, "open base image for crc");
+  std::vector<char> chunk(DeltaLog::kCrcChunkBytes);
+  std::uint32_t crc = 0;
+  while (true) {
+    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fault::Status s = errno_status(path, "read base image for crc");
+      ::close(fd);
+      return s;
+    }
+    crc = store::crc32(chunk.data(), static_cast<std::size_t>(n), crc);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string bytes = std::move(buf).str();
-  return store::crc32(bytes.data(), bytes.size());
+  ::close(fd);
+  return crc;
 }
 
 }  // namespace

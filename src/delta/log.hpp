@@ -22,6 +22,7 @@
 // debris.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -60,6 +61,11 @@ class DeltaLog {
 
   std::uint64_t base_generation() const { return base_gen_; }
   std::uint64_t next_ordinal() const { return next_ordinal_; }
+
+  // Read size for the base image's whole-file CRC (the chain's first
+  // link, derived from the file when the manifest does not carry it and
+  // on every replay).
+  static constexpr std::size_t kCrcChunkBytes = std::size_t{1} << 20;
 
   // Deletes increments belonging to any base generation other than
   // `keep_base` (after a new full snapshot commits, older chains are

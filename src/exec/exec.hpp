@@ -46,11 +46,12 @@ struct ExecOptions {
   // Cap on worker threads for this region (0 = no cap). Results are
   // identical regardless; this is a throughput knob.
   int max_threads = 0;
-  // Inline threshold for latency-sensitive callers (the serve batcher):
-  // when 0 < n < min_parallel the region runs on the calling thread via
-  // the pool's serial inline path instead of waking workers, skipping
-  // the dispatch/park round-trip that dominates tiny batches. The chunk
-  // plan is unchanged, so results stay bit-identical either way.
+  // Inline threshold for latency-sensitive callers (the serve planner's
+  // shard fan-out): when 0 < n < min_parallel the region runs on the
+  // calling thread via the pool's serial inline path instead of waking
+  // workers, skipping the dispatch/park round-trip that dominates tiny
+  // regions. The chunk plan is unchanged, so results stay bit-identical
+  // either way.
   std::size_t min_parallel = 0;
 };
 

@@ -313,6 +313,11 @@ struct NetServer::Impl {
     wake();
     for (auto& t : workers) t.join();
     io_thread.join();
+    // Workers and this thread wake() the IO loop until they are joined;
+    // closing the eventfd any earlier races those writes (and a reused
+    // descriptor number would take them).
+    ::close(wake_fd);
+    wake_fd = -1;
     joined = true;
   }
 
@@ -387,7 +392,8 @@ struct NetServer::Impl {
       }
       if (draining.load(std::memory_order_acquire)) check_quiescent();
     }
-    // Teardown: the IO thread owns every fd.
+    // Teardown: the IO thread owns every fd but the eventfd, which
+    // shutdown() closes after joining every thread that writes it.
     for (auto& [fd, conn] : conns) {
       conn->dead = true;
       {
@@ -399,9 +405,8 @@ struct NetServer::Impl {
     }
     conns.clear();
     if (listen_fd >= 0) ::close(listen_fd);
-    ::close(wake_fd);
     ::close(epoll_fd);
-    listen_fd = epoll_fd = wake_fd = -1;
+    listen_fd = epoll_fd = -1;
   }
 
   void accept_all() {
@@ -899,12 +904,7 @@ struct NetServer::Impl {
         out = http_response(200, io::to_json(doc), w.keep_alive);
         h_scenario_ns.record(reg.now_ns() - t0);
       } else {
-        const serve::Dispatch dispatch =
-            opts.batch_point_queries &&
-                    std::holds_alternative<serve::PointRiskQuery>(w.request)
-                ? serve::Dispatch::kBatched
-                : serve::Dispatch::kDirect;
-        const serve::Response resp = server.handle(w.request, dispatch);
+        const serve::Response resp = server.handle(w.request);
         if (w.http) {
           out = http_response(200, io::to_json(response_json(resp)),
                               w.keep_alive);

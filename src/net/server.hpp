@@ -61,9 +61,6 @@ struct NetServerOptions {
   std::uint64_t write_timeout_ms = 10'000;
   std::uint64_t drain_timeout_ms = 5'000;
   std::size_t max_outbox_bytes = 1 << 20;
-  // Route point queries through the flat-combining batcher so
-  // concurrent network clients coalesce into vectorized rounds.
-  bool batch_point_queries = true;
   // Registry for net.* instruments; null = the backend server's.
   obs::Registry* registry = nullptr;
 };

@@ -35,12 +35,9 @@ inline constexpr std::string_view kServeCacheInvalidations =
     "serve.cache.invalidations";
 
 // -- request batching -------------------------------------------------
-// Vectorized flushes executed by a batch leader.
-inline constexpr std::string_view kServeBatchFlushes = "serve.batch.flushes";
-// Requests per flush (histogram; >1 means coalescing happened).
+// Nothing records this: queries are not batched. The name stays because
+// perfbench/src/layers.cpp still reads it (an empty histogram reads 0).
 inline constexpr std::string_view kServeBatchSize = "serve.batch.size";
-// Admission-queue depth observed at enqueue time (histogram).
-inline constexpr std::string_view kServeQueueDepth = "serve.queue.depth";
 
 // -- snapshot hot-swap ------------------------------------------------
 // Successful epoch publishes.

@@ -1,16 +1,9 @@
 #include "serve/server.hpp"
 
-#include <numeric>
 #include <utility>
 #include <variant>
 
-#include "exec/exec.hpp"
 #include "obs/metrics.hpp"
-#include "shard/apply.hpp"
-#include "shard/codec.hpp"
-#include "shard/recovery.hpp"
-#include "store/codec.hpp"
-#include "store/recovery.hpp"
 
 namespace fa::serve {
 
@@ -19,14 +12,9 @@ Server::Server(const synth::ScenarioConfig& config,
     : registry_(options.registry != nullptr ? *options.registry
                                             : obs::Registry::global()),
       options_(options),
+      layout_(options.sharded ? std::optional(options.shard_layout)
+                              : std::nullopt),
       cache_(options.cache, registry_),
-      batcher_(
-          options.max_batch,
-          [this](std::span<const PointRiskQuery> queries,
-                 std::span<PointRiskResponse> responses) {
-            evaluate_batch(queries, responses);
-          },
-          registry_),
       queries_(registry_.counter(obs::metrics::kServeQueries)),
       swaps_published_(registry_.counter(obs::metrics::kServeSwapsPublished)),
       swaps_failed_(registry_.counter(obs::metrics::kServeSwapsFailed)),
@@ -42,11 +30,7 @@ Server::Server(const synth::ScenarioConfig& config,
   if (!options_.store_dir.empty()) {
     if (auto dir = store::StoreDir::open(options_.store_dir); dir.ok()) {
       store_dir_.emplace(std::move(dir).take());
-      if (options_.sharded) {
-        cold_start_sharded(config);
-      } else {
-        cold_start_monolithic(config);
-      }
+      cold_start(config);
       if (!loaded_from_store_) {
         registry_.counter(obs::metrics::kStoreRecoverRebuilds).add();
       }
@@ -55,81 +39,40 @@ Server::Server(const synth::ScenarioConfig& config,
   if (!loaded_from_store_) {
     // take() throws fault::IoError when the initial scenario is
     // unbuildable — nothing would be serving, so surface it.
-    store_.publish(options_.sharded
-                       ? Snapshot::build_sharded(config, 1, options_.policy,
-                                                 options_.shard_layout)
-                             .take()
-                       : Snapshot::build(config, 1, options_.policy).take());
+    store_.publish(
+        Snapshot::build(config, 1, options_.policy, layout_).take());
   }
 }
 
-void Server::cold_start_monolithic(const synth::ScenarioConfig& config) {
-  store::RecoveryManager manager(*store_dir_);
-  auto recovered = manager.recover();
+void Server::cold_start(const synth::ScenarioConfig& config) {
+  auto recovered = Snapshot::recover(*store_dir_, 1, layout_);
   if (!recovered.ok()) return;
-  if (!(recovered.value().loaded.world.config() == config)) return;
-  store::RecoveredWorld rec = std::move(recovered).take();
-  core::World world = std::move(rec.loaded.world);
-  core::ProviderRiskResult risk = rec.loaded.provider_risk;
+  if (!(recovered.value().snapshot->config() == config)) return;
+  Snapshot::Recovered rec = std::move(recovered).take();
+  std::shared_ptr<const Snapshot> snap = std::move(rec.snapshot);
   // Replay the generation's delta-log chain so epoch 1 resumes at the
-  // last durably applied batch, not the last full snapshot. A batch
-  // that no longer applies ends the replay (serve the last provably
-  // consistent state) and disengages the log — appending past a
-  // divergence would corrupt the chain's meaning.
+  // last durably applied batch, not the last full snapshot, through the
+  // same successor call the live feed uses (a sharded view never builds
+  // a monolithic world). A batch that no longer applies ends the replay
+  // (serve the last provably consistent state) and disengages the log —
+  // appending past a divergence would corrupt the chain's meaning. A
+  // degraded sharded view (quarantined shards) fails its first batch, so
+  // it serves the bare generation image under the same contract.
   if (auto log = delta::DeltaLog::open(*store_dir_, rec.generation.number,
                                        rec.generation.crc);
       log.ok()) {
     delta_log_.emplace(std::move(log).take());
-    delta::DeltaLog::Replay replayed = delta_log_->replay();
-    bool diverged = false;
+    const delta::DeltaLog::Replay replayed = delta_log_->replay();
     for (const std::vector<delta::FeedEvent>& batch : replayed.batches) {
-      delta::ApplyOptions apply_options;
-      apply_options.policy = options_.policy;
-      auto applied = delta::Applier::apply(world, risk, batch, apply_options);
-      if (!applied.ok()) {
-        diverged = true;
-        break;
-      }
-      delta::ApplyResult result = std::move(applied).take();
-      world = std::move(result.world);
-      risk = std::move(result.provider_risk);
-    }
-    if (diverged) delta_log_.reset();
-  }
-  store_.publish(Snapshot::adopt(std::move(world), 1, std::move(risk)));
-  loaded_from_store_ = true;
-}
-
-void Server::cold_start_sharded(const synth::ScenarioConfig& config) {
-  shard::ShardRecoveryManager manager(*store_dir_, options_.shard_layout);
-  auto recovered = manager.recover();
-  if (!recovered.ok()) return;
-  shard::RecoveredShardedWorld rec = std::move(recovered).take();
-  if (!(rec.world.config() == config)) return;
-  shard::ShardedWorld view = std::move(rec.world);
-  // Replay the generation's delta-log chain, exactly like the
-  // monolithic ladder, through the same shard-native apply the live
-  // feed uses: untouched shards keep viewing the mmap, and no monolithic
-  // world is ever built. A degraded view (quarantined shards) fails the
-  // first batch; it serves the bare generation image and the log
-  // disengages, same contract as a diverged batch.
-  if (auto log = delta::DeltaLog::open(*store_dir_, rec.generation.number,
-                                       rec.generation.crc);
-      log.ok()) {
-    delta_log_.emplace(std::move(log).take());
-    delta::DeltaLog::Replay replayed = delta_log_->replay();
-    delta::ApplyOptions apply_options;
-    apply_options.policy = options_.policy;
-    for (const std::vector<delta::FeedEvent>& batch : replayed.batches) {
-      auto applied = shard::apply_delta(view, batch, apply_options);
-      if (!applied.ok()) {
+      auto next = snap->apply(batch, 1, apply_options());
+      if (!next.ok()) {
         delta_log_.reset();
         break;
       }
-      view = std::move(applied).take().world;
+      snap = std::move(next).take();
     }
   }
-  store_.publish(Snapshot::adopt_sharded(std::move(view), 1));
+  store_.publish(std::move(snap));
   loaded_from_store_ = true;
 }
 
@@ -159,7 +102,7 @@ Resp Server::answer(const Query& q) {
   return r;
 }
 
-Response Server::handle(const Request& request, Dispatch dispatch) {
+Response Server::handle(const Request& request) {
   queries_.add();
   const bool timed = obs::enabled();
   const std::uint64_t t0 = timed ? registry_.now_ns() : 0;
@@ -167,7 +110,6 @@ Response Server::handle(const Request& request, Dispatch dispatch) {
       [&](const auto& q) -> Response {
         using Q = std::decay_t<decltype(q)>;
         if constexpr (std::is_same_v<Q, PointRiskQuery>) {
-          if (dispatch == Dispatch::kBatched) return batcher_.submit(q);
           return answer<Q, PointRiskResponse>(q);
         } else if constexpr (std::is_same_v<Q, BBoxAggregateQuery>) {
           return answer<Q, BBoxAggregateResponse>(q);
@@ -201,7 +143,7 @@ ProviderExposureResponse Server::provider_exposure(
 }
 
 TopKSitesResponse Server::top_k_sites(const TopKSitesQuery& q) {
-  return std::get<TopKSitesResponse>(handle(Request{q}, Dispatch::kDirect));
+  return std::get<TopKSitesResponse>(handle(Request{q}));
 }
 
 EnsembleSummaryResponse Server::ensemble_summary(
@@ -212,49 +154,6 @@ EnsembleSummaryResponse Server::ensemble_summary(
 TopKFragileSitesResponse Server::top_k_fragile_sites(
     const TopKFragileSitesQuery& q) {
   return std::get<TopKFragileSitesResponse>(handle(Request{q}));
-}
-
-PointRiskResponse Server::point_risk_batched(const PointRiskQuery& q) {
-  return std::get<PointRiskResponse>(handle(Request{q}, Dispatch::kBatched));
-}
-
-void Server::evaluate_batch(std::span<const PointRiskQuery> queries,
-                            std::span<PointRiskResponse> responses) {
-  // One snapshot for the whole round: a batch answers from one epoch.
-  const std::shared_ptr<const Snapshot> snap = store_.acquire();
-  const Epoch epoch = snap->epoch();
-  std::vector<std::uint32_t> miss;
-  miss.reserve(queries.size());
-  if (options_.cache_enabled) {
-    for (std::uint32_t i = 0; i < queries.size(); ++i) {
-      std::optional<CachedResponse> hit = cache_.get(epoch,
-                                                     fingerprint(queries[i]));
-      if (const PointRiskResponse* cached =
-              hit ? std::get_if<PointRiskResponse>(&*hit) : nullptr) {
-        responses[i] = *cached;
-      } else {
-        miss.push_back(i);
-      }
-    }
-  } else {
-    miss.resize(queries.size());
-    std::iota(miss.begin(), miss.end(), 0u);
-  }
-  // Vectorized evaluation of the misses — the whole point of batching:
-  // one exec region amortizes pool dispatch across the round, and
-  // min_parallel keeps micro-rounds on the calling thread.
-  exec::parallel_for(
-      miss.size(),
-      [&](std::size_t j) {
-        const std::uint32_t i = miss[j];
-        responses[i] = evaluate(*snap, queries[i]);
-      },
-      {.grain = 8, .min_parallel = 16});
-  if (options_.cache_enabled) {
-    for (const std::uint32_t i : miss) {
-      cache_.put(epoch, fingerprint(queries[i]), responses[i]);
-    }
-  }
 }
 
 void Server::publish_locked(std::shared_ptr<const Snapshot> next) {
@@ -269,14 +168,17 @@ void Server::publish_locked(std::shared_ptr<const Snapshot> next) {
   reclaimed_reported_ = reclaimed;
 }
 
+delta::ApplyOptions Server::apply_options() const {
+  delta::ApplyOptions options;
+  options.policy = options_.policy;
+  return options;
+}
+
 fault::Status Server::rebuild(const synth::ScenarioConfig& config) {
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
   const Epoch epoch = store_.current_epoch() + 1;
   fault::Result<std::shared_ptr<const Snapshot>> built =
-      options_.sharded ? Snapshot::build_sharded(config, epoch,
-                                                 options_.policy,
-                                                 options_.shard_layout)
-                       : Snapshot::build(config, epoch, options_.policy);
+      Snapshot::build(config, epoch, options_.policy, layout_);
   if (!built.ok()) {
     // Failed swap: nothing published, nothing invalidated — the
     // current epoch keeps serving and the epoch number is not burned.
@@ -295,38 +197,17 @@ fault::Status Server::apply_delta(std::span<const delta::FeedEvent> events,
                                   delta::ApplyStats* stats) {
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
   const std::shared_ptr<const Snapshot> snap = store_.acquire();
-  delta::ApplyOptions apply_options;
-  apply_options.policy = options_.policy;
-  // A sharded epoch applies straight from its shard columns (untouched
-  // shards are shared with the serving view by refcount;
-  // shard.delta.{rebuilt,shared} count the split); a monolithic one
-  // through delta::Applier. Either way a failure (injected delta.apply
-  // fault, strict-policy validation error, degraded sharded view) gets
-  // the same survivability contract as a failed rebuild(): nothing
-  // published, the current epoch keeps serving.
-  std::shared_ptr<const Snapshot> next;
-  if (const shard::ShardedWorld* base = snap->sharded()) {
-    auto applied = shard::apply_delta(*base, events, apply_options);
-    if (!applied.ok()) {
-      swaps_failed_.add();
-      return applied.status();
-    }
-    shard::ShardApplyResult result = std::move(applied).take();
-    if (stats != nullptr) *stats = result.stats;
-    next = Snapshot::adopt_sharded(std::move(result.world), snap->epoch() + 1);
-  } else {
-    auto applied = delta::Applier::apply(snap->world(), snap->provider_risk(),
-                                         events, apply_options);
-    if (!applied.ok()) {
-      swaps_failed_.add();
-      return applied.status();
-    }
-    delta::ApplyResult result = std::move(applied).take();
-    if (stats != nullptr) *stats = result.stats;
-    next = Snapshot::adopt(std::move(result.world), snap->epoch() + 1,
-                           std::move(result.provider_risk));
+  // A failure (injected delta.apply fault, strict-policy validation
+  // error, degraded sharded view) gets the same survivability contract
+  // as a failed rebuild(): nothing published, the current epoch keeps
+  // serving.
+  fault::Result<std::shared_ptr<const Snapshot>> next =
+      snap->apply(events, snap->epoch() + 1, apply_options(), stats);
+  if (!next.ok()) {
+    swaps_failed_.add();
+    return next.status();
   }
-  publish_locked(std::move(next));
+  publish_locked(std::move(next).take());
   if (delta_log_) {
     if (!delta_log_->append(events).ok()) {
       // The serving state now leads the durable chain by this batch; a
@@ -350,21 +231,10 @@ fault::Status Server::save_snapshot() {
   // take this lock; only swaps wait. Lock order rebuild_mu_ -> save_mu_
   // matches every other path.
   const std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
-  const std::shared_ptr<const Snapshot> snap = store_.acquire();
-  if (snap->sharded() != nullptr &&
-      snap->sharded()->quarantined_count() > 0) {
-    // Persisting a degraded view would commit the data loss as the
-    // newest generation — the one recovery prefers.
-    return fault::Status::error(
-        fault::ErrCode::kIoFailure, snap->epoch(), "serve.store",
-        "refusing to persist a degraded sharded view");
-  }
-  const std::string image =
-      snap->sharded() != nullptr
-          ? shard::encode_sharded(*snap->sharded())
-          : store::encode_world(snap->world(), snap->provider_risk());
+  const fault::Result<std::string> image = store_.acquire()->encode();
+  if (!image.ok()) return image.status();
   const std::lock_guard<std::mutex> lock(save_mu_);
-  auto gen = store_dir_->commit(image);
+  auto gen = store_dir_->commit(image.value());
   if (!gen.ok()) return gen.status();
   // The new generation supersedes every older increment chain, and the
   // serving state is now exactly this image — re-root the delta log so
@@ -386,29 +256,15 @@ fault::Status Server::rebuild_from_store() {
                                 "no store directory configured");
   }
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
-  const Epoch epoch = store_.current_epoch() + 1;
-  if (options_.sharded) {
-    shard::ShardRecoveryManager manager(*store_dir_, options_.shard_layout);
-    auto recovered = manager.recover();
-    if (!recovered.ok()) {
-      swaps_failed_.add();
-      return recovered.status();
-    }
-    publish_locked(
-        Snapshot::adopt_sharded(std::move(recovered).take().world, epoch));
-    delta_log_.reset();
-    return {};
-  }
-  store::RecoveryManager manager(*store_dir_);
-  auto recovered = manager.recover();
+  auto recovered =
+      Snapshot::recover(*store_dir_, store_.current_epoch() + 1, layout_);
   if (!recovered.ok()) {
     // Same survivability contract as a failed rebuild(): nothing
     // published, current epoch keeps serving.
     swaps_failed_.add();
     return recovered.status();
   }
-  publish_locked(
-      Snapshot::adopt(std::move(recovered).take().loaded.world, epoch));
+  publish_locked(std::move(recovered).take().snapshot);
   // The published state is the bare generation image — any increments
   // already chained past it are ahead of serving, so appending would
   // diverge. save_snapshot() re-roots.

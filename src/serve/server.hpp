@@ -1,18 +1,21 @@
 // fa::serve — the concurrent risk-query serving layer.
 //
 // One Server owns a SnapshotStore (versioned immutable worlds with
-// RCU-style hot-swap), a ShardedCache (results keyed by epoch +
-// query fingerprint), and a PointBatcher (admission queue coalescing
-// concurrent point queries into vectorized exec regions). Any number of
-// client threads may query concurrently; rebuild() may run concurrently
-// with queries and publishes a new epoch atomically — in-flight
-// requests finish against the epoch they acquired, and a failed rebuild
-// leaves the old epoch serving.
+// RCU-style hot-swap) and a ShardedCache (results keyed by epoch +
+// query fingerprint). Every query, of every shape and from either wire
+// protocol, takes one path: handle() -> cache -> evaluate() on the
+// calling thread. Any number of client threads may query concurrently;
+// rebuild() may run concurrently with queries and publishes a new epoch
+// atomically — in-flight requests finish against the epoch they
+// acquired, and a failed rebuild leaves the old epoch serving.
 //
-// Determinism contract: for a fixed snapshot content, every query path
-// (direct, batched, cached, cache-disabled) returns byte-identical
-// responses. The cache can change *when* an answer is computed, never
-// what it contains; tests/serve/equivalence_test.cpp pins this.
+// Snapshot (snapshot.hpp) owns the monolithic vs sharded decision, so
+// each lifecycle step below has one body for both representations.
+//
+// Determinism contract: for a fixed snapshot content, the cached and
+// cache-disabled paths return byte-identical responses. The cache can
+// change *when* an answer is computed, never what it contains;
+// tests/serve/equivalence_test.cpp pins this.
 #pragma once
 
 #include <memory>
@@ -23,7 +26,6 @@
 #include "delta/apply.hpp"
 #include "delta/log.hpp"
 #include "obs/obs.hpp"
-#include "serve/batcher.hpp"
 #include "serve/cache.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/types.hpp"
@@ -33,19 +35,11 @@
 
 namespace fa::serve {
 
-// How handle() routes a request: kDirect evaluates on the calling
-// thread; kBatched routes point queries through the flat-combining
-// admission queue (other shapes, which never batch, fall back to the
-// direct path — same bytes either way).
-enum class Dispatch : std::uint8_t { kDirect, kBatched };
-
 struct ServerOptions {
   // Result cache; disabling makes every request recompute (the
   // cache-off baseline in bench_serve_qps).
   bool cache_enabled = true;
   CacheConfig cache;
-  // Max point queries coalesced into one batched evaluation round.
-  std::size_t max_batch = 64;
   // Ingestion policy for snapshot builds (initial and rebuilds).
   fault::RecoveryPolicy policy = fault::RecoveryPolicy::kQuarantine;
   // Registry for the serve.* instruments; null = obs::Registry::global()
@@ -82,12 +76,12 @@ class Server {
 
   // -- queries (safe from any thread) ----------------------------------
   // THE entry point: every query shape, one uniform surface. The wire
-  // decoder, the batcher admission path, and the cache all dispatch
-  // through here; the response alternative always matches the request
-  // alternative (PointRiskQuery -> PointRiskResponse, etc.), and the
-  // bytes are identical to the legacy typed methods below
-  // (tests/serve/unified_api_test.cpp pins both).
-  Response handle(const Request& request, Dispatch dispatch = Dispatch::kDirect);
+  // decoder and the cache both dispatch through here; the response
+  // alternative always matches the request alternative (PointRiskQuery
+  // -> PointRiskResponse, etc.), and the bytes are identical to the
+  // legacy typed methods below (tests/serve/unified_api_test.cpp pins
+  // both).
+  Response handle(const Request& request);
 
   // Typed convenience wrappers over handle().
   PointRiskResponse point_risk(const PointRiskQuery& q);
@@ -96,12 +90,6 @@ class Server {
   TopKSitesResponse top_k_sites(const TopKSitesQuery& q);
   EnsembleSummaryResponse ensemble_summary(const EnsembleSummaryQuery& q);
   TopKFragileSitesResponse top_k_fragile_sites(const TopKFragileSitesQuery& q);
-
-  // Point query through the admission queue: concurrent submitters are
-  // coalesced into one vectorized evaluation per round, every round
-  // answering from a single snapshot. Identical responses to
-  // point_risk(); different scheduling.
-  PointRiskResponse point_risk_batched(const PointRiskQuery& q);
 
   // -- snapshot lifecycle ----------------------------------------------
   // Builds a snapshot for `config` and, on success, publishes it as the
@@ -147,22 +135,24 @@ class Server {
   obs::Registry& registry() { return registry_; }
 
  private:
-  // Constructor cold-start ladders (store_dir_ engaged): publish epoch 1
-  // from the newest servable generation, replaying its delta-log chain;
-  // set loaded_from_store_ on success, leave the fresh-build fallback to
-  // the constructor otherwise.
-  void cold_start_monolithic(const synth::ScenarioConfig& config);
-  void cold_start_sharded(const synth::ScenarioConfig& config);
+  // Constructor cold start (store_dir_ engaged): publish epoch 1 from
+  // the newest servable generation for `config`, replaying its
+  // delta-log chain; set loaded_from_store_ on success, leave the
+  // fresh-build fallback to the constructor otherwise.
+  void cold_start(const synth::ScenarioConfig& config);
   // Cache-then-evaluate for one typed query; the body behind handle().
   template <class Query, class Resp>
   Resp answer(const Query& q);
-  void evaluate_batch(std::span<const PointRiskQuery> queries,
-                      std::span<PointRiskResponse> responses);
+  // The delta applier's options for this server's ingestion policy.
+  delta::ApplyOptions apply_options() const;
   // Publish + retire/cache/counter bookkeeping (rebuild_mu_ held).
   void publish_locked(std::shared_ptr<const Snapshot> next);
 
   obs::Registry& registry_;
   ServerOptions options_;
+  // What every build and recovery is handed: a layout when the server
+  // serves a sharded view, none when it serves a monolithic world.
+  std::optional<shard::LayoutOptions> layout_;
   std::optional<store::StoreDir> store_dir_;
   // Increment chain rooted at the generation the serving state derives
   // from (guarded by rebuild_mu_). Engaged only while that rooting is
@@ -173,7 +163,6 @@ class Server {
   std::mutex save_mu_;     // serializes save_snapshot() commits
   SnapshotStore store_;
   ShardedCache cache_;
-  PointBatcher batcher_;
   // Reclamation already reported to the serve.snapshots.reclaimed
   // counter (guarded by rebuild_mu_; counters are add-only).
   std::uint64_t reclaimed_reported_ = 0;

@@ -10,7 +10,12 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "serve/planner.hpp"
+#include "shard/apply.hpp"
+#include "shard/codec.hpp"
+#include "shard/recovery.hpp"
 #include "shard/world.hpp"
+#include "store/codec.hpp"
+#include "store/recovery.hpp"
 
 namespace fa::serve {
 
@@ -21,7 +26,8 @@ Snapshot::Snapshot(core::World world, Epoch epoch)
 
 fault::Result<std::shared_ptr<const Snapshot>> Snapshot::build(
     const synth::ScenarioConfig& config, Epoch epoch,
-    fault::RecoveryPolicy policy) {
+    fault::RecoveryPolicy policy,
+    const std::optional<shard::LayoutOptions>& layout) {
   const obs::Span span("serve.snapshot.build");
   const fault::Injector& inj = fault::Injector::global();
   if (inj.armed() && inj.fires(kSnapshotBuildSite, epoch)) {
@@ -35,7 +41,18 @@ fault::Result<std::shared_ptr<const Snapshot>> Snapshot::build(
   options.diagnostics = &diagnostics;
   fault::Result<core::World> world = core::World::build(config, options);
   if (!world.ok()) return world.status();
-  std::shared_ptr<Snapshot> snap(new Snapshot(std::move(world).take(), epoch));
+  core::World built = std::move(world).take();
+  core::ProviderRiskResult risk = core::run_provider_risk(built);
+  std::shared_ptr<Snapshot> snap;
+  if (layout) {
+    shard::ShardedWorld sharded =
+        shard::ShardedWorld::from_world(built, risk, *layout);
+    snap.reset(new Snapshot(
+        std::make_shared<const shard::ShardedWorld>(std::move(sharded)),
+        epoch, std::move(built)));
+  } else {
+    snap.reset(new Snapshot(std::move(built), epoch, std::move(risk)));
+  }
   snap->diagnostics_ = std::move(diagnostics);
   return std::shared_ptr<const Snapshot>(std::move(snap));
 }
@@ -72,31 +89,51 @@ std::shared_ptr<const Snapshot> Snapshot::adopt_sharded(
       std::nullopt));
 }
 
-fault::Result<std::shared_ptr<const Snapshot>> Snapshot::build_sharded(
-    const synth::ScenarioConfig& config, Epoch epoch,
-    fault::RecoveryPolicy policy, const shard::LayoutOptions& layout) {
-  const obs::Span span("serve.snapshot.build");
-  const fault::Injector& inj = fault::Injector::global();
-  if (inj.armed() && inj.fires(kSnapshotBuildSite, epoch)) {
-    return fault::Status::error(fault::ErrCode::kInjected, epoch,
-                                std::string(kSnapshotBuildSite),
-                                "injected snapshot build failure");
+fault::Result<Snapshot::Recovered> Snapshot::recover(
+    const store::StoreDir& dir, Epoch epoch,
+    const std::optional<shard::LayoutOptions>& layout) {
+  if (layout) {
+    auto recovered = shard::ShardRecoveryManager(dir, *layout).recover();
+    if (!recovered.ok()) return recovered.status();
+    shard::RecoveredShardedWorld rec = std::move(recovered).take();
+    return Recovered{adopt_sharded(std::move(rec.world), epoch),
+                     rec.generation};
   }
-  fault::Diagnostics diagnostics;
-  core::World::BuildOptions options;
-  options.policy = policy;
-  options.diagnostics = &diagnostics;
-  fault::Result<core::World> world = core::World::build(config, options);
-  if (!world.ok()) return world.status();
-  core::World built = std::move(world).take();
-  core::ProviderRiskResult risk = core::run_provider_risk(built);
-  shard::ShardedWorld sharded =
-      shard::ShardedWorld::from_world(built, risk, layout);
-  std::shared_ptr<Snapshot> snap(new Snapshot(
-      std::make_shared<const shard::ShardedWorld>(std::move(sharded)), epoch,
-      std::move(built)));
-  snap->diagnostics_ = std::move(diagnostics);
-  return std::shared_ptr<const Snapshot>(std::move(snap));
+  auto recovered = store::RecoveryManager(dir).recover();
+  if (!recovered.ok()) return recovered.status();
+  store::RecoveredWorld rec = std::move(recovered).take();
+  return Recovered{adopt(std::move(rec.loaded.world), epoch,
+                         std::move(rec.loaded.provider_risk)),
+                   rec.generation};
+}
+
+fault::Result<std::shared_ptr<const Snapshot>> Snapshot::apply(
+    std::span<const delta::FeedEvent> events, Epoch epoch,
+    const delta::ApplyOptions& options, delta::ApplyStats* stats) const {
+  if (sharded_) {
+    auto applied = shard::apply_delta(*sharded_, events, options);
+    if (!applied.ok()) return applied.status();
+    shard::ShardApplyResult result = std::move(applied).take();
+    if (stats != nullptr) *stats = result.stats;
+    return adopt_sharded(std::move(result.world), epoch);
+  }
+  auto applied =
+      delta::Applier::apply(*world_, provider_risk_, events, options);
+  if (!applied.ok()) return applied.status();
+  delta::ApplyResult result = std::move(applied).take();
+  if (stats != nullptr) *stats = result.stats;
+  return adopt(std::move(result.world), epoch,
+               std::move(result.provider_risk));
+}
+
+fault::Result<std::string> Snapshot::encode() const {
+  if (!sharded_) return store::encode_world(*world_, provider_risk_);
+  if (sharded_->quarantined_count() > 0) {
+    return fault::Status::error(fault::ErrCode::kIoFailure, epoch_,
+                                "serve.store",
+                                "refusing to persist a degraded sharded view");
+  }
+  return shard::encode_sharded(*sharded_);
 }
 
 const core::World& Snapshot::world() const {

@@ -7,6 +7,13 @@
 // through const references only, so any number of reader threads share
 // one snapshot without synchronization.
 //
+// A snapshot is monolithic (a core::World) or sharded (a geo-sharded
+// fa::shard view). This module and the planner are the only places that
+// branch on which: build(), recover(), apply() and encode() pick the
+// representation's builder, recovery ladder, delta applier and codec, so
+// the Server above them has one path for each lifecycle step and hands
+// over a shard layout only to say "sharded".
+//
 // The SnapshotStore publishes new epochs atomically: readers acquire()
 // a shared_ptr to the current snapshot (one small critical section),
 // while publish() swaps the pointer and retires the old epoch. A
@@ -21,13 +28,17 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/provider_risk.hpp"
 #include "core/world.hpp"
+#include "delta/apply.hpp"
 #include "fault/diagnostics.hpp"
 #include "serve/types.hpp"
 #include "shard/layout.hpp"
+#include "store/store.hpp"
 
 namespace fa::shard {
 class ShardedWorld;
@@ -44,10 +55,15 @@ class Snapshot {
  public:
   // Builds the world for `config` and precomputes the query-side
   // aggregates. Any ingest failure (per `policy`) or injected
-  // serve.snapshot.build fault surfaces as the error Status.
+  // serve.snapshot.build fault surfaces as the error Status. Handed a
+  // `layout`, the built world is also partitioned into a geo-sharded
+  // view and the snapshot serves through the planner; the monolithic
+  // world is retained (it was just built — re-materializing it later
+  // would be pure waste), so ensemble queries on this epoch stay cheap.
   static fault::Result<std::shared_ptr<const Snapshot>> build(
       const synth::ScenarioConfig& config, Epoch epoch,
-      fault::RecoveryPolicy policy = fault::RecoveryPolicy::kQuarantine);
+      fault::RecoveryPolicy policy = fault::RecoveryPolicy::kQuarantine,
+      const std::optional<shard::LayoutOptions>& layout = std::nullopt);
 
   // Wraps an already-built world (restored from the snapshot store) as
   // an epoch. The provider-risk aggregate is recomputed from the world,
@@ -75,16 +91,36 @@ class Snapshot {
   static std::shared_ptr<const Snapshot> adopt_sharded(
       shard::ShardedWorld sharded, Epoch epoch);
 
-  // build()'s sharded twin: same injection seam, same diagnostics
-  // plumbing, but the built world is partitioned by `layout` and the
-  // snapshot serves through the planner. The monolithic world is
-  // retained (it was just built — re-materializing it later would be
-  // pure waste), so ensemble queries on this epoch stay cheap; delta
-  // applies never need it.
-  static fault::Result<std::shared_ptr<const Snapshot>> build_sharded(
-      const synth::ScenarioConfig& config, Epoch epoch,
-      fault::RecoveryPolicy policy = fault::RecoveryPolicy::kQuarantine,
-      const shard::LayoutOptions& layout = {});
+  // The newest servable generation in `dir`, as epoch `epoch`, and the
+  // generation it came from. Handed a `layout`, runs the sharded ladder
+  // (FASHRD01 opens zero-copy, degrading shard by shard; FASNAP01
+  // migrates in memory by `layout`); otherwise the monolithic one. Either
+  // way the snapshot carries the generation's stored provider-risk
+  // aggregate, which decode cross-checks against the restored world.
+  struct Recovered {
+    std::shared_ptr<const Snapshot> snapshot;
+    store::Generation generation;
+  };
+  static fault::Result<Recovered> recover(
+      const store::StoreDir& dir, Epoch epoch,
+      const std::optional<shard::LayoutOptions>& layout = std::nullopt);
+
+  // This snapshot with `events` applied, as epoch `epoch`: a sharded
+  // view through shard::apply_delta (untouched pages shared with this
+  // snapshot), a monolithic world through delta::Applier. Fails closed
+  // (injected delta.apply fault, strict-policy validation error, a
+  // degraded sharded view) with nothing produced; `stats` is filled only
+  // on success.
+  fault::Result<std::shared_ptr<const Snapshot>> apply(
+      std::span<const delta::FeedEvent> events, Epoch epoch,
+      const delta::ApplyOptions& options,
+      delta::ApplyStats* stats = nullptr) const;
+
+  // The store image of this snapshot: FASHRD01 for a sharded view,
+  // FASNAP01 otherwise. A degraded view (quarantined shards) is refused —
+  // persisting it would commit the data loss as the newest generation,
+  // the one recovery prefers.
+  fault::Result<std::string> encode() const;
 
   Epoch epoch() const { return epoch_; }
   // Monolithic world backing this epoch. For a sharded snapshot with no
@@ -122,9 +158,9 @@ class Snapshot {
 };
 
 // -- query evaluation --------------------------------------------------
-// Pure functions of (snapshot, query); the Server adds caching and
-// batching on top. Responses are deterministic: same snapshot content,
-// same query, same bytes — the property the cache equivalence tests pin.
+// Pure functions of (snapshot, query); the Server adds caching on top.
+// Responses are deterministic: same snapshot content, same query, same
+// bytes — the property the cache equivalence tests pin.
 PointRiskResponse evaluate(const Snapshot& snap, const PointRiskQuery& q);
 BBoxAggregateResponse evaluate(const Snapshot& snap,
                                const BBoxAggregateQuery& q);

@@ -184,10 +184,9 @@ struct TopKFragileSitesResponse {
 
 // -- the unified request/response surface ------------------------------
 // One type-erased shape for every query the serving layer answers. The
-// wire decoder, the batcher admission path, and the result cache all
-// dispatch through these two variants (Server::handle is the single
-// entry point); the typed query structs above stay the ergonomic API
-// for in-process callers.
+// wire decoder and the result cache both dispatch through these two
+// variants (Server::handle is the single entry point); the typed query
+// structs above stay the ergonomic API for in-process callers.
 using Request =
     std::variant<PointRiskQuery, BBoxAggregateQuery, ProviderExposureQuery,
                  TopKSitesQuery, EnsembleSummaryQuery, TopKFragileSitesQuery>;

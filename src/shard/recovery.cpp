@@ -2,37 +2,17 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <utility>
 
-#include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "shard/codec.hpp"
 
 namespace fa::shard {
 
-namespace {
-
 using fault::ErrCode;
 using fault::Status;
-
-// Same read-corruption seam as the monolithic loader — one name, one
-// key scheme ("store.read.corrupt" by generation number), so existing
-// chaos configs exercise both ladders. MAP_PRIVATE keeps flips
-// process-local.
-void apply_read_corruption(store::MappedFile& file, std::uint64_t key) {
-  const auto& injector = fault::Injector::global();
-  if (!injector.fires("store.read.corrupt", key)) return;
-  unsigned char* bytes = file.mutable_data();
-  const std::uint64_t flips =
-      1 + injector.draw("store.read.corrupt", key ^ 0x9E3779B97F4A7C15ull) % 4;
-  for (std::uint64_t i = 0; i < flips; ++i) {
-    const std::uint64_t r = injector.draw("store.read.corrupt", key + 1 + i);
-    bytes[r % file.size()] ^= static_cast<unsigned char>(1u << (r % 8));
-  }
-}
-
-}  // namespace
 
 fault::Result<ShardedWorld> ShardRecoveryManager::load_generation(
     const store::Generation& generation, bool* migrated) {
@@ -42,7 +22,7 @@ fault::Result<ShardedWorld> ShardRecoveryManager::load_generation(
   if (!mapped.ok()) return mapped.status();
   auto file =
       std::make_shared<store::MappedFile>(std::move(mapped).take());
-  apply_read_corruption(*file, generation.number);
+  store::apply_read_corruption(*file, generation.number);
 
   if (file->size() < 8) {
     return Status::error(ErrCode::kTruncated, file->size(), path,
@@ -88,46 +68,23 @@ fault::Result<ShardedWorld> ShardRecoveryManager::load_generation(
 
 fault::Result<RecoveredShardedWorld> ShardRecoveryManager::recover(
     store::RecoveryReport* report) {
-  obs::Span span(obs::metrics::kStoreRecoverNs);
-  store::Manifest manifest;
-  auto from_manifest = dir_.read_manifest();
-  if (from_manifest.ok()) {
-    manifest = std::move(from_manifest.value());
-  } else {
-    obs::count(obs::metrics::kStoreManifestFallbacks);
-    if (report) {
-      report->manifest_fallback = true;
-      report->steps.push_back(from_manifest.status());
-    }
-    manifest = dir_.scan();
+  std::optional<ShardedWorld> world;
+  bool migrated = false;
+  auto generation = store::recover_newest(
+      dir_,
+      [&](const store::Generation& g) {
+        auto loaded = load_generation(g, &migrated);
+        if (!loaded.ok()) return loaded.status();
+        world.emplace(std::move(loaded).take());
+        return Status{};
+      },
+      report);
+  if (!generation.ok()) return generation.status();
+  if (report && migrated) {
+    report->steps.back().message = "loaded (migrated from monolithic image)";
   }
-  if (manifest.generations.empty()) {
-    return Status::error(ErrCode::kIoFailure, 0, dir_.path(),
-                         "store holds no generations");
-  }
-  Status last;
-  for (auto it = manifest.generations.rbegin();
-       it != manifest.generations.rend(); ++it) {
-    obs::count(obs::metrics::kStoreRecoverAttempts);
-    bool migrated = false;
-    auto loaded = load_generation(*it, &migrated);
-    if (loaded.ok()) {
-      obs::count(obs::metrics::kStoreRecoverLoaded);
-      if (report) {
-        Status okstep;
-        okstep.source = dir_.file_path(it->filename);
-        okstep.message = migrated ? "loaded (migrated from monolithic image)"
-                                  : "loaded";
-        report->steps.push_back(okstep);
-      }
-      return RecoveredShardedWorld{std::move(loaded).take(), *it, migrated};
-    }
-    obs::count(obs::metrics::kStoreRecoverRejected);
-    last = loaded.status();
-    if (report) report->steps.push_back(last);
-  }
-  last.message = "every generation rejected; newest failure: " + last.message;
-  return last;
+  return RecoveredShardedWorld{std::move(*world), generation.value(),
+                               migrated};
 }
 
 fault::Result<RecoveredShardedWorld> recover_sharded(

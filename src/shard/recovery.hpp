@@ -1,20 +1,26 @@
 // Sharded cold-start recovery ladder.
 //
-// ShardRecoveryManager walks the same store directory layout as
-// store::RecoveryManager (MANIFEST -> scan fallback, generations newest
-// to oldest) but recovers a serving *view* instead of a decoded world,
-// and degrades shard-by-shard instead of generation-by-generation:
+// ShardRecoveryManager runs store::recover_newest, the ladder loop the
+// monolithic store::RecoveryManager also runs (MANIFEST -> scan
+// fallback, generations newest to oldest), and supplies only the
+// per-generation loader. It recovers a serving *view* instead of a
+// decoded world, and degrades shard-by-shard instead of
+// generation-by-generation:
 //
-//   * a FASHRD01 generation opens zero-copy; if its whole-file checksum
-//     disagrees with the manifest, the open retries with per-section
-//     deep verification and quarantines exactly the shards that are
-//     damaged — one flipped bit in one shard costs that shard, not the
-//     generation (the monolithic ladder would reject the whole image
-//     and fall back a generation, losing every committed delta since);
+//   * a FASHRD01 generation opens zero-copy with deep verification on
+//     every open: the frame and global sections are checked, and every
+//     per-shard payload is CRC'd against the section table (one
+//     parallel sweep over the file). The manifest's whole-file CRC is
+//     never checked; a payload that fails its CRC quarantines exactly
+//     that shard — one flipped bit in one shard costs that shard, not
+//     the generation (the monolithic ladder would reject the whole
+//     image and fall back a generation, losing every committed delta
+//     since);
 //   * a FASNAP01 generation (a store written before sharding, or by the
-//     monolithic path) is decoded through store::RecoveryManager's full
-//     ladder and migrated in memory with ShardedWorld::from_world — the
-//     upgrade path needs no offline conversion step;
+//     monolithic path) is loaded through store::RecoveryManager's
+//     load_generation (manifest CRC rung included) and migrated in
+//     memory with ShardedWorld::from_world — the upgrade path needs no
+//     offline conversion step;
 //   * a generation is rejected only when its frame or global sections
 //     are unreadable, or every shard is quarantined (nothing servable).
 #pragma once
@@ -46,10 +52,10 @@ class ShardRecoveryManager {
 
   const store::StoreDir& dir() const { return dir_; }
 
-  // The ladder. On error every generation was rejected (or none exist);
-  // the error Status summarizes the last failure. Reuses
-  // store::RecoveryReport so operators read one step-per-attempt story
-  // for either flavor.
+  // The ladder (store::recover_newest over load_generation). On error
+  // every generation was rejected (or none exist); the error Status
+  // summarizes the last failure. Reuses store::RecoveryReport so
+  // operators read one step-per-attempt story for either flavor.
   fault::Result<RecoveredShardedWorld> recover(
       store::RecoveryReport* report = nullptr);
 

@@ -1,5 +1,6 @@
 #include "store/recovery.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "fault/injector.hpp"
@@ -8,15 +9,9 @@
 
 namespace fa::store {
 
-namespace {
-
 using fault::ErrCode;
 using fault::Status;
 
-// The read-corruption seam: flip a few seeded bytes of the mapped
-// image. MAP_PRIVATE makes the flips process-local; the file on disk
-// stays intact, modelling bad RAM / a bit-rotted read path rather than
-// durable corruption.
 void apply_read_corruption(MappedFile& file, std::uint64_t key) {
   const auto& injector = fault::Injector::global();
   if (!injector.fires("store.read.corrupt", key)) return;
@@ -28,8 +23,6 @@ void apply_read_corruption(MappedFile& file, std::uint64_t key) {
     bytes[r % file.size()] ^= static_cast<unsigned char>(1u << (r % 8));
   }
 }
-
-}  // namespace
 
 fault::Result<LoadedWorld> RecoveryManager::load_generation(
     const Generation& generation) {
@@ -58,11 +51,12 @@ fault::Result<LoadedWorld> RecoveryManager::load_generation(
   return decoded;
 }
 
-fault::Result<RecoveredWorld> RecoveryManager::recover(
-    RecoveryReport* report) {
+fault::Result<Generation> recover_newest(const StoreDir& dir,
+                                         const GenerationLoader& load,
+                                         RecoveryReport* report) {
   obs::Span span(obs::metrics::kStoreRecoverNs);
   Manifest manifest;
-  auto from_manifest = dir_.read_manifest();
+  auto from_manifest = dir.read_manifest();
   if (from_manifest.ok()) {
     manifest = std::move(from_manifest.value());
   } else {
@@ -71,33 +65,49 @@ fault::Result<RecoveredWorld> RecoveryManager::recover(
       report->manifest_fallback = true;
       report->steps.push_back(from_manifest.status());
     }
-    manifest = dir_.scan();
+    manifest = dir.scan();
   }
   if (manifest.generations.empty()) {
-    return Status::error(ErrCode::kIoFailure, 0, dir_.path(),
+    return Status::error(ErrCode::kIoFailure, 0, dir.path(),
                          "store holds no generations");
   }
   Status last;
   for (auto it = manifest.generations.rbegin();
        it != manifest.generations.rend(); ++it) {
     obs::count(obs::metrics::kStoreRecoverAttempts);
-    auto loaded = load_generation(*it);
+    const Status loaded = load(*it);
     if (loaded.ok()) {
       obs::count(obs::metrics::kStoreRecoverLoaded);
       if (report) {
         Status okstep;
-        okstep.source = dir_.file_path(it->filename);
+        okstep.source = dir.file_path(it->filename);
         okstep.message = "loaded";
         report->steps.push_back(okstep);
       }
-      return RecoveredWorld{std::move(loaded).take(), *it};
+      return *it;
     }
     obs::count(obs::metrics::kStoreRecoverRejected);
-    last = loaded.status();
+    last = loaded;
     if (report) report->steps.push_back(last);
   }
   last.message = "every generation rejected; newest failure: " + last.message;
   return last;
+}
+
+fault::Result<RecoveredWorld> RecoveryManager::recover(
+    RecoveryReport* report) {
+  std::optional<LoadedWorld> world;
+  auto generation = recover_newest(
+      dir_,
+      [&](const Generation& g) {
+        auto loaded = load_generation(g);
+        if (!loaded.ok()) return loaded.status();
+        world.emplace(std::move(loaded).take());
+        return Status{};
+      },
+      report);
+  if (!generation.ok()) return generation.status();
+  return RecoveredWorld{std::move(*world), generation.value()};
 }
 
 fault::Result<RecoveredWorld> recover_from(const std::string& path,

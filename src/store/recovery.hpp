@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,24 @@ struct RecoveryReport {
   std::vector<fault::Status> steps;
   bool manifest_fallback = false;
 };
+
+// The ladder loop, shared by both store formats (RecoveryManager here,
+// shard::ShardRecoveryManager for FASHRD01): read the MANIFEST, falling
+// back to a directory scan, then offer generations newest to oldest to
+// `load` until one loads. `load` keeps what it loaded; the ladder keeps
+// the store.recover.* counters and the report, and returns the
+// generation that loaded.
+using GenerationLoader = std::function<fault::Status(const Generation&)>;
+fault::Result<Generation> recover_newest(const StoreDir& dir,
+                                         const GenerationLoader& load,
+                                         RecoveryReport* report = nullptr);
+
+// The read-corruption seam ("store.read.corrupt", keyed by generation
+// number) every generation loader applies to its fresh mapping: flips a
+// few seeded bytes of the mapped image. MAP_PRIVATE makes the flips process-local; the file
+// on disk stays intact, modelling bad RAM / a bit-rotted read path
+// rather than durable corruption.
+void apply_read_corruption(MappedFile& file, std::uint64_t key);
 
 class RecoveryManager {
  public:

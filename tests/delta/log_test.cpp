@@ -14,6 +14,7 @@
 
 #include "delta/event.hpp"
 #include "delta/log.hpp"
+#include "store/format.hpp"
 #include "store/store.hpp"
 #include "../store/store_test_util.hpp"
 
@@ -100,6 +101,43 @@ TEST(DeltaLog, ZeroBaseCrcComputedFromImage) {
   DeltaLog d = std::move(log).take();
   ASSERT_TRUE(d.append(batch(0, 2)).ok());
   EXPECT_EQ(d.replay().batches.size(), 1u);
+}
+
+TEST(DeltaLog, MultiChunkBaseImageLinksAndReplays) {
+  // The base link is the image's whole-file CRC, read in kCrcChunkBytes
+  // pieces. An image over two chunks long, and not a whole number of
+  // them, must give the one-shot CRC both when open() derives the link
+  // (crc 0) and when replay() re-derives it.
+  TempDir tmp;
+  store::StoreDir dir = store::StoreDir::open(tmp.path).take();
+  std::string image(2 * DeltaLog::kCrcChunkBytes + 4099, '\0');
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (char& c : image) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  const store::Generation gen = dir.commit(image).take();
+  ASSERT_EQ(gen.crc, store::crc32(image.data(), image.size()));
+
+  DeltaLog derived = DeltaLog::open(dir, gen.number, 0).take();
+  ASSERT_TRUE(derived.append(batch(0, 2)).ok());
+  ASSERT_TRUE(derived.append(batch(2, 3)).ok());
+  // The manifest's CRC finds the chain the derived link started.
+  const DeltaLog logged = DeltaLog::open(dir, gen.number, gen.crc).take();
+  EXPECT_EQ(logged.next_ordinal(), 2u);
+  const DeltaLog::Replay replayed = logged.replay();
+  EXPECT_EQ(replayed.truncated, 0u);
+  EXPECT_EQ(replayed.batches.size(), 2u);
+
+  // One flipped bit in the image's last, partial chunk moves the link:
+  // replay no longer proves the chain starts at this image.
+  image.back() = static_cast<char>(image.back() ^ 1);
+  spit(dir.file_path(gen.filename), image);
+  const DeltaLog::Replay orphaned = logged.replay();
+  EXPECT_TRUE(orphaned.batches.empty());
+  EXPECT_EQ(orphaned.truncated, 1u);
 }
 
 TEST(DeltaLog, ReopenFindsChainTail) {

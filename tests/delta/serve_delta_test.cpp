@@ -104,90 +104,109 @@ TEST(ServeDelta, SnapshotsShareUntouchedLayers) {
             base->world().corpus().size() - 1);
 }
 
-TEST(ServeDelta, ColdStartReplaysChainToServingBytes) {
-  TempDir tmp;
+// The store-backed cases run once per representation: the Server's
+// lifecycle is one path either way, so the log contracts must hold for
+// a monolithic world and for a sharded view alike.
+constexpr bool kRepresentations[] = {false, true};
+
+ServerOptions store_options(const std::string& dir, bool sharded) {
   ServerOptions options;
-  options.store_dir = tmp.path;
-  std::string final_bytes;
-  {
-    Server server(tiny_config(), options);
-    ASSERT_TRUE(server.save_snapshot().ok());
-    const auto feed_root = server.snapshots().acquire();
-  delta::FeedGenerator gen(feed_root->world(), {});
-    delta::FeedIngestor ingestor;
-    for (int tick = 0; tick < 3; ++tick) {
-      const std::vector<delta::FeedEvent> batch =
-          next_batch(server, gen, ingestor);
-      ASSERT_FALSE(batch.empty());
-      ASSERT_TRUE(server.apply_delta(batch).ok()) << "tick " << tick;
+  options.store_dir = dir;
+  options.sharded = sharded;
+  return options;
+}
+
+TEST(ServeDelta, ColdStartReplaysChainToServingBytes) {
+  for (const bool sharded : kRepresentations) {
+    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+    TempDir tmp;
+    const ServerOptions options = store_options(tmp.path, sharded);
+    std::string final_bytes;
+    {
+      Server server(tiny_config(), options);
+      ASSERT_TRUE(server.save_snapshot().ok());
+      const auto feed_root = server.snapshots().acquire();
+      delta::FeedGenerator gen(feed_root->world(), {});
+      delta::FeedIngestor ingestor;
+      for (int tick = 0; tick < 3; ++tick) {
+        const std::vector<delta::FeedEvent> batch =
+            next_batch(server, gen, ingestor);
+        ASSERT_FALSE(batch.empty());
+        ASSERT_TRUE(server.apply_delta(batch).ok()) << "tick " << tick;
+      }
+      EXPECT_EQ(count_increments(tmp.path), 3u);
+      final_bytes = serving_bytes(server);
     }
-    EXPECT_EQ(count_increments(tmp.path), 3u);
-    final_bytes = serving_bytes(server);
+    // Cold start: image + 3-increment chain replay, no fresh build.
+    Server revived(tiny_config(), options);
+    EXPECT_TRUE(revived.loaded_from_store());
+    EXPECT_EQ(revived.epoch(), 1u);
+    EXPECT_EQ(serving_bytes(revived), final_bytes);
+    // The revived log continues the chain instead of restarting it.
+    const auto revived_root = revived.snapshots().acquire();
+    delta::FeedGenerator gen(revived_root->world(), {});
+    delta::FeedIngestor ingestor;
+    const std::vector<delta::FeedEvent> batch =
+        next_batch(revived, gen, ingestor);
+    ASSERT_TRUE(revived.apply_delta(batch).ok());
+    EXPECT_EQ(revived.epoch(), 2u);
+    EXPECT_EQ(count_increments(tmp.path), 4u);
   }
-  // Cold start: image + 3-increment chain replay, no fresh build.
-  Server revived(tiny_config(), options);
-  EXPECT_TRUE(revived.loaded_from_store());
-  EXPECT_EQ(serving_bytes(revived), final_bytes);
-  // The revived log continues the chain instead of restarting it.
-  const auto revived_root = revived.snapshots().acquire();
-  delta::FeedGenerator gen(revived_root->world(), {});
-  delta::FeedIngestor ingestor;
-  const std::vector<delta::FeedEvent> batch =
-      next_batch(revived, gen, ingestor);
-  ASSERT_TRUE(revived.apply_delta(batch).ok());
-  EXPECT_EQ(count_increments(tmp.path), 4u);
 }
 
 TEST(ServeDelta, SaveSnapshotRerootsChain) {
-  TempDir tmp;
-  ServerOptions options;
-  options.store_dir = tmp.path;
-  Server server(tiny_config(), options);
-  ASSERT_TRUE(server.save_snapshot().ok());
-  const auto feed_root = server.snapshots().acquire();
-  delta::FeedGenerator gen(feed_root->world(), {});
-  delta::FeedIngestor ingestor;
-  ASSERT_TRUE(
-      server.apply_delta(next_batch(server, gen, ingestor)).ok());
-  ASSERT_TRUE(
-      server.apply_delta(next_batch(server, gen, ingestor)).ok());
-  ASSERT_EQ(count_increments(tmp.path), 2u);
-  // Committing the serving state supersedes the old chain: stale
-  // increments prune, and the next delta starts a chain on the new
-  // image.
-  ASSERT_TRUE(server.save_snapshot().ok());
-  EXPECT_EQ(count_increments(tmp.path), 0u);
-  ASSERT_TRUE(
-      server.apply_delta(next_batch(server, gen, ingestor)).ok());
-  EXPECT_EQ(count_increments(tmp.path), 1u);
-  const std::string final_bytes = serving_bytes(server);
-  Server revived(tiny_config(), options);
-  EXPECT_TRUE(revived.loaded_from_store());
-  EXPECT_EQ(serving_bytes(revived), final_bytes);
+  for (const bool sharded : kRepresentations) {
+    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+    TempDir tmp;
+    const ServerOptions options = store_options(tmp.path, sharded);
+    Server server(tiny_config(), options);
+    ASSERT_TRUE(server.save_snapshot().ok());
+    const auto feed_root = server.snapshots().acquire();
+    delta::FeedGenerator gen(feed_root->world(), {});
+    delta::FeedIngestor ingestor;
+    ASSERT_TRUE(
+        server.apply_delta(next_batch(server, gen, ingestor)).ok());
+    ASSERT_TRUE(
+        server.apply_delta(next_batch(server, gen, ingestor)).ok());
+    ASSERT_EQ(count_increments(tmp.path), 2u);
+    // Committing the serving state supersedes the old chain: stale
+    // increments prune, and the next delta starts a chain on the new
+    // image.
+    ASSERT_TRUE(server.save_snapshot().ok());
+    EXPECT_EQ(count_increments(tmp.path), 0u);
+    ASSERT_TRUE(
+        server.apply_delta(next_batch(server, gen, ingestor)).ok());
+    EXPECT_EQ(count_increments(tmp.path), 1u);
+    const std::string final_bytes = serving_bytes(server);
+    Server revived(tiny_config(), options);
+    EXPECT_TRUE(revived.loaded_from_store());
+    EXPECT_EQ(serving_bytes(revived), final_bytes);
+  }
 }
 
 TEST(ServeDelta, RebuildDisengagesLog) {
-  TempDir tmp;
-  ServerOptions options;
-  options.store_dir = tmp.path;
-  Server server(tiny_config(), options);
-  ASSERT_TRUE(server.save_snapshot().ok());
-  // rebuild() publishes a from-scratch world: the serving state no
-  // longer derives from the committed generation, so subsequent deltas
-  // must NOT append to that generation's chain (replaying them over
-  // the old image would fabricate a different world than served).
-  ASSERT_TRUE(server.rebuild(tiny_config()).ok());
-  const auto feed_root = server.snapshots().acquire();
-  delta::FeedGenerator gen(feed_root->world(), {});
-  delta::FeedIngestor ingestor;
-  ASSERT_TRUE(
-      server.apply_delta(next_batch(server, gen, ingestor)).ok());
-  EXPECT_EQ(count_increments(tmp.path), 0u);
-  // save_snapshot() re-roots; appending resumes on the new image.
-  ASSERT_TRUE(server.save_snapshot().ok());
-  ASSERT_TRUE(
-      server.apply_delta(next_batch(server, gen, ingestor)).ok());
-  EXPECT_EQ(count_increments(tmp.path), 1u);
+  for (const bool sharded : kRepresentations) {
+    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+    TempDir tmp;
+    Server server(tiny_config(), store_options(tmp.path, sharded));
+    ASSERT_TRUE(server.save_snapshot().ok());
+    // rebuild() publishes a from-scratch world: the serving state no
+    // longer derives from the committed generation, so subsequent deltas
+    // must NOT append to that generation's chain (replaying them over
+    // the old image would fabricate a different world than served).
+    ASSERT_TRUE(server.rebuild(tiny_config()).ok());
+    const auto feed_root = server.snapshots().acquire();
+    delta::FeedGenerator gen(feed_root->world(), {});
+    delta::FeedIngestor ingestor;
+    ASSERT_TRUE(
+        server.apply_delta(next_batch(server, gen, ingestor)).ok());
+    EXPECT_EQ(count_increments(tmp.path), 0u);
+    // save_snapshot() re-roots; appending resumes on the new image.
+    ASSERT_TRUE(server.save_snapshot().ok());
+    ASSERT_TRUE(
+        server.apply_delta(next_batch(server, gen, ingestor)).ok());
+    EXPECT_EQ(count_increments(tmp.path), 1u);
+  }
 }
 
 TEST(ServeDelta, NoStoreConfiguredStillApplies) {

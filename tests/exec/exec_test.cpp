@@ -240,7 +240,7 @@ TEST(ThreadPoolTest, DefaultPoolHasSweepHeadroom) {
 }
 
 TEST(ParallelForTest, MinParallelKeepsTinyRegionsOnCallingThread) {
-  // The serve batcher's latency hook: below the threshold the region
+  // The serve planner's latency hook: below the threshold the region
   // runs serially on the caller (no worker wakeup), above it the pool
   // dispatches as usual. Results are identical either way.
   const std::thread::id caller = std::this_thread::get_id();

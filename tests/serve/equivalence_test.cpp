@@ -1,5 +1,5 @@
-// The serving layer's determinism contract: the cache and the batcher
-// may change *when* an answer is computed, never what it contains, and
+// The serving layer's determinism contract: the cache may change
+// *when* an answer is computed, never what it contains, and
 // a hot-swap mid-stream partitions responses cleanly by epoch — every
 // answer matches a from-scratch evaluation against the snapshot whose
 // epoch it carries.

@@ -1,12 +1,11 @@
 // Unit tests for the fa::serve building blocks: query fingerprints, the
 // sharded LRU cache (counters, epoch keying, the corruption seam), the
 // snapshot store's retire/reclaim accounting, and the Server front door
-// (per-shape answers, batching, rebuild success and failure).
+// (per-shape answers, rebuild success and failure).
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -194,34 +193,6 @@ TEST_F(ServeTest, ServerAnswersEveryQueryShape) {
                 (a.whp == b.whp && a.distance_m <= b.distance_m))
         << "ranking must be class-major, distance-minor at " << i;
     EXPECT_LE(b.distance_m, topk.radius_m);
-  }
-}
-
-TEST_F(ServeTest, BatchedPointPathMatchesDirect) {
-  Server& server = shared_server();
-  std::vector<PointRiskQuery> queries;
-  for (const AnyQuery& q : make_stream(96, 11)) {
-    if (const auto* p = std::get_if<PointRiskQuery>(&q)) queries.push_back(*p);
-  }
-  ASSERT_GT(queries.size(), 8u);
-  std::vector<PointRiskResponse> direct(queries.size());
-  std::vector<PointRiskResponse> batched(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    direct[i] = server.point_risk(queries[i]);
-  }
-  // Concurrent submitters force real coalescing rounds.
-  std::vector<std::thread> clients;
-  constexpr std::size_t kClients = 6;
-  for (std::size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (std::size_t i = c; i < queries.size(); i += kClients) {
-        batched[i] = server.point_risk_batched(queries[i]);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(batched[i] == direct[i]) << "batched diverged at " << i;
   }
 }
 

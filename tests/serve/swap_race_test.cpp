@@ -1,6 +1,6 @@
 // Snapshot hot-swap under fire: writer threads republishing epochs
-// while reader threads query through every path (direct, batched,
-// cached). Run under FA_SANITIZE=thread this is the serving layer's
+// while reader threads query through handle() and the typed wrappers,
+// cache on. Run under FA_SANITIZE=thread this is the serving layer's
 // data-race proof; the assertions here pin the memory-lifetime story —
 // every response carries a live, monotonically advancing epoch, and
 // every retired snapshot is reclaimed once its readers drain.
@@ -54,15 +54,13 @@ void run_swap_race(const char* rebuild_spec) {
       const std::vector<AnyQuery> stream =
           make_stream(kQueriesPerReader, 1000 + static_cast<std::uint64_t>(r));
       Epoch last = 0;
-      for (std::size_t i = 0; i < stream.size(); ++i) {
-        Epoch epoch = 0;
-        // Alternate the batched path in so rounds race the swaps too.
-        if (const auto* p = std::get_if<PointRiskQuery>(&stream[i]);
-            p != nullptr && i % 2 == 0) {
-          epoch = server.point_risk_batched(*p).epoch;
-        } else {
-          epoch = epoch_of(ask(server, stream[i]));
-        }
+      for (const AnyQuery& q : stream) {
+        // Point queries take the front door the network workers use.
+        const auto* p = std::get_if<PointRiskQuery>(&q);
+        const Epoch epoch =
+            p != nullptr
+                ? std::get<PointRiskResponse>(server.handle(Request{*p})).epoch
+                : epoch_of(ask(server, q));
         // 0 never serves, and each acquire() sees the current snapshot,
         // so the epochs one thread observes can only move forward.
         if (epoch == 0 || epoch < last) violations.fetch_add(1);

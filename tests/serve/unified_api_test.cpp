@@ -2,8 +2,8 @@
 // legacy typed methods are thin wrappers over it. This suite pins the
 // contract the front door depends on: handle() is byte-identical (under
 // the canonical wire encoding) to the typed methods on all four query
-// shapes, and the cached / uncached / batched paths all agree through
-// the unified surface.
+// shapes, and the cached / uncached paths agree through the unified
+// surface.
 #include <gtest/gtest.h>
 
 #include <variant>
@@ -53,30 +53,6 @@ TEST(UnifiedApi, HandleMatchesTypedMethodsByteForByte) {
     EXPECT_EQ(via_handle, via_typed);
     EXPECT_EQ(wire::encode(via_handle), wire::encode(via_typed));
   }
-}
-
-TEST(UnifiedApi, BatchedDispatchAgreesWithDirect) {
-  Server server(small_config());
-  const auto stream = make_stream(120, 11, 30);
-  for (const auto& any : stream) {
-    const Request req = to_request(any);
-    if (!std::holds_alternative<PointRiskQuery>(req)) continue;
-    const Response direct = server.handle(req, Dispatch::kDirect);
-    const Response batched = server.handle(req, Dispatch::kBatched);
-    EXPECT_EQ(direct, batched);
-    // And the legacy batched wrapper is the same path.
-    EXPECT_EQ(std::get<PointRiskResponse>(batched),
-              server.point_risk_batched(std::get<PointRiskQuery>(req)));
-  }
-}
-
-TEST(UnifiedApi, BatchedDispatchFallsBackForNonPointShapes) {
-  // Dispatch::kBatched on non-point queries is not an error — they take
-  // the direct path (only point queries coalesce).
-  Server server(small_config());
-  const Request req{ProviderExposureQuery{cellnet::Provider::kTMobile}};
-  EXPECT_EQ(server.handle(req, Dispatch::kBatched),
-            server.handle(req, Dispatch::kDirect));
 }
 
 TEST(UnifiedApi, CachedAndUncachedAgreeThroughHandle) {

@@ -62,18 +62,22 @@ TEST(StoreServe, ColdStartFromStoreServesIdenticalBytes) {
 }
 
 TEST(StoreServe, ConfigMismatchFallsBackToFreshBuild) {
-  TempDir tmp;
-  serve::ServerOptions opts;
-  opts.store_dir = tmp.path;
-  {
-    serve::Server seeded(tiny_config(/*seed=*/1), opts);
-    ASSERT_TRUE(seeded.save_snapshot().ok());
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+    TempDir tmp;
+    serve::ServerOptions opts;
+    opts.store_dir = tmp.path;
+    opts.sharded = sharded;
+    {
+      serve::Server seeded(tiny_config(/*seed=*/1), opts);
+      ASSERT_TRUE(seeded.save_snapshot().ok());
+    }
+    // A different seed is a different scenario: the stored generation
+    // must not be adopted silently.
+    serve::Server other(tiny_config(/*seed=*/2), opts);
+    EXPECT_FALSE(other.loaded_from_store());
+    EXPECT_TRUE(other.config() == tiny_config(2));
   }
-  // A different seed is a different scenario: the stored generation
-  // must not be adopted silently.
-  serve::Server other(tiny_config(/*seed=*/2), opts);
-  EXPECT_FALSE(other.loaded_from_store());
-  EXPECT_TRUE(other.config() == tiny_config(2));
 }
 
 TEST(StoreServe, SaveWithoutStoreIsAnError) {
@@ -84,38 +88,47 @@ TEST(StoreServe, SaveWithoutStoreIsAnError) {
 }
 
 // The satellite contract: rebuilding from disk publishes a new epoch
-// whose bytes match an in-memory rebuild of the same scenario exactly.
+// whose bytes match an in-memory rebuild of the same scenario exactly,
+// whichever representation serves.
 TEST(StoreServe, RebuildFromStoreMatchesInMemoryRebuild) {
-  TempDir tmp;
-  serve::ServerOptions opts;
-  opts.store_dir = tmp.path;
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+    TempDir tmp;
+    serve::ServerOptions opts;
+    opts.sharded = sharded;
+    serve::Server mem(tiny_config(), opts);
+    ASSERT_TRUE(mem.rebuild(tiny_config()).ok());
+    EXPECT_EQ(mem.epoch(), 2u);
 
-  serve::Server disk(tiny_config(), opts);
-  ASSERT_TRUE(disk.save_snapshot().ok());
-  ASSERT_TRUE(disk.rebuild_from_store().ok());
-  EXPECT_EQ(disk.epoch(), 2u);
+    opts.store_dir = tmp.path;
+    serve::Server disk(tiny_config(), opts);
+    ASSERT_TRUE(disk.save_snapshot().ok());
+    ASSERT_TRUE(disk.rebuild_from_store().ok());
+    EXPECT_EQ(disk.epoch(), 2u);
 
-  serve::Server mem(tiny_config());
-  ASSERT_TRUE(mem.rebuild(tiny_config()).ok());
-  EXPECT_EQ(mem.epoch(), 2u);
-
-  for (const auto& q : make_stream(150, /*seed=*/43)) {
-    EXPECT_EQ(serve::wire::encode(to_response(ask(mem, q))),
-              serve::wire::encode(to_response(ask(disk, q))));
+    for (const auto& q : make_stream(150, /*seed=*/43)) {
+      EXPECT_EQ(serve::wire::encode(to_response(ask(mem, q))),
+                serve::wire::encode(to_response(ask(disk, q))));
+    }
   }
 }
 
 TEST(StoreServe, RebuildFromEmptyStoreKeepsServing) {
-  TempDir tmp;
-  serve::ServerOptions opts;
-  opts.store_dir = tmp.path;
-  serve::Server server(tiny_config(), opts);  // fresh build, nothing saved
-  const serve::Epoch before = server.epoch();
-  const fault::Status s = server.rebuild_from_store();
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(server.epoch(), before) << "failed swap must not move the epoch";
-  serve::PointRiskResponse r = server.point_risk({{-120.0, 38.0}, 0.0});
-  EXPECT_EQ(r.epoch, before);
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+    TempDir tmp;
+    serve::ServerOptions opts;
+    opts.store_dir = tmp.path;
+    opts.sharded = sharded;
+    serve::Server server(tiny_config(), opts);  // fresh build, nothing saved
+    const serve::Epoch before = server.epoch();
+    const fault::Status s = server.rebuild_from_store();
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(server.epoch(), before)
+        << "failed swap must not move the epoch";
+    serve::PointRiskResponse r = server.point_risk({{-120.0, 38.0}, 0.0});
+    EXPECT_EQ(r.epoch, before);
+  }
 }
 
 // Disk-sourced hot-swap under concurrent network load: clients hammer a
