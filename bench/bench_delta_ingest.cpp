@@ -168,7 +168,7 @@ int main() {
                     : sharded_apply_s);
   std::printf(
       "delta apply: %zu batches, %zu events, mean %.4fs, max %.4fs "
-      "(%zu cache entries dirtied)\n",
+      "(%zu dirty transceivers)\n",
       ticks, events_applied, mono.mean_s, mono.max_s, dirty_total);
   std::printf(
       "shard-native apply: mean %.4fs, max %.4fs, mean %.4fs after the "

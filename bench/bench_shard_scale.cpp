@@ -2,26 +2,31 @@
 // the corpus is the real 5,364,949 transceivers?
 //
 // Builds the continental world (FA_SHARD_SCALE divides the corpus for
-// smoke runs), persists it twice — one monolithic FASNAP01 image, one
-// sharded FASHRD01 container — and measures:
+// smoke runs) three ways, persists it twice — one FASNAP01 image (what
+// servers wrote before serving was sharded-only), one sharded FASHRD01
+// container — and measures:
 //
-//   build_s            full world build from synthesis
+//   build_s            World::build from synthesis (the oracle's input)
 //   shard_s            ShardedWorld::from_world over the default layout
-//   mono_cold_s        monolithic cold start to first answered point
-//                      query (mmap + full decode + adopt + evaluate)
-//   shard_cold_s       sharded cold start to first answered point query
-//                      (mmap + O(sections) validation, zero decode)
-//   mono_qps/shard_qps closed-loop point-query throughput at
-//                      FA_SHARD_THREADS threads over each snapshot
+//   served_build_s     ShardedWorld::build: the World-free build every
+//                      server runs (synthesis straight into columns)
+//   mono_cold_s        FASNAP01 cold start to first answered point query
+//                      through Snapshot::recover (mmap + full decode +
+//                      in-memory migration to shards + evaluate)
+//   shard_cold_s       FASHRD01 cold start to first answered point query
+//                      through Snapshot::recover (mmap + O(sections)
+//                      validation, zero decode)
+//   shard_qps          closed-loop point-query throughput at
+//                      FA_SHARD_THREADS threads
 //
-// Reported in the trailer against their targets (read them from a
-// full-scale run; at smoke scale fixed overheads dominate and they miss):
+// Reported in the trailer against its target (read it from a full-scale
+// run; at smoke scale fixed overheads dominate and it misses):
 //   cold_speedup  = mono_cold_s / shard_cold_s   >= 10x  (cold_faster)
-//   qps_ratio     = shard_qps / mono_qps         >= 2x   (qps_faster)
 // Gated by the exit code:
-//   identity_ok   — every pooled query answered byte-identically by
-//                   both snapshots (the gate that makes the other two
-//                   mean anything)
+//   build_identical — the World-free build's FASHRD01 bytes equal
+//                     from_world(World::build)'s
+//   identity_ok     — every pooled query answered byte-identically by
+//                     the migrated and the opened snapshot
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -37,10 +42,8 @@
 #include "core/world.hpp"
 #include "serve/snapshot.hpp"
 #include "shard/codec.hpp"
-#include "shard/recovery.hpp"
 #include "shard/world.hpp"
 #include "store/codec.hpp"
-#include "store/recovery.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -116,76 +119,110 @@ int main() {
       static_cast<unsigned long long>(cfg.seed), cfg.whp_cell_m,
       cfg.corpus_scale, cfg.corpus_size());
 
-  bench::Stopwatch build_timer;
-  const core::World world = core::World::build(cfg);
-  const core::ProviderRiskResult risk = core::run_provider_risk(world);
-  const double build_s = build_timer.seconds();
-  std::printf("world build: %.2fs (%zu transceivers)\n", build_s,
-              world.corpus().size());
-
-  bench::Stopwatch shard_timer;
-  const shard::ShardedWorld sharded =
-      shard::ShardedWorld::from_world(world, risk, shard::LayoutOptions{});
-  const double shard_s = shard_timer.seconds();
-  std::printf("shard: %.2fs (%zu shards)\n", shard_s,
-              sharded.shard_count());
-
   char mono_tmpl[] = "/tmp/fashard-bench-mono-XXXXXX";
   char shrd_tmpl[] = "/tmp/fashard-bench-shrd-XXXXXX";
   const std::string mono_path = ::mkdtemp(mono_tmpl);
   const std::string shrd_path = ::mkdtemp(shrd_tmpl);
 
-  const std::string mono_image = store::encode_world(world, risk);
-  const std::string shrd_image = shard::encode_sharded(sharded);
+  // The oracle: a built World, cut by from_world. Scoped so the World is
+  // gone before the World-free build runs.
+  double build_s = 0.0;
+  double shard_s = 0.0;
+  std::size_t transceivers = 0;
+  std::size_t mono_image_bytes = 0;
+  std::string oracle_image;
   {
+    bench::Stopwatch build_timer;
+    const core::World world = core::World::build(cfg);
+    const core::ProviderRiskResult risk = core::run_provider_risk(world);
+    build_s = build_timer.seconds();
+    transceivers = world.corpus().size();
+    std::printf("world build: %.2fs (%zu transceivers)\n", build_s,
+                transceivers);
+    bench::Stopwatch shard_timer;
+    const shard::ShardedWorld cut =
+        shard::ShardedWorld::from_world(world, risk, shard::LayoutOptions{});
+    shard_s = shard_timer.seconds();
+    std::printf("from_world: %.2fs (%zu shards)\n", shard_s,
+                cut.shard_count());
+    oracle_image = shard::encode_sharded(cut);
+    const std::string mono_image = store::encode_world(world, risk);
+    mono_image_bytes = mono_image.size();
     store::StoreDir mono_dir = store::StoreDir::open(mono_path).take();
-    store::StoreDir shrd_dir = store::StoreDir::open(shrd_path).take();
-    if (!mono_dir.commit(mono_image).ok() ||
-        !shrd_dir.commit(shrd_image).ok()) {
+    if (!mono_dir.commit(mono_image).ok()) {
       std::fprintf(stderr, "commit failed\n");
       return 1;
     }
   }
-  std::printf("images: monolithic %zu bytes, sharded %zu bytes\n",
-              mono_image.size(), shrd_image.size());
+
+  double served_build_s = 0.0;
+  bool build_identical = false;
+  std::size_t shards = 0;
+  std::string shrd_image;
+  {
+    bench::Stopwatch served_timer;
+    fault::Result<shard::ShardedWorld> built =
+        shard::ShardedWorld::build(cfg, {}, shard::LayoutOptions{});
+    served_build_s = served_timer.seconds();
+    if (!built.ok()) {
+      std::fprintf(stderr, "World-free build failed: %s\n",
+                   built.status().to_string().c_str());
+      return 1;
+    }
+    shrd_image = shard::encode_sharded(built.value());
+    build_identical = shrd_image == oracle_image;
+    shards = built.value().shard_count();
+    std::printf(
+        "World-free build: %.2fs (%zu shards), bytes %s from_world's\n",
+        served_build_s, shards,
+        build_identical ? "identical to" : "DIFFER from");
+  }
+  oracle_image = {};
+  {
+    store::StoreDir shrd_dir = store::StoreDir::open(shrd_path).take();
+    if (!shrd_dir.commit(shrd_image).ok()) {
+      std::fprintf(stderr, "commit failed\n");
+      return 1;
+    }
+  }
+  std::printf("images: FASNAP01 %zu bytes, FASHRD01 %zu bytes\n",
+              mono_image_bytes, shrd_image.size());
 
   const std::vector<serve::PointRiskQuery> pool = make_pool(512, cfg.seed);
 
-  // Monolithic cold start to first query: full decode, then adopt (which
-  // wraps the recovered aggregate) and answer one point query.
-  bench::Stopwatch mono_cold_timer;
-  fault::Result<store::RecoveredWorld> mono_rec =
-      store::recover_from(mono_path);
-  if (!mono_rec.ok()) {
-    std::fprintf(stderr, "monolithic recover failed: %s\n",
-                 mono_rec.status().to_string().c_str());
-    return 1;
-  }
+  // Cold start to first query through the serving recovery ladder.
+  const auto cold_start = [&pool](const std::string& path, double& seconds)
+      -> std::shared_ptr<const serve::Snapshot> {
+    bench::Stopwatch timer;
+    auto dir = store::StoreDir::open(path, /*create=*/false);
+    if (!dir.ok()) return nullptr;
+    auto recovered = serve::Snapshot::recover(dir.value(), 1);
+    if (!recovered.ok()) {
+      std::fprintf(stderr, "recover failed: %s\n",
+                   recovered.status().to_string().c_str());
+      return nullptr;
+    }
+    std::shared_ptr<const serve::Snapshot> snap =
+        std::move(recovered).take().snapshot;
+    (void)serve::evaluate(*snap, pool[0]);
+    seconds = timer.seconds();
+    return snap;
+  };
+  double mono_cold_s = 0.0;
   const std::shared_ptr<const serve::Snapshot> mono_snap =
-      serve::Snapshot::adopt(std::move(mono_rec.value().loaded.world), 1,
-                             std::move(mono_rec.value().loaded.provider_risk));
-  (void)serve::evaluate(*mono_snap, pool[0]);
-  const double mono_cold_s = mono_cold_timer.seconds();
-  std::printf("monolithic cold start to first query: %.3fs\n", mono_cold_s);
-
-  // Sharded cold start to first query: zero-copy open, no decode.
-  bench::Stopwatch shard_cold_timer;
-  fault::Result<shard::RecoveredShardedWorld> shrd_rec =
-      shard::recover_sharded(shrd_path);
-  if (!shrd_rec.ok()) {
-    std::fprintf(stderr, "sharded recover failed: %s\n",
-                 shrd_rec.status().to_string().c_str());
-    return 1;
-  }
+      cold_start(mono_path, mono_cold_s);
+  if (!mono_snap) return 1;
+  std::printf("FASNAP01 cold start (decode + migrate) to first query: %.3fs\n",
+              mono_cold_s);
+  double shard_cold_s = 0.0;
   const std::shared_ptr<const serve::Snapshot> shrd_snap =
-      serve::Snapshot::adopt_sharded(std::move(shrd_rec.value().world), 1);
-  (void)serve::evaluate(*shrd_snap, pool[0]);
-  const double shard_cold_s = shard_cold_timer.seconds();
+      cold_start(shrd_path, shard_cold_s);
+  if (!shrd_snap) return 1;
   const double cold_speedup =
       shard_cold_s > 0.0 ? mono_cold_s / shard_cold_s : 0.0;
   const bool cold_faster = cold_speedup >= 10.0;
   std::printf(
-      "sharded cold start to first query: %.4fs  (%.0fx, %s the 10x "
+      "FASHRD01 cold start to first query: %.4fs  (%.0fx, %s the 10x "
       "target)\n",
       shard_cold_s, cold_speedup, cold_faster ? "clears" : "MISSES");
 
@@ -201,38 +238,30 @@ int main() {
   std::printf("identity: %zu/%zu pooled queries identical\n",
               pool.size() - mismatches, pool.size());
 
-  const double mono_qps = run_qps(*mono_snap, pool, threads, per_thread);
   const double shard_qps = run_qps(*shrd_snap, pool, threads, per_thread);
-  const double qps_ratio = mono_qps > 0.0 ? shard_qps / mono_qps : 0.0;
-  const bool qps_faster = qps_ratio >= 2.0;
-  std::printf(
-      "point QPS at %zu threads: monolithic %.0f, sharded %.0f  (%.2fx, "
-      "%s the 2x target)\n",
-      threads, mono_qps, shard_qps, qps_ratio,
-      qps_faster ? "clears" : "MISSES");
+  std::printf("point QPS at %zu threads: %.0f\n", threads, shard_qps);
 
   std::error_code ec;
   std::filesystem::remove_all(mono_path, ec);
   std::filesystem::remove_all(shrd_path, ec);
 
   io::JsonObject payload;
-  payload["transceivers"] = world.corpus().size();
-  payload["shards"] = sharded.shard_count();
-  payload["mono_image_bytes"] = mono_image.size();
+  payload["transceivers"] = transceivers;
+  payload["shards"] = shards;
+  payload["mono_image_bytes"] = mono_image_bytes;
   payload["shard_image_bytes"] = shrd_image.size();
   payload["build_s"] = build_s;
   payload["shard_s"] = shard_s;
+  payload["served_build_s"] = served_build_s;
+  payload["build_identical"] = build_identical;
   payload["mono_cold_s"] = mono_cold_s;
   payload["shard_cold_s"] = shard_cold_s;
   payload["cold_speedup"] = cold_speedup;
   payload["cold_faster"] = cold_faster;
   payload["threads"] = threads;
-  payload["mono_qps"] = mono_qps;
   payload["shard_qps"] = shard_qps;
-  payload["qps_ratio"] = qps_ratio;
-  payload["qps_faster"] = qps_faster;
   payload["identity_ok"] = identity_ok;
   bench::print_json_trailer("shard_scale", io::JsonValue{std::move(payload)},
                             &run_timer);
-  return identity_ok ? 0 : 1;
+  return identity_ok && build_identical ? 0 : 1;
 }

@@ -17,90 +17,99 @@ namespace {
 
 constexpr std::string_view kIngestSite = "ingest.txr";
 
-// The ingest corruption stage: when the process-wide injector arms the
-// ingest.txr seam, every selected record's position is overwritten with
-// a value validation is guaranteed to reject, so under Quarantine the
-// dropped count equals the fired count exactly (the property the
-// equivalence tests pin down).
-void corrupt_stage(std::vector<cellnet::Transceiver>& txr) {
-  const fault::Injector& inj = fault::Injector::global();
-  if (!inj.armed()) return;
-  for (cellnet::Transceiver& t : txr) {
-    if (!inj.fires(kIngestSite, t.id)) continue;
-    switch (inj.draw(kIngestSite, t.id) & 3u) {
-      case 0:
-        t.position.lon = std::numeric_limits<double>::quiet_NaN();
-        break;
-      case 1:
-        t.position.lat = std::numeric_limits<double>::infinity();
-        break;
-      case 2:
-        t.position.lon = -999.0;
-        break;
-      default:
-        t.position.lat = 999.0;
-        break;
-    }
-  }
-}
+}  // namespace
 
-struct ValidateOutcome {
-  std::vector<cellnet::Transceiver> kept;
-  std::size_t dropped = 0;
-  std::size_t repaired = 0;
-};
+Ingest::Ingest(const World::BuildOptions& options, bool corrupt)
+    : options_(options),
+      corrupt_(corrupt && fault::Injector::global().armed()) {}
 
-// Validation/quarantine: rejects records with out-of-domain positions
-// per the policy and re-densifies ids so every downstream cache indexed
-// by transceiver id stays dense. Status offsets carry the *pre*-
-// densification id — the record the input actually lost.
-fault::Result<ValidateOutcome> validate_stage(
-    std::vector<cellnet::Transceiver> txr, const World::BuildOptions& opts) {
+bool Ingest::admit(cellnet::Transceiver& t) {
   using fault::ErrCode;
   using fault::RecoveryPolicy;
   using fault::Status;
-  const obs::Span span("world.validate");
-  ValidateOutcome out;
-  out.kept.reserve(txr.size());
-  for (cellnet::Transceiver& t : txr) {
-    if (!geo::is_valid(t.position)) {
-      const bool finite =
-          std::isfinite(t.position.lon) && std::isfinite(t.position.lat);
-      if (opts.policy == RecoveryPolicy::kBestEffort && finite) {
-        t.position.lon = std::clamp(t.position.lon, -180.0, 180.0);
-        t.position.lat = std::clamp(t.position.lat, -90.0, 90.0);
-        ++out.repaired;
-        if (opts.diagnostics != nullptr) {
-          opts.diagnostics->repaired(
-              Status::error(ErrCode::kOutOfRange, t.id,
-                            std::string(kIngestSite),
-                            "clamped out-of-range position"));
-        }
-      } else {
-        Status s = Status::error(ErrCode::kOutOfRange, t.id,
-                                 std::string(kIngestSite),
-                                 finite ? "position outside lon/lat domain"
-                                        : "non-finite position");
-        if (opts.policy == RecoveryPolicy::kStrict) return s;
-        ++out.dropped;
-        if (opts.diagnostics != nullptr) {
-          opts.diagnostics->dropped(std::move(s));
-        }
-        continue;
+  if (!status_.ok()) return false;
+  // The corruption stage: every record the ingest.txr seam selects gets
+  // a position validation is guaranteed to reject, so under Quarantine
+  // the dropped count equals the fired count exactly (the property the
+  // equivalence tests pin down).
+  if (corrupt_) {
+    const fault::Injector& inj = fault::Injector::global();
+    if (inj.fires(kIngestSite, t.id)) {
+      switch (inj.draw(kIngestSite, t.id) & 3u) {
+        case 0:
+          t.position.lon = std::numeric_limits<double>::quiet_NaN();
+          break;
+        case 1:
+          t.position.lat = std::numeric_limits<double>::infinity();
+          break;
+        case 2:
+          t.position.lon = -999.0;
+          break;
+        default:
+          t.position.lat = 999.0;
+          break;
       }
     }
-    t.id = static_cast<std::uint32_t>(out.kept.size());
-    out.kept.push_back(t);
   }
-  obs::count("world.ingest.kept", out.kept.size());
-  obs::count("world.ingest.dropped", out.dropped);
-  obs::count("world.ingest.repaired", out.repaired);
-  return out;
+  // Validation: out-of-domain positions are rejected per the policy and
+  // ids re-densified so every downstream cache indexed by transceiver id
+  // stays dense. Status offsets carry the *pre*-densification id — the
+  // record the input actually lost.
+  if (!geo::is_valid(t.position)) {
+    const bool finite =
+        std::isfinite(t.position.lon) && std::isfinite(t.position.lat);
+    if (options_.policy == RecoveryPolicy::kBestEffort && finite) {
+      t.position.lon = std::clamp(t.position.lon, -180.0, 180.0);
+      t.position.lat = std::clamp(t.position.lat, -90.0, 90.0);
+      ++repaired_;
+      if (options_.diagnostics != nullptr) {
+        options_.diagnostics->repaired(
+            Status::error(ErrCode::kOutOfRange, t.id, std::string(kIngestSite),
+                          "clamped out-of-range position"));
+      }
+    } else {
+      Status s = Status::error(ErrCode::kOutOfRange, t.id,
+                               std::string(kIngestSite),
+                               finite ? "position outside lon/lat domain"
+                                      : "non-finite position");
+      if (options_.policy == RecoveryPolicy::kStrict) {
+        status_ = std::move(s);
+        return false;
+      }
+      ++dropped_;
+      if (options_.diagnostics != nullptr) {
+        options_.diagnostics->dropped(std::move(s));
+      }
+      return false;
+    }
+  }
+  t.id = static_cast<std::uint32_t>(kept_++);
+  return true;
 }
 
-}  // namespace
+fault::Status Ingest::finish() const {
+  if (!status_.ok()) return status_;
+  obs::count("world.ingest.kept", kept_);
+  obs::count("world.ingest.dropped", dropped_);
+  obs::count("world.ingest.repaired", repaired_);
+  return {};
+}
 
-void World::finalize() {
+fault::Status World::ingest(std::vector<cellnet::Transceiver> txr,
+                            const BuildOptions& options, bool corrupt) {
+  {
+    const obs::Span span("world.validate");
+    std::vector<cellnet::Transceiver> input = std::move(txr);
+    Ingest ingest(options, corrupt);
+    txr.reserve(input.size());
+    for (cellnet::Transceiver& t : input) {
+      if (ingest.admit(t)) txr.push_back(t);
+    }
+    if (fault::Status st = ingest.finish(); !st.ok()) return st;
+    ingest_dropped_ = ingest.dropped();
+    ingest_repaired_ = ingest.repaired();
+    corpus_ = cellnet::CellCorpus{std::move(txr)};
+  }
   // Per-transceiver classification and county resolution: every write is
   // indexed by transceiver id, so chunks touch disjoint slots and the
   // result is identical at any thread count.
@@ -124,8 +133,9 @@ void World::finalize() {
         positions[t.id] = t.position.as_vec();
       },
       {.grain = 256});
-  txr_index_ = index::GridIndex(std::move(positions),
-                                atlas_->conus_bbox().inflated(0.5), 512, 256);
+  txr_index_ = index::GridIndex(std::move(positions), index_domain(*atlas_),
+                                kIndexCols, kIndexRows);
+  return {};
 }
 
 fault::Result<World> World::build(const synth::ScenarioConfig& config,
@@ -143,16 +153,9 @@ fault::Result<World> World::build(const synth::ScenarioConfig& config,
             .take_transceivers();
     w.counties_ = std::make_shared<const synth::CountyMap>(
         synth::CountyMap::build(*w.atlas_, config));
-
-    corrupt_stage(txr);
-    fault::Result<ValidateOutcome> validated =
-        validate_stage(std::move(txr), options);
-    if (!validated.ok()) return validated.status();
-    w.ingest_dropped_ = validated.value().dropped;
-    w.ingest_repaired_ = validated.value().repaired;
-    w.corpus_ = cellnet::CellCorpus{std::move(validated.value().kept)};
-
-    w.finalize();
+    if (fault::Status s = w.ingest(std::move(txr), options, true); !s.ok()) {
+      return s;
+    }
   } catch (const fault::IoError& e) {
     // A synth-layer or exec-seam fault is a whole-layer loss no policy
     // can degrade past; surface it as this build's status.
@@ -174,15 +177,11 @@ fault::Result<World> World::from_corpus(cellnet::CellCorpus corpus,
         synth::generate_whp(*w.atlas_, config));
     w.counties_ = std::make_shared<const synth::CountyMap>(
         synth::CountyMap::build(*w.atlas_, config));
-
-    fault::Result<ValidateOutcome> validated =
-        validate_stage(std::move(corpus).take_transceivers(), options);
-    if (!validated.ok()) return validated.status();
-    w.ingest_dropped_ = validated.value().dropped;
-    w.ingest_repaired_ = validated.value().repaired;
-    w.corpus_ = cellnet::CellCorpus{std::move(validated.value().kept)};
-
-    w.finalize();
+    if (fault::Status s = w.ingest(std::move(corpus).take_transceivers(),
+                                   options, false);
+        !s.ok()) {
+      return s;
+    }
   } catch (const fault::IoError& e) {
     return e.status();
   }
@@ -206,17 +205,17 @@ fault::Result<World> World::from_parts(
     // fresh build would never have kept) and the counters stay 0 so a
     // from_parts world of state S encodes byte-identically however S
     // was reached.
-    fault::Result<ValidateOutcome> validated =
-        validate_stage(std::move(corpus).take_transceivers(), options);
-    if (!validated.ok()) return validated.status();
-    if (validated.value().dropped != 0 || validated.value().repaired != 0) {
+    if (fault::Status s = w.ingest(std::move(corpus).take_transceivers(),
+                                   options, false);
+        !s.ok()) {
+      return s;
+    }
+    if (w.ingest_dropped_ != 0 || w.ingest_repaired_ != 0) {
       return fault::Status::error(fault::ErrCode::kOutOfRange,
-                                  validated.value().dropped, "world.parts",
+                                  w.ingest_dropped_, "world.parts",
                                   "final-state corpus contains records a "
                                   "fresh build would reject");
     }
-    w.corpus_ = cellnet::CellCorpus{std::move(validated.value().kept)};
-    w.finalize();
   } catch (const fault::IoError& e) {
     return e.status();
   }

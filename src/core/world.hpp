@@ -111,6 +111,14 @@ class World {
   // Lon/lat grid index over all transceiver positions.
   const index::GridIndex& txr_index() const { return txr_index_; }
 
+  // That index's grid, defined once: a sharded view tiles the same
+  // domain and records the dims, so materialize() rebuilds it exactly.
+  static geo::BBox index_domain(const synth::UsAtlas& atlas) {
+    return atlas.conus_bbox().inflated(0.5);
+  }
+  static constexpr int kIndexCols = 512;
+  static constexpr int kIndexRows = 256;
+
  private:
   // The snapshot codec restores the private caches verbatim from disk
   // instead of re-deriving them (store/codec.cpp); the delta applier
@@ -118,8 +126,11 @@ class World {
   friend struct fa::store::Access;
   friend struct fa::delta::Applier;
 
-  // Shared tail of every build path: classification + spatial index.
-  void finalize();
+  // Shared tail of every build path: `txr` through the Ingest pipeline
+  // (the ingest.txr seam only when `corrupt`), then classification and
+  // the spatial index. Errors with the Strict policy's failure.
+  fault::Status ingest(std::vector<cellnet::Transceiver> txr,
+                       const BuildOptions& options, bool corrupt);
 
   synth::ScenarioConfig config_;
   const synth::UsAtlas* atlas_ = nullptr;
@@ -133,6 +144,34 @@ class World {
   std::vector<std::int32_t> txr_county_;
   std::vector<std::uint8_t> txr_provider_;
   index::GridIndex txr_index_;
+};
+
+// The per-record ingest pipeline: the "ingest.txr" corruption seam
+// (when `corrupt` and the injector is armed), then policy validation.
+// World::build and the sharded build (fa::shard) share it, so both keep,
+// drop, clamp, count and diagnose alike.
+class Ingest {
+ public:
+  Ingest(const World::BuildOptions& options, bool corrupt);
+
+  // One record, whose id is its input position. True when kept (clamped
+  // in place under BestEffort, id re-densified); false when dropped, and
+  // for every record after a Strict failure.
+  bool admit(cellnet::Transceiver& t);
+
+  // After the last record: the Strict failure, else ok once the
+  // world.ingest.* counts are recorded.
+  fault::Status finish() const;
+  std::size_t dropped() const { return dropped_; }
+  std::size_t repaired() const { return repaired_; }
+
+ private:
+  World::BuildOptions options_;
+  bool corrupt_;
+  fault::Status status_;
+  std::size_t kept_ = 0;
+  std::size_t dropped_ = 0;
+  std::size_t repaired_ = 0;
 };
 
 }  // namespace fa::core

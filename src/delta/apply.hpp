@@ -50,8 +50,9 @@ struct ApplyStats {
   std::size_t fires = 0;
   std::size_t patches = 0;
   std::size_t whp_cells_changed = 0;
-  // Cache entries recomputed (movers, adds, hazard-region survivors) —
-  // the measure of how much of the world the batch actually dirtied.
+  // Transceivers whose per-transceiver caches (class, county, provider)
+  // were recomputed — movers, adds, hazard-region survivors: the measure
+  // of how much of the world the batch actually dirtied.
   std::size_t dirty_transceivers = 0;
 
   bool operator==(const ApplyStats&) const = default;

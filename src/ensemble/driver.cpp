@@ -148,7 +148,7 @@ MemberStats run_member(const SharedInputs& in, const EnsembleConfig& cfg,
     feeder_plan = &hardened_plan;
   }
 
-  firesim::OutageSimulator outage_sim(in.world->whp(), seed ^ 0x007A6E5ULL);
+  firesim::OutageSimulator outage_sim(*in.whp, seed ^ 0x007A6E5ULL);
   std::vector<std::vector<firesim::OutageCause>> per_site;
   outage_sim.simulate(in.sites, fires, ocfg, feeder_plan, &per_site);
 

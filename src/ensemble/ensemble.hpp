@@ -7,7 +7,7 @@
 // (firesim) × a wind-driven PSPS over the distribution grid (powergrid)
 // × backhaul cuts × battery-exhaustion timelines, scored against the
 // population raster. Members run across fa::exec with copy-on-write
-// scenario state: the shared inputs (world, grid model, population
+// scenario state: the shared inputs (WHP surface, grid model, population
 // surface, ignition tables) are immutable after build, and every member
 // derives its own cheap overlays (wind profile, fires, feeder-plan copy)
 // from a per-member seed, never mutating shared state.
@@ -81,7 +81,7 @@ struct HardeningPlan {
 // Everything members share, immutable after build(). Build once, run
 // many ensembles (baseline, hardened, swept) against it.
 struct SharedInputs {
-  const core::World* world = nullptr;
+  std::shared_ptr<const synth::WhpModel> whp;
   int region_state = -1;
   std::vector<cellnet::CellSite> sites;  // region sites (dense ids 0..n)
   // Users served per site: the population cell's persons split evenly
@@ -102,6 +102,18 @@ struct SharedInputs {
   std::vector<double> ignition_cdf;
   std::vector<std::uint32_t> ignition_cells;
 
+  // The state index of config.region; throws std::invalid_argument for
+  // a region the atlas does not know.
+  static int region_state_of(const EnsembleConfig& config);
+
+  // Builds from the parts an ensemble reads: the WHP surface, the
+  // scenario, and the region's transceivers in ascending dense-id order.
+  // Throws std::invalid_argument for a region with no burnable cells.
+  static SharedInputs build(std::shared_ptr<const synth::WhpModel> whp,
+                            const synth::ScenarioConfig& scenario,
+                            std::vector<cellnet::Transceiver> region,
+                            const EnsembleConfig& config);
+  // The same parts, taken from a built world.
   static SharedInputs build(const core::World& world,
                             const EnsembleConfig& config);
 };

@@ -28,39 +28,51 @@ double ignition_weight(synth::WhpClass cls) {
 
 }  // namespace
 
-SharedInputs SharedInputs::build(const core::World& world,
-                                 const EnsembleConfig& config) {
-  const obs::Span span(obs::metrics::kEnsembleInputsNs);
-  SharedInputs in;
-  in.world = &world;
-
-  const synth::UsAtlas& atlas = world.atlas();
-  in.region_state = atlas.state_index(config.region);
-  if (in.region_state < 0) {
+int SharedInputs::region_state_of(const EnsembleConfig& config) {
+  const int state = synth::UsAtlas::get().state_index(config.region);
+  if (state < 0) {
     throw std::invalid_argument("ensemble: unknown region '" + config.region +
                                 "'");
   }
+  return state;
+}
+
+SharedInputs SharedInputs::build(const core::World& world,
+                                 const EnsembleConfig& config) {
+  const int state = region_state_of(config);
+  std::vector<cellnet::Transceiver> region;
+  for (const cellnet::Transceiver& t : world.corpus().transceivers()) {
+    if (t.state == state) region.push_back(t);
+  }
+  return build(world.whp_ptr(), world.config(), std::move(region), config);
+}
+
+SharedInputs SharedInputs::build(std::shared_ptr<const synth::WhpModel> whp,
+                                 const synth::ScenarioConfig& scenario,
+                                 std::vector<cellnet::Transceiver> region,
+                                 const EnsembleConfig& config) {
+  const obs::Span span(obs::metrics::kEnsembleInputsNs);
+  SharedInputs in;
+  in.whp = std::move(whp);
+  in.region_state = region_state_of(config);
+  const synth::UsAtlas& atlas = synth::UsAtlas::get();
 
   // Region corpus -> inferred sites (same clustering as the case study).
-  std::vector<cellnet::Transceiver> txr;
-  for (const cellnet::Transceiver& t : world.corpus().transceivers()) {
-    if (t.state == in.region_state) txr.push_back(t);
-  }
-  const cellnet::CellCorpus region_corpus{std::move(txr)};
+  const cellnet::CellCorpus region_corpus{std::move(region)};
   in.sites = region_corpus.infer_sites(120.0);
 
   // The physical substrate is a property of the world, not of the
   // ensemble draw: grid topology and ignition tables key off the
   // scenario seed so every ensemble (any config.seed) sees the same
   // infrastructure.
-  const std::uint64_t world_seed = world.config().seed;
-  in.grid = powergrid::GridModel::build(in.sites, world.whp(), atlas,
+  const std::uint64_t world_seed = scenario.seed;
+  in.grid = powergrid::GridModel::build(in.sites, *in.whp, atlas,
                                         world_seed ^ 0xE45E3B1EULL);
   in.feeder_plan = powergrid::to_feeder_plan(in.grid);
   in.population = std::make_unique<synth::PopulationSurface>(
-      synth::PopulationSurface::build(atlas, world.config()));
+      synth::PopulationSurface::build(atlas, scenario));
   in.fire_proto = std::make_unique<firesim::FireSimulator>(
-      world.whp(), atlas, world_seed ^ 0xF14EF04CULL);
+      *in.whp, atlas, world_seed ^ 0xF14EF04CULL);
 
   // Users served per site: the population cell's persons split evenly
   // among the sites sharing it.
@@ -95,8 +107,8 @@ SharedInputs SharedInputs::build(const core::World& world,
   // Region-restricted ignition CDF over burnable WHP cells. The WHP
   // state grid is cell-aligned with the class grid, so membership is one
   // lookup per cell.
-  const raster::ClassRaster& grid = world.whp().grid();
-  const raster::Raster<std::int16_t>& states = world.whp().state_grid();
+  const raster::ClassRaster& grid = in.whp->grid();
+  const raster::Raster<std::int16_t>& states = in.whp->state_grid();
   double acc = 0.0;
   for (std::uint32_t i = 0; i < grid.data().size(); ++i) {
     if (states.data()[i] != in.region_state) continue;
@@ -122,12 +134,12 @@ geo::LonLat sample_region_ignition(const SharedInputs& inputs,
   const std::size_t k = static_cast<std::size_t>(
       std::distance(inputs.ignition_cdf.begin(), it));
   const std::uint32_t cell = inputs.ignition_cells[k];
-  const raster::GridGeometry& geom = inputs.world->whp().grid().geom();
+  const raster::GridGeometry& geom = inputs.whp->grid().geom();
   const int c = static_cast<int>(cell % static_cast<std::uint32_t>(geom.cols));
   const int r = static_cast<int>(cell / static_cast<std::uint32_t>(geom.cols));
   const geo::Vec2 xy{geom.origin_x + (c + rng.uniform()) * geom.cell_w,
                      geom.origin_y + (r + rng.uniform()) * geom.cell_h};
-  return inputs.world->whp().projection().inverse(xy);
+  return inputs.whp->projection().inverse(xy);
 }
 
 }  // namespace fa::ensemble

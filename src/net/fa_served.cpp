@@ -3,28 +3,27 @@
 //   fa_served [--port N] [--workers N] [--scale S] [--cell-m M]
 //             [--seed S] [--quota-qps Q] [--queue N] [--public]
 //             [--store DIR] [--feed] [--feed-interval-ms N] [--feed-seed S]
-//             [--sharded]
 //
-// Builds the synthetic scenario, starts a serve::Server behind a
-// net::NetServer, and runs until SIGINT/SIGTERM. SIGTERM and SIGINT
-// trigger a graceful drain: the listener closes, admitted requests
-// finish and flush, then the process exits. SIGHUP rebuilds the
-// snapshot from the same scenario config (a stand-in for "new WHP
-// raster landed") while queries keep being served — the hot-swap path
-// exercised from the command line.
+// Builds the synthetic scenario straight into a geo-sharded view (no
+// monolithic world: the corpus streams into shard columns, and queries
+// scatter/gather across balanced geographic shards), starts a
+// serve::Server behind a net::NetServer, and runs until SIGINT/SIGTERM.
+// SIGTERM and SIGINT trigger a graceful drain: the listener closes,
+// admitted requests finish and flush, then the process exits. SIGHUP
+// rebuilds the snapshot from the same scenario config (a stand-in for
+// "new WHP raster landed") while queries keep being served — the
+// hot-swap path exercised from the command line.
 //
-// --store DIR enables crash-safe persistence: boot loads the newest
-// clean generation instead of rebuilding (near-instant cold start), the
-// freshly built or rebuilt world is committed back after boot and after
-// every SIGHUP, and a failed persist only logs — the in-memory epoch
-// keeps serving.
+// --store DIR enables crash-safe persistence: the snapshot persists as a
+// FASHRD01 container, boot mmaps the newest clean generation's shard
+// columns zero-copy instead of rebuilding (near-instant cold start, the
+// continental --scale 1 path; a FASNAP01 generation from an older build
+// migrates in memory), the freshly built or rebuilt view is committed
+// back after boot and after every SIGHUP, and a failed persist only
+// logs — the in-memory epoch keeps serving.
 //
-// --sharded serves from the geo-sharded view: the world is partitioned
-// into balanced geographic shards, queries scatter/gather across them,
-// and with --store the snapshot persists as a FASHRD01 container whose
-// cold start mmaps shard columns zero-copy — the continental
-// (--scale 1) path. Responses are byte-identical to the monolithic
-// server either way.
+// Unknown flags are ignored, so a command line that still passes the
+// retired --sharded (every server is sharded now) runs unchanged.
 //
 // --feed starts the synthetic live feed: every --feed-interval-ms
 // (default 1000) a tick of events (site adds/retires/moves, growing
@@ -59,7 +58,6 @@
 #include "delta/feed.hpp"
 #include "net/server.hpp"
 #include "serve/server.hpp"
-#include "shard/world.hpp"
 #include "synth/scenario.hpp"
 
 namespace {
@@ -92,20 +90,15 @@ bool arg_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-// The live-feed generator, mirroring the serving epoch's corpus. A
-// sharded epoch hands over its positions straight from the shard
-// columns, so a cold-started sharded store feeds without materializing
-// a monolithic world. The generator copies what it needs: nothing pins
-// the epoch once later ones retire it.
+// The live-feed generator, mirroring the serving epoch's corpus: its
+// positions come straight from the shard columns, so nothing
+// materializes a monolithic world. The generator copies what it needs:
+// nothing pins the epoch once later ones retire it.
 std::unique_ptr<fa::delta::FeedGenerator> make_feed(
     const fa::serve::Server& server, const fa::delta::FeedOptions& options) {
-  const std::shared_ptr<const fa::serve::Snapshot> snap =
-      server.snapshots().acquire();
-  if (const fa::shard::ShardedWorld* view = snap->sharded()) {
-    return std::make_unique<fa::delta::FeedGenerator>(
-        view->positions_by_id().take(), options);
-  }
-  return std::make_unique<fa::delta::FeedGenerator>(snap->world(), options);
+  return std::make_unique<fa::delta::FeedGenerator>(
+      server.snapshots().acquire()->sharded().positions_by_id().take(),
+      options);
 }
 
 void persist(fa::serve::Server& server, const char* when) {
@@ -131,7 +124,7 @@ int main(int argc, char** argv) {
         "usage: fa_served [--port N] [--workers N] [--scale S] [--cell-m M]\n"
         "                 [--seed S] [--quota-qps Q] [--queue N] [--public]\n"
         "                 [--store DIR] [--feed] [--feed-interval-ms N]\n"
-        "                 [--feed-seed S] [--sharded]\n");
+        "                 [--feed-seed S]\n");
     return 2;
   }
 
@@ -152,12 +145,9 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions serve_options;
   serve_options.store_dir = arg_string(argc, argv, "--store", "");
-  serve_options.sharded = arg_flag(argc, argv, "--sharded");
 
-  std::fprintf(stderr,
-               "fa_served: building scenario (scale=%.0f cell=%.0fm%s)\n",
-               scenario.corpus_scale, scenario.whp_cell_m,
-               serve_options.sharded ? ", sharded" : "");
+  std::fprintf(stderr, "fa_served: building scenario (scale=%.0f cell=%.0fm)\n",
+               scenario.corpus_scale, scenario.whp_cell_m);
   try {
     serve::Server server(scenario, serve_options);
     if (server.loaded_from_store()) {
@@ -210,7 +200,7 @@ int main(int argc, char** argv) {
                        static_cast<unsigned long long>(server.epoch()));
           if (!serve_options.store_dir.empty()) persist(server, "rebuild");
           if (feed) {
-            // The rebuilt world's dense ids restart from the scenario
+            // The rebuilt view's dense ids restart from the scenario
             // corpus; re-root the generator's mirror there so its
             // retire/move targets stay valid.
             delta::FeedOptions feed_options;

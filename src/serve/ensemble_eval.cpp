@@ -5,14 +5,14 @@
 // at any thread count) is what makes these cacheable like the O(1)
 // queries despite running thousands of seeded season simulations.
 //
-// SharedInputs are rebuilt per evaluate call. That is deliberate: the
-// result cache already absorbs repeats of the same (epoch, query), and
-// the wire decoder caps `members`, so the worst case one request can
-// demand is bounded. Caching inputs across epochs would couple this
-// file to snapshot lifetime for a path the cache already covers.
+// The inputs are rebuilt per evaluate call, from the shard columns: the
+// result cache absorbs repeats of the same (epoch, query), and the wire
+// decoder caps `members`, so one request's worst case is bounded.
 #include <algorithm>
 
 #include "ensemble/ensemble.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "serve/snapshot.hpp"
 
 namespace fa::serve {
@@ -27,13 +27,41 @@ ensemble::EnsembleConfig config_for(std::uint32_t members,
   return config;
 }
 
+// The ensemble's inputs over the view: the WHP surface, and the region's
+// transceivers, dense ids ascending, straight from the shard columns. A
+// quarantined shard has no columns: its transceivers are missing from
+// the answer, counted as a degraded serve like the planner's.
+ensemble::SharedInputs inputs_for(const Snapshot& snap,
+                                  const ensemble::EnsembleConfig& config) {
+  const shard::ShardedWorld& view = snap.sharded();
+  const int state = ensemble::SharedInputs::region_state_of(config);
+  std::vector<cellnet::Transceiver> region;
+  bool degraded = false;
+  for (const shard::Shard& sh : view.shards()) {
+    degraded = degraded || sh.quarantined;
+    for (std::size_t p = 0; p < sh.page_count(); ++p) {
+      const shard::Page& pg = sh.page(p);
+      for (std::uint32_t k = pg.begin(); k < pg.end(); ++k) {
+        if (pg.state[k] != state) continue;
+        region.push_back({view.dense_id(pg.ids[k]),
+                          {pg.xs[k], pg.ys[k]},
+                          static_cast<cellnet::RadioType>(pg.radio[k]),
+                          pg.mcc[k], pg.mnc[k], pg.cell_id[k], pg.state[k]});
+      }
+    }
+  }
+  if (degraded) obs::count(obs::metrics::kShardDegradedServes);
+  std::ranges::sort(region, {}, &cellnet::Transceiver::id);
+  return ensemble::SharedInputs::build(view.whp_ptr(), view.config(),
+                                       std::move(region), config);
+}
+
 }  // namespace
 
 EnsembleSummaryResponse evaluate(const Snapshot& snap,
                                  const EnsembleSummaryQuery& q) {
   const ensemble::EnsembleConfig config = config_for(q.members, q.seed);
-  const ensemble::SharedInputs inputs =
-      ensemble::SharedInputs::build(snap.world(), config);
+  const ensemble::SharedInputs inputs = inputs_for(snap, config);
   const ensemble::EnsembleReport report =
       ensemble::run_ensemble(inputs, config);
   EnsembleSummaryResponse r;
@@ -56,8 +84,7 @@ EnsembleSummaryResponse evaluate(const Snapshot& snap,
 TopKFragileSitesResponse evaluate(const Snapshot& snap,
                                   const TopKFragileSitesQuery& q) {
   const ensemble::EnsembleConfig config = config_for(q.members, q.seed);
-  const ensemble::SharedInputs inputs =
-      ensemble::SharedInputs::build(snap.world(), config);
+  const ensemble::SharedInputs inputs = inputs_for(snap, config);
   const ensemble::EnsembleReport report =
       ensemble::run_ensemble(inputs, config);
   const std::vector<ensemble::FragileSite> top =

@@ -6,6 +6,7 @@
 #include "exec/exec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "serve/snapshot.hpp"
 #include "synth/hazard.hpp"
 
 namespace fa::serve {
@@ -41,11 +42,11 @@ bool scatter(const shard::ShardedWorld& sw,
 
 }  // namespace
 
-PointRiskResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
-                                   const PointRiskQuery& q) {
+PointRiskResponse evaluate(const Snapshot& snap, const PointRiskQuery& q) {
+  const shard::ShardedWorld& sw = snap.sharded();
   const synth::WhpModel& whp = sw.whp();
   PointRiskResponse r;
-  r.epoch = epoch;
+  r.epoch = snap.epoch();
   r.whp = whp.class_at(q.point);
   r.at_risk = synth::whp_at_risk(r.whp);
   r.urban = whp.is_urban(q.point);
@@ -91,11 +92,11 @@ PointRiskResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
   return r;
 }
 
-BBoxAggregateResponse evaluate_sharded(const shard::ShardedWorld& sw,
-                                       Epoch epoch,
-                                       const BBoxAggregateQuery& q) {
+BBoxAggregateResponse evaluate(const Snapshot& snap,
+                               const BBoxAggregateQuery& q) {
+  const shard::ShardedWorld& sw = snap.sharded();
   BBoxAggregateResponse r;
-  r.epoch = epoch;
+  r.epoch = snap.epoch();
   const std::vector<std::uint32_t> touched =
       sw.layout().shards_overlapping(q.bbox);
   obs::count(obs::metrics::kShardFanouts);
@@ -129,13 +130,12 @@ BBoxAggregateResponse evaluate_sharded(const shard::ShardedWorld& sw,
   return r;
 }
 
-ProviderExposureResponse evaluate_sharded(const shard::ShardedWorld& sw,
-                                          Epoch epoch,
-                                          const ProviderExposureQuery& q) {
+ProviderExposureResponse evaluate(const Snapshot& snap,
+                                  const ProviderExposureQuery& q) {
   const core::ProviderRiskRow& row =
-      sw.provider_risk().rows[static_cast<std::size_t>(q.provider)];
+      snap.provider_risk().rows[static_cast<std::size_t>(q.provider)];
   ProviderExposureResponse r;
-  r.epoch = epoch;
+  r.epoch = snap.epoch();
   r.provider = q.provider;
   r.fleet = row.fleet;
   r.moderate = row.moderate;
@@ -144,10 +144,10 @@ ProviderExposureResponse evaluate_sharded(const shard::ShardedWorld& sw,
   return r;
 }
 
-TopKSitesResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
-                                   const TopKSitesQuery& q) {
+TopKSitesResponse evaluate(const Snapshot& snap, const TopKSitesQuery& q) {
+  const shard::ShardedWorld& sw = snap.sharded();
   TopKSitesResponse r;
-  r.epoch = epoch;
+  r.epoch = snap.epoch();
   const geo::BBox box = detail::disc_bbox(q.center, q.radius_m);
   const std::vector<std::uint32_t> touched =
       sw.layout().shards_overlapping(box);

@@ -1,7 +1,6 @@
-// Scatter/gather query planner over a geo-sharded world (fa::shard).
-//
-// The planner is the sharded twin of the monolithic evaluate() bodies
-// in snapshot.cpp, with one routing contract per query family:
+// Scatter/gather query planner: the evaluate() bodies of the four
+// interactive query shapes (declared in snapshot.hpp), over a snapshot's
+// geo-sharded view (fa::shard), with one routing contract per family:
 //   * point queries touch the global rasters only; a neighborhood scan
 //     routes through layout().shards_overlapping(disc bbox) — exactly
 //     one shard unless the disc straddles a tile boundary;
@@ -9,16 +8,17 @@
 //     on fa::exec (one task per shard, each writing only its own
 //     partial slot) and merge the partials serially in ascending shard
 //     id;
-//   * provider exposure reads the container's provider-risk aggregate,
-//     O(1) like the monolithic path.
+//   * provider exposure reads the view's provider-risk aggregate, O(1).
 //
-// Determinism contract (pinned by tests/shard/equivalence_test.cpp):
-// responses are byte-identical to the monolithic evaluate() at any
-// thread count. The shards partition the point set, every per-point
-// filter (bbox containment, haversine radius) is the same expression
-// over the same doubles, the merged tallies are order-independent
-// integer sums, and the top-K comparator is a strict total order
-// (txr id tiebreak), so merge order cannot leak into any response byte.
+// Determinism contract (pinned by tests/shard/equivalence_test.cpp
+// against a brute-force reference evaluator, and by the cache and
+// thread-count equivalence suites): responses are the same bytes at any
+// thread count and under any layout. The shards partition the point
+// set, every per-point filter (bbox containment, haversine radius) is
+// the same expression over the same doubles, the merged tallies are
+// order-independent integer sums, and the top-K comparator is a strict
+// total order (txr id tiebreak), so merge order cannot leak into any
+// response byte.
 //
 // Quarantined shards are skipped and counted (shard.degraded_serves):
 // a degraded container serves the surviving geography instead of
@@ -34,7 +34,6 @@
 #include "geo/geodesy.hpp"
 #include "geo/lonlat.hpp"
 #include "serve/types.hpp"
-#include "shard/world.hpp"
 
 namespace fa::serve {
 
@@ -43,8 +42,8 @@ namespace detail {
 // Lon/lat box enclosing the great-circle disc (center, radius_m); the
 // exact haversine test runs on the candidates it yields. cos(lat)
 // shrinks toward the poles, so widen longitude by the worst latitude in
-// the box. Shared by the monolithic and sharded paths so both scan the
-// same candidate box — the byte-identity contract starts here.
+// the box. The reference evaluator in tests/ scans the same candidate
+// box — the byte-identity contract starts here.
 inline geo::BBox disc_bbox(geo::LonLat center, double radius_m) {
   const double dlat = radius_m / geo::meters_per_deg_lat();
   const double worst_lat =
@@ -69,10 +68,11 @@ inline geo::BBox disc_bbox(geo::LonLat center, double radius_m) {
 // everything but a thin annulus around the disc edge — are classified
 // without evaluating a transcendental; the annulus falls through to the
 // exact haversine_m call, so every accept/reject decision is
-// bit-identical to the monolithic evaluator's `haversine_m(...) > r`
-// (the equivalence tests pin this). The 1e-9 radius guards on the two
-// thresholds dwarf floating-point noise in the closed-form bounds
-// (~1e-14 relative), keeping both bounds conservative.
+// bit-identical to a plain `haversine_m(...) > r` test (the equivalence
+// tests pin this against the reference evaluator). The 1e-9 radius
+// guards on the two thresholds dwarf floating-point noise in the
+// closed-form bounds (~1e-14 relative), keeping both bounds
+// conservative.
 class DiscFilter {
  public:
   DiscFilter(geo::LonLat center, double radius_m, const geo::BBox& box)
@@ -126,16 +126,5 @@ class DiscFilter {
 };
 
 }  // namespace detail
-
-PointRiskResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
-                                   const PointRiskQuery& q);
-BBoxAggregateResponse evaluate_sharded(const shard::ShardedWorld& sw,
-                                       Epoch epoch,
-                                       const BBoxAggregateQuery& q);
-ProviderExposureResponse evaluate_sharded(const shard::ShardedWorld& sw,
-                                          Epoch epoch,
-                                          const ProviderExposureQuery& q);
-TopKSitesResponse evaluate_sharded(const shard::ShardedWorld& sw, Epoch epoch,
-                                   const TopKSitesQuery& q);
 
 }  // namespace fa::serve

@@ -12,8 +12,6 @@ Server::Server(const synth::ScenarioConfig& config,
     : registry_(options.registry != nullptr ? *options.registry
                                             : obs::Registry::global()),
       options_(options),
-      layout_(options.sharded ? std::optional(options.shard_layout)
-                              : std::nullopt),
       cache_(options.cache, registry_),
       queries_(registry_.counter(obs::metrics::kServeQueries)),
       swaps_published_(registry_.counter(obs::metrics::kServeSwapsPublished)),
@@ -24,7 +22,7 @@ Server::Server(const synth::ScenarioConfig& config,
           registry_.counter(obs::metrics::kServeSnapshotsReclaimed)),
       query_ns_(registry_.histogram(obs::metrics::kServeQueryNs)) {
   // Cold-start ladder: a clean stored generation for this scenario is
-  // epoch 1 with no world build; anything short of that (no store, no
+  // epoch 1 with no build; anything short of that (no store, no
   // usable generation, a generation for a different scenario) falls
   // back to the fresh build below.
   if (!options_.store_dir.empty()) {
@@ -40,24 +38,25 @@ Server::Server(const synth::ScenarioConfig& config,
     // take() throws fault::IoError when the initial scenario is
     // unbuildable — nothing would be serving, so surface it.
     store_.publish(
-        Snapshot::build(config, 1, options_.policy, layout_).take());
+        Snapshot::build(config, 1, options_.policy, options_.shard_layout)
+            .take());
   }
 }
 
 void Server::cold_start(const synth::ScenarioConfig& config) {
-  auto recovered = Snapshot::recover(*store_dir_, 1, layout_);
+  auto recovered = Snapshot::recover(*store_dir_, 1, options_.shard_layout);
   if (!recovered.ok()) return;
   if (!(recovered.value().snapshot->config() == config)) return;
   Snapshot::Recovered rec = std::move(recovered).take();
   std::shared_ptr<const Snapshot> snap = std::move(rec.snapshot);
   // Replay the generation's delta-log chain so epoch 1 resumes at the
   // last durably applied batch, not the last full snapshot, through the
-  // same successor call the live feed uses (a sharded view never builds
-  // a monolithic world). A batch that no longer applies ends the replay
-  // (serve the last provably consistent state) and disengages the log —
-  // appending past a divergence would corrupt the chain's meaning. A
-  // degraded sharded view (quarantined shards) fails its first batch, so
-  // it serves the bare generation image under the same contract.
+  // same successor call the live feed uses. A batch that no longer
+  // applies ends the replay (serve the last provably consistent state)
+  // and disengages the log — appending past a divergence would corrupt
+  // the chain's meaning. A degraded view (quarantined shards) fails its
+  // first batch, so it serves the bare generation image under the same
+  // contract.
   if (auto log = delta::DeltaLog::open(*store_dir_, rec.generation.number,
                                        rec.generation.crc);
       log.ok()) {
@@ -178,7 +177,7 @@ fault::Status Server::rebuild(const synth::ScenarioConfig& config) {
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
   const Epoch epoch = store_.current_epoch() + 1;
   fault::Result<std::shared_ptr<const Snapshot>> built =
-      Snapshot::build(config, epoch, options_.policy, layout_);
+      Snapshot::build(config, epoch, options_.policy, options_.shard_layout);
   if (!built.ok()) {
     // Failed swap: nothing published, nothing invalidated — the
     // current epoch keeps serving and the epoch number is not burned.
@@ -198,7 +197,7 @@ fault::Status Server::apply_delta(std::span<const delta::FeedEvent> events,
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
   const std::shared_ptr<const Snapshot> snap = store_.acquire();
   // A failure (injected delta.apply fault, strict-policy validation
-  // error, degraded sharded view) gets the same survivability contract
+  // error, degraded view) gets the same survivability contract
   // as a failed rebuild(): nothing published, the current epoch keeps
   // serving.
   fault::Result<std::shared_ptr<const Snapshot>> next =
@@ -256,8 +255,8 @@ fault::Status Server::rebuild_from_store() {
                                 "no store directory configured");
   }
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
-  auto recovered =
-      Snapshot::recover(*store_dir_, store_.current_epoch() + 1, layout_);
+  auto recovered = Snapshot::recover(*store_dir_, store_.current_epoch() + 1,
+                                     options_.shard_layout);
   if (!recovered.ok()) {
     // Same survivability contract as a failed rebuild(): nothing
     // published, current epoch keeps serving.

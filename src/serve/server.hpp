@@ -1,6 +1,6 @@
 // fa::serve — the concurrent risk-query serving layer.
 //
-// One Server owns a SnapshotStore (versioned immutable worlds with
+// One Server owns a SnapshotStore (versioned immutable views with
 // RCU-style hot-swap) and a ShardedCache (results keyed by epoch +
 // query fingerprint). Every query, of every shape and from either wire
 // protocol, takes one path: handle() -> cache -> evaluate() on the
@@ -9,8 +9,10 @@
 // atomically — in-flight requests finish against the epoch they
 // acquired, and a failed rebuild leaves the old epoch serving.
 //
-// Snapshot (snapshot.hpp) owns the monolithic vs sharded decision, so
-// each lifecycle step below has one body for both representations.
+// Every snapshot is a geo-sharded view (snapshot.hpp), so each
+// lifecycle step below has one body: builds, cold starts and recoveries
+// are handed options.shard_layout, applies are shard-native, and saves
+// write FASHRD01.
 //
 // Determinism contract: for a fixed snapshot content, the cached and
 // cache-disabled paths return byte-identical responses. The cache can
@@ -48,17 +50,16 @@ struct ServerOptions {
   // Snapshot store directory (created if missing). When set, the
   // constructor runs the recovery ladder: a clean stored generation
   // whose scenario config matches `config` becomes epoch 1 with no
-  // world build at all; otherwise (empty store, corrupt generations,
+  // build at all; otherwise (empty store, corrupt generations,
   // config mismatch) the server falls back to a fresh build and counts
   // store.recover.rebuilds. Empty = no persistence.
   std::string store_dir;
-  // Serve from a geo-sharded view (fa::shard). Builds partition the
-  // world by `shard_layout`; cold starts go through the shard recovery
-  // ladder (FASHRD01 opens zero-copy shard-by-shard, FASNAP01
-  // generations migrate in memory); queries route through the
-  // scatter/gather planner. Responses stay byte-identical to the
-  // monolithic server over the same world.
+  // Selects nothing: every server serves a geo-sharded view. Kept only
+  // so callers that still assign it compile; slated for removal.
   bool sharded = false;
+  // How builds cut the view into shards, and how a FASNAP01 generation
+  // migrates at recovery (a FASHRD01 generation carries its own layout).
+  // Responses are the same bytes under any layout.
   shard::LayoutOptions shard_layout;
 };
 
@@ -150,9 +151,6 @@ class Server {
 
   obs::Registry& registry_;
   ServerOptions options_;
-  // What every build and recovery is handed: a layout when the server
-  // serves a sharded view, none when it serves a monolithic world.
-  std::optional<shard::LayoutOptions> layout_;
   std::optional<store::StoreDir> store_dir_;
   // Increment chain rooted at the generation the serving state derives
   // from (guarded by rebuild_mu_). Engaged only while that rooting is

@@ -203,17 +203,7 @@ struct ColumnOut {
 
   // Sizes every column of `c` to n entries and points at them.
   static ColumnOut over(ShardColumns& c, std::size_t n) {
-    c.ids.resize(n);
-    c.xs.resize(n);
-    c.ys.resize(n);
-    c.cls.resize(n);
-    c.provider.resize(n);
-    c.radio.resize(n);
-    c.mcc.resize(n);
-    c.mnc.resize(n);
-    c.cell_id.resize(n);
-    c.state.resize(n);
-    c.county.resize(n);
+    c.for_each_column([n](auto& column) { column.resize(n); });
     return {c.ids.data(),     c.xs.data(),  c.ys.data(),
             c.cls.data(),     c.provider.data(), c.radio.data(),
             c.mcc.data(),     c.mnc.data(), c.cell_id.data(),
@@ -728,6 +718,24 @@ fault::Result<Lineage> build_lineage(const ShardedWorld& root) {
 }
 
 }  // namespace
+
+core::ProviderRiskResult provider_risk_of(const ShardColumns& columns) {
+  delta::RiskTally tally;
+  for (int p = 0; p < cellnet::kNumProviders; ++p) {
+    tally.risk.rows[static_cast<std::size_t>(p)].provider =
+        static_cast<cellnet::Provider>(p);
+  }
+  BrandTally brands;
+  for (std::size_t k = 0; k < columns.cls.size(); ++k) {
+    tally.add(static_cast<cellnet::Provider>(columns.provider[k]),
+              static_cast<synth::WhpClass>(columns.cls[k]), +1);
+    if (regional_at_risk(columns.provider[k], columns.cls[k])) {
+      ++brands[brand_key(columns.mcc[k], columns.mnc[k])];
+    }
+  }
+  tally.risk.regional_brands_at_risk = distinct_brands(brands);
+  return tally.risk;
+}
 
 fault::Result<ShardApplyResult> apply_delta(
     const ShardedWorld& base, std::span<const delta::FeedEvent> events,

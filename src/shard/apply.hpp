@@ -72,4 +72,10 @@ fault::Result<ShardApplyResult> apply_delta(
     const ShardedWorld& base, std::span<const delta::FeedEvent> events,
     const delta::ApplyOptions& options = {});
 
+// The provider-risk aggregate of `columns`' entries, folded with the
+// tallies an apply maintains (delta::RiskTally rows, the per-(MCC, MNC)
+// regional-brand tally): equal to core::run_provider_risk over the same
+// transceivers.
+core::ProviderRiskResult provider_risk_of(const ShardColumns& columns);
+
 }  // namespace fa::shard

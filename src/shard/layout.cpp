@@ -37,7 +37,8 @@ geo::BBox ShardLayout::tile_box(std::uint64_t tile) const {
 }
 
 ShardLayout ShardLayout::build(const geo::BBox& domain,
-                               std::span<const geo::Vec2> points,
+                               std::span<const double> xs,
+                               std::span<const double> ys,
                                const LayoutOptions& options) {
   ShardLayout l;
   l.domain_ = domain;
@@ -49,9 +50,9 @@ ShardLayout ShardLayout::build(const geo::BBox& domain,
   const std::uint64_t tiles =
       static_cast<std::uint64_t>(l.tiles_x_) * l.tiles_y_;
   std::vector<std::uint64_t> tile_count(tiles, 0);
-  for (const geo::Vec2& p : points) {
-    ++tile_count[static_cast<std::size_t>(l.tile_row(p.y)) * l.tiles_x_ +
-                 static_cast<std::size_t>(l.tile_col(p.x))];
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ++tile_count[static_cast<std::size_t>(l.tile_row(ys[i])) * l.tiles_x_ +
+                 static_cast<std::size_t>(l.tile_col(xs[i]))];
   }
 
   // Greedy row-major prefix cut: exactly `goal` contiguous runs, each at
@@ -61,7 +62,7 @@ ShardLayout ShardLayout::build(const geo::BBox& domain,
   // shards after it instead of starving the last one.
   const std::uint64_t goal = static_cast<std::uint64_t>(
       std::clamp<std::uint64_t>(options.target_shards, 1, tiles));
-  const std::uint64_t total = points.size();
+  const std::uint64_t total = xs.size();
   l.tile_shard_.assign(tiles, 0);
   l.shards_.reserve(goal);
   std::uint64_t assigned = 0;

@@ -58,14 +58,15 @@ class ShardLayout {
   ShardLayout() = default;
 
   // Partitions `domain` (the global index bounds) into the option's
-  // tile grid, counts `points` per tile with the clamped binning above,
+  // tile grid, counts the points (xs[i], ys[i]) per tile with the
+  // clamped binning above,
   // and cuts the row-major tile sequence into contiguous runs whose
   // point counts track the adaptive target
   //   remaining_points / remaining_shards
   // (re-derived after every cut, so one dense run cannot starve the
   // rest). Deterministic: same domain + points + options, same layout.
-  static ShardLayout build(const geo::BBox& domain,
-                           std::span<const geo::Vec2> points,
+  static ShardLayout build(const geo::BBox& domain, std::span<const double> xs,
+                           std::span<const double> ys,
                            const LayoutOptions& options = {});
 
   bool empty() const { return shards_.empty(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <tuple>
 #include <string>
 #include <utility>
 
@@ -13,7 +14,10 @@
 #include "index/grid_index.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "shard/apply.hpp"
 #include "store/access.hpp"
+#include "synth/cells.hpp"
+#include "synth/counties.hpp"
 #include "synth/hazard.hpp"
 
 namespace fa::shard {
@@ -27,82 +31,134 @@ Status mat_fail(ErrCode code, std::uint64_t offset, std::string message) {
   return Status::error(code, offset, "shard.materialize", std::move(message));
 }
 
-// Builds one shard's columns for `member_ids` (ascending global ids)
-// against a world's per-transceiver arrays, via a shard-local GridIndex
-// over `bounds`.
-Shard build_shard(const core::World& world,
-                  std::span<const std::uint32_t> member_ids,
-                  const geo::BBox& bounds) {
-  const auto& corpus = world.corpus().transceivers();
-  const auto& cls = store::Access::txr_class(world);
-  const auto& county = store::Access::txr_county(world);
-  const auto& provider = store::Access::txr_provider(world);
-  const index::GridIndex& global = world.txr_index();
-
-  const std::size_t n = member_ids.size();
-  std::vector<geo::Vec2> points(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    points[k] = global.point(member_ids[k]);
-  }
-
-  int cols = 0;
-  int rows = 0;
-  local_grid_dims(n, bounds, cols, rows);
-  // Local counting-sort index over the member points; its binned SoA is
-  // the shard's column order. Stable: binned ids ascend within every
-  // cell, and member_ids is ascending, so the bin-order global ids are a
-  // pure function of (members, bounds, dims).
-  index::GridIndex local(std::move(points), bounds, cols, rows);
-
-  auto columns = std::make_shared<ShardColumns>();
-  ShardColumns& c = *columns;
-  const auto& binned = store::Access::binned(local);
-  c.ids.resize(n);
-  c.cls.resize(n);
-  c.provider.resize(n);
-  c.radio.resize(n);
-  c.mcc.resize(n);
-  c.mnc.resize(n);
-  c.cell_id.resize(n);
-  c.state.resize(n);
-  c.county.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t gid = member_ids[binned[k]];
-    c.ids[k] = gid;
-    c.cls[k] = cls[gid];
-    c.provider[k] = provider[gid];
-    c.county[k] = county[gid];
-    const cellnet::Transceiver& t = corpus[gid];
-    c.radio[k] = static_cast<std::uint8_t>(t.radio);
-    c.mcc[k] = t.mcc;
-    c.mnc[k] = t.mnc;
-    c.cell_id[k] = t.cell_id;
-    c.state[k] = t.state;
-  }
-  c.xs = store::Access::binned_x(local);
-  c.ys = store::Access::binned_y(local);
-  c.cell_start = store::Access::cell_start(local);
-  return view_columns(std::move(columns), bounds, cols, rows);
-}
-
-// A page viewing every column of `columns`.
-Page view_page(std::shared_ptr<const ShardColumns> columns) {
+// A page viewing entries [first, first + n) of every column of
+// `columns`, with `cell_start` (offsets relative to `first`).
+Page view_range(std::shared_ptr<const ShardColumns> columns, std::size_t first,
+                std::size_t n, std::span<const std::uint32_t> cell_start) {
   const ShardColumns& c = *columns;
   Page p;
-  p.cell_start = c.cell_start;
-  p.ids = c.ids;
-  p.xs = c.xs;
-  p.ys = c.ys;
-  p.cls = c.cls;
-  p.provider = c.provider;
-  p.radio = c.radio;
-  p.mcc = c.mcc;
-  p.mnc = c.mnc;
-  p.cell_id = c.cell_id;
-  p.state = c.state;
-  p.county = c.county;
+  p.cell_start = cell_start;
+  p.ids = std::span(c.ids).subspan(first, n);
+  p.xs = std::span(c.xs).subspan(first, n);
+  p.ys = std::span(c.ys).subspan(first, n);
+  p.cls = std::span(c.cls).subspan(first, n);
+  p.provider = std::span(c.provider).subspan(first, n);
+  p.radio = std::span(c.radio).subspan(first, n);
+  p.mcc = std::span(c.mcc).subspan(first, n);
+  p.mnc = std::span(c.mnc).subspan(first, n);
+  p.cell_id = std::span(c.cell_id).subspan(first, n);
+  p.state = std::span(c.state).subspan(first, n);
+  p.county = std::span(c.county).subspan(first, n);
   p.payload = std::move(columns);
   return p;
+}
+
+// The stable counting-sort order of `key` (each key < buckets): order[k]
+// is the index of the k-th entry. `starts` receives the buckets' prefix
+// sums (buckets + 1).
+std::vector<std::uint32_t> counting_order(const std::vector<std::uint32_t>& key,
+                                          std::size_t buckets,
+                                          std::vector<std::uint32_t>& starts) {
+  starts.assign(buckets + 1, 0);
+  for (const std::uint32_t k : key) ++starts[k + 1];
+  for (std::size_t b = 0; b < buckets; ++b) starts[b + 1] += starts[b];
+  std::vector<std::uint32_t> order(key.size());
+  std::vector<std::uint32_t> next(starts.begin(), starts.end() - 1);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    order[next[key[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  return order;
+}
+
+// Permutes entries [first, first + order.size()) of the columns: entry
+// first + order[k] moves to first + k, out of place through a copy of
+// the range of every column passed.
+template <class... Column>
+void permute(std::size_t first, const std::vector<std::uint32_t>& order,
+             Column&... columns) {
+  const auto at = [first](auto& column) { return column.begin() + first; };
+  const std::tuple copies{
+      std::vector(at(columns), at(columns) + order.size())...};
+  std::apply(
+      [&](const auto&... copy) {
+        (std::transform(order.begin(), order.end(), at(columns),
+                        [&copy](std::uint32_t k) { return copy[k]; }),
+         ...);
+      },
+      copies);
+}
+
+// Cuts staged columns (all but ids and cell_start filled, in id order)
+// into `layout`'s shards, in (shard, local cell, id) order — the order a
+// shard-local GridIndex over each shard's ascending ids bins them in: a
+// stable sort by shard, column by column, then each shard's run sorted
+// by local cell, the shards in parallel. cell_start holds each shard's
+// prefix sums back to back; every shard's pages view the one block.
+// Each shard's sort copies its whole run on an exec worker on purpose:
+// the first delta applies after a build allocate page blocks on those
+// workers, and in malloc arenas no build used they fault in fresh pages
+// (~30% slower first ticks at paper scale with per-column scratch).
+std::vector<Shard> cut_shards(std::shared_ptr<ShardColumns> staged,
+                              const ShardLayout& layout) {
+  ShardColumns& c = *staged;
+  const std::size_t n = c.xs.size();
+  const std::size_t shard_count = layout.shard_count();
+  std::vector<std::uint32_t> first;
+  {
+    std::vector<std::uint32_t> shard_of(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      shard_of[i] = layout.shard_of({c.xs[i], c.ys[i]});
+    }
+    c.ids = counting_order(shard_of, shard_count, first);
+  }
+  const auto by_shard = [&c](auto&... column) {
+    (permute(0, c.ids, column), ...);
+  };
+  by_shard(c.xs, c.ys, c.cls, c.provider, c.radio, c.mcc, c.mnc, c.cell_id,
+           c.state, c.county);
+
+  // Sized by membership: a fixed layout's counts may be stale.
+  std::vector<Shard> shards(shard_count);
+  std::vector<std::size_t> cell_base(shard_count + 1, 0);
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    int cols = 0;
+    int rows = 0;
+    local_grid_dims(first[s + 1] - first[s], layout.extent(s).bounds, cols,
+                    rows);
+    shards[s] = shard_grid(layout.extent(s).bounds, cols, rows);
+    cell_base[s + 1] = cell_base[s] + shards[s].cells() + 1;
+  }
+  c.cell_start.resize(cell_base.back());
+  exec::parallel_for(
+      shard_count,
+      [&](std::size_t s) {
+        const Shard& g = shards[s];
+        std::vector<std::uint32_t> cell(first[s + 1] - first[s]);
+        for (std::size_t k = 0; k < cell.size(); ++k) {
+          const std::size_t i = first[s] + k;
+          cell[k] = static_cast<std::uint32_t>(
+              static_cast<std::size_t>(g.row_of(c.ys[i])) * g.cols +
+              static_cast<std::size_t>(g.col_of(c.xs[i])));
+        }
+        std::vector<std::uint32_t> starts;
+        const std::vector<std::uint32_t> order =
+            counting_order(cell, g.cells(), starts);
+        permute(first[s], order, c.ids, c.xs, c.ys, c.cls, c.provider,
+                c.radio, c.mcc, c.mnc, c.cell_id, c.state, c.county);
+        std::copy(starts.begin(), starts.end(),
+                  c.cell_start.begin() + cell_base[s]);
+      },
+      exec::ExecOptions{.grain = 1});
+
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    const Shard& g = shards[s];
+    const Page whole = view_range(
+        staged, first[s], first[s + 1] - first[s],
+        std::span<const std::uint32_t>(c.cell_start)
+            .subspan(cell_base[s], g.cells() + 1));
+    shards[s] = page_shard(whole, g.bounds, g.cols, g.rows);
+  }
+  return shards;
 }
 
 }  // namespace
@@ -136,7 +192,10 @@ Shard page_shard(const Page& whole, const geo::BBox& bounds, int cols,
 
 Shard view_columns(std::shared_ptr<const ShardColumns> columns,
                    const geo::BBox& bounds, int cols, int rows) {
-  return page_shard(view_page(std::move(columns)), bounds, cols, rows);
+  const std::size_t n = columns->ids.size();
+  const std::span<const std::uint32_t> cell_start = columns->cell_start;
+  return page_shard(view_range(std::move(columns), 0, n, cell_start), bounds,
+                    cols, rows);
 }
 
 // -- LiveIds ------------------------------------------------------------
@@ -255,14 +314,10 @@ LiveIds LiveIds::edited(std::span<const std::uint32_t> retired,
 ShardedWorld ShardedWorld::from_world(const core::World& world,
                                       const core::ProviderRiskResult& risk,
                                       const LayoutOptions& options) {
-  const index::GridIndex& global = world.txr_index();
-  const std::size_t n = global.size();
-  std::vector<geo::Vec2> points(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    points[i] = global.point(static_cast<std::uint32_t>(i));
-  }
+  const index::GridIndex& idx = world.txr_index();
   return from_world(world, risk,
-                    ShardLayout::build(global.bounds(), points, options));
+                    ShardLayout::build(idx.bounds(), idx.binned_xs(),
+                                       idx.binned_ys(), options));
 }
 
 ShardedWorld ShardedWorld::from_world(const core::World& world,
@@ -270,43 +325,108 @@ ShardedWorld ShardedWorld::from_world(const core::World& world,
                                       ShardLayout layout) {
   obs::Span span(obs::metrics::kShardBuildNs);
   obs::count(obs::metrics::kShardBuilds);
+  // The world's arrays, staged in id order for cut_shards.
+  const auto& corpus = world.corpus().transceivers();
+  const index::GridIndex& idx = world.txr_index();
+  auto staged = std::make_shared<ShardColumns>();
+  ShardColumns& c = *staged;
+  const std::size_t n = corpus.size();
+  const auto resize = [n](auto&... column) { (column.resize(n), ...); };
+  resize(c.xs, c.ys, c.radio, c.mcc, c.mnc, c.cell_id, c.state);
+  c.cls = store::Access::txr_class(world);
+  c.provider = store::Access::txr_provider(world);
+  c.county = store::Access::txr_county(world);
+  for (std::size_t i = 0; i < n; ++i) {
+    const geo::Vec2 p = idx.point(static_cast<std::uint32_t>(i));
+    const cellnet::Transceiver& t = corpus[i];
+    c.xs[i] = p.x;
+    c.ys[i] = p.y;
+    c.radio[i] = static_cast<std::uint8_t>(t.radio);
+    c.mcc[i] = t.mcc;
+    c.mnc[i] = t.mnc;
+    c.cell_id[i] = t.cell_id;
+    c.state[i] = t.state;
+  }
 
   ShardedWorld sw;
-  sw.meta_.config = world.config();
-  sw.meta_.ingest_dropped = world.ingest_dropped();
-  sw.meta_.ingest_repaired = world.ingest_repaired();
-  sw.meta_.transceivers = world.corpus().size();
+  sw.meta_ = store::MetaFields{world.config(), world.ingest_dropped(),
+                               world.ingest_repaired(), n};
   sw.whp_ = world.whp_ptr();
   sw.counties_ = world.counties_ptr();
   sw.risk_ = risk;
   sw.layout_ = std::move(layout);
-  sw.gcols_ = store::Access::cols(world.txr_index());
-  sw.grows_ = store::Access::rows(world.txr_index());
+  sw.gcols_ = store::Access::cols(idx);
+  sw.grows_ = store::Access::rows(idx);
+  sw.shards_ = cut_shards(std::move(staged), sw.layout_);
+  return sw;
+}
 
-  // Route every point once; iteration in id order keeps each shard's
-  // member list ascending without a sort.
-  const index::GridIndex& global = world.txr_index();
-  const std::size_t shard_count = sw.layout_.shard_count();
-  std::vector<std::vector<std::uint32_t>> members(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    members[s].reserve(sw.layout_.extent(s).n_points);
-  }
-  const std::size_t n = global.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t id = static_cast<std::uint32_t>(i);
-    members[sw.layout_.shard_of(global.point(id))].push_back(id);
-  }
+fault::Result<ShardedWorld> ShardedWorld::build(
+    const synth::ScenarioConfig& config,
+    const core::World::BuildOptions& options, const LayoutOptions& layout) {
+  obs::Span span(obs::metrics::kShardBuildNs);
+  obs::count(obs::metrics::kShardBuilds);
+  const synth::UsAtlas& atlas = synth::UsAtlas::get();
+  ShardedWorld sw;
+  auto staged = std::make_shared<ShardColumns>();
+  ShardColumns& c = *staged;
+  try {
+    // World::build's stages in its order (the first armed synth fault
+    // wins alike), the corpus streamed into id-ordered columns.
+    sw.whp_ = std::make_shared<const synth::WhpModel>(
+        synth::generate_whp(atlas, config));
+    const auto reserve = [n = config.corpus_size()](auto&... column) {
+      (column.reserve(n), ...);
+    };
+    reserve(c.xs, c.ys, c.radio, c.mcc, c.mnc, c.cell_id, c.state);
+    core::Ingest ingest(options, /*corrupt=*/true);
+    synth::generate_corpus(
+        atlas, config, [&](const cellnet::Transceiver& record) {
+          cellnet::Transceiver t = record;
+          if (!ingest.admit(t)) return;
+          c.xs.push_back(t.position.lon);
+          c.ys.push_back(t.position.lat);
+          c.radio.push_back(static_cast<std::uint8_t>(t.radio));
+          c.mcc.push_back(t.mcc);
+          c.mnc.push_back(t.mnc);
+          c.cell_id.push_back(t.cell_id);
+          c.state.push_back(t.state);
+        });
+    sw.counties_ = std::make_shared<const synth::CountyMap>(
+        synth::CountyMap::build(atlas, config));
+    if (fault::Status st = ingest.finish(); !st.ok()) return st;
 
-  // Shard builds are independent (each writes only its own slot), so the
-  // result does not depend on the worker count.
-  sw.shards_.resize(shard_count);
-  exec::parallel_for(
-      shard_count,
-      [&](std::size_t s) {
-        sw.shards_[s] =
-            build_shard(world, members[s], sw.layout_.extent(s).bounds);
-      },
-      exec::ExecOptions{.grain = 1});
+    // World::build's classification, over the staged columns. Every
+    // write is indexed by entry, so the result is thread-count free.
+    const std::size_t n = c.xs.size();
+    c.cls.resize(n);
+    c.county.resize(n);
+    c.provider.resize(n);
+    const cellnet::ProviderRegistry providers;
+    const synth::WhpModel& whp = *sw.whp_;
+    const synth::CountyMap& counties = *sw.counties_;
+    exec::parallel_for(
+        n,
+        [&](std::size_t i) {
+          const geo::LonLat pos{c.xs[i], c.ys[i]};
+          c.cls[i] = static_cast<std::uint8_t>(whp.class_at(pos));
+          c.county[i] = counties.county_of(pos);
+          c.provider[i] =
+              static_cast<std::uint8_t>(providers.resolve(c.mcc[i], c.mnc[i]));
+        },
+        {.grain = 256});
+    sw.meta_ =
+        store::MetaFields{config, ingest.dropped(), ingest.repaired(), n};
+    sw.risk_ = provider_risk_of(c);
+    sw.layout_ = ShardLayout::build(core::World::index_domain(atlas), c.xs,
+                                    c.ys, layout);
+    sw.gcols_ = core::World::kIndexCols;
+    sw.grows_ = core::World::kIndexRows;
+    sw.shards_ = cut_shards(std::move(staged), sw.layout_);
+  } catch (const fault::IoError& e) {
+    // A synth-layer or exec-seam fault, as World::build reports it.
+    return e.status();
+  }
   return sw;
 }
 

@@ -12,13 +12,14 @@
 // Pages. A shard's local cells are cut, in bin order, into pages of
 // kPageCells consecutive cells; a page holds the column entries of its
 // cells and is the unit of copy-on-write. The pages are views: a fresh
-// build (from_world, a re-binned shard, a compaction) points every page
-// of a shard into one owned ShardColumns, an opened FASHRD01 container
-// points them straight into the mmap (so open stays O(sections +
-// pages)), and a delta apply gives each page it rewrites one block of
-// its own holding all of its columns. A successor view shares every page an apply did not
-// touch — and the whole page table of a shard it did not touch — with
-// its base by refcount.
+// build (build, from_world) points every page of every shard into one
+// owned ShardColumns block, a re-binned or compacted shard into one of
+// its own, an opened FASHRD01 container points them straight into the
+// mmap (so open stays O(sections + pages)), and a delta apply gives each
+// page it rewrites one block of its own holding all of its columns. A
+// successor view shares every page an apply did not touch — and the
+// whole page table of a shard it did not touch — with its base by
+// refcount.
 //
 // Stable ids. The id columns hold *stable* ids: a retire leaves a
 // tombstone instead of renumbering the survivors, and an add takes the
@@ -26,17 +27,18 @@
 // carries is the stable id's rank among the live ones (dense_id()),
 // which keeps survivors in base order — the order delta::Applier's
 // re-densification gives — so ranking by stable id and by dense id
-// agree. A root view (from_world, or opened from a container) has no
+// agree. A root view (built, or opened from a container) has no
 // tombstones and no live set: its stable ids are the dense ids. Ids
 // become dense only where they leave fa::shard: the planner's top-K
 // ids, encode_sharded, materialize and positions_by_id.
 //
 // Determinism contract (pinned by tests/shard/equivalence_test.cpp):
 // for any query, scattering over shards_overlapping() and merging in
-// ascending shard id yields responses byte-identical to the monolithic
-// path — the shards partition the point set, every query applies its
-// exact containment filters per point, and the merged aggregates are
-// order-independent sums or totally-ordered rankings.
+// ascending shard id yields responses byte-identical to a brute-force
+// scan of the whole corpus, under any layout — the shards partition the
+// point set, every query applies its exact containment filters per
+// point, and the merged aggregates are order-independent sums or
+// totally-ordered rankings.
 #pragma once
 
 #include <algorithm>
@@ -50,6 +52,7 @@
 #include "core/provider_risk.hpp"
 #include "core/world.hpp"
 #include "fault/status.hpp"
+#include "synth/scenario.hpp"
 #include "shard/layout.hpp"
 #include "store/codec.hpp"
 
@@ -62,8 +65,9 @@ namespace fa::shard {
 // stable ids").
 inline constexpr std::uint32_t kPageCells = 256;
 
-// Owned in-memory column storage for one shard, in local bin order (a
-// fresh build, a re-binned or compacted shard).
+// Owned in-memory column storage in local bin order: one shard's (a
+// re-binned or compacted shard), or every shard's back to back (a fresh
+// build, whose cell_start then holds each shard's prefix sums in turn).
 struct ShardColumns {
   std::vector<std::uint32_t> ids;
   std::vector<double> xs, ys;
@@ -73,6 +77,13 @@ struct ShardColumns {
   std::vector<std::uint32_t> cell_id;
   std::vector<std::int16_t> state;
   std::vector<std::int32_t> county;
+
+  // fn(column) for every per-entry column (all but cell_start).
+  template <class Fn>
+  void for_each_column(Fn&& fn) {
+    fn(ids), fn(xs), fn(ys), fn(cls), fn(provider), fn(radio);
+    fn(mcc), fn(mnc), fn(cell_id), fn(state), fn(county);
+  }
 };
 
 // The entries of up to kPageCells consecutive local cells. cell_start
@@ -148,8 +159,8 @@ struct Shard {
   // splits there, and [begin, end) indexes the page's column spans.
   // There is no bounds-intersect early-out: the planner already routed
   // this shard by exact clamped-tile arithmetic, and skipping here on a
-  // floating-point bbox comparison could drop an edge-clamped point the
-  // monolithic path would count.
+  // floating-point bbox comparison could drop an edge-clamped point a
+  // whole-corpus scan would count.
   template <class Fn>
   void query_spans(const geo::BBox& query, Fn&& fn) const {
     query_pages(query, [&](std::size_t p, std::uint32_t begin,
@@ -225,10 +236,23 @@ class ShardedWorld {
  public:
   ShardedWorld() = default;
 
-  // Partitions a built world. The three-arg form derives a balanced
-  // layout from the world's point distribution; the fixed-layout form
-  // is the delta path's reference derivation (the layout of a lineage
-  // never changes, only shard membership does).
+  // Builds the view for `config` without a core::World: the corpus
+  // streams through core::Ingest into id-ordered columns, classified in
+  // parallel with World::build's expressions, then partitioned by shard
+  // and sorted by local cell within each shard, column by column. At
+  // peak it holds the WHP surface, the county map, the columns, the
+  // partition order and one column's copy.
+  // Encodes byte-identical to from_world(World::build(config, options),
+  // ...) and fails with World::build's Status.
+  static fault::Result<ShardedWorld> build(
+      const synth::ScenarioConfig& config,
+      const core::World::BuildOptions& options, const LayoutOptions& layout);
+
+  // Partitions a built world through the same column cut. The three-arg
+  // form derives a balanced layout from the world's point distribution;
+  // the fixed-layout form is the delta path's reference derivation (the
+  // layout of a lineage never changes, only shard membership does).
+  // FASNAP01 migration and the delta suites' oracle.
   static ShardedWorld from_world(const core::World& world,
                                  const core::ProviderRiskResult& risk,
                                  const LayoutOptions& options = {});
@@ -249,7 +273,7 @@ class ShardedWorld {
   std::uint64_t ingest_repaired() const { return meta_.ingest_repaired; }
   const store::MetaFields& meta() const { return meta_; }
   // Global index grid dims, carried so materialize() can rebuild the
-  // monolithic GridIndex bit-for-bit.
+  // monolithic GridIndex bit-for-bit (over domain(), the index domain).
   int global_cols() const { return gcols_; }
   int global_rows() const { return grows_; }
 
@@ -328,7 +352,7 @@ Shard shard_grid(const geo::BBox& bounds, int cols, int rows);
 Shard page_shard(const Page& whole, const geo::BBox& bounds, int cols,
                  int rows);
 
-// page_shard over owned columns (from_world, a re-binned or compacted
+// page_shard over one shard's owned columns (a re-binned or compacted
 // shard).
 Shard view_columns(std::shared_ptr<const ShardColumns> columns,
                    const geo::BBox& bounds, int cols, int rows);

@@ -58,9 +58,9 @@ double source_multiplier(Provider p, Source s) {
 
 }  // namespace
 
-cellnet::CellCorpus generate_corpus(const UsAtlas& atlas,
-                                    const ScenarioConfig& config,
-                                    const CorpusMixture& mix) {
+std::size_t generate_corpus(const UsAtlas& atlas, const ScenarioConfig& config,
+                            const TransceiverSink& sink,
+                            const CorpusMixture& mix) {
   fault::Injector::global().fail_point("synth.corpus", config.seed);
   const obs::Span span("synth.corpus");
   Rng rng(config.seed ^ 0xCE11C0DEULL);
@@ -95,14 +95,13 @@ cellnet::CellCorpus generate_corpus(const UsAtlas& atlas,
   }
 
   const std::size_t target = config.corpus_size();
-  std::vector<Transceiver> out;
-  out.reserve(target);
+  std::size_t emitted = 0;
 
   // Transceivers are emitted in co-located groups: one cell site hosts
   // several radios (bands x tenants; Figure 1 of the paper). Urban sites
   // are denser than rural ones. The OpenCelliD position noise is modelled
   // as a small per-radio jitter around the site.
-  while (out.size() < target) {
+  while (emitted < target) {
     // --- position ---
     Source source;
     geo::LonLat pos;
@@ -165,9 +164,9 @@ cellnet::CellCorpus generate_corpus(const UsAtlas& atlas,
     // Radios on this site: urban towers serve more tenants and bands.
     const std::uint64_t site_radios =
         1 + rng.poisson(source == Source::kUrban ? 11.0 : 4.0);
-    for (std::uint64_t k = 0; k < site_radios && out.size() < target; ++k) {
+    for (std::uint64_t k = 0; k < site_radios && emitted < target; ++k) {
       Transceiver t;
-      t.id = static_cast<std::uint32_t>(out.size());
+      t.id = static_cast<std::uint32_t>(emitted);
       // ~30 m crowd-sourcing jitter per radio.
       t.position = {pos.lon + rng.normal(0.0, 0.0003),
                     pos.lat + rng.normal(0.0, 0.0002)};
@@ -187,10 +186,21 @@ cellnet::CellCorpus generate_corpus(const UsAtlas& atlas,
       t.mcc = block.mcc;
       t.mnc = block.mnc;
       t.cell_id = static_cast<std::uint32_t>(provider_rng.next_u64());
-      out.push_back(t);
+      sink(t);
+      ++emitted;
     }
   }
-  obs::count("synth.corpus.transceivers", out.size());
+  obs::count("synth.corpus.transceivers", emitted);
+  return emitted;
+}
+
+cellnet::CellCorpus generate_corpus(const UsAtlas& atlas,
+                                    const ScenarioConfig& config,
+                                    const CorpusMixture& mix) {
+  std::vector<Transceiver> out;
+  out.reserve(config.corpus_size());
+  generate_corpus(
+      atlas, config, [&out](const Transceiver& t) { out.push_back(t); }, mix);
   return cellnet::CellCorpus{std::move(out)};
 }
 

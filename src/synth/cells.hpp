@@ -6,6 +6,9 @@
 // paper's Tables 2-3. Deterministic in (seed, scale).
 #pragma once
 
+#include <cstddef>
+#include <functional>
+
 #include "cellnet/corpus.hpp"
 #include "synth/scenario.hpp"
 #include "synth/usatlas.hpp"
@@ -18,6 +21,15 @@ struct CorpusMixture {
   double rural_fraction = 0.08;  // population-weighted scatter
 };
 
+// Streams the corpus one record at a time, in id order (ids 0, 1, ...),
+// and returns the record count. A consumer that keeps its own columns
+// never holds the whole corpus as Transceiver records.
+using TransceiverSink = std::function<void(const cellnet::Transceiver&)>;
+std::size_t generate_corpus(const UsAtlas& atlas, const ScenarioConfig& config,
+                            const TransceiverSink& sink,
+                            const CorpusMixture& mix = {});
+
+// The whole corpus as one container (the streaming form, collected).
 cellnet::CellCorpus generate_corpus(const UsAtlas& atlas,
                                     const ScenarioConfig& config,
                                     const CorpusMixture& mix = {});

@@ -104,23 +104,21 @@ TEST(ServeDelta, SnapshotsShareUntouchedLayers) {
             base->world().corpus().size() - 1);
 }
 
-// The store-backed cases run once per representation: the Server's
-// lifecycle is one path either way, so the log contracts must hold for
-// a monolithic world and for a sharded view alike.
-constexpr bool kRepresentations[] = {false, true};
-
-ServerOptions store_options(const std::string& dir, bool sharded) {
+// The store-backed cases run once per layout: the Server's lifecycle is
+// one path, so the log contracts must hold however the view is cut.
+ServerOptions store_options(const std::string& dir,
+                            const shard::LayoutOptions& layout) {
   ServerOptions options;
   options.store_dir = dir;
-  options.sharded = sharded;
+  options.shard_layout = layout;
   return options;
 }
 
 TEST(ServeDelta, ColdStartReplaysChainToServingBytes) {
-  for (const bool sharded : kRepresentations) {
-    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+  for (const shard::LayoutOptions& layout : testing::test_layouts()) {
+    SCOPED_TRACE(testing::layout_name(layout));
     TempDir tmp;
-    const ServerOptions options = store_options(tmp.path, sharded);
+    const ServerOptions options = store_options(tmp.path, layout);
     std::string final_bytes;
     {
       Server server(tiny_config(), options);
@@ -155,10 +153,10 @@ TEST(ServeDelta, ColdStartReplaysChainToServingBytes) {
 }
 
 TEST(ServeDelta, SaveSnapshotRerootsChain) {
-  for (const bool sharded : kRepresentations) {
-    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+  for (const shard::LayoutOptions& layout : testing::test_layouts()) {
+    SCOPED_TRACE(testing::layout_name(layout));
     TempDir tmp;
-    const ServerOptions options = store_options(tmp.path, sharded);
+    const ServerOptions options = store_options(tmp.path, layout);
     Server server(tiny_config(), options);
     ASSERT_TRUE(server.save_snapshot().ok());
     const auto feed_root = server.snapshots().acquire();
@@ -185,10 +183,10 @@ TEST(ServeDelta, SaveSnapshotRerootsChain) {
 }
 
 TEST(ServeDelta, RebuildDisengagesLog) {
-  for (const bool sharded : kRepresentations) {
-    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+  for (const shard::LayoutOptions& layout : testing::test_layouts()) {
+    SCOPED_TRACE(testing::layout_name(layout));
     TempDir tmp;
-    Server server(tiny_config(), store_options(tmp.path, sharded));
+    Server server(tiny_config(), store_options(tmp.path, layout));
     ASSERT_TRUE(server.save_snapshot().ok());
     // rebuild() publishes a from-scratch world: the serving state no
     // longer derives from the committed generation, so subsequent deltas

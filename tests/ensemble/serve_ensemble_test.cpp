@@ -1,14 +1,20 @@
 // The served ensemble request pair, end to end: wire codec totality,
 // fingerprint distinctness, Server::handle dispatch + cache
-// equivalence, HTTP route parsing, and a live NetServer socket round
-// trip — TopKFragileSites queryable through the same front door as
-// every other query shape.
+// equivalence, answers equal to the engine's over the built (or
+// delta-applied) world, HTTP route parsing, and a live NetServer socket
+// round trip — TopKFragileSites queryable through the same front door
+// as every other query shape.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "core/provider_risk.hpp"
+#include "core/world.hpp"
+#include "delta/apply.hpp"
+#include "delta/feed.hpp"
+#include "ensemble/ensemble.hpp"
 #include "net/client.hpp"
 #include "net/http.hpp"
 #include "net/server.hpp"
@@ -143,6 +149,82 @@ TEST(EnsembleServe, HandleReturnsTheMatchingAlternative) {
   EXPECT_EQ(server.ensemble_summary(EnsembleSummaryQuery{kMembers, 7}), s);
   EXPECT_EQ(server.top_k_fragile_sites(TopKFragileSitesQuery{kMembers, 7, 5}),
             f);
+}
+
+// What the served pair must answer at `epoch`: run_ensemble over
+// SharedInputs::build(world), projected like the wire responses.
+std::pair<EnsembleSummaryResponse, TopKFragileSitesResponse> expected_over(
+    const core::World& world, Epoch epoch, std::uint32_t members,
+    std::uint64_t seed, std::uint32_t k) {
+  ensemble::EnsembleConfig config;
+  config.members = members;
+  config.seed = seed;
+  const ensemble::SharedInputs inputs =
+      ensemble::SharedInputs::build(world, config);
+  const ensemble::EnsembleReport report =
+      ensemble::run_ensemble(inputs, config);
+  EnsembleSummaryResponse summary;
+  summary.epoch = epoch;
+  summary.members = report.members;
+  summary.quarantined = report.quarantined;
+  summary.sites = report.sites;
+  summary.fires = report.fires;
+  summary.expected_user_hours = report.expected_user_hours;
+  summary.expected_power_user_hours = report.expected_power_user_hours;
+  summary.expected_pop_exposure = report.expected_pop_exposure;
+  summary.expected_overlap_user_hours = report.expected_overlap_user_hours;
+  for (const ensemble::ExceedancePoint& p : report.exceedance) {
+    summary.exceedance.push_back({p.user_hours, p.probability});
+  }
+  TopKFragileSitesResponse fragile;
+  fragile.epoch = epoch;
+  fragile.members = report.members;
+  fragile.sites = report.sites;
+  for (const ensemble::FragileSite& f :
+       ensemble::top_k_fragile(inputs, report, k)) {
+    fragile.sites_ranked.push_back({f.site, f.position, f.users,
+                                    f.expected_user_hours, f.power_share,
+                                    f.outage_probability});
+  }
+  return {summary, fragile};
+}
+
+// The served pair reads the region's transceivers from the shard columns
+// instead of a world: it must answer exactly what the ensemble engine
+// answers over the built world — on a fresh view, and on a view fed with
+// retires (which renumber the dense ids), against delta::Applier's world.
+TEST(EnsembleServe, ServedAnswersEqualRunEnsembleOverTheWorld) {
+  Server server(tiny_config());
+  core::World world = core::World::build(tiny_config());
+  core::ProviderRiskResult risk = core::run_provider_risk(world);
+  const auto expect_served = [&](const char* what) {
+    SCOPED_TRACE(what);
+    const auto [summary, fragile] =
+        expected_over(world, server.epoch(), kMembers, 11, 7);
+    EXPECT_EQ(server.ensemble_summary({kMembers, 11}), summary);
+    EXPECT_EQ(server.top_k_fragile_sites({kMembers, 11, 7}), fragile);
+  };
+  expect_served("fresh view");
+
+  delta::FeedOptions feed_options;
+  feed_options.seed = 5;
+  feed_options.w_retire = 12.0;
+  delta::FeedGenerator gen(world, feed_options);
+  delta::FeedIngestor ingestor;
+  std::size_t retires = 0;
+  for (int tick = 0; tick < 3; ++tick) {
+    auto cleaned = ingestor.ingest(gen.tick());
+    ASSERT_TRUE(cleaned.ok());
+    auto applied = delta::Applier::apply(world, risk, cleaned.value());
+    ASSERT_TRUE(applied.ok()) << applied.status().to_string();
+    delta::ApplyResult result = std::move(applied).take();
+    retires += result.stats.retires;
+    world = std::move(result.world);
+    risk = std::move(result.provider_risk);
+    ASSERT_TRUE(server.apply_delta(cleaned.value()).ok());
+  }
+  ASSERT_GT(retires, 0u) << "the feed never retired a site";
+  expect_served("fed view");
 }
 
 TEST(EnsembleServe, CachedEqualsUncached) {

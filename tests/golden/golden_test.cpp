@@ -24,6 +24,8 @@
 #include "delta/feed.hpp"
 #include "io/json.hpp"
 #include "store/codec.hpp"
+#include "shard/codec.hpp"
+#include "shard/world.hpp"
 #include "store/format.hpp"
 #include "test_world.hpp"
 
@@ -190,6 +192,37 @@ TEST(Golden, DeltaEpochBytes) {
   doc["rebuild_crc"] = static_cast<std::size_t>(
       store::crc32(rebuilt_bytes.data(), rebuilt_bytes.size()));
   check_golden("delta_epoch", io::JsonValue{std::move(doc)});
+}
+
+TEST(Golden, ShardImageBytes) {
+  // Pins the FASHRD01 bytes of the shared test world's sharded view,
+  // under the default layout and a small multi-shard one. The serving
+  // build (World-free, streamed into shard columns) and the cut of a
+  // built World must both produce them.
+  const World& world = test_world();
+  const ProviderRiskResult risk = run_provider_risk(world);
+  fa::shard::LayoutOptions small;
+  small.tiles_x = 8;
+  small.tiles_y = 4;
+  small.target_shards = 6;
+  io::JsonObject doc;
+  for (const auto& [name, layout] :
+       {std::pair<const char*, fa::shard::LayoutOptions>{"default", {}},
+        std::pair<const char*, fa::shard::LayoutOptions>{"small", small}}) {
+    auto built = fa::shard::ShardedWorld::build(world.config(), {}, layout);
+    ASSERT_TRUE(built.ok()) << built.status().to_string();
+    const std::string bytes = fa::shard::encode_sharded(built.value());
+    ASSERT_TRUE(bytes == fa::shard::encode_sharded(
+                             fa::shard::ShardedWorld::from_world(world, risk,
+                                                                 layout)))
+        << name << ": the World-free build diverged from from_world";
+    io::JsonObject entry;
+    entry["bytes"] = bytes.size();
+    entry["crc"] = static_cast<std::size_t>(
+        store::crc32(bytes.data(), bytes.size()));
+    doc[name] = io::JsonValue{std::move(entry)};
+  }
+  check_golden("shard_image", io::JsonValue{std::move(doc)});
 }
 
 }  // namespace

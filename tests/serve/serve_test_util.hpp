@@ -34,6 +34,29 @@ inline synth::ScenarioConfig tiny_config(std::uint64_t seed = 20191022) {
   return cfg;
 }
 
+// A layout fine enough that the small test worlds actually straddle
+// shards (the default 32x16/16 would too, but a smaller tile grid keeps
+// per-shard populations comfortably non-trivial at corpus_scale 100).
+inline shard::LayoutOptions small_layout() {
+  shard::LayoutOptions options;
+  options.tiles_x = 8;
+  options.tiles_y = 4;
+  options.target_shards = 6;
+  return options;
+}
+
+// The layouts the lifecycle suites run every server under: the default
+// cut and small_layout(). Answers must not depend on which.
+inline std::vector<shard::LayoutOptions> test_layouts() {
+  return {shard::LayoutOptions{}, small_layout()};
+}
+
+inline const char* layout_name(const shard::LayoutOptions& layout) {
+  return layout.target_shards == small_layout().target_shards
+             ? "small layout"
+             : "default layout";
+}
+
 using AnyQuery = std::variant<PointRiskQuery, BBoxAggregateQuery,
                               ProviderExposureQuery, TopKSitesQuery>;
 

@@ -504,8 +504,8 @@ TEST(ShardApply, QuarantinedInvalidEventsMatch) {
 TEST(ShardApply, RetireHeavyChainCompactsAndServesLikeMonolithic) {
   // Retire-dominated ticks: tombstones cross the 1/8 compaction
   // threshold mid-chain, every tick still matches the reference, and a
-  // sharded Server fed the chain answers like a monolithic one — top-K
-  // ids (dense at the edge) included.
+  // small-layout Server fed the chain answers like a default-layout one
+  // — top-K ids (dense at the edge) included.
   delta::FeedOptions feed_options;
   feed_options.seed = 907;
   feed_options.events_per_tick_mean = 640.0;
@@ -513,7 +513,6 @@ TEST(ShardApply, RetireHeavyChainCompactsAndServesLikeMonolithic) {
   ShardedWorld view(small_sharded());
   serve::Server mono(serve::testing::small_config());
   serve::ServerOptions sharded;
-  sharded.sharded = true;
   sharded.shard_layout = testing::small_layout();
   serve::Server shrd(serve::testing::small_config(), sharded);
   delta::FeedGenerator gen(small_world(), feed_options);
@@ -536,7 +535,7 @@ TEST(ShardApply, RetireHeavyChainCompactsAndServesLikeMonolithic) {
   EXPECT_GE(compactions, 1u) << "the chain never crossed the threshold";
   EXPECT_GT(view.tombstones(), 0u) << "end between compactions";
   EXPECT_EQ(encode_sharded(view),
-            encode_sharded(*shrd.snapshots().acquire()->sharded()));
+            encode_sharded(shrd.snapshots().acquire()->sharded()));
   const std::vector<serve::testing::AnyQuery> stream =
       serve::testing::make_stream(200, 61);
   for (std::size_t i = 0; i < stream.size(); ++i) {

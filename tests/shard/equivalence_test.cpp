@@ -1,7 +1,9 @@
 // The tentpole contract: scatter/gather over shards answers every query
-// family byte-identically to the monolithic path — randomized streams,
-// tile-edge points, boxes straddling several shards, empty ocean tiles,
-// and any thread count (the exec cap cannot leak into response bytes).
+// family byte-identically to a brute-force scan of the whole corpus (the
+// reference evaluator in tests/serve/reference_eval.hpp) — randomized
+// streams, tile-edge points, boxes straddling several shards, empty
+// ocean tiles, and any thread count (the exec cap cannot leak into
+// response bytes).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -19,18 +21,17 @@ namespace st = fa::serve::testing;
 using st::AnyQuery;
 using st::AnyResponse;
 using st::ask_snapshot;
-using testing::monolithic_snapshot;
+using testing::ask_reference;
 using testing::sharded_snapshot;
 using testing::small_sharded;
 
 void expect_stream_identical(const std::vector<AnyQuery>& stream) {
-  const serve::Snapshot& mono = *monolithic_snapshot();
   const serve::Snapshot& shrd = *sharded_snapshot();
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const AnyResponse a = ask_snapshot(mono, stream[i]);
+    const AnyResponse a = ask_reference(stream[i]);
     const AnyResponse b = ask_snapshot(shrd, stream[i]);
     ASSERT_TRUE(a == b) << "query " << i
-                        << ": sharded answer diverged from monolithic";
+                        << ": sharded answer diverged from the reference";
   }
 }
 
@@ -102,7 +103,7 @@ TEST(ShardEquivalence, SerialAndParallelFanoutsAreIdentical) {
     ASSERT_TRUE(serial[i] == parallel[i])
         << "query " << i << ": thread count leaked into response bytes";
   }
-  // And both match the monolithic baseline under the same caps.
+  // And both match the reference evaluator under the same caps.
   {
     exec::ConcurrencyLimit one(1);
     expect_stream_identical(stream);
@@ -138,7 +139,7 @@ TEST(ShardEquivalence, BoxesStraddlingShardsFanOutAndMatch) {
   const geo::BBox& d = layout.domain();
   // Domain-height slabs crossing every vertical cut, plus the whole
   // domain: each must fan out across >= 2 shards and still merge to the
-  // monolithic bytes.
+  // reference bytes.
   std::vector<AnyQuery> stream;
   std::size_t straddling = 0;
   for (int i = 1; i < 8; ++i) {
@@ -163,12 +164,12 @@ TEST(ShardEquivalence, EmptyOceanTileAnswersEmptyAndIdentical) {
       {d.min_x, d.max_y - h, d.min_x + w, d.max_y},
       {d.max_x - w, d.max_y - h, d.max_x, d.max_y},
   };
-  const serve::Snapshot& mono = *monolithic_snapshot();
   const serve::Snapshot& shrd = *sharded_snapshot();
   bool found_empty = false;
   for (const geo::BBox& corner : corners) {
     const serve::BBoxAggregateQuery q{corner};
-    const serve::BBoxAggregateResponse a = serve::evaluate(mono, q);
+    const serve::BBoxAggregateResponse a =
+        std::get<serve::BBoxAggregateResponse>(ask_reference(q));
     const serve::BBoxAggregateResponse b = serve::evaluate(shrd, q);
     ASSERT_TRUE(a == b);
     if (a.transceivers == 0) found_empty = true;
@@ -179,21 +180,20 @@ TEST(ShardEquivalence, EmptyOceanTileAnswersEmptyAndIdentical) {
 }
 
 TEST(ShardEquivalence, ProviderExposureReadsTheSameAggregate) {
-  const serve::Snapshot& mono = *monolithic_snapshot();
   const serve::Snapshot& shrd = *sharded_snapshot();
   for (int p = 0; p < static_cast<int>(cellnet::kNumProviders); ++p) {
     const serve::ProviderExposureQuery q{static_cast<cellnet::Provider>(p)};
-    ASSERT_TRUE(serve::evaluate(mono, q) == serve::evaluate(shrd, q));
+    ASSERT_TRUE(std::get<serve::ProviderExposureResponse>(ask_reference(q)) ==
+                serve::evaluate(shrd, q));
   }
 }
 
 TEST(ShardEquivalence, MaterializedShardedSnapshotStillPlansSharded) {
-  // A sharded snapshot that has materialized its world (ensemble query,
-  // delta apply) must keep answering interactive queries through the
-  // planner — same bytes either way, but the dispatch is pinned here.
+  // A snapshot that has materialized its world (a tool or harness
+  // called world()) must keep answering interactive queries through the
+  // planner, with the same bytes.
   const serve::Snapshot& shrd = *sharded_snapshot();
   (void)shrd.world();  // force materialization
-  ASSERT_NE(shrd.sharded(), nullptr);
   expect_stream_identical(st::make_stream(120, 43));
 }
 

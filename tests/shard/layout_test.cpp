@@ -17,17 +17,9 @@ using testing::small_layout;
 using testing::small_risk;
 using testing::small_world;
 
-std::vector<geo::Vec2> world_points() {
-  const index::GridIndex& idx = small_world().txr_index();
-  std::vector<geo::Vec2> pts(idx.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    pts[i] = idx.point(static_cast<std::uint32_t>(i));
-  }
-  return pts;
-}
-
 ShardLayout build_layout() {
-  return ShardLayout::build(small_world().txr_index().bounds(), world_points(),
+  const index::GridIndex& idx = small_world().txr_index();
+  return ShardLayout::build(idx.bounds(), idx.binned_xs(), idx.binned_ys(),
                             small_layout());
 }
 

@@ -1,9 +1,11 @@
-// Server integration for sharded serving: byte-identity with the
-// monolithic server through the public front door, FASHRD01 persistence
-// and zero-copy cold start, shard-native deltas (fail-closed contracts,
-// and a log replay that never materializes a monolithic world), degraded
-// serving over a damaged store, and epoch purity under concurrent
-// queries while swaps land (the TSan target).
+// Server integration for sharded serving: byte-identity across layouts
+// through the public front door, FASHRD01 persistence and zero-copy cold
+// start, the upgrade path for stores written before serving was
+// sharded-only (FASNAP01 plus a delta log), shard-native deltas
+// (fail-closed contracts), a whole lifecycle that never builds or
+// materializes a monolithic world, degraded serving over a damaged
+// store, and epoch purity under concurrent queries while swaps land (the
+// TSan target).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,8 +16,12 @@
 #include "delta/feed.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
+#include "delta/apply.hpp"
+#include "delta/log.hpp"
 #include "serve/server.hpp"
 #include "shard/codec.hpp"
+#include "store/codec.hpp"
+#include "store/format.hpp"
 #include "shard_test_util.hpp"
 
 namespace fa::shard {
@@ -31,14 +37,13 @@ using testing::TempDir;
 
 serve::ServerOptions sharded_options(const std::string& store_dir = "") {
   serve::ServerOptions options;
-  options.sharded = true;
   options.shard_layout = small_layout();
   options.store_dir = store_dir;
   return options;
 }
 
 std::string serving_image(const serve::Server& server) {
-  return encode_sharded(*server.snapshots().acquire()->sharded());
+  return encode_sharded(server.snapshots().acquire()->sharded());
 }
 
 std::uint64_t swaps_failed(serve::Server& server) {
@@ -104,6 +109,18 @@ void damage_one_shard(const std::string& store_dir) {
   out.write(dirty.data(), static_cast<std::streamsize>(dirty.size()));
 }
 
+// Commits `world` as a FASNAP01 generation, the way a server built
+// before serving was sharded-only persisted its monolithic world.
+store::Generation commit_fasnap01(const std::string& store_dir,
+                                  const core::World& world) {
+  auto dir = store::StoreDir::open(store_dir);
+  EXPECT_TRUE(dir.ok());
+  auto gen = dir.value().commit(
+      store::encode_world(world, core::run_provider_risk(world)));
+  EXPECT_TRUE(gen.ok());
+  return gen.value();
+}
+
 AnyResponse without_epoch(AnyResponse r) {
   std::visit([](auto& response) { response.epoch = 0; }, r);
   return r;
@@ -112,7 +129,6 @@ AnyResponse without_epoch(AnyResponse r) {
 TEST(ServeSharded, FrontDoorMatchesMonolithicServer) {
   serve::Server mono(st::small_config());
   serve::Server shrd(st::small_config(), sharded_options());
-  ASSERT_NE(shrd.snapshots().acquire()->sharded(), nullptr);
   const std::vector<AnyQuery> stream = st::make_stream(300, 17);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(ask(mono, stream[i]) == ask(shrd, stream[i]))
@@ -132,7 +148,6 @@ TEST(ServeSharded, SaveThenColdStartServesIdenticalAnswers) {
   }
   serve::Server reborn(st::small_config(), sharded_options(tmp.path));
   EXPECT_TRUE(reborn.loaded_from_store());
-  ASSERT_NE(reborn.snapshots().acquire()->sharded(), nullptr);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(before[i] == ask(reborn, stream[i]))
         << "query " << i << " changed across the cold start";
@@ -141,15 +156,9 @@ TEST(ServeSharded, SaveThenColdStartServesIdenticalAnswers) {
 
 TEST(ServeSharded, MonolithicStoreMigratesOnColdStart) {
   TempDir tmp;
-  {
-    serve::ServerOptions mono_options;
-    mono_options.store_dir = tmp.path;
-    serve::Server mono(st::small_config(), mono_options);
-    ASSERT_TRUE(mono.save_snapshot().ok());
-  }
+  commit_fasnap01(tmp.path, testing::small_world());
   serve::Server shrd(st::small_config(), sharded_options(tmp.path));
   EXPECT_TRUE(shrd.loaded_from_store());
-  ASSERT_NE(shrd.snapshots().acquire()->sharded(), nullptr);
   serve::Server fresh(st::small_config(), sharded_options());
   const std::vector<AnyQuery> stream = st::make_stream(120, 31);
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -178,7 +187,6 @@ TEST(ServeSharded, ApplyDeltaPublishesShardedEpochMatchingMonolithic) {
     ASSERT_TRUE(shrd.apply_delta(b.value()).ok());
   }
   ASSERT_EQ(mono.epoch(), shrd.epoch());
-  ASSERT_NE(shrd.snapshots().acquire()->sharded(), nullptr);
   const std::vector<AnyQuery> stream = st::make_stream(200, 41);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(ask(mono, stream[i]) == ask(shrd, stream[i]))
@@ -198,14 +206,13 @@ TEST(ServeSharded, DamagedStoreServesDegradedAndRefusesPersist) {
   serve::Server degraded(st::small_config(), sharded_options(tmp.path));
   EXPECT_TRUE(degraded.loaded_from_store());
   const serve::Snapshot& snap = *degraded.snapshots().acquire();
-  ASSERT_NE(snap.sharded(), nullptr);
-  EXPECT_EQ(snap.sharded()->quarantined_count(), 1u);
+  EXPECT_EQ(snap.sharded().quarantined_count(), 1u);
   // The surviving geography answers; a whole-domain aggregate sees a
   // subset, never a failure.
   const serve::BBoxAggregateResponse r = degraded.bbox_aggregate(
-      serve::BBoxAggregateQuery{snap.sharded()->layout().domain()});
+      serve::BBoxAggregateQuery{snap.sharded().layout().domain()});
   EXPECT_GT(r.transceivers, 0u);
-  EXPECT_LT(r.transceivers, snap.sharded()->total_points());
+  EXPECT_LT(r.transceivers, snap.sharded().total_points());
   // And the degraded view must not overwrite the store as the newest
   // generation.
   EXPECT_FALSE(degraded.save_snapshot().ok());
@@ -248,7 +255,6 @@ TEST(ServeSharded, ConcurrentQueriesStayEpochPureAcrossSwaps) {
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(asked.load(), 0u);
-  ASSERT_NE(server.snapshots().acquire()->sharded(), nullptr);
 }
 
 TEST(ServeSharded, ApplyOnDegradedColdStartFailsClosed) {
@@ -262,7 +268,7 @@ TEST(ServeSharded, ApplyOnDegradedColdStartFailsClosed) {
   ASSERT_FALSE(HasFatalFailure());
   serve::Server degraded(st::small_config(), sharded_options(tmp.path));
   ASSERT_TRUE(degraded.loaded_from_store());
-  ASSERT_EQ(degraded.snapshots().acquire()->sharded()->quarantined_count(),
+  ASSERT_EQ(degraded.snapshots().acquire()->sharded().quarantined_count(),
             1u);
   const std::uint64_t failed_before = swaps_failed(degraded);
   const fault::Status status = degraded.apply_delta(retire_and_add());
@@ -349,6 +355,146 @@ TEST(ServeSharded, ColdStartReplayingARetireNeverMaterializes) {
   EXPECT_EQ(
       scoped.registry().counter(obs::metrics::kShardMaterializes).value(),
       0u);
+}
+
+// Stores written before serving was sharded-only hold a FASNAP01
+// generation and a delta log chained to it. A cold start migrates the
+// image, replays the chain, and serves the reference evaluator's bytes
+// over the world delta::Applier builds from the same prefix; the next
+// save commits a FASHRD01 generation and re-roots the log on it.
+TEST(ServeSharded, PreShardingStoreWithDeltaLogUpgradesOnColdStart) {
+  ObsOn obs_on;
+  TempDir tmp;
+  const core::World& base = testing::small_world();
+  const store::Generation root = commit_fasnap01(tmp.path, base);
+  ASSERT_FALSE(HasFailure());
+  core::World world = base;
+  core::ProviderRiskResult risk = core::run_provider_risk(base);
+  {
+    auto dir = store::StoreDir::open(tmp.path);
+    ASSERT_TRUE(dir.ok());
+    auto log = delta::DeltaLog::open(dir.value(), root.number, root.crc);
+    ASSERT_TRUE(log.ok()) << log.status().to_string();
+    delta::FeedOptions feed_options;
+    feed_options.seed = 17;
+    delta::FeedGenerator gen(base, feed_options);
+    delta::FeedIngestor ingestor;
+    std::size_t retires = 0;
+    for (int tick = 0; tick < 3; ++tick) {
+      auto cleaned = ingestor.ingest(gen.tick());
+      ASSERT_TRUE(cleaned.ok());
+      auto applied = delta::Applier::apply(world, risk, cleaned.value());
+      ASSERT_TRUE(applied.ok()) << applied.status().to_string();
+      delta::ApplyResult result = std::move(applied).take();
+      retires += result.stats.retires;
+      world = std::move(result.world);
+      risk = std::move(result.provider_risk);
+      ASSERT_TRUE(log.value().append(cleaned.value()).ok());
+    }
+    ASSERT_GT(retires, 0u) << "the logged batches never retired a site";
+  }
+
+  obs::ScopedRegistry scoped;
+  serve::ServerOptions options = sharded_options(tmp.path);
+  options.registry = &scoped.registry();
+  serve::Server server(st::small_config(), options);
+  ASSERT_TRUE(server.loaded_from_store());
+  EXPECT_EQ(scoped.registry().counter(obs::metrics::kDeltaLogReplayed).value(),
+            3u);
+  EXPECT_EQ(scoped.registry().counter(obs::metrics::kShardMigrations).value(),
+            1u);
+  const std::vector<AnyQuery> stream = st::make_stream(150, 67);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(st::ask_reference(world, risk, server.epoch(), stream[i]) ==
+                ask(server, stream[i]))
+        << "query " << i << " diverged from the Applier's world";
+  }
+
+  ASSERT_TRUE(server.save_snapshot().ok());
+  auto dir = store::StoreDir::open(tmp.path);
+  ASSERT_TRUE(dir.ok());
+  auto manifest = dir.value().read_manifest();
+  ASSERT_TRUE(manifest.ok());
+  const store::Generation& newest = manifest.value().generations.back();
+  ASSERT_GT(newest.number, root.number);
+  std::string magic(8, '\0');
+  std::ifstream(dir.value().file_path(newest.filename), std::ios::binary)
+      .read(magic.data(), 8);
+  EXPECT_EQ(magic, std::string(store::kShardMagic, 8));
+  // Re-rooted: a cold start now replays nothing past the new image.
+  const std::string image = serving_image(server);
+  obs::ScopedRegistry again;
+  options.registry = &again.registry();
+  serve::Server reborn(st::small_config(), options);
+  ASSERT_TRUE(reborn.loaded_from_store());
+  EXPECT_EQ(again.registry().counter(obs::metrics::kDeltaLogReplayed).value(),
+            0u);
+  EXPECT_EQ(again.registry().counter(obs::metrics::kShardMigrations).value(),
+            0u);
+  EXPECT_EQ(serving_image(reborn), image);
+}
+
+// No serving path builds or materializes a core::World: the fresh build,
+// every query shape (both ensemble shapes included), fed ticks with a
+// retire, saves, a cold start that replays the chain, rebuild and
+// rebuild_from_store, and ensemble queries on fed epochs.
+TEST(ServeSharded, NoServingPathBuildsOrMaterializesAWorld) {
+  ObsOn obs_on;
+  TempDir tmp;
+  obs::ScopedRegistry scoped;
+  obs::Registry& reg = scoped.registry();
+  const auto no_world = [&reg](const char* when) {
+    EXPECT_EQ(reg.counter("world.builds").value(), 0u) << when;
+    EXPECT_EQ(reg.counter(obs::metrics::kShardMaterializes).value(), 0u)
+        << when;
+  };
+  const auto every_shape = [](serve::Server& server) {
+    for (const AnyQuery& q : st::make_stream(40, 71)) (void)ask(server, q);
+    EXPECT_GT(server.ensemble_summary({3, 9}).sites, 0u);
+    EXPECT_FALSE(server.top_k_fragile_sites({3, 9, 5}).sites_ranked.empty());
+  };
+  // Feeds from the shard columns' positions, as fa_served does.
+  const auto feed = [](serve::Server& server, std::uint64_t seed, int ticks) {
+    delta::FeedOptions feed_options;
+    feed_options.seed = seed;
+    delta::FeedGenerator gen(
+        server.snapshots().acquire()->sharded().positions_by_id().take(),
+        feed_options);
+    delta::FeedIngestor ingestor;
+    std::size_t retires = 0;
+    for (int tick = 0; tick < ticks; ++tick) {
+      auto cleaned = ingestor.ingest(gen.tick());
+      EXPECT_TRUE(cleaned.ok());
+      delta::ApplyStats stats;
+      EXPECT_TRUE(server.apply_delta(cleaned.value(), &stats).ok());
+      retires += stats.retires;
+    }
+    return retires;
+  };
+  serve::ServerOptions options = sharded_options(tmp.path);
+  options.registry = &reg;
+  {
+    serve::Server server(st::small_config(), options);
+    ASSERT_FALSE(server.loaded_from_store());
+    no_world("fresh build");
+    ASSERT_TRUE(server.save_snapshot().ok());
+    every_shape(server);
+    no_world("queries on the built epoch");
+    EXPECT_GT(feed(server, 13, 3), 0u) << "the ticks never retired a site";
+    every_shape(server);
+    no_world("fed ticks and queries on a fed epoch");
+  }
+  serve::Server revived(st::small_config(), options);
+  ASSERT_TRUE(revived.loaded_from_store());
+  EXPECT_EQ(reg.counter(obs::metrics::kDeltaLogReplayed).value(), 3u);
+  every_shape(revived);
+  no_world("cold start replaying the chain");
+  ASSERT_TRUE(revived.save_snapshot().ok());
+  ASSERT_TRUE(revived.rebuild(st::small_config()).ok());
+  ASSERT_TRUE(revived.rebuild_from_store().ok());
+  feed(revived, 29, 1);
+  every_shape(revived);
+  no_world("save, rebuild, rebuild_from_store and a fed epoch");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Shared scaffolding for the shard suite: one small world per binary
 // (builds dominate runtime), its canonical sharded view, and helpers to
-// compare sharded and monolithic serving byte-for-byte.
+// compare served answers with the brute-force reference evaluator.
 #pragma once
 
 #include <unistd.h>
@@ -15,20 +15,12 @@
 #include "serve/snapshot.hpp"
 #include "shard/codec.hpp"
 #include "shard/world.hpp"
+#include "../serve/reference_eval.hpp"
 #include "../serve/serve_test_util.hpp"
 
 namespace fa::shard::testing {
 
-// A layout fine enough that the small test world actually straddles
-// shards (the default 32x16/16 would too, but a smaller tile grid keeps
-// per-shard populations comfortably non-trivial at corpus_scale 100).
-inline LayoutOptions small_layout() {
-  LayoutOptions options;
-  options.tiles_x = 8;
-  options.tiles_y = 4;
-  options.target_shards = 6;
-  return options;
-}
+using serve::testing::small_layout;
 
 inline const core::World& small_world() {
   static const core::World* world = new core::World(
@@ -72,19 +64,19 @@ struct TempDir {
   TempDir& operator=(const TempDir&) = delete;
 };
 
-// Snapshot pair over identical content: the monolithic baseline and the
-// sharded view under test (both at the same epoch, so responses can be
-// compared as whole values).
-inline std::shared_ptr<const serve::Snapshot> monolithic_snapshot() {
+// The sharded view under test as an epoch-1 snapshot; its answers are
+// compared with the reference evaluator's over small_world() at the
+// same epoch, so responses compare as whole values.
+inline std::shared_ptr<const serve::Snapshot> sharded_snapshot() {
   static const std::shared_ptr<const serve::Snapshot> snap =
-      serve::Snapshot::adopt(small_world(), 1);
+      serve::Snapshot::adopt(ShardedWorld(small_sharded()), 1);
   return snap;
 }
 
-inline std::shared_ptr<const serve::Snapshot> sharded_snapshot() {
-  static const std::shared_ptr<const serve::Snapshot> snap =
-      serve::Snapshot::adopt_sharded(ShardedWorld(small_sharded()), 1);
-  return snap;
+// The reference evaluator's answer over small_world() at epoch 1.
+inline serve::testing::AnyResponse ask_reference(
+    const serve::testing::AnyQuery& q) {
+  return serve::testing::ask_reference(small_world(), small_risk(), 1, q);
 }
 
 }  // namespace fa::shard::testing

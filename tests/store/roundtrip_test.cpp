@@ -1,6 +1,6 @@
 // Codec round-trip properties: deterministic encode, re-encode byte
 // identity, clean inspection, and — the contract that matters to the
-// serving layer — a snapshot adopted from a decoded world answers every
+// serving layer — a snapshot served from a decoded world answers every
 // query byte-identically to one built in memory.
 #include <gtest/gtest.h>
 
@@ -8,9 +8,11 @@
 
 #include "serve/snapshot.hpp"
 #include "serve/wire.hpp"
+#include "shard/world.hpp"
 #include "store/codec.hpp"
 #include "store/format.hpp"
 #include "store_test_util.hpp"
+#include "../serve/reference_eval.hpp"
 
 namespace fa::store {
 namespace {
@@ -70,25 +72,31 @@ TEST(Roundtrip, DecodedConfigAndCountsMatch) {
             tiny_risk().regional_brands_at_risk);
 }
 
-// The tentpole's golden byte-identity: a loaded snapshot's wire bytes
-// equal a freshly built snapshot's wire bytes for every query shape.
+// The tentpole's golden byte-identity: a snapshot served from a decoded
+// world (migrated into a sharded view, as recovery does) answers every
+// query shape with the wire bytes of a freshly built snapshot, and both
+// equal the reference evaluator's over the built world.
 TEST(Roundtrip, LoadedSnapshotAnswersByteIdentically) {
   const std::string& image = tiny_image();
   fault::Result<LoadedWorld> loaded = decode_world(image.data(), image.size());
   ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
 
   constexpr serve::Epoch kEpoch = 7;
-  auto built = serve::Snapshot::adopt(
-      core::World::build(tiny_config()), kEpoch);
-  auto restored =
-      serve::Snapshot::adopt(std::move(loaded.value().world), kEpoch);
+  auto built = serve::Snapshot::build(tiny_config(), kEpoch).take();
+  auto restored = serve::Snapshot::adopt(
+      shard::ShardedWorld::from_world(loaded.value().world,
+                                      loaded.value().provider_risk),
+      kEpoch);
 
   for (const auto& q : make_stream(200, /*seed=*/97)) {
-    const std::string want =
+    const std::string want = serve::wire::encode(to_response(
+        serve::testing::ask_reference(tiny_world(), tiny_risk(), kEpoch, q)));
+    const std::string from_build =
         serve::wire::encode(to_response(ask_snapshot(*built, q)));
-    const std::string got =
+    const std::string from_image =
         serve::wire::encode(to_response(ask_snapshot(*restored, q)));
-    ASSERT_EQ(want, got) << "loaded snapshot diverged from built snapshot";
+    ASSERT_EQ(want, from_build) << "built snapshot diverged from reference";
+    ASSERT_EQ(want, from_image) << "loaded snapshot diverged from reference";
   }
 }
 

@@ -62,12 +62,12 @@ TEST(StoreServe, ColdStartFromStoreServesIdenticalBytes) {
 }
 
 TEST(StoreServe, ConfigMismatchFallsBackToFreshBuild) {
-  for (const bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+  for (const shard::LayoutOptions& layout : serve::testing::test_layouts()) {
+    SCOPED_TRACE(serve::testing::layout_name(layout));
     TempDir tmp;
     serve::ServerOptions opts;
     opts.store_dir = tmp.path;
-    opts.sharded = sharded;
+    opts.shard_layout = layout;
     {
       serve::Server seeded(tiny_config(/*seed=*/1), opts);
       ASSERT_TRUE(seeded.save_snapshot().ok());
@@ -89,13 +89,13 @@ TEST(StoreServe, SaveWithoutStoreIsAnError) {
 
 // The satellite contract: rebuilding from disk publishes a new epoch
 // whose bytes match an in-memory rebuild of the same scenario exactly,
-// whichever representation serves.
+// under either layout.
 TEST(StoreServe, RebuildFromStoreMatchesInMemoryRebuild) {
-  for (const bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+  for (const shard::LayoutOptions& layout : serve::testing::test_layouts()) {
+    SCOPED_TRACE(serve::testing::layout_name(layout));
     TempDir tmp;
     serve::ServerOptions opts;
-    opts.sharded = sharded;
+    opts.shard_layout = layout;
     serve::Server mem(tiny_config(), opts);
     ASSERT_TRUE(mem.rebuild(tiny_config()).ok());
     EXPECT_EQ(mem.epoch(), 2u);
@@ -114,12 +114,12 @@ TEST(StoreServe, RebuildFromStoreMatchesInMemoryRebuild) {
 }
 
 TEST(StoreServe, RebuildFromEmptyStoreKeepsServing) {
-  for (const bool sharded : {false, true}) {
-    SCOPED_TRACE(sharded ? "sharded" : "monolithic");
+  for (const shard::LayoutOptions& layout : serve::testing::test_layouts()) {
+    SCOPED_TRACE(serve::testing::layout_name(layout));
     TempDir tmp;
     serve::ServerOptions opts;
     opts.store_dir = tmp.path;
-    opts.sharded = sharded;
+    opts.shard_layout = layout;
     serve::Server server(tiny_config(), opts);  // fresh build, nothing saved
     const serve::Epoch before = server.epoch();
     const fault::Status s = server.rebuild_from_store();

@@ -111,9 +111,9 @@ const std::vector<BenchSchema>& schemas() {
        "", "FA_DELTA_TICKS=4"},
       {"bench_shard_scale", "shard_scale",
        {"transceivers", "shards", "mono_image_bytes", "shard_image_bytes",
-        "build_s", "shard_s", "mono_cold_s", "shard_cold_s", "cold_speedup",
-        "cold_faster", "threads", "mono_qps", "shard_qps", "qps_ratio",
-        "qps_faster", "identity_ok"},
+        "build_s", "shard_s", "served_build_s", "build_identical",
+        "mono_cold_s", "shard_cold_s", "cold_speedup", "cold_faster",
+        "threads", "shard_qps", "identity_ok"},
        "",
        "FA_SHARD_SCALE=400 FA_CELL_M=18000 FA_SHARD_THREADS=2 "
        "FA_SHARD_QUERIES=100"},
