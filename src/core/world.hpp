@@ -18,9 +18,6 @@
 namespace fa::store {
 struct Access;  // snapshot codec (store/codec.cpp)
 }
-namespace fa::delta {
-struct Applier;  // incremental epoch builder (delta/apply.cpp)
-}
 
 namespace fa::core {
 
@@ -76,10 +73,9 @@ class World {
   const cellnet::CellCorpus& corpus() const { return corpus_; }
   const synth::CountyMap& counties() const { return *counties_; }
 
-  // Shared immutable layers. A delta-built successor epoch shares the
-  // pointers for every layer the event batch left untouched (the
-  // structure-sharing contract bench_delta_ingest relies on); tests
-  // assert pointer equality to pin that sharing.
+  // Shared immutable layers, adopted by pointer (from_parts,
+  // ShardedWorld::materialize) rather than copied; tests assert pointer
+  // equality to pin that sharing.
   const std::shared_ptr<const synth::WhpModel>& whp_ptr() const {
     return whp_;
   }
@@ -121,10 +117,8 @@ class World {
 
  private:
   // The snapshot codec restores the private caches verbatim from disk
-  // instead of re-deriving them (store/codec.cpp); the delta applier
-  // writes incrementally maintained caches directly (delta/apply.cpp).
+  // instead of re-deriving them (store/codec.cpp).
   friend struct fa::store::Access;
-  friend struct fa::delta::Applier;
 
   // Shared tail of every build path: `txr` through the Ingest pipeline
   // (the ingest.txr seam only when `corrupt`), then classification and

@@ -1,9 +1,7 @@
 #include "delta/apply.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -262,156 +260,6 @@ WhpPatch Applier::patch_whp(const std::shared_ptr<const synth::WhpModel>& base,
     out.dirty_regions.push_back(
         lonlat_image(proj, box.inflated(geom.cell_w)).inflated(margin_deg));
   }
-  return out;
-}
-
-fault::Result<ApplyResult> Applier::apply(
-    const core::World& base, const core::ProviderRiskResult& base_risk,
-    std::span<const FeedEvent> events, const ApplyOptions& options) {
-  const obs::Span span(obs::metrics::kDeltaApplyNs);
-  const std::vector<cellnet::Transceiver>& base_txr =
-      base.corpus().transceivers();
-  const std::size_t n = base_txr.size();
-
-  ApplyResult out;
-  ApplyStats& stats = out.stats;
-  auto staged = stage(events, n, options, stats);
-  if (!staged.ok()) return staged.status();
-  const StagedBatch& batch = staged.value();
-
-  WhpPatch patch = patch_whp(base.whp_ptr(), batch.whp_edits, stats);
-  out.whp_shared = patch.whp == base.whp_ptr();
-
-  // Dirty transceivers: candidates of the base spatial index over each
-  // region whose hazard surface changed, ascending and unique.
-  std::vector<std::uint32_t> dirty;
-  for (const geo::BBox& region : patch.dirty_regions) {
-    base.txr_index().query_candidates(
-        region, [&](std::uint32_t id, geo::Vec2) { dirty.push_back(id); });
-  }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-
-  // Successor corpus + caches. Survivors in base order keep (or
-  // recompute) their caches; adds take the tail ids — exactly the order
-  // validate_stage would re-densify. The staged lists are ascending, so
-  // one cursor each walks them alongside the base ids.
-  const std::size_t n_kept = n - batch.retired.size();
-  index::PointDelta delta;
-  delta.new_id_of.resize(n);
-  {
-    std::size_t next = 0;
-    auto retired = batch.retired.begin();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (retired != batch.retired.end() && *retired == i) {
-        delta.new_id_of[i] = index::PointDelta::kDropped;
-        ++retired;
-      } else {
-        delta.new_id_of[i] = static_cast<std::uint32_t>(next++);
-      }
-    }
-  }
-
-  RiskTally tally{base_risk};
-  core::World w;
-  w.config_ = base.config_;
-  w.atlas_ = base.atlas_;
-  w.whp_ = patch.whp;
-  w.counties_ = base.counties_;
-  // From-parts contract: a world of final state S carries zero ingest
-  // counters however S was reached; feed quarantine counts live in
-  // ApplyStats and the delta.* OBS counters instead.
-  w.ingest_dropped_ = 0;
-  w.ingest_repaired_ = 0;
-
-  const synth::WhpModel& whp = *patch.whp;
-  std::vector<cellnet::Transceiver> txr;
-  txr.reserve(n_kept + batch.adds.size());
-  w.txr_class_.resize(n_kept + batch.adds.size());
-  w.txr_county_.resize(n_kept + batch.adds.size());
-  w.txr_provider_.resize(n_kept + batch.adds.size());
-
-  auto move = batch.moves.begin();
-  auto dirty_it = dirty.begin();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto old_id = static_cast<std::uint32_t>(i);
-    const bool is_move = move != batch.moves.end() && move->target == old_id;
-    const bool is_dirty = dirty_it != dirty.end() && *dirty_it == old_id;
-    if (is_dirty) ++dirty_it;
-    const std::uint32_t new_id = delta.new_id_of[i];
-    if (new_id == index::PointDelta::kDropped) {
-      tally.add(base.txr_provider(old_id), base.txr_class(old_id), -1);
-      continue;
-    }
-    cellnet::Transceiver t = base_txr[i];
-    t.id = new_id;
-    std::uint8_t cls = base.txr_class_[i];
-    std::int32_t county = base.txr_county_[i];
-    if (is_move) {
-      t.position = move->to;
-      ++move;
-      cls = static_cast<std::uint8_t>(whp.class_at(t.position));
-      county = base.counties().county_of(t.position);
-      delta.moved.push_back({old_id, t.position.as_vec()});
-      ++stats.dirty_transceivers;
-    } else if (is_dirty) {
-      cls = static_cast<std::uint8_t>(whp.class_at(t.position));
-      ++stats.dirty_transceivers;
-    }
-    if (cls != base.txr_class_[i]) {
-      tally.add(base.txr_provider(old_id), base.txr_class(old_id), -1);
-      tally.add(base.txr_provider(old_id), static_cast<synth::WhpClass>(cls),
-                +1);
-      // add() adjusts fleet on both legs; membership is unchanged.
-    }
-    w.txr_class_[new_id] = cls;
-    w.txr_county_[new_id] = county;
-    w.txr_provider_[new_id] = base.txr_provider_[i];
-    txr.push_back(t);
-  }
-
-  for (const FeedEvent* e : batch.adds) {
-    const auto new_id = static_cast<std::uint32_t>(txr.size());
-    cellnet::Transceiver t = e->txr;
-    t.id = new_id;
-    const auto cls = whp.class_at(t.position);
-    w.txr_class_[new_id] = static_cast<std::uint8_t>(cls);
-    w.txr_county_[new_id] = base.counties().county_of(t.position);
-    const cellnet::Provider p = w.providers_.resolve(t.mcc, t.mnc);
-    w.txr_provider_[new_id] = static_cast<std::uint8_t>(p);
-    tally.add(p, cls, +1);
-    delta.added.push_back(t.position.as_vec());
-    txr.push_back(t);
-    ++stats.dirty_transceivers;
-  }
-  obs::count(obs::metrics::kDeltaApplyDirtyTxr, stats.dirty_transceivers);
-
-  w.corpus_ = cellnet::CellCorpus{std::move(txr)};
-  w.txr_index_ = base.txr_index().applied(delta);
-
-  // When anything touched regional at-risk membership, re-scan the
-  // brands — one pass of two array reads per record, no projection or
-  // geometry, still far from rebuild cost.
-  if (tally.regional_at_risk_changed) {
-    std::set<std::string_view> brands;
-    const std::vector<cellnet::Transceiver>& all =
-        w.corpus_.transceivers();
-    for (const cellnet::Transceiver& t : all) {
-      if (static_cast<cellnet::Provider>(w.txr_provider_[t.id]) !=
-          cellnet::Provider::kRegional) {
-        continue;
-      }
-      if (!synth::whp_at_risk(static_cast<synth::WhpClass>(
-              w.txr_class_[t.id]))) {
-        continue;
-      }
-      brands.insert(w.providers_.brand(t.mcc, t.mnc));
-    }
-    tally.risk.regional_brands_at_risk = brands.size();
-  }
-
-  out.world = std::move(w);
-  out.provider_risk = tally.risk;
   return out;
 }
 

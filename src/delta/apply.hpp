@@ -1,23 +1,18 @@
-// Batched delta application: base epoch + accepted events -> successor
-// epoch, without a from-scratch rebuild.
+// Batch-level stages of a delta apply: semantic validation of a feed
+// batch into a StagedBatch, and the copy-on-write WHP edits with the
+// dirty regions they leave. shard::apply_delta (shard/apply.hpp) runs
+// them, then routes the staged batch over shard columns; it is the one
+// code path that turns a batch into a successor epoch.
 //
-// The correctness contract (pinned by tests/delta/equivalence_test and
-// the delta-epoch goldens): the produced world must be byte-identical —
-// store::encode_world bytes and every query answer — to
-// core::World::from_parts over the same final state. Incremental work
-// is therefore only allowed where it provably reproduces what a fresh
-// derivation would compute: clean survivors keep their cached class /
-// county / provider, transceivers whose WHP cell changed are
-// recomputed, and the spatial index is maintained through
-// GridIndex::applied (itself byte-identical to a fresh build).
-//
-// The batch-level stages — semantic validation into a StagedBatch and
-// the copy-on-write WHP edits — are shared with the sharded applier
-// (shard/apply.hpp), which runs them over shard columns instead of a
-// monolithic world.
+// The correctness contract (pinned by tests/delta/equivalence_test, the
+// shard apply suite and the delta-epoch golden): the successor must be
+// byte-identical — encode_sharded bytes, the FASNAP01 bytes of its
+// materialized world and every query answer — to a from-scratch
+// rebuild of the same final state (tests/delta/reference_apply.hpp:
+// these stages, the batch folded into a plain transceiver vector,
+// core::World::from_parts).
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -50,21 +45,12 @@ struct ApplyStats {
   std::size_t fires = 0;
   std::size_t patches = 0;
   std::size_t whp_cells_changed = 0;
-  // Transceivers whose per-transceiver caches (class, county, provider)
-  // were recomputed — movers, adds, hazard-region survivors: the measure
-  // of how much of the world the batch actually dirtied.
+  // Transceivers whose class the batch may have changed: movers, adds,
+  // and each survivor inside any of the batch's dirty regions, counted
+  // once — the measure of how much of the world the batch dirtied.
   std::size_t dirty_transceivers = 0;
 
   bool operator==(const ApplyStats&) const = default;
-};
-
-struct ApplyResult {
-  core::World world;
-  core::ProviderRiskResult provider_risk;
-  ApplyStats stats;
-  // True when the batch left the WHP surface untouched and the new
-  // world shares the base's WhpModel allocation (structure sharing).
-  bool whp_shared = false;
 };
 
 // A batch after semantic validation against a base epoch of `n`
@@ -107,18 +93,9 @@ struct WhpPatch {
   std::vector<geo::BBox> dirty_regions;
 };
 
-// Stateless; a struct (not free functions) so core::World and
-// synth::WhpModel can grant friendship to exactly one name.
+// Stateless; a struct (not free functions) so synth::WhpModel can grant
+// friendship to exactly one name.
 struct Applier {
-  // `events` must be in increasing seq order (FeedIngestor output).
-  // `base_risk` is the base epoch's provider-risk aggregate, adjusted
-  // incrementally rather than re-tallied. The base world is not
-  // modified; unchanged layers are shared by pointer.
-  static fault::Result<ApplyResult> apply(
-      const core::World& base, const core::ProviderRiskResult& base_risk,
-      std::span<const FeedEvent> events, const ApplyOptions& options = {});
-
-  // -- stages shared with the sharded applier ---------------------------
   // Opens an apply of `events` over a base of `n` transceivers: counts
   // delta.applies / delta.apply.events, runs the "delta.apply" fault
   // seam (keyed by the first seq), then validates the batch per

@@ -7,11 +7,11 @@
 // same event arrives more than once) and a feed-clock timestamp that
 // bounds the dedup window.
 //
-// Batches of events are applied to a serving epoch by delta::Applier
-// (apply.hpp) and persisted as hash-chained increments by delta::DeltaLog
-// (log.hpp); encode_events/decode_events below is the canonical byte
-// layout both share. The decode side is a total function: truncated or
-// hostile bytes come back as an error Status, never UB.
+// Batches of events are applied to a serving epoch by shard::apply_delta
+// (shard/apply.hpp) and persisted as hash-chained increments by
+// delta::DeltaLog (log.hpp); encode_events/decode_events below is the
+// canonical byte layout both share. The decode side is a total function:
+// truncated or hostile bytes come back as an error Status, never UB.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +67,9 @@ struct FeedEvent {
 // Structural validity: kind/severity in domain, the shape-specific
 // payload present (>= 3 finite perimeter vertices, a valid patch box,
 // finite move/add coordinates). Semantic checks that need epoch state
-// (target alive, position inside the lon/lat domain) live in the
-// Applier. Error Statuses carry source "delta.feed" and offset = seq.
+// (target alive, position inside the lon/lat domain) live in
+// Applier::stage. Error Statuses carry source "delta.feed" and offset =
+// seq.
 fault::Status validate_shape(const FeedEvent& event);
 
 // -- canonical byte layout ---------------------------------------------

@@ -214,9 +214,9 @@ std::vector<FeedEvent> FeedGenerator::tick() {
     std::swap(batch[i - 1], batch[rng_.below(i)]);
   }
 
-  // Advance the mirror the way the Applier re-densifies: retired slots
-  // drop out of the dense order, movers keep their slot at the
-  // destination, adds take fresh slots at the end.
+  // Advance the mirror the way a successor epoch numbers its
+  // transceivers: retired slots drop out of the dense order, movers keep
+  // their slot at the destination, adds take fresh slots at the end.
   for (const std::size_t slot : retired_) {
     dead_[slot] = 1;
     --block_live_[slot / kBlock];
@@ -235,7 +235,6 @@ std::vector<FeedEvent> FeedGenerator::tick() {
   while (!window_.empty() && window_.front().first <= ticks_) {
     window_.pop_front();
   }
-  obs::count(obs::metrics::kDeltaFeedEvents, batch.size());
   return batch;
 }
 

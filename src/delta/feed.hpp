@@ -1,7 +1,7 @@
 // Synthetic live feed: a deterministic event stream over a world, plus
 // the ingestion stage that normalizes the raw stream (FIRMS-style feeds
 // re-serve a lookback window, arrive out of order, and carry malformed
-// records) into a clean batch the Applier can consume.
+// records) into a clean batch shard::apply_delta can consume.
 #pragma once
 
 #include <cstdint>
@@ -36,12 +36,12 @@ struct FeedOptions {
   std::uint64_t tick_ms = 60'000;
 };
 
-// Deterministic event source. Mirrors the Applier's id assignment so
-// every retire/move target it emits is a valid dense id of the epoch
-// the next batch applies to: call tick() to get a raw batch, apply it
-// (all of it — the generator assumes its own output is accepted), and
-// tick() again for the successor epoch's batch. A tick costs O(events),
-// not O(corpus).
+// Deterministic event source. Mirrors the successor epochs' dense ids
+// (survivors in base order, adds appended) so every retire/move target
+// it emits is a valid dense id of the epoch the next batch applies to:
+// call tick() to get a raw batch, apply it (all of it — the generator
+// assumes its own output is accepted), and tick() again for the
+// successor epoch's batch. A tick costs O(events), not O(corpus).
 class FeedGenerator {
  public:
   // Copies the corpus positions of `world`, the epoch the first batch
@@ -87,8 +87,8 @@ class FeedGenerator {
   // Mirror of the live epoch's corpus without re-densifying it: every
   // transceiver the feed has seen keeps a slot (the base corpus in id
   // order, then adds in arrival order), a retire tombstones its slot,
-  // and dense id d is the d-th live slot — the Applier's order, since it
-  // keeps survivors in base order and appends adds.
+  // and dense id d is the d-th live slot — a successor epoch's order,
+  // which keeps survivors in base order and appends adds.
   std::vector<geo::LonLat> positions_;     // by slot
   std::vector<std::uint8_t> dead_;         // by slot
   std::vector<std::uint32_t> block_live_;  // live slots per block
@@ -127,7 +127,7 @@ struct IngestOptions {
 // window, drops stale records behind it, and validates shapes per the
 // policy (Strict: first malformed record fails the batch; Quarantine /
 // BestEffort: malformed records drop and count). Accepted events come
-// back in strictly increasing seq order, ready for Applier::apply.
+// back in strictly increasing seq order, ready for shard::apply_delta.
 class FeedIngestor {
  public:
   explicit FeedIngestor(const IngestOptions& options = {});

@@ -20,28 +20,6 @@ struct Access;  // snapshot codec (store/codec.cpp)
 
 namespace fa::index {
 
-// One batch of point changes for GridIndex::applied(): survivors are
-// re-densified through `new_id_of` (monotone over kept points, so the
-// canonical ascending-id order inside every bin is preserved), moved
-// points re-bin under their new position, and `added` points take the
-// ids past the last survivor in order. kDropped marks a removal.
-struct PointDelta {
-  static constexpr std::uint32_t kDropped = 0xffffffffu;
-
-  // new_id_of[old_id]: the point's id in the updated index, or kDropped.
-  // Must be size() entries, strictly increasing over survivors, and
-  // dense (survivors map onto 0..n_kept-1).
-  std::vector<std::uint32_t> new_id_of;
-  // Position changes for surviving points (old ids, ascending, unique).
-  struct Moved {
-    std::uint32_t old_id = 0;
-    geo::Vec2 to;
-  };
-  std::vector<Moved> moved;
-  // Appended points: ids n_kept, n_kept+1, ... in vector order.
-  std::vector<geo::Vec2> added;
-};
-
 class GridIndex {
  public:
   GridIndex() = default;
@@ -102,15 +80,6 @@ class GridIndex {
   std::span<const std::uint32_t> binned_ids() const { return binned_; }
   std::span<const double> binned_xs() const { return binned_x_; }
   std::span<const double> binned_ys() const { return binned_y_; }
-
-  // Incremental maintenance: a new index over the delta-applied point
-  // set, byte-identical (points, binned SoA, cell spans) to
-  // GridIndex(final_points, bounds(), cols, rows) built from scratch —
-  // the property the delta snapshot byte-identity tests pin. Cost is
-  // O(points + cells + changes), with no re-binning of clean points:
-  // survivors keep their bin slot and are re-id'd in place, movers and
-  // adds merge into their target bins by id.
-  GridIndex applied(const PointDelta& delta) const;
 
   // Count of points within `query` (exact).
   std::size_t count(const geo::BBox& query) const;

@@ -220,7 +220,8 @@ inline constexpr std::string_view kShardLineageBuildNs =
     "shard.lineage.build_ns";
 
 // -- live-feed incremental updates (`fa::delta`) ----------------------
-// Events emitted by the synthetic feed / seen by the ingestor.
+// Raw events the ingestor saw, after the delta.feed seam; counted by
+// the ingestor alone, so it equals the sum of the four dispositions.
 inline constexpr std::string_view kDeltaFeedEvents = "delta.feed.events";
 // Ingestor dispositions: each raw event lands in exactly one.
 inline constexpr std::string_view kDeltaFeedAccepted = "delta.feed.accepted";

@@ -47,7 +47,7 @@ fault::Result<std::shared_ptr<const Snapshot>> Snapshot::apply(
     const delta::ApplyOptions& options, delta::ApplyStats* stats) const {
   auto applied = shard::apply_delta(*sharded_, events, options);
   if (!applied.ok()) return applied.status();
-  shard::ShardApplyResult result = std::move(applied).take();
+  shard::Successor result = std::move(applied).take();
   if (stats != nullptr) *stats = result.stats;
   return adopt(std::move(result.world), epoch);
 }

@@ -63,75 +63,6 @@ std::size_t distinct_brands(const BrandTally& tally) {
   return brands.size();
 }
 
-// The monolithic index's clamped binning: index::GridIndex over the
-// layout domain at the view's global dims. delta::Applier's
-// hazard-dirty candidates are the points this grid bins into the cells
-// a dirty region spans.
-struct GlobalGrid {
-  explicit GlobalGrid(const ShardedWorld& w)
-      : domain(w.layout().domain()),
-        cols(std::max(1, w.global_cols())),
-        rows(std::max(1, w.global_rows())),
-        inv_cw(static_cast<double>(cols) / std::max(domain.width(), 1e-12)),
-        inv_ch(static_cast<double>(rows) /
-               std::max(domain.height(), 1e-12)) {}
-
-  int col_of(double x) const {
-    return std::clamp(static_cast<int>((x - domain.min_x) * inv_cw), 0,
-                      cols - 1);
-  }
-  int row_of(double y) const {
-    return std::clamp(static_cast<int>((y - domain.min_y) * inv_ch), 0,
-                      rows - 1);
-  }
-
-  geo::BBox domain;
-  int cols;
-  int rows;
-  double inv_cw;
-  double inv_ch;
-};
-
-// One hazard-dirty region as GridIndex::query_candidates visits it: a
-// clamped global cell range, plus a lon/lat box holding every position
-// binned into that range (a cell of slack per side, and far past the
-// domain on a clamped edge) for the shard-local span query. The local
-// and global binnings are both monotone clamped floors, so the local
-// spans over `reach` cover every candidate; holds() is the exact test.
-struct DirtyRange {
-  int c0 = 0, c1 = 0, r0 = 0, r1 = 0;
-  geo::BBox reach;
-
-  bool holds(const GlobalGrid& g, double x, double y) const {
-    const int c = g.col_of(x);
-    const int r = g.row_of(y);
-    return c >= c0 && c <= c1 && r >= r0 && r <= r1;
-  }
-};
-
-std::optional<DirtyRange> dirty_range(const GlobalGrid& g,
-                                      const geo::BBox& region) {
-  // GridIndex::visit's early-outs.
-  if (!region.valid() || !region.intersects(g.domain)) return std::nullopt;
-  DirtyRange d;
-  d.c0 = g.col_of(region.min_x);
-  d.c1 = g.col_of(region.max_x);
-  d.r0 = g.row_of(region.min_y);
-  d.r1 = g.row_of(region.max_y);
-  constexpr double kBeyond = 1000.0;  // degrees past any lon/lat position
-  const double cw = 1.0 / g.inv_cw;
-  const double ch = 1.0 / g.inv_ch;
-  d.reach = {d.c0 == 0 ? g.domain.min_x - kBeyond
-                       : g.domain.min_x + (d.c0 - 1) * cw,
-             d.r0 == 0 ? g.domain.min_y - kBeyond
-                       : g.domain.min_y + (d.r0 - 1) * ch,
-             d.c1 == g.cols - 1 ? g.domain.max_x + kBeyond
-                                : g.domain.min_x + (d.c1 + 2) * cw,
-             d.r1 == g.rows - 1 ? g.domain.max_y + kBeyond
-                                : g.domain.min_y + (d.r1 + 2) * ch};
-  return d;
-}
-
 // A transceiver arriving in a shard: an add, or a mover at its
 // destination.
 struct Incoming {
@@ -162,8 +93,8 @@ struct ShardEdit {
   // Survivors whose class the hazard edits changed, ascending.
   std::vector<std::pair<Slot, std::uint8_t>> reclassed;
   std::vector<Incoming> incoming;  // adds and movers routed here
-  std::vector<DirtyRange> ranges;  // dirty regions reaching the shard
-  std::size_t recomputed = 0;      // surviving candidates re-classified
+  std::vector<geo::BBox> regions;  // dirty regions reaching the shard
+  std::size_t recomputed = 0;      // surviving region members re-classified
 
   bool rewrite() const {
     return !leaving.empty() || !reclassed.empty() || !incoming.empty();
@@ -631,7 +562,7 @@ struct Applier {
                                 std::shared_ptr<const Lineage> lineage) {
     ShardedWorld sw;
     // From-parts contract: a view of final state S carries zero ingest
-    // counters however S was reached (delta::Applier does the same).
+    // counters however S was reached, as World::from_parts gives.
     sw.meta_ = store::MetaFields{base.config(), 0, 0, transceivers};
     sw.whp_ = std::move(whp);
     sw.counties_ = base.counties_;
@@ -737,7 +668,7 @@ core::ProviderRiskResult provider_risk_of(const ShardColumns& columns) {
   return tally.risk;
 }
 
-fault::Result<ShardApplyResult> apply_delta(
+fault::Result<Successor> apply_delta(
     const ShardedWorld& base, std::span<const delta::FeedEvent> events,
     const delta::ApplyOptions& options) {
   const obs::Span span(obs::metrics::kDeltaApplyNs);
@@ -759,7 +690,7 @@ fault::Result<ShardApplyResult> apply_delta(
     }
   }
 
-  ShardApplyResult out;
+  Successor out;
   delta::ApplyStats& stats = out.stats;
   auto staged = delta::Applier::stage(events, n, options, stats);
   if (!staged.ok()) return staged.status();
@@ -873,8 +804,8 @@ fault::Result<ShardApplyResult> apply_delta(
     edits[layout.shard_of(m.to.as_vec())].incoming.push_back(in);
     ++stats.dirty_transceivers;
   }
-  // Adds take the next stable ids: their dense ids are n_kept + i, as
-  // delta::Applier numbers them.
+  // Adds take the next stable ids: their dense ids are n_kept + i, after
+  // every survivor.
   for (std::size_t i = 0; i < batch.adds.size(); ++i) {
     const cellnet::Transceiver& t = batch.adds[i]->txr;
     const cellnet::Provider p = registry().resolve(t.mcc, t.mnc);
@@ -898,40 +829,38 @@ fault::Result<ShardApplyResult> apply_delta(
     std::sort(edit.leaving.begin(), edit.leaving.end());
   }
 
-  // Hazard-dirty survivors: delta::Applier's candidates, found through
-  // each reached shard's local grid, re-classified under the patched
-  // surface. Movers were re-classified at their destination above.
+  // Hazard-dirty survivors: the members of a dirty region, found the way
+  // the planner answers a bbox query (the routed shards, their local
+  // spans, exact containment), re-classified under the patched surface.
+  // Movers were re-classified at their destination above.
   if (!patch.dirty_regions.empty()) {
-    const GlobalGrid grid(base);
     for (const geo::BBox& region : patch.dirty_regions) {
-      const std::optional<DirtyRange> range = dirty_range(grid, region);
-      if (!range) continue;
-      for (const std::uint32_t s : layout.shards_overlapping(range->reach)) {
-        edits[s].ranges.push_back(*range);
+      for (const std::uint32_t s : layout.shards_overlapping(region)) {
+        edits[s].regions.push_back(region);
       }
     }
     exec::parallel_for(
         shard_count,
         [&](std::size_t s) {
           ShardEdit& edit = edits[s];
-          if (edit.ranges.empty()) return;
+          if (edit.regions.empty()) return;
           const Shard& sh = base.shard(s);
-          std::vector<Slot> candidates;
-          for (const DirtyRange& range : edit.ranges) {
-            sh.query_pages(range.reach, [&](std::size_t p, std::uint32_t b,
-                                             std::uint32_t e) {
+          std::vector<Slot> members;
+          for (const geo::BBox& region : edit.regions) {
+            sh.query_pages(region, [&](std::size_t p, std::uint32_t b,
+                                       std::uint32_t e) {
               const Page& pg = sh.page(p);
               for (std::uint32_t k = b; k < e; ++k) {
-                if (range.holds(grid, pg.xs[k], pg.ys[k])) {
-                  candidates.push_back({static_cast<std::uint32_t>(p), k});
+                if (region.contains(geo::Vec2{pg.xs[k], pg.ys[k]})) {
+                  members.push_back({static_cast<std::uint32_t>(p), k});
                 }
               }
             });
           }
-          std::sort(candidates.begin(), candidates.end());
-          candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                           candidates.end());
-          for (const Slot& slot : candidates) {
+          std::sort(members.begin(), members.end());
+          members.erase(std::unique(members.begin(), members.end()),
+                        members.end());
+          for (const Slot& slot : members) {
             if (std::binary_search(edit.leaving.begin(), edit.leaving.end(),
                                    slot)) {
               continue;

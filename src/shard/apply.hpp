@@ -7,13 +7,13 @@
 //
 // Equivalence contract (pinned by tests/shard/apply_test.cpp): the
 // successor is indistinguishable — encode_sharded bytes, provider-risk
-// aggregate and every ApplyStats field — from
-//   ShardedWorld::from_world(delta::Applier::apply(base world, ...).world,
-//                            risk, base.layout())
-// where the base world is base.materialize(). Validation and the WHP
-// edits are delta::Applier's own stages (Applier::stage, patch_whp);
-// hazard-dirty survivors are the ones Applier's global-grid candidate
-// query would visit, found through each shard's local grid instead.
+// aggregate and every ApplyStats field — from a from-scratch rebuild:
+// the batch folded into base.materialize()'s transceivers, rebuilt with
+// World::from_parts and re-sharded by from_world over base.layout()
+// (tests/delta/reference_apply.hpp). Validation and the WHP edits are
+// delta::Applier's stages (Applier::stage, patch_whp); the hazard-dirty
+// survivors are the members of a dirty region, found the way the
+// planner answers a bbox query.
 //
 // Cost tracks the batch, not the corpus (after the lineage root's first
 // apply, which builds the lineage index in one pass over the id
@@ -56,7 +56,9 @@ struct ShardApplyStats {
   bool compacted = false;
 };
 
-struct ShardApplyResult {
+// One apply's output: the successor view, the batch's stats, and what
+// the apply rewrote or shared.
+struct Successor {
   ShardedWorld world;
   delta::ApplyStats stats;
   ShardApplyStats shards;
@@ -68,7 +70,7 @@ struct ShardApplyResult {
 // columns to carry forward), or base columns that contradict themselves
 // (an id out of range or held twice, a target id held nowhere, an
 // attribute out of its domain).
-fault::Result<ShardApplyResult> apply_delta(
+fault::Result<Successor> apply_delta(
     const ShardedWorld& base, std::span<const delta::FeedEvent> events,
     const delta::ApplyOptions& options = {});
 

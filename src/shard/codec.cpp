@@ -32,7 +32,7 @@ constexpr std::size_t kShardRecordBytes = 64;
 // to 4096; the global index is 512x256). Open rejects anything larger
 // before sizing an allocation off it.
 constexpr int kMaxLocalGridDim = 4096;
-constexpr int kMaxGlobalGridDim = 65536;
+constexpr int kMaxIndexGridDim = 65536;
 constexpr std::uint64_t kMaxGlobalCells = 1ull << 26;
 constexpr int kMaxTilesPerAxis = 4096;
 constexpr std::uint64_t kMaxTiles = 1ull << 22;
@@ -117,8 +117,8 @@ Status parse_layout(const SectionLookup& img, LayoutParts& out) {
     return store::fail(ErrCode::kOutOfRange, s->offset, img.source,
                        "shard layout domain is not a valid bbox");
   }
-  if (out.gcols < 1 || out.gcols > kMaxGlobalGridDim || out.grows < 1 ||
-      out.grows > kMaxGlobalGridDim ||
+  if (out.gcols < 1 || out.gcols > kMaxIndexGridDim || out.grows < 1 ||
+      out.grows > kMaxIndexGridDim ||
       static_cast<std::uint64_t>(out.gcols) *
               static_cast<std::uint64_t>(out.grows) >
           kMaxGlobalCells) {

@@ -25,9 +25,9 @@
 // tombstone instead of renumbering the survivors, and an add takes the
 // next unused stable id. The dense id a response or an encoded image
 // carries is the stable id's rank among the live ones (dense_id()),
-// which keeps survivors in base order — the order delta::Applier's
-// re-densification gives — so ranking by stable id and by dense id
-// agree. A root view (built, or opened from a container) has no
+// which keeps survivors in base order and appends adds — the order a
+// from-scratch fold of the batch gives — so ranking by stable id and by
+// dense id agree. A root view (built, or opened from a container) has no
 // tombstones and no live set: its stable ids are the dense ids. Ids
 // become dense only where they leave fa::shard: the planner's top-K
 // ids, encode_sharded, materialize and positions_by_id.

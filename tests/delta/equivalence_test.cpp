@@ -1,8 +1,9 @@
-// The tentpole contract: a world advanced by incremental deltas is
-// byte-identical — snapshot encode AND a golden query battery — to a
-// from-scratch rebuild of the same final state. Randomized across
-// seeds so the property covers arbitrary event interleavings, not one
-// hand-picked script.
+// The tentpole contract: a view advanced by shard::apply_delta is
+// byte-identical — encode_sharded, the FASNAP01 bytes of its
+// materialized world, AND a golden query battery — to the from-scratch
+// rebuild of the same final state (reference_apply), under the default
+// layout and a small one. Randomized across seeds so the property
+// covers arbitrary event interleavings, not one hand-picked script.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,13 +17,14 @@
 namespace fa::delta {
 namespace {
 
-using testing::ChainResult;
+using testing::Chain;
 using testing::encode;
-using testing::rebuild_reference;
-using testing::Reference;
+using testing::expect_matches_reference;
+using testing::layout_name;
 using testing::run_chain;
 using testing::small_risk;
 using testing::small_world;
+using testing::test_layouts;
 
 // The "golden query battery" of the acceptance criteria: every serving
 // read path exercised against both worlds, answers compared exactly.
@@ -36,9 +38,10 @@ void expect_query_battery_identical(const core::World& delta_built,
   const index::GridIndex& ri = rebuilt.txr_index();
   synth::Rng rng(seed * 1315423911ull + 17);
   for (int probe = 0; probe < 32; ++probe) {
-    const double cx = rng.uniform(-2.4e6, 2.4e6);
-    const double cy = rng.uniform(-1.6e6, 1.6e6);
-    const double half = rng.uniform(1e4, 4e5);
+    // Lon/lat boxes over CONUS, the index's coordinates.
+    const double cx = rng.uniform(-124.0, -67.0);
+    const double cy = rng.uniform(25.0, 49.0);
+    const double half = rng.uniform(0.05, 3.0);
     const geo::BBox box{cx - half, cy - half, cx + half, cy + half};
     EXPECT_EQ(di.query_ids(box), ri.query_ids(box)) << "probe " << probe;
     EXPECT_EQ(di.nearest({cx, cy}, 5), ri.nearest({cx, cy}, 5))
@@ -58,50 +61,67 @@ void expect_query_battery_identical(const core::World& delta_built,
   EXPECT_EQ(d_risk.regional_brands_at_risk, r_risk.regional_brands_at_risk);
 }
 
+// All three comparisons of a chain's final epochs.
+void expect_chain_matches(const Chain& chain, std::uint64_t seed) {
+  expect_matches_reference(chain);
+  auto world = chain.view.materialize();
+  ASSERT_TRUE(world.ok()) << world.status().to_string();
+  expect_query_battery_identical(world.value(), chain.reference.world,
+                                 chain.view.provider_risk(),
+                                 chain.reference.risk, seed);
+}
+
 TEST(Equivalence, DeltaBuiltEpochMatchesFromScratchRebuild) {
-  for (const std::uint64_t seed : {1ull, 7ull, 23ull, 101ull, 4099ull}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    FeedOptions options;
-    options.seed = seed;
-    const ChainResult chain =
-        run_chain(small_world(), small_risk(), options, 3);
-    ASSERT_EQ(chain.batches_applied, 3u);
-    const Reference ref = rebuild_reference(chain.world);
-    EXPECT_EQ(encode(chain.world, chain.risk),
-              encode(ref.world, ref.risk))
-        << "snapshot bytes diverge from from-scratch rebuild";
-    expect_query_battery_identical(chain.world, ref.world, chain.risk,
-                                   ref.risk, seed);
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    for (const std::uint64_t seed : {1ull, 7ull, 23ull, 101ull, 4099ull}) {
+      SCOPED_TRACE(std::string(layout_name(layout)) + ", seed " +
+                   std::to_string(seed));
+      FeedOptions options;
+      options.seed = seed;
+      const Chain chain = run_chain(layout, options, 3);
+      ASSERT_EQ(chain.batches_applied, 3u);
+      expect_chain_matches(chain, seed);
+    }
   }
 }
 
 TEST(Equivalence, LongerChainStillMatches) {
-  FeedOptions options;
-  options.seed = 555;
-  options.events_per_tick_mean = 64;
-  const ChainResult chain =
-      run_chain(small_world(), small_risk(), options, 8);
-  ASSERT_EQ(chain.batches_applied, 8u);
-  const Reference ref = rebuild_reference(chain.world);
-  EXPECT_EQ(encode(chain.world, chain.risk), encode(ref.world, ref.risk));
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    FeedOptions options;
+    options.seed = 555;
+    options.events_per_tick_mean = 64;
+    const Chain chain = run_chain(layout, options, 8);
+    ASSERT_EQ(chain.batches_applied, 8u);
+    expect_chain_matches(chain, options.seed);
+  }
 }
 
 TEST(Equivalence, ApplyIsDeterministic) {
   FeedOptions options;
   options.seed = 31;
-  const ChainResult a = run_chain(small_world(), small_risk(), options, 3);
-  const ChainResult b = run_chain(small_world(), small_risk(), options, 3);
-  EXPECT_EQ(encode(a.world, a.risk), encode(b.world, b.risk));
+  const Chain a = run_chain({}, options, 3);
+  const Chain b = run_chain({}, options, 3);
+  EXPECT_TRUE(shard::encode_sharded(a.view) == shard::encode_sharded(b.view));
 }
 
 TEST(Equivalence, EmptyBatchIsIdentity) {
-  auto applied = Applier::apply(small_world(), small_risk(), {}, {});
-  ASSERT_TRUE(applied.ok());
-  ApplyResult result = std::move(applied).take();
-  EXPECT_EQ(result.stats.events, 0u);
-  EXPECT_TRUE(result.whp_shared);
-  EXPECT_EQ(encode(result.world, result.provider_risk),
-            encode(small_world(), small_risk()));
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    Chain chain(layout);
+    const shard::ShardedWorld base = chain.view;
+    auto applied = chain.apply({});
+    ASSERT_TRUE(applied.ok()) << applied.status().to_string();
+    EXPECT_EQ(applied.value().events, 0u);
+    EXPECT_EQ(chain.view.whp_ptr().get(), base.whp_ptr().get());
+    EXPECT_TRUE(shard::encode_sharded(chain.view) ==
+                shard::encode_sharded(base));
+    expect_matches_reference(chain);
+    auto world = chain.view.materialize();
+    ASSERT_TRUE(world.ok());
+    EXPECT_TRUE(encode(world.value(), chain.view.provider_risk()) ==
+                encode(small_world(), small_risk()));
+  }
 }
 
 TEST(Equivalence, StructureSharingOnCorpusOnlyBatches) {
@@ -129,13 +149,16 @@ TEST(Equivalence, StructureSharingOnCorpusOnlyBatches) {
   move.txr.position = {-104.8, 40.1};
   batch.push_back(move);
 
-  auto applied = Applier::apply(small_world(), small_risk(), batch, {});
-  ASSERT_TRUE(applied.ok());
-  ApplyResult result = std::move(applied).take();
-  EXPECT_TRUE(result.whp_shared);
-  EXPECT_EQ(result.world.whp_ptr().get(), small_world().whp_ptr().get());
-  EXPECT_EQ(result.world.counties_ptr().get(),
-            small_world().counties_ptr().get());
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    Chain chain(layout);
+    const shard::ShardedWorld base = chain.view;
+    ASSERT_TRUE(chain.apply(batch).ok());
+    EXPECT_EQ(chain.view.whp_ptr().get(), base.whp_ptr().get());
+    EXPECT_EQ(chain.view.counties_ptr().get(), base.counties_ptr().get());
+    EXPECT_EQ(chain.view.whp_ptr().get(), small_world().whp_ptr().get());
+    expect_matches_reference(chain);
+  }
 }
 
 TEST(Equivalence, CountiesAlwaysSharedEvenWhenWhpChanges) {
@@ -145,17 +168,18 @@ TEST(Equivalence, CountiesAlwaysSharedEvenWhenWhpChanges) {
   patch.patch_box = {-106.0, 39.0, -105.0, 40.0};
   patch.severity = synth::WhpClass::kVeryHigh;
   const std::vector<FeedEvent> batch{patch};
-  auto applied = Applier::apply(small_world(), small_risk(), batch, {});
-  ASSERT_TRUE(applied.ok());
-  ApplyResult result = std::move(applied).take();
-  EXPECT_FALSE(result.whp_shared);
-  EXPECT_NE(result.world.whp_ptr().get(), small_world().whp_ptr().get());
-  EXPECT_EQ(result.world.counties_ptr().get(),
-            small_world().counties_ptr().get());
-  // ...and the mutated-WHP world still matches a from-scratch rebuild.
-  const Reference ref = rebuild_reference(result.world);
-  EXPECT_EQ(encode(result.world, result.provider_risk),
-            encode(ref.world, ref.risk));
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    Chain chain(layout);
+    const shard::ShardedWorld base = chain.view;
+    auto applied = chain.apply(batch);
+    ASSERT_TRUE(applied.ok());
+    EXPECT_GT(applied.value().whp_cells_changed, 0u);
+    EXPECT_NE(chain.view.whp_ptr().get(), base.whp_ptr().get());
+    EXPECT_EQ(chain.view.counties_ptr().get(), base.counties_ptr().get());
+    // ...and the mutated-WHP view still matches a from-scratch rebuild.
+    expect_matches_reference(chain);
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Fault-injection seams in the delta path. The "delta.feed" stage
 // corrupts the raw stream (duplicates, out-of-order arrivals, mangled
 // records) deterministically, so tests can predict the damage and prove
-// quarantine equivalence: a pipeline fed hostile input converges to the
-// same world as one fed the manually pre-filtered stream. "delta.apply"
-// proves the apply stage fails closed, leaving the base epoch intact.
+// quarantine equivalence: a shard-native view fed hostile input
+// converges to the oracle's world fed the manually pre-filtered stream.
+// "delta.apply" proves the apply stage fails closed, leaving the base
+// epoch intact.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,9 +18,15 @@
 namespace fa::delta {
 namespace {
 
-using testing::encode;
+using testing::Chain;
+using testing::expect_matches_reference;
+using testing::layout_name;
+using testing::reference_apply;
+using testing::ReferenceEpoch;
 using testing::small_risk;
+using testing::small_view;
 using testing::small_world;
+using testing::test_layouts;
 
 fault::Injector make_injector(const std::string& spec) {
   auto injector = fault::Injector::parse(spec);
@@ -51,72 +58,66 @@ TEST(FeedFault, CorruptionStageIsPredictable) {
 }
 
 TEST(FeedFault, QuarantineEquivalence) {
-  // World built from the corrupted stream == world built from the
-  // clean stream with the would-be-rejected records filtered by hand.
-  // Duplicates and reorderings are absorbed by dedup/sort; mangled
-  // records quarantine; so the accepted set is identical.
-  FeedOptions options;
-  options.seed = 12;
+  // The view fed the corrupted stream == the oracle fed the clean stream
+  // with the would-be-rejected records filtered by hand. Duplicates and
+  // reorderings are absorbed by dedup/sort; mangled records quarantine;
+  // so the accepted set is identical.
   const std::string spec = "seed=7,delta.feed=0.35";
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    FeedOptions options;
+    options.seed = 12;
+    shard::ShardedWorld hostile = small_view(layout);
+    ReferenceEpoch clean{small_world(), small_risk(), {}};
 
-  core::World hostile_world = small_world();
-  core::ProviderRiskResult hostile_risk = small_risk();
-  core::World clean_world = small_world();
-  core::ProviderRiskResult clean_risk = small_risk();
+    FeedGenerator gen(small_world(), options);
+    FeedIngestor hostile_ingestor;  // runs the armed stage inside ingest()
+    FeedIngestor clean_ingestor;
+    for (int tick = 0; tick < 3; ++tick) {
+      const std::vector<FeedEvent> raw = gen.tick();
 
-  FeedGenerator gen(small_world(), options);
-  FeedIngestor hostile_ingestor;  // runs the armed stage inside ingest()
-  FeedIngestor clean_ingestor;
-  for (int tick = 0; tick < 3; ++tick) {
-    const std::vector<FeedEvent> raw = gen.tick();
-
-    std::vector<FeedEvent> cleaned_by_hand;
-    {
-      // Predict the corruption, then pre-filter: drop every record the
-      // validator would reject; keep order/dups for the ingestor.
-      fault::ScopedInjector arm(make_injector(spec));
-      std::vector<FeedEvent> predicted = raw;
-      corrupt_feed_stage(predicted);
-      for (const FeedEvent& e : predicted) {
-        if (validate_shape(e).ok()) cleaned_by_hand.push_back(e);
+      std::vector<FeedEvent> cleaned_by_hand;
+      {
+        // Predict the corruption, then pre-filter: drop every record the
+        // validator would reject; keep order/dups for the ingestor.
+        fault::ScopedInjector arm(make_injector(spec));
+        std::vector<FeedEvent> predicted = raw;
+        corrupt_feed_stage(predicted);
+        for (const FeedEvent& e : predicted) {
+          if (validate_shape(e).ok()) cleaned_by_hand.push_back(e);
+        }
       }
+
+      fault::Result<std::vector<FeedEvent>> hostile_batch = [&] {
+        fault::ScopedInjector arm(make_injector(spec));
+        return hostile_ingestor.ingest(raw);
+      }();
+      ASSERT_TRUE(hostile_batch.ok());
+      auto clean_batch = clean_ingestor.ingest(std::move(cleaned_by_hand));
+      ASSERT_TRUE(clean_batch.ok());
+
+      ASSERT_EQ(hostile_batch.value().size(), clean_batch.value().size())
+          << "tick " << tick;
+      // Encoding comparison: NaN-mangled fire/patch records can survive
+      // shape validation (only their irrelevant txr field is mangled),
+      // and operator== reports NaN payloads unequal even when identical.
+      ASSERT_EQ(encode_events(hostile_batch.value()),
+                encode_events(clean_batch.value()))
+          << "tick " << tick;
+
+      auto ha = shard::apply_delta(hostile, hostile_batch.value());
+      auto ca = reference_apply(clean.world, clean_batch.value());
+      ASSERT_TRUE(ha.ok()) << ha.status().to_string();
+      ASSERT_TRUE(ca.ok()) << ca.status().to_string();
+      EXPECT_EQ(ha.value().stats, ca.value().stats) << "tick " << tick;
+      hostile = std::move(ha).take().world;
+      clean = std::move(ca).take();
     }
-
-    fault::Result<std::vector<FeedEvent>> hostile_batch = [&] {
-      fault::ScopedInjector arm(make_injector(spec));
-      return hostile_ingestor.ingest(raw);
-    }();
-    ASSERT_TRUE(hostile_batch.ok());
-    auto clean_batch = clean_ingestor.ingest(std::move(cleaned_by_hand));
-    ASSERT_TRUE(clean_batch.ok());
-
-    ASSERT_EQ(hostile_batch.value().size(), clean_batch.value().size())
-        << "tick " << tick;
-    // Encoding comparison: NaN-mangled fire/patch records can survive
-    // shape validation (only their irrelevant txr field is mangled),
-    // and operator== reports NaN payloads unequal even when identical.
-    ASSERT_EQ(encode_events(hostile_batch.value()),
-              encode_events(clean_batch.value()))
-        << "tick " << tick;
-
-    auto ha = Applier::apply(hostile_world, hostile_risk,
-                             hostile_batch.value(), {});
-    auto ca =
-        Applier::apply(clean_world, clean_risk, clean_batch.value(), {});
-    ASSERT_TRUE(ha.ok());
-    ASSERT_TRUE(ca.ok());
-    ApplyResult hr = std::move(ha).take();
-    ApplyResult cr = std::move(ca).take();
-    hostile_world = std::move(hr.world);
-    hostile_risk = std::move(hr.provider_risk);
-    clean_world = std::move(cr.world);
-    clean_risk = std::move(cr.provider_risk);
+    expect_matches_reference(hostile, clean);
+    EXPECT_GT(hostile_ingestor.stats().malformed +
+                  hostile_ingestor.stats().duplicates,
+              0u);
   }
-  EXPECT_EQ(encode(hostile_world, hostile_risk),
-            encode(clean_world, clean_risk));
-  EXPECT_GT(hostile_ingestor.stats().malformed +
-                hostile_ingestor.stats().duplicates,
-            0u);
 }
 
 TEST(FeedFault, StrictPolicySurfacesCorruption) {
@@ -148,15 +149,23 @@ TEST(ApplyFault, InjectedApplyFailureLeavesBaseUntouched) {
   ASSERT_TRUE(cleaned.ok());
   ASSERT_FALSE(cleaned.value().empty());
 
-  const std::string before = encode(small_world(), small_risk());
-  fault::ScopedInjector arm(make_injector("seed=1,delta.apply=1"));
-  auto applied =
-      Applier::apply(small_world(), small_risk(), cleaned.value(), {});
-  ASSERT_FALSE(applied.ok());
-  EXPECT_EQ(applied.status().code, fault::ErrCode::kInjected);
-  EXPECT_EQ(applied.status().source, "delta.apply");
-  // apply() is non-destructive on failure: base still encodes the same.
-  EXPECT_EQ(encode(small_world(), small_risk()), before);
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    const shard::ShardedWorld base = small_view(layout);
+    const std::string before = shard::encode_sharded(base);
+    fault::ScopedInjector arm(make_injector("seed=1,delta.apply=1"));
+    auto applied = shard::apply_delta(base, cleaned.value());
+    ASSERT_FALSE(applied.ok());
+    EXPECT_EQ(applied.status().code, fault::ErrCode::kInjected);
+    EXPECT_EQ(applied.status().source, "delta.apply");
+    // The oracle stops at the same seam.
+    auto reference = reference_apply(small_world(), cleaned.value());
+    ASSERT_FALSE(reference.ok());
+    EXPECT_EQ(reference.status().code, fault::ErrCode::kInjected);
+    // apply_delta is non-destructive on failure: base still encodes the
+    // same.
+    EXPECT_TRUE(shard::encode_sharded(base) == before);
+  }
 }
 
 TEST(ApplyFault, InvalidTargetStrictFailsQuarantineDrops) {
@@ -170,19 +179,22 @@ TEST(ApplyFault, InvalidTargetStrictFailsQuarantineDrops) {
   fine.target = 2;
   const std::vector<FeedEvent> batch{bogus, fine};
 
-  ApplyOptions strict;
-  strict.policy = fault::RecoveryPolicy::kStrict;
-  auto failed = Applier::apply(small_world(), small_risk(), batch, strict);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().offset, 0u);
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    Chain chain(layout);
+    ApplyOptions strict;
+    strict.policy = fault::RecoveryPolicy::kStrict;
+    auto failed = chain.apply(batch, strict);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().offset, 0u);
 
-  auto quarantined =
-      Applier::apply(small_world(), small_risk(), batch, {});
-  ASSERT_TRUE(quarantined.ok());
-  ApplyResult result = std::move(quarantined).take();
-  EXPECT_EQ(result.stats.quarantined, 1u);
-  EXPECT_EQ(result.stats.retires, 1u);
-  EXPECT_EQ(result.world.corpus().size(), small_world().corpus().size() - 1);
+    auto quarantined = chain.apply(batch);
+    ASSERT_TRUE(quarantined.ok()) << quarantined.status().to_string();
+    EXPECT_EQ(quarantined.value().quarantined, 1u);
+    EXPECT_EQ(quarantined.value().retires, 1u);
+    EXPECT_EQ(chain.view.total_points(), small_world().corpus().size() - 1);
+    expect_matches_reference(chain);
+  }
 }
 
 TEST(ApplyFault, QuarantineEqualsApplyingOnlyValidSubset) {
@@ -197,14 +209,16 @@ TEST(ApplyFault, QuarantineEqualsApplyingOnlyValidSubset) {
   const std::vector<FeedEvent> full{bogus, fine};
   const std::vector<FeedEvent> valid_only{fine};
 
-  auto a = Applier::apply(small_world(), small_risk(), full, {});
-  auto b = Applier::apply(small_world(), small_risk(), valid_only, {});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ApplyResult ra = std::move(a).take();
-  ApplyResult rb = std::move(b).take();
-  EXPECT_EQ(encode(ra.world, ra.provider_risk),
-            encode(rb.world, rb.provider_risk));
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    Chain a(layout);
+    Chain b(layout);
+    ASSERT_TRUE(a.apply(full).ok());
+    ASSERT_TRUE(b.apply(valid_only).ok());
+    EXPECT_TRUE(shard::encode_sharded(a.view) ==
+                shard::encode_sharded(b.view));
+    expect_matches_reference(a);
+  }
 }
 
 }  // namespace

@@ -12,12 +12,18 @@
 #include "delta/apply.hpp"
 #include "delta/feed.hpp"
 #include "delta_test_util.hpp"
+#include "fault/injector.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace fa::delta {
 namespace {
 
-using testing::small_risk;
+using testing::Chain;
+using testing::expect_matches_reference;
+using testing::layout_name;
 using testing::small_world;
+using testing::test_layouts;
 
 TEST(FeedGenerator, DeterministicAcrossInstances) {
   FeedOptions options;
@@ -188,31 +194,77 @@ TEST(FeedIngestor, MalformedStrictFailsQuarantineDrops) {
   EXPECT_EQ(diag.total_dropped(), 1u);
 }
 
+TEST(FeedIngestor, EventsCounterCountsEachRawEventOnce) {
+  // delta.feed.events counts the raw events the ingestor saw (after the
+  // delta.feed seam), once: it must equal the sum of the four
+  // disposition counters and the raw batch sizes, with lookback
+  // duplicates and the seam's duplicated, reordered and mangled records
+  // in the stream.
+  const bool obs_was = obs::enabled();
+  obs::set_enabled(true);
+  {
+    obs::ScopedRegistry scoped;
+    FeedOptions options;
+    options.seed = 61;
+    options.duplicate_fraction = 0.5;
+    FeedGenerator gen(small_world(), options);
+    FeedIngestor ingestor;
+    auto injector = fault::Injector::parse("seed=9,delta.feed=0.2");
+    ASSERT_TRUE(injector.ok()) << injector.status().to_string();
+    std::uint64_t raw_events = 0;
+    for (int tick = 0; tick < 12; ++tick) {
+      std::vector<FeedEvent> raw = gen.tick();
+      fault::ScopedInjector arm(injector.value());
+      std::vector<FeedEvent> seen = raw;
+      corrupt_feed_stage(seen);  // the batch the armed ingestor sees
+      raw_events += seen.size();
+      ASSERT_TRUE(ingestor.ingest(std::move(raw)).ok());
+    }
+    obs::Registry& reg = scoped.registry();
+    const auto counter = [&reg](std::string_view name) {
+      return reg.counter(name).value();
+    };
+    const IngestStats& stats = ingestor.stats();
+    EXPECT_GT(stats.duplicates, 0u);
+    EXPECT_GT(stats.malformed, 0u);
+    EXPECT_EQ(stats.accepted + stats.duplicates + stats.stale +
+                  stats.malformed,
+              raw_events);
+    EXPECT_EQ(counter(obs::metrics::kDeltaFeedAccepted) +
+                  counter(obs::metrics::kDeltaFeedDuplicates) +
+                  counter(obs::metrics::kDeltaFeedStale) +
+                  counter(obs::metrics::kDeltaFeedMalformed),
+              raw_events);
+    EXPECT_EQ(counter(obs::metrics::kDeltaFeedEvents), raw_events)
+        << "delta.feed.events must count each raw event once";
+  }
+  obs::set_enabled(obs_was);
+}
+
 TEST(FeedChain, StrictPolicyAcceptsEveryGeneratedTarget) {
-  // The generator mirrors the Applier's re-densification; if that
+  // The generator mirrors the successor epochs' dense ids; if that
   // mirror ever drifted, a retire/move would reference a dead or
   // out-of-range id and this strict chain would fail the batch.
-  FeedOptions options;
-  options.seed = 77;
-  FeedGenerator gen(small_world(), options);
-  FeedIngestor ingestor;
-  core::World world = small_world();
-  core::ProviderRiskResult risk = small_risk();
-  for (int tick = 0; tick < 5; ++tick) {
-    auto cleaned = ingestor.ingest(gen.tick());
-    ASSERT_TRUE(cleaned.ok());
-    ApplyOptions apply_options;
-    apply_options.policy = fault::RecoveryPolicy::kStrict;
-    auto applied =
-        Applier::apply(world, risk, cleaned.value(), apply_options);
-    ASSERT_TRUE(applied.ok())
-        << "tick " << tick << ": " << applied.status().to_string();
-    ApplyResult result = std::move(applied).take();
-    EXPECT_EQ(result.stats.quarantined, 0u);
-    EXPECT_EQ(gen.alive(), result.world.corpus().size())
-        << "generator mirror diverged at tick " << tick;
-    world = std::move(result.world);
-    risk = std::move(result.provider_risk);
+  ApplyOptions strict;
+  strict.policy = fault::RecoveryPolicy::kStrict;
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    FeedOptions options;
+    options.seed = 77;
+    FeedGenerator gen(small_world(), options);
+    FeedIngestor ingestor;
+    Chain chain(layout);
+    for (int tick = 0; tick < 5; ++tick) {
+      auto cleaned = ingestor.ingest(gen.tick());
+      ASSERT_TRUE(cleaned.ok());
+      auto applied = chain.apply(cleaned.value(), strict);
+      ASSERT_TRUE(applied.ok())
+          << "tick " << tick << ": " << applied.status().to_string();
+      EXPECT_EQ(applied.value().quarantined, 0u);
+      EXPECT_EQ(gen.alive(), chain.view.total_points())
+          << "generator mirror diverged at tick " << tick;
+    }
+    expect_matches_reference(chain);
   }
 }
 
@@ -223,39 +275,41 @@ TEST(FeedChain, MoveOriginsTrackTheAppliedEpoch) {
   // (0.01 deg lon, 0.008 deg lat) of where the applied epoch has its
   // target. A churn-heavy dense feed crosses many slot blocks and
   // appends new ones.
-  FeedOptions options;
-  options.seed = 123;
-  options.events_per_tick_mean = 96.0;
-  options.w_retire = 4.0;
-  options.w_move = 4.0;
-  FeedGenerator gen(small_world(), options);
-  FeedIngestor ingestor;
-  core::World world = small_world();
-  core::ProviderRiskResult risk = small_risk();
-  std::size_t moves = 0;
-  for (int tick = 0; tick < 30; ++tick) {
-    auto cleaned = ingestor.ingest(gen.tick());
-    ASSERT_TRUE(cleaned.ok());
-    for (const FeedEvent& e : cleaned.value()) {
-      if (e.kind != EventKind::kMoveTransceiver) continue;
-      ASSERT_LT(e.target, world.corpus().size());
-      const geo::LonLat at = world.corpus().transceivers()[e.target].position;
-      EXPECT_LT(std::abs(e.txr.position.lon - at.lon), 0.15)
-          << "tick " << tick << " target " << e.target;
-      EXPECT_LT(std::abs(e.txr.position.lat - at.lat), 0.12)
-          << "tick " << tick << " target " << e.target;
-      ++moves;
+  ApplyOptions strict;
+  strict.policy = fault::RecoveryPolicy::kStrict;
+  for (const shard::LayoutOptions& layout : test_layouts()) {
+    SCOPED_TRACE(layout_name(layout));
+    FeedOptions options;
+    options.seed = 123;
+    options.events_per_tick_mean = 96.0;
+    options.w_retire = 4.0;
+    options.w_move = 4.0;
+    FeedGenerator gen(small_world(), options);
+    FeedIngestor ingestor;
+    Chain chain(layout);
+    std::size_t moves = 0;
+    for (int tick = 0; tick < 30; ++tick) {
+      auto cleaned = ingestor.ingest(gen.tick());
+      ASSERT_TRUE(cleaned.ok());
+      auto positions = chain.view.positions_by_id();
+      ASSERT_TRUE(positions.ok()) << positions.status().to_string();
+      for (const FeedEvent& e : cleaned.value()) {
+        if (e.kind != EventKind::kMoveTransceiver) continue;
+        ASSERT_LT(e.target, positions.value().size());
+        const geo::LonLat at = positions.value()[e.target];
+        EXPECT_LT(std::abs(e.txr.position.lon - at.lon), 0.15)
+            << "tick " << tick << " target " << e.target;
+        EXPECT_LT(std::abs(e.txr.position.lat - at.lat), 0.12)
+            << "tick " << tick << " target " << e.target;
+        ++moves;
+      }
+      auto applied = chain.apply(cleaned.value(), strict);
+      ASSERT_TRUE(applied.ok()) << applied.status().to_string();
+      ASSERT_EQ(gen.alive(), chain.view.total_points());
     }
-    ApplyOptions strict;
-    strict.policy = fault::RecoveryPolicy::kStrict;
-    auto applied = Applier::apply(world, risk, cleaned.value(), strict);
-    ASSERT_TRUE(applied.ok()) << applied.status().to_string();
-    ApplyResult result = std::move(applied).take();
-    ASSERT_EQ(gen.alive(), result.world.corpus().size());
-    world = std::move(result.world);
-    risk = std::move(result.provider_risk);
+    EXPECT_GT(moves, 500u);
+    expect_matches_reference(chain);
   }
-  EXPECT_GT(moves, 500u);
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
-// Incremental spatial-index maintenance, pinned against from-scratch
-// builds: GridIndex::applied() must produce an index byte-identical to
-// constructing over the final point set (points, binned SoA order, cell
-// spans — the property the delta snapshot byte-identity rests on), and
+// Incremental spatial-index maintenance for the feed's fire index:
 // DynamicRTree must answer every query exactly like a fresh bulk-loaded
 // tree, across 1000 seeded randomized op-sequences. The concurrent
-// sections are the TSan targets: const readers race an applied() /
-// compact() producer with no synchronization beyond the API contract.
+// section is a TSan target: const readers race each other with no
+// synchronization beyond the API contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,154 +11,11 @@
 #include <vector>
 
 #include "index/dynamic_rtree.hpp"
-#include "index/grid_index.hpp"
 #include "synth/rng.hpp"
 
 namespace fa::index {
 namespace {
 
-constexpr geo::BBox kBounds{-10.0, -5.0, 10.0, 5.0};
-
-std::vector<geo::Vec2> random_points(synth::Rng& rng, std::size_t n) {
-  std::vector<geo::Vec2> pts;
-  pts.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // A few points outside bounds exercise the edge-bin clamp.
-    pts.push_back({rng.uniform(-11.0, 11.0), rng.uniform(-5.5, 5.5)});
-  }
-  return pts;
-}
-
-// Applies `delta` to a plain point vector — the semantic reference the
-// index-level applied() must agree with.
-std::vector<geo::Vec2> apply_to_points(const std::vector<geo::Vec2>& points,
-                                       const PointDelta& delta) {
-  std::vector<geo::Vec2> next;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (delta.new_id_of[i] != PointDelta::kDropped) {
-      next.push_back(points[i]);
-    }
-  }
-  for (const PointDelta::Moved& m : delta.moved) {
-    next[delta.new_id_of[m.old_id]] = m.to;
-  }
-  next.insert(next.end(), delta.added.begin(), delta.added.end());
-  return next;
-}
-
-PointDelta random_delta(synth::Rng& rng, std::size_t n) {
-  PointDelta delta;
-  delta.new_id_of.resize(n);
-  std::uint32_t next_id = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool drop = rng.chance(0.15);
-    delta.new_id_of[i] = drop ? PointDelta::kDropped : next_id++;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (delta.new_id_of[i] == PointDelta::kDropped) continue;
-    if (rng.chance(0.1)) {
-      delta.moved.push_back({static_cast<std::uint32_t>(i),
-                             {rng.uniform(-11.0, 11.0), rng.uniform(-5.5, 5.5)}});
-    }
-  }
-  const std::size_t n_add = rng.below(12);
-  for (std::size_t i = 0; i < n_add; ++i) {
-    delta.added.push_back({rng.uniform(-11.0, 11.0), rng.uniform(-5.5, 5.5)});
-  }
-  return delta;
-}
-
-void expect_identical(const GridIndex& got, const GridIndex& want,
-                      std::uint64_t seed, int step) {
-  ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " step " << step;
-  for (std::uint32_t id = 0; id < want.size(); ++id) {
-    ASSERT_EQ(got.point(id).x, want.point(id).x)
-        << "seed " << seed << " step " << step << " id " << id;
-    ASSERT_EQ(got.point(id).y, want.point(id).y)
-        << "seed " << seed << " step " << step << " id " << id;
-  }
-  // Binned storage must match entry for entry — same ids in the same
-  // slots with the same SoA coordinates — which pins both the bin
-  // assignment and the canonical in-bin order.
-  ASSERT_TRUE(std::ranges::equal(got.binned_ids(), want.binned_ids()))
-      << "seed " << seed << " step " << step;
-  ASSERT_TRUE(std::ranges::equal(got.binned_xs(), want.binned_xs()));
-  ASSERT_TRUE(std::ranges::equal(got.binned_ys(), want.binned_ys()));
-}
-
-TEST(GridIndexApplied, ThousandSeededSequencesMatchFreshBuild) {
-  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
-    synth::Rng rng(seed);
-    const int cols = 2 + static_cast<int>(rng.below(14));
-    const int rows = 2 + static_cast<int>(rng.below(6));
-    std::vector<geo::Vec2> points = random_points(rng, rng.below(160));
-    GridIndex incremental(points, kBounds, cols, rows);
-    const int steps = 1 + static_cast<int>(rng.below(3));
-    for (int step = 0; step < steps; ++step) {
-      const PointDelta delta = random_delta(rng, points.size());
-      points = apply_to_points(points, delta);
-      incremental = incremental.applied(delta);
-      const GridIndex fresh(points, kBounds, cols, rows);
-      expect_identical(incremental, fresh, seed, step);
-    }
-  }
-}
-
-TEST(GridIndexApplied, DropEverything) {
-  synth::Rng rng(7);
-  const std::vector<geo::Vec2> points = random_points(rng, 50);
-  const GridIndex base(points, kBounds, 8, 4);
-  PointDelta delta;
-  delta.new_id_of.assign(points.size(), PointDelta::kDropped);
-  const GridIndex empty = base.applied(delta);
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_TRUE(empty.query_ids(kBounds).empty());
-}
-
-TEST(GridIndexApplied, PureAppendOntoEmpty) {
-  const GridIndex base(std::vector<geo::Vec2>{}, kBounds, 4, 4);
-  PointDelta delta;
-  delta.added = {{0.0, 0.0}, {1.0, 1.0}, {-9.0, -4.0}};
-  const GridIndex grown = base.applied(delta);
-  const GridIndex fresh(delta.added, kBounds, 4, 4);
-  expect_identical(grown, fresh, 0, 0);
-}
-
-TEST(GridIndexApplied, ConcurrentReadersDuringApply) {
-  // applied() is const: readers may keep querying the base while a
-  // producer derives successors from it. TSan proves the claim.
-  synth::Rng rng(42);
-  std::vector<geo::Vec2> points = random_points(rng, 400);
-  const GridIndex base(points, kBounds, 16, 8);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> total{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&, t] {
-      synth::Rng r(1000 + static_cast<std::uint64_t>(t));
-      std::uint64_t hits = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        const double x = r.uniform(-10.0, 8.0);
-        const double y = r.uniform(-5.0, 3.0);
-        base.query({x, y, x + 2.0, y + 2.0},
-                   [&](std::uint32_t, geo::Vec2) { ++hits; });
-      }
-      total.fetch_add(hits);
-    });
-  }
-  GridIndex current = base;
-  for (int step = 0; step < 20; ++step) {
-    // Each delta is sized to base (every applied() derives from it).
-    const PointDelta delta = random_delta(rng, points.size());
-    current = base.applied(delta);  // reads base while readers read base
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  SUCCEED();
-}
-
-// ---------------------------------------------------------------------
 // DynamicRTree: overlay/tombstone correctness against a fresh STR pack.
 
 std::vector<DynamicRTree::Entry> boxes_of(

@@ -10,9 +10,7 @@
 #include <variant>
 #include <vector>
 
-#include "core/provider_risk.hpp"
 #include "core/world.hpp"
-#include "delta/apply.hpp"
 #include "delta/feed.hpp"
 #include "ensemble/ensemble.hpp"
 #include "net/client.hpp"
@@ -21,6 +19,7 @@
 #include "serve/server.hpp"
 #include "serve/types.hpp"
 #include "serve/wire.hpp"
+#include "../delta/reference_apply.hpp"
 #include "../serve/serve_test_util.hpp"
 
 namespace fa::serve {
@@ -192,11 +191,11 @@ std::pair<EnsembleSummaryResponse, TopKFragileSitesResponse> expected_over(
 // The served pair reads the region's transceivers from the shard columns
 // instead of a world: it must answer exactly what the ensemble engine
 // answers over the built world — on a fresh view, and on a view fed with
-// retires (which renumber the dense ids), against delta::Applier's world.
+// retires (which renumber the dense ids), against the world
+// reference_apply rebuilds from the same batches.
 TEST(EnsembleServe, ServedAnswersEqualRunEnsembleOverTheWorld) {
   Server server(tiny_config());
   core::World world = core::World::build(tiny_config());
-  core::ProviderRiskResult risk = core::run_provider_risk(world);
   const auto expect_served = [&](const char* what) {
     SCOPED_TRACE(what);
     const auto [summary, fragile] =
@@ -215,12 +214,11 @@ TEST(EnsembleServe, ServedAnswersEqualRunEnsembleOverTheWorld) {
   for (int tick = 0; tick < 3; ++tick) {
     auto cleaned = ingestor.ingest(gen.tick());
     ASSERT_TRUE(cleaned.ok());
-    auto applied = delta::Applier::apply(world, risk, cleaned.value());
+    auto applied = delta::testing::reference_apply(world, cleaned.value());
     ASSERT_TRUE(applied.ok()) << applied.status().to_string();
-    delta::ApplyResult result = std::move(applied).take();
+    delta::testing::ReferenceEpoch result = std::move(applied).take();
     retires += result.stats.retires;
     world = std::move(result.world);
-    risk = std::move(result.provider_risk);
     ASSERT_TRUE(server.apply_delta(cleaned.value()).ok());
   }
   ASSERT_GT(retires, 0u) << "the feed never retired a site";

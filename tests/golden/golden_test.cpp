@@ -20,14 +20,15 @@
 #include "core/historical.hpp"
 #include "core/provider_risk.hpp"
 #include "core/whp_overlay.hpp"
-#include "delta/apply.hpp"
 #include "delta/feed.hpp"
 #include "io/json.hpp"
 #include "store/codec.hpp"
+#include "shard/apply.hpp"
 #include "shard/codec.hpp"
 #include "shard/world.hpp"
 #include "store/format.hpp"
 #include "test_world.hpp"
+#include "../delta/reference_apply.hpp"
 
 namespace fa::core::testing {
 namespace {
@@ -141,43 +142,42 @@ TEST(Golden, Fig6Fig7WhpOverlay) {
 
 TEST(Golden, DeltaEpochBytes) {
   // Pins the whole incremental-update pipeline: a fixed-seed feed chain
-  // over the shared test world, the snapshot bytes of the delta-built
-  // epoch, and — the tentpole contract — the identical bytes of a
-  // from-scratch rebuild of the same final state. A drift in either CRC
-  // means the feed, applier, codec, or world synthesis changed; the two
-  // CRCs diverging means incremental maintenance broke equivalence.
+  // over the shared test world through shard::apply_delta, the snapshot
+  // bytes of the delta-built epoch's materialized world, and — the
+  // tentpole contract — the identical bytes of the from-scratch
+  // reference_apply chain over the same batches. A drift in either CRC
+  // means the feed, the shard apply, the codec, or world synthesis
+  // changed; the two CRCs diverging means the shard apply broke
+  // equivalence.
   const World& base = test_world();
   const ProviderRiskResult base_risk = run_provider_risk(base);
   fa::delta::FeedOptions feed_options;
   feed_options.seed = 909;
   fa::delta::FeedGenerator gen(base, feed_options);
   fa::delta::FeedIngestor ingestor;
-  World world = base;
-  ProviderRiskResult risk = base_risk;
+  fa::shard::ShardedWorld view =
+      fa::shard::ShardedWorld::from_world(base, base_risk);
+  fa::delta::testing::ReferenceEpoch reference{base, base_risk, {}};
   std::size_t events_applied = 0;
   for (int tick = 0; tick < 3; ++tick) {
     auto cleaned = ingestor.ingest(gen.tick());
     ASSERT_TRUE(cleaned.ok());
-    auto applied =
-        fa::delta::Applier::apply(world, risk, cleaned.value(), {});
+    auto applied = fa::shard::apply_delta(view, cleaned.value());
     ASSERT_TRUE(applied.ok()) << applied.status().to_string();
-    fa::delta::ApplyResult result = std::move(applied).take();
+    auto rebuilt =
+        fa::delta::testing::reference_apply(reference.world, cleaned.value());
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().to_string();
+    fa::shard::Successor result = std::move(applied).take();
     events_applied += result.stats.events - result.stats.quarantined;
-    world = std::move(result.world);
-    risk = std::move(result.provider_risk);
+    view = std::move(result.world);
+    reference = std::move(rebuilt).take();
   }
-  const std::string delta_bytes = store::encode_world(world, risk);
-
-  World::BuildOptions opts;
-  auto rebuilt = World::from_parts(
-      cellnet::CellCorpus(
-          std::vector<cellnet::Transceiver>(world.corpus().transceivers())),
-      world.whp_ptr(), world.counties_ptr(), world.config(), opts);
-  ASSERT_TRUE(rebuilt.ok());
-  const World reference = std::move(rebuilt).take();
-  const ProviderRiskResult reference_risk = run_provider_risk(reference);
+  auto world = view.materialize();
+  ASSERT_TRUE(world.ok()) << world.status().to_string();
+  const std::string delta_bytes =
+      store::encode_world(world.value(), view.provider_risk());
   const std::string rebuilt_bytes =
-      store::encode_world(reference, reference_risk);
+      store::encode_world(reference.world, reference.risk);
   ASSERT_EQ(delta_bytes, rebuilt_bytes)
       << "delta-built epoch no longer byte-identical to rebuild";
 
@@ -185,7 +185,7 @@ TEST(Golden, DeltaEpochBytes) {
   doc["feed_seed"] = static_cast<std::size_t>(feed_options.seed);
   doc["ticks"] = 3;
   doc["events_applied"] = events_applied;
-  doc["corpus_size"] = world.corpus().size();
+  doc["corpus_size"] = static_cast<std::size_t>(view.total_points());
   doc["snapshot_bytes"] = delta_bytes.size();
   doc["delta_crc"] = static_cast<std::size_t>(
       store::crc32(delta_bytes.data(), delta_bytes.size()));

@@ -1,15 +1,18 @@
 // Shard-native delta apply equivalence: shard::apply_delta must equal the
-// reference derivation — materialize the base, apply the batch through
-// delta::Applier, re-shard the result from scratch over the base's
-// layout — in encode_sharded bytes, provider-risk aggregate and every
-// ApplyStats field, while rewriting only the pages the batch touches and
-// sharing every other page (and every untouched shard) with the base.
+// from-scratch reference derivation — materialize the base, fold the
+// batch and rebuild through reference_apply, re-shard the result from
+// scratch over the base's layout — in encode_sharded bytes,
+// provider-risk aggregate and every ApplyStats field, while rewriting
+// only the pages the batch touches and sharing every other page (and
+// every untouched shard) with the base.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "shard/apply.hpp"
 #include "shard/codec.hpp"
 #include "shard_test_util.hpp"
+#include "../delta/reference_apply.hpp"
 
 namespace fa::shard {
 namespace {
@@ -36,13 +40,12 @@ fault::Result<Reference> reference(const ShardedWorld& base,
                                    const delta::ApplyOptions& options = {}) {
   auto world = base.materialize();
   if (!world.ok()) return world.status();
-  auto applied = delta::Applier::apply(world.value(), base.provider_risk(),
-                                       events, options);
+  auto applied =
+      delta::testing::reference_apply(world.value(), events, options);
   if (!applied.ok()) return applied.status();
-  const delta::ApplyResult& r = applied.value();
-  return Reference{
-      ShardedWorld::from_world(r.world, r.provider_risk, base.layout()),
-      r.stats};
+  const delta::testing::ReferenceEpoch& r = applied.value();
+  return Reference{ShardedWorld::from_world(r.world, r.risk, base.layout()),
+                   r.stats};
 }
 
 bool same_risk(const core::ProviderRiskResult& a,
@@ -61,7 +64,7 @@ bool same_risk(const core::ProviderRiskResult& a,
 
 // Applies `events` both ways and checks the successor against the
 // reference; returns the shard-native result for chaining.
-ShardApplyResult apply_checked(const ShardedWorld& base,
+Successor apply_checked(const ShardedWorld& base,
                                std::span<const delta::FeedEvent> events,
                                const std::string& what,
                                const delta::ApplyOptions& options = {}) {
@@ -70,7 +73,7 @@ ShardApplyResult apply_checked(const ShardedWorld& base,
   auto got = apply_delta(base, events, options);
   EXPECT_TRUE(got.ok()) << what << ": " << got.status().to_string();
   if (!want.ok() || !got.ok()) return {};
-  ShardApplyResult out = std::move(got).take();
+  Successor out = std::move(got).take();
   EXPECT_EQ(encode_sharded(out.world), encode_sharded(want.value().world))
       << what << ": successor diverged from the from-scratch reshard";
   EXPECT_TRUE(same_risk(out.world.provider_risk(),
@@ -95,7 +98,7 @@ std::size_t run_checked_chain(const delta::FeedOptions& feed_options,
     if (!cleaned.ok() || cleaned.value().empty()) continue;
     const std::string what = "seed " + std::to_string(feed_options.seed) +
                              " tick " + std::to_string(tick);
-    ShardApplyResult next = apply_checked(view, cleaned.value(), what);
+    Successor next = apply_checked(view, cleaned.value(), what);
     if (::testing::Test::HasFailure()) return retires;
     retires += next.stats.retires;
     EXPECT_EQ(gen.alive(), next.world.total_points()) << what;
@@ -189,6 +192,42 @@ delta::FeedEvent add_at(std::uint64_t seq, geo::LonLat pos,
   return e;
 }
 
+// The dirty regions `events`' hazard edits leave on `view`'s surface:
+// the regions both the shard apply and the oracle scan.
+std::vector<geo::BBox> dirty_regions_of(
+    const ShardedWorld& view, std::span<const delta::FeedEvent> events) {
+  delta::ApplyStats stats;
+  auto staged =
+      delta::Applier::stage(events, view.total_points(), {}, stats);
+  EXPECT_TRUE(staged.ok()) << staged.status().to_string();
+  if (!staged.ok()) return {};
+  return delta::Applier::patch_whp(view.whp_ptr(), staged.value().whp_edits,
+                                   stats)
+      .dirty_regions;
+}
+
+bool in_any(const std::vector<geo::BBox>& regions, geo::Vec2 at) {
+  return std::ranges::any_of(
+      regions, [at](const geo::BBox& r) { return r.contains(at); });
+}
+
+// Positions of every transceiver of `view` that `keep` accepts, by a
+// brute-force walk over every page.
+template <class Keep>
+std::vector<geo::Vec2> positions_where(const ShardedWorld& view, Keep keep) {
+  std::vector<geo::Vec2> out;
+  for (const Shard& sh : view.shards()) {
+    for (std::size_t p = 0; p < sh.page_count(); ++p) {
+      const Page& pg = sh.page(p);
+      for (std::uint32_t k = pg.begin(); k < pg.end(); ++k) {
+        const geo::Vec2 at{pg.xs[k], pg.ys[k]};
+        if (keep(at)) out.push_back(at);
+      }
+    }
+  }
+  return out;
+}
+
 TEST(ShardApply, ChainMatchesFromScratchReshardEveryTick) {
   // Default weights: retires, moves, adds, fires and patches in every
   // tick, eight ticks per seed.
@@ -219,7 +258,7 @@ TEST(ShardApply, OneAddRewritesExactlyOnePage) {
   ASSERT_LT(s, view.shard_count()) << "every shard re-bins on one add";
   const Member at = member(view, s, view.shard(s).n() / 2);
   const std::vector<delta::FeedEvent> batch{add_at(0, at.pos, 77)};
-  const ShardApplyResult next = apply_checked(view, batch, "one add");
+  const Successor next = apply_checked(view, batch, "one add");
   ASSERT_FALSE(HasFailure());
   EXPECT_EQ(next.shards.rebuilt, 1u);
   EXPECT_EQ(next.shards.pages_rewritten, 1u);
@@ -255,7 +294,7 @@ TEST(ShardApply, OneRetireRewritesOnePageAndNoOtherShardsIds) {
   delta::FeedEvent retire = make_event(0, delta::EventKind::kRetireTransceiver);
   retire.target = victim.id;
   const std::vector<delta::FeedEvent> batch{retire};
-  const ShardApplyResult next = apply_checked(view, batch, "one retire");
+  const Successor next = apply_checked(view, batch, "one retire");
   ASSERT_FALSE(HasFailure());
   EXPECT_EQ(next.shards.rebuilt, 1u);
   EXPECT_EQ(next.shards.shared, view.shard_count() - 1);
@@ -271,7 +310,7 @@ TEST(ShardApply, OneRetireRewritesOnePageAndNoOtherShardsIds) {
   delta::FeedEvent again = make_event(1, delta::EventKind::kRetireTransceiver);
   again.target = victim.id;  // now names the survivor after the victim
   const std::vector<delta::FeedEvent> second{again};
-  const ShardApplyResult after =
+  const Successor after =
       apply_checked(next.world, second, "retire over a tombstone");
   ASSERT_FALSE(HasFailure());
   EXPECT_EQ(after.world.tombstones(), 2u);
@@ -288,8 +327,7 @@ TEST(ShardApply, UntouchedShardsShareColumnStorage) {
   auto cleaned = ingestor.ingest(gen.tick());
   ASSERT_TRUE(cleaned.ok());
   ASSERT_FALSE(cleaned.value().empty());
-  const ShardApplyResult next =
-      apply_checked(view, cleaned.value(), "sparse tick");
+  const Successor next = apply_checked(view, cleaned.value(), "sparse tick");
   ASSERT_FALSE(HasFailure());
   ASSERT_GT(next.shards.shared, 0u) << "sparse batch still dirtied every shard";
   std::size_t pointer_shared = 0;
@@ -332,7 +370,7 @@ TEST(ShardApply, ApplyOverOpenedContainerSharesTheMapping) {
       make_event(batch.back().seq + 1, delta::EventKind::kRetireTransceiver);
   retire.target = static_cast<std::uint32_t>(base.total_points() - 1);
   batch.push_back(retire);
-  const ShardApplyResult next = apply_checked(base, batch, "mmap");
+  const Successor next = apply_checked(base, batch, "mmap");
   ASSERT_FALSE(HasFailure());
   ASSERT_GT(next.stats.retires, 0u);
   ASSERT_GT(next.shards.shared, 0u);
@@ -372,7 +410,7 @@ TEST(ShardApply, MoveAcrossShardsMatches) {
   move.target = mover.id;
   move.txr.position = landmark.pos;
   const std::vector<delta::FeedEvent> batch{move};
-  const ShardApplyResult next = apply_checked(view, batch, "cross-shard move");
+  const Successor next = apply_checked(view, batch, "cross-shard move");
   ASSERT_FALSE(HasFailure());
   EXPECT_EQ(next.world.shard(0).n(), view.shard(0).n() - 1);
   EXPECT_EQ(next.world.shard(to_shard).n(), view.shard(to_shard).n() + 1);
@@ -405,7 +443,7 @@ TEST(ShardApply, AddsThatChangeLocalGridDimsMatch) {
     const Member at = member(view, s, (i * 7919) % sh.n());
     batch.push_back(add_at(1 + i, at.pos, static_cast<std::uint32_t>(i)));
   }
-  const ShardApplyResult next = apply_checked(view, batch, "dims step");
+  const Successor next = apply_checked(view, batch, "dims step");
   ASSERT_FALSE(HasFailure());
   const Shard& grown = next.world.shard(s);
   EXPECT_TRUE(grown.cols != sh.cols || grown.rows != sh.rows);
@@ -414,8 +452,9 @@ TEST(ShardApply, AddsThatChangeLocalGridDimsMatch) {
 TEST(ShardApply, HazardEditStraddlingAShardEdgeMatches) {
   // A patch box centered on the edge between two horizontally adjacent
   // tiles owned by different shards, and a fire perimeter over the same
-  // edge: both shards' survivors must be re-classified exactly as the
-  // global-grid candidate rule does.
+  // edge: the dirty regions straddle the shard edge with survivors on
+  // both sides, and both shards' survivors must be counted and
+  // re-classified exactly as the oracle's containment scan does.
   const ShardedWorld& view = small_sharded();
   const ShardLayout& layout = view.layout();
   const auto patch_box = [&layout](std::size_t tile) {
@@ -460,11 +499,103 @@ TEST(ShardApply, HazardEditStraddlingAShardEdgeMatches) {
   fire.perimeter = geo::make_circle({edge, box.max_y + 0.7}, 0.6, 24);
   fire.severity = synth::WhpClass::kHigh;
   const std::vector<delta::FeedEvent> batch{patch, fire};
-  const ShardApplyResult next = apply_checked(view, batch, "edge patch");
+  const std::vector<geo::BBox> regions = dirty_regions_of(view, batch);
+  const auto dirty_side = [&](bool west) {
+    return positions_where(view, [&](geo::Vec2 at) {
+             return (at.x < edge) == west && in_any(regions, at);
+           })
+        .size();
+  };
+  const std::size_t dirty_west = dirty_side(true);
+  const std::size_t dirty_east = dirty_side(false);
+  ASSERT_GT(dirty_west, 0u) << "no dirty survivor west of the edge";
+  ASSERT_GT(dirty_east, 0u) << "no dirty survivor east of the edge";
+  const Successor next = apply_checked(view, batch, "edge patch");
   ASSERT_FALSE(HasFailure());
   EXPECT_GT(next.stats.whp_cells_changed, 0u);
-  EXPECT_GT(next.stats.dirty_transceivers, 0u);
+  EXPECT_EQ(next.stats.dirty_transceivers, dirty_west + dirty_east);
   EXPECT_GE(next.shards.rebuilt, 2u) << "both sides of the edge reclass";
+}
+
+TEST(ShardApply, DirtyRegionPastTheLayoutDomainMatches) {
+  // A patch over the hazard grid's south-west corner, whose cells reach
+  // south of the layout domain: its dirty region does too, and a
+  // survivor out there (clamped into an edge shard's edge cells) must be
+  // found by the dirty scan exactly as the oracle's containment test
+  // finds it.
+  const ShardedWorld& view = small_sharded();
+  const geo::BBox domain = view.domain();
+  delta::FeedEvent patch = make_event(1, delta::EventKind::kWhpPatch);
+  patch.patch_box = {domain.min_x - 4.0, domain.min_y - 8.0,
+                     domain.min_x + 6.0, domain.min_y + 0.5};
+  patch.severity = synth::WhpClass::kVeryHigh;
+  const std::vector<delta::FeedEvent> edit{patch};
+  const std::vector<geo::BBox> regions = dirty_regions_of(view, edit);
+  const auto past = std::ranges::find_if(regions, [&](const geo::BBox& r) {
+    return r.min_y < domain.min_y;
+  });
+  ASSERT_NE(past, regions.end()) << "no dirty region reaches past the domain";
+  const geo::LonLat outside{(past->min_x + past->max_x) / 2.0,
+                            (past->min_y + domain.min_y) / 2.0};
+  ASSERT_FALSE(domain.contains(outside.as_vec()));
+  ASSERT_TRUE(past->contains(outside.as_vec()));
+
+  const std::vector<delta::FeedEvent> seed{add_at(0, outside, 41)};
+  const Successor seeded = apply_checked(view, seed, "add past the domain");
+  ASSERT_FALSE(HasFailure());
+  const Successor next =
+      apply_checked(seeded.world, edit, "region past the domain");
+  ASSERT_FALSE(HasFailure());
+  EXPECT_GT(next.stats.whp_cells_changed, 0u);
+  EXPECT_EQ(next.stats.dirty_transceivers,
+            positions_where(seeded.world, [&](geo::Vec2 at) {
+              return in_any(regions, at);
+            }).size());
+  EXPECT_GE(next.stats.dirty_transceivers, 1u);
+}
+
+TEST(ShardApply, SurvivorsOnADirtyRegionEdgeMatch) {
+  // BBox::contains is closed: survivors exactly on a dirty region's
+  // edges and corners are dirty, and survivors one ulp outside are not.
+  // The shard scan's exact filter and the oracle must agree on both.
+  const ShardedWorld& view = small_sharded();
+  const Member anchor = member(view, 2, view.shard(2).n() / 2);
+  delta::FeedEvent patch = make_event(100, delta::EventKind::kWhpPatch);
+  patch.patch_box = {anchor.pos.lon - 0.3, anchor.pos.lat - 0.3,
+                     anchor.pos.lon + 0.3, anchor.pos.lat + 0.3};
+  patch.severity = synth::WhpClass::kVeryHigh;
+  const std::vector<delta::FeedEvent> edit{patch};
+  const std::vector<geo::BBox> regions = dirty_regions_of(view, edit);
+  ASSERT_EQ(regions.size(), 1u) << "one patch, one changed region";
+  const geo::BBox r = regions.front();
+  const double mid_x = (r.min_x + r.max_x) / 2.0;
+  const double mid_y = (r.min_y + r.max_y) / 2.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<geo::LonLat> on_edge{
+      {r.min_x, mid_y}, {r.max_x, mid_y}, {mid_x, r.min_y},
+      {mid_x, r.max_y}, {r.min_x, r.min_y}, {r.max_x, r.max_y}};
+  const std::vector<geo::LonLat> just_outside{
+      {std::nextafter(r.min_x, -inf), mid_y},
+      {std::nextafter(r.max_x, inf), mid_y},
+      {mid_x, std::nextafter(r.min_y, -inf)},
+      {mid_x, std::nextafter(r.max_y, inf)}};
+  std::vector<delta::FeedEvent> seed;
+  for (const auto* group : {&on_edge, &just_outside}) {
+    for (const geo::LonLat& at : *group) {
+      seed.push_back(add_at(seed.size(), at,
+                            static_cast<std::uint32_t>(600 + seed.size())));
+    }
+  }
+  const std::size_t inside_before =
+      positions_where(view, [&r](geo::Vec2 at) { return r.contains(at); })
+          .size();
+
+  const Successor seeded = apply_checked(view, seed, "adds on a region's edge");
+  ASSERT_FALSE(HasFailure());
+  const Successor next =
+      apply_checked(seeded.world, edit, "patch over the edge adds");
+  ASSERT_FALSE(HasFailure());
+  EXPECT_EQ(next.stats.dirty_transceivers, inside_before + on_edge.size());
 }
 
 std::vector<delta::FeedEvent> invalid_batch(const ShardedWorld& view) {
@@ -494,7 +625,7 @@ std::vector<delta::FeedEvent> invalid_batch(const ShardedWorld& view) {
 TEST(ShardApply, QuarantinedInvalidEventsMatch) {
   const ShardedWorld& view = small_sharded();
   const std::vector<delta::FeedEvent> batch = invalid_batch(view);
-  const ShardApplyResult next = apply_checked(view, batch, "quarantine");
+  const Successor next = apply_checked(view, batch, "quarantine");
   ASSERT_FALSE(HasFailure());
   EXPECT_EQ(next.stats.quarantined, 4u);
   EXPECT_EQ(next.stats.retires, 1u);
@@ -522,7 +653,7 @@ TEST(ShardApply, RetireHeavyChainCompactsAndServesLikeMonolithic) {
     auto cleaned = ingestor.ingest(gen.tick());
     ASSERT_TRUE(cleaned.ok());
     const std::string what = "retire-heavy tick " + std::to_string(tick);
-    ShardApplyResult next = apply_checked(view, cleaned.value(), what);
+    Successor next = apply_checked(view, cleaned.value(), what);
     ASSERT_FALSE(HasFailure()) << what;
     compactions += next.shards.compacted;
     if (next.shards.compacted) {

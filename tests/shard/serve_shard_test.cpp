@@ -16,13 +16,13 @@
 #include "delta/feed.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
-#include "delta/apply.hpp"
 #include "delta/log.hpp"
 #include "serve/server.hpp"
 #include "shard/codec.hpp"
 #include "store/codec.hpp"
 #include "store/format.hpp"
 #include "shard_test_util.hpp"
+#include "../delta/reference_apply.hpp"
 
 namespace fa::shard {
 namespace {
@@ -360,8 +360,8 @@ TEST(ServeSharded, ColdStartReplayingARetireNeverMaterializes) {
 // Stores written before serving was sharded-only hold a FASNAP01
 // generation and a delta log chained to it. A cold start migrates the
 // image, replays the chain, and serves the reference evaluator's bytes
-// over the world delta::Applier builds from the same prefix; the next
-// save commits a FASHRD01 generation and re-roots the log on it.
+// over the world reference_apply rebuilds from the same prefix; the
+// next save commits a FASHRD01 generation and re-roots the log on it.
 TEST(ServeSharded, PreShardingStoreWithDeltaLogUpgradesOnColdStart) {
   ObsOn obs_on;
   TempDir tmp;
@@ -383,12 +383,12 @@ TEST(ServeSharded, PreShardingStoreWithDeltaLogUpgradesOnColdStart) {
     for (int tick = 0; tick < 3; ++tick) {
       auto cleaned = ingestor.ingest(gen.tick());
       ASSERT_TRUE(cleaned.ok());
-      auto applied = delta::Applier::apply(world, risk, cleaned.value());
+      auto applied = delta::testing::reference_apply(world, cleaned.value());
       ASSERT_TRUE(applied.ok()) << applied.status().to_string();
-      delta::ApplyResult result = std::move(applied).take();
+      delta::testing::ReferenceEpoch result = std::move(applied).take();
       retires += result.stats.retires;
       world = std::move(result.world);
-      risk = std::move(result.provider_risk);
+      risk = std::move(result.risk);
       ASSERT_TRUE(log.value().append(cleaned.value()).ok());
     }
     ASSERT_GT(retires, 0u) << "the logged batches never retired a site";
@@ -407,7 +407,7 @@ TEST(ServeSharded, PreShardingStoreWithDeltaLogUpgradesOnColdStart) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(st::ask_reference(world, risk, server.epoch(), stream[i]) ==
                 ask(server, stream[i]))
-        << "query " << i << " diverged from the Applier's world";
+        << "query " << i << " diverged from the oracle's world";
   }
 
   ASSERT_TRUE(server.save_snapshot().ok());

@@ -100,14 +100,11 @@ const std::vector<BenchSchema>& schemas() {
        "",
        "FA_NET_PER_THREAD=40 FA_NET_SAT_CLIENTS=8 FA_NET_SAT_PER_THREAD=60"},
       {"bench_delta_ingest", "delta_ingest",
-       {"transceivers", "ticks", "events_applied", "dirty_transceivers",
-        "rebuild_s", "apply_mean_s", "apply_p99_s", "byte_identical",
-        "delta_speedup", "delta_faster", "shards", "sharded_rebuild_s",
-        "sharded_apply_mean_s", "sharded_apply_p99_s",
-        "sharded_apply_steady_mean_s", "sharded_shards_rebuilt",
-        "sharded_apply_tick_s", "sharded_pages_rewritten",
-        "sharded_pages_shared", "sharded_bytes_copied",
-        "sharded_byte_identical", "sharded_speedup", "sharded_faster"},
+       {"transceivers", "shards", "ticks", "events_applied",
+        "dirty_transceivers", "rebuild_s", "apply_mean_s", "apply_p99_s",
+        "apply_max_s", "apply_steady_mean_s", "shards_rebuilt",
+        "apply_tick_s", "pages_rewritten", "pages_shared", "bytes_copied",
+        "byte_identical", "delta_speedup", "delta_faster"},
        "", "FA_DELTA_TICKS=4"},
       {"bench_shard_scale", "shard_scale",
        {"transceivers", "shards", "mono_image_bytes", "shard_image_bytes",
