@@ -1,13 +1,15 @@
 // Persistence bench: what does the snapshot store buy at cold start?
 //
-// Measures, on the env-configured scenario (FA_SCALE/FA_CELL_M/FA_SEED):
-//   build_s             full world build from synthesis (the baseline a
-//                       store-less boot pays every time)
-//   save_s              encode + atomic commit of one generation
-//   load_s              mmap + checksum ladder + structural decode of
-//                       that generation (the stored cold-start path)
-//   recover_fallback_s  the ladder when the newest generation is
-//                       corrupt at rest and an older one must win
+// Measures, on the env-configured scenario (FA_SCALE/FA_CELL_M/FA_SEED),
+// the store fa_served writes and boots from:
+//   build_s             ShardedWorld::build from synthesis (the baseline
+//                       a store-less boot pays every time)
+//   save_s              encode_sharded + atomic commit of one generation
+//   load_s              shard::recover of that generation (mmap, frame
+//                       and global checks, deep-verified zero-copy open)
+//   recover_fallback_s  the same recovery when the newest generation's
+//                       frame is damaged at rest and an older one must
+//                       win
 //
 // The acceptance gate is the trailer's load_speedup (build_s / load_s):
 // the mmap cold start must be >= 10x faster than a full rebuild.
@@ -19,10 +21,9 @@
 #include <unistd.h>
 
 #include "bench_common.hpp"
-#include "core/provider_risk.hpp"
-#include "core/world.hpp"
-#include "store/codec.hpp"
-#include "store/recovery.hpp"
+#include "shard/codec.hpp"
+#include "shard/recovery.hpp"
+#include "shard/world.hpp"
 #include "store/store.hpp"
 
 int main() {
@@ -33,21 +34,27 @@ int main() {
       "fa::store — snapshot persistence vs full rebuild");
   const synth::ScenarioConfig cfg = ctx.world().config();
 
-  // Baseline: an honest, fresh build (the context's cached world was
-  // built before our stopwatch started).
+  // Baseline: the World-free sharded build a store-less server runs.
   bench::Stopwatch build_timer;
-  core::World rebuilt = core::World::build(cfg);
+  auto built = shard::ShardedWorld::build(
+      cfg, core::World::BuildOptions{ctx.recovery_policy, nullptr}, {});
   const double build_s = build_timer.seconds();
-  const core::ProviderRiskResult risk = core::run_provider_risk(rebuilt);
-  std::printf("full rebuild: %.3fs (%zu transceivers)\n", build_s,
-              rebuilt.corpus().size());
+  if (!built.ok()) {
+    std::fprintf(stderr, "sharded build failed: %s\n",
+                 built.status().to_string().c_str());
+    return 1;
+  }
+  const shard::ShardedWorld& view = built.value();
+  std::printf("full rebuild: %.3fs (%llu transceivers in %zu shards)\n",
+              build_s, static_cast<unsigned long long>(view.total_points()),
+              view.shard_count());
 
   char tmpl[] = "/tmp/fastore-bench-XXXXXX";
   const std::string dir_path = ::mkdtemp(tmpl);
 
   // Save: encode + atomic commit.
   bench::Stopwatch save_timer;
-  const std::string image = store::encode_world(rebuilt, risk);
+  const std::string image = shard::encode_sharded(view);
   store::StoreDir dir = store::StoreDir::open(dir_path).take();
   fault::Result<store::Generation> committed = dir.commit(image);
   const double save_s = save_timer.seconds();
@@ -60,25 +67,27 @@ int main() {
               image.size(),
               static_cast<unsigned long long>(committed.value().number));
 
-  // Load: the stored cold-start path (manifest -> mmap -> ladder).
+  // Load: the cold start fa_served runs (manifest -> mmap -> open).
   bench::Stopwatch load_timer;
-  fault::Result<store::RecoveredWorld> loaded =
-      store::recover_from(dir_path);
+  fault::Result<shard::Recovered> loaded = shard::recover(dir);
   const double load_s = load_timer.seconds();
   if (!loaded.ok()) {
     std::fprintf(stderr, "recover failed: %s\n",
                  loaded.status().to_string().c_str());
     return 1;
   }
-  std::printf("load: %.3fs (%zu transceivers restored)\n", load_s,
-              loaded.value().loaded.world.corpus().size());
+  std::printf("load: %.3fs (%llu transceivers restored)\n", load_s,
+              static_cast<unsigned long long>(
+                  loaded.value().world.total_points()));
 
-  // Degraded recovery: newest generation corrupt at rest, older wins.
+  // Degraded recovery: the newest generation's header is damaged at
+  // rest, so its frame is unreadable and the older generation wins. (A
+  // flipped payload byte would only quarantine one shard.)
   std::string bad = image;
-  bad[bad.size() / 2] ^= 0x20;
+  bad[20] ^= 0x20;
   (void)dir.commit(bad);
   bench::Stopwatch fallback_timer;
-  fault::Result<store::RecoveredWorld> fallback = store::recover_from(dir_path);
+  fault::Result<shard::Recovered> fallback = shard::recover(dir);
   const double fallback_s = fallback_timer.seconds();
   const bool fallback_ok =
       fallback.ok() && fallback.value().generation.number == 1;
@@ -97,7 +106,7 @@ int main() {
   std::filesystem::remove_all(dir_path, ec);
 
   io::JsonObject payload;
-  payload["transceivers"] = rebuilt.corpus().size();
+  payload["transceivers"] = static_cast<std::size_t>(view.total_points());
   payload["image_bytes"] = image.size();
   payload["build_s"] = build_s;
   payload["save_s"] = save_s;

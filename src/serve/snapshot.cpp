@@ -36,9 +36,9 @@ std::shared_ptr<const Snapshot> Snapshot::adopt(shard::ShardedWorld view,
 fault::Result<Snapshot::Recovered> Snapshot::recover(
     const store::StoreDir& dir, Epoch epoch,
     const shard::LayoutOptions& layout) {
-  auto recovered = shard::ShardRecoveryManager(dir, layout).recover();
+  auto recovered = shard::recover(dir, layout);
   if (!recovered.ok()) return recovered.status();
-  shard::RecoveredShardedWorld rec = std::move(recovered).take();
+  shard::Recovered rec = std::move(recovered).take();
   return Recovered{adopt(std::move(rec.world), epoch), rec.generation};
 }
 

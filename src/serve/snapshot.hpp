@@ -9,10 +9,10 @@
 //
 // There is one representation. build() streams the scenario straight
 // into shard columns (shard::ShardedWorld::build — no core::World),
-// recover() runs the shard recovery ladder, apply() is
-// shard::apply_delta, encode() writes FASHRD01, and every evaluate()
-// goes through the scatter/gather planner (planner.cpp). A layout only
-// says how the columns are cut; answers are the same bytes under any.
+// recover() is shard::recover, apply() is shard::apply_delta, encode()
+// writes FASHRD01, and every evaluate() goes through the scatter/gather
+// planner (planner.cpp). A layout only says how the columns are cut;
+// answers are the same bytes under any.
 //
 // The SnapshotStore publishes new epochs atomically: readers acquire()
 // a shared_ptr to the current snapshot (one small critical section),
@@ -63,9 +63,9 @@ class Snapshot {
                                                Epoch epoch);
 
   // The newest servable generation in `dir`, as epoch `epoch`, and the
-  // generation it came from, through the shard recovery ladder: FASHRD01
-  // opens zero-copy, degrading shard by shard; an older FASNAP01
-  // generation migrates in memory, cut by `layout`.
+  // generation it came from, through shard::recover (the store's one
+  // recovery path): FASHRD01 opens zero-copy, degrading shard by shard;
+  // an older FASNAP01 generation migrates in memory, cut by `layout`.
   struct Recovered {
     std::shared_ptr<const Snapshot> snapshot;
     store::Generation generation;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -36,6 +37,17 @@ constexpr int kMaxIndexGridDim = 65536;
 constexpr std::uint64_t kMaxGlobalCells = 1ull << 26;
 constexpr int kMaxTilesPerAxis = 4096;
 constexpr std::uint64_t kMaxTiles = 1ull << 22;
+
+// The global sections decoded through the codecs shared with FASNAP01,
+// in encode order. The shard layout follows them, then the shards.
+constexpr SectionKind kGlobalKinds[] = {
+    SectionKind::kMeta,        SectionKind::kWhpGrid,
+    SectionKind::kWhpStates,   SectionKind::kWhpUrban,
+    SectionKind::kWhpRoads,    SectionKind::kCountyTable,
+    SectionKind::kCountyNames, SectionKind::kProviderRisk,
+};
+// Table entries before the first shard's: the globals and the layout.
+constexpr std::size_t kGlobalSections = std::size(kGlobalKinds) + 1;
 
 // The twelve per-shard section kinds in encode order.
 constexpr SectionKind kShardKinds[store::kShardSectionsPerShard] = {
@@ -177,13 +189,25 @@ std::span<const T> section_span(const SectionLookup& img,
           static_cast<std::size_t>(s.length) / sizeof(T)};
 }
 
+// Shard `shard`'s k-th section: table entry 9 + 12 * shard + k, where
+// encode_sharded writes it. Null when that entry is missing or its kind
+// or owner disagrees, so damage to one entry costs only its own shard.
+const SectionInfo* shard_section(const SectionLookup& img,
+                                 std::uint32_t shard, std::size_t k) {
+  const std::size_t i =
+      kGlobalSections + store::kShardSectionsPerShard * shard + k;
+  if (i >= img.sections.size()) return nullptr;
+  const SectionInfo& s = img.sections[i];
+  return s.kind == kShardKinds[k] && s.owner == shard ? &s : nullptr;
+}
+
 // Locates one shard's twelve sections and verifies the structural floor
 // for span queries: every column length agrees with the layout record,
 // the local grid dims are sane, and cell_start is a monotone prefix sum
 // over exactly cols*rows cells ending at n_s. Returns false (shard
 // quarantined) instead of failing the open. `deep` additionally CRCs
 // every payload.
-bool check_shard(const SectionLookup& img, std::uint32_t owner,
+bool check_shard(const SectionLookup& img, std::uint32_t shard,
                  const ShardRecord& r, bool deep,
                  const SectionInfo* (&secs)[store::kShardSectionsPerShard]) {
   if (r.cols < 1 || r.cols > kMaxLocalGridDim || r.rows < 1 ||
@@ -198,7 +222,7 @@ bool check_shard(const SectionLookup& img, std::uint32_t owner,
       n * 2, n * 4,
   };
   for (std::size_t k = 0; k < store::kShardSectionsPerShard; ++k) {
-    const SectionInfo* s = img.find(kShardKinds[k], owner);
+    const SectionInfo* s = shard_section(img, shard, k);
     if (!s || s->length != want_len[k] ||
         s->offset % store::kSectionAlign != 0) {
       return false;
@@ -256,21 +280,12 @@ struct Codec {
 
 std::string encode_sharded(const ShardedWorld& sw) {
   const std::size_t shard_count = sw.shard_count();
-  store::ImageBuilder b(9 + store::kShardSectionsPerShard * shard_count,
-                        store::kShardMagic, store::kGlobalOwner);
+  store::ImageBuilder b(
+      kGlobalSections + store::kShardSectionsPerShard * shard_count,
+      store::kShardMagic, store::kGlobalOwner);
 
   store::encode_meta_section(b, sw.meta());
-
-  b.section_raster_u8(SectionKind::kWhpGrid, sw.whp().grid());
-  {
-    b.begin(SectionKind::kWhpStates);
-    b.geometry(sw.whp().state_grid().geom());
-    b.vec(sw.whp().state_grid().data());
-    b.end();
-  }
-  b.section_raster_u8(SectionKind::kWhpUrban, sw.whp().urban_mask());
-  b.section_raster_u8(SectionKind::kWhpRoads, sw.whp().road_mask());
-
+  store::encode_whp_sections(b, sw.whp());
   store::encode_county_sections(b, sw.counties());
   store::encode_provider_risk_section(b, sw.provider_risk());
 
@@ -375,11 +390,7 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
   // Global sections: small, always CRC'd, decoded through the codecs
   // shared with the monolithic format.
   Status status;
-  for (const SectionKind kind :
-       {SectionKind::kMeta, SectionKind::kWhpGrid, SectionKind::kWhpStates,
-        SectionKind::kWhpUrban, SectionKind::kWhpRoads,
-        SectionKind::kCountyTable, SectionKind::kCountyNames,
-        SectionKind::kProviderRisk}) {
+  for (const SectionKind kind : kGlobalKinds) {
     const SectionInfo* s = store::need(img, kind, status);
     if (!s) return status;
     if (Status c = crc_check(img, *s); !c.ok()) return c;
@@ -388,20 +399,8 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
   store::MetaFields meta;
   if (Status s = store::decode_meta(img, meta); !s.ok()) return s;
 
-  raster::ClassRaster whp_grid;
-  raster::Raster<std::int16_t> whp_states;
-  raster::MaskRaster whp_urban, whp_roads;
-  if (Status s = decode_raster(img, SectionKind::kWhpGrid, whp_grid); !s.ok())
-    return s;
-  if (Status s = decode_raster(img, SectionKind::kWhpStates, whp_states);
-      !s.ok())
-    return s;
-  if (Status s = decode_raster(img, SectionKind::kWhpUrban, whp_urban);
-      !s.ok())
-    return s;
-  if (Status s = decode_raster(img, SectionKind::kWhpRoads, whp_roads);
-      !s.ok())
-    return s;
+  synth::WhpModel whp;
+  if (Status s = store::decode_whp(img, whp); !s.ok()) return s;
 
   std::vector<synth::County> counties;
   if (Status s = store::decode_counties(img, counties); !s.ok()) return s;
@@ -463,37 +462,12 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
     obs::count(obs::metrics::kShardQuarantined, quarantined);
   }
 
-  auto whp = std::make_shared<const synth::WhpModel>(store::Access::make_whp(
-      std::move(whp_grid), std::move(whp_states), std::move(whp_urban),
-      std::move(whp_roads)));
-  auto cty = std::make_shared<const synth::CountyMap>(
-      store::Access::make_counties(std::move(counties)));
-  return Codec::assemble(std::move(meta), std::move(whp), std::move(cty),
-                         std::move(risk), std::move(parts.layout),
-                         parts.gcols, parts.grows, std::move(shards),
-                         quarantined);
-}
-
-fault::Result<ShardedWorld> open_sharded(
-    std::shared_ptr<const store::MappedFile> file, std::string source,
-    const OpenOptions& options) {
-  if (!file || !file->mapped()) {
-    return store::fail(ErrCode::kIoFailure, 0, source,
-                       "sharded open requires a mapped file");
-  }
-  const void* data = file->data();
-  const std::size_t size = file->size();
-  return open_sharded(data, size, std::move(file), std::move(source),
-                      options);
-}
-
-fault::Result<ShardedWorld> open_sharded_file(const std::string& path,
-                                              const OpenOptions& options) {
-  auto mapped = store::MappedFile::open(path);
-  if (!mapped.ok()) return mapped.status();
-  return open_sharded(
-      std::make_shared<const store::MappedFile>(std::move(mapped).take()),
-      path, options);
+  return Codec::assemble(
+      std::move(meta), std::make_shared<const synth::WhpModel>(std::move(whp)),
+      std::make_shared<const synth::CountyMap>(
+          store::Access::make_counties(std::move(counties))),
+      std::move(risk), std::move(parts.layout), parts.gcols, parts.grows,
+      std::move(shards), quarantined);
 }
 
 bool ContainerReport::ok() const {
@@ -515,11 +489,7 @@ fault::Result<ContainerReport> inspect_sharded(const void* data,
   report.file_size = size;
 
   report.globals_ok = true;
-  for (const SectionKind kind :
-       {SectionKind::kMeta, SectionKind::kWhpGrid, SectionKind::kWhpStates,
-        SectionKind::kWhpUrban, SectionKind::kWhpRoads,
-        SectionKind::kCountyTable, SectionKind::kCountyNames,
-        SectionKind::kProviderRisk}) {
+  for (const SectionKind kind : kGlobalKinds) {
     const SectionInfo* s = img.find(kind);
     if (!s || !crc_check(img, *s).ok()) report.globals_ok = false;
   }
@@ -544,7 +514,7 @@ fault::Result<ContainerReport> inspect_sharded(const void* data,
     sr.crc_ok = sr.structural_ok;
     for (std::size_t k = 0; k < store::kShardSectionsPerShard; ++k) {
       const SectionInfo* sec =
-          secs[k] ? secs[k] : img.find(kShardKinds[k], sr.shard);
+          secs[k] ? secs[k] : shard_section(img, sr.shard, k);
       if (!sec) {
         sr.crc_ok = false;
         continue;

@@ -35,7 +35,6 @@
 #include "fault/status.hpp"
 #include "geo/bbox.hpp"
 #include "shard/world.hpp"
-#include "store/store.hpp"
 
 namespace fa::shard {
 
@@ -49,19 +48,14 @@ struct OpenOptions {
 
 std::string encode_sharded(const ShardedWorld& sw);
 
-// Opens a container over caller-owned bytes. `payload` is retained by
-// every shard, keeping the bytes alive for the life of the view (and of
-// any successor views that still share untouched shards).
+// Opens a container over caller-owned bytes (recovery passes a
+// generation's mapping). `payload` is retained by every shard, keeping
+// the bytes alive for the life of the view (and of any successor views
+// that still share untouched shards).
 fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
                                          std::shared_ptr<const void> payload,
                                          std::string source,
                                          const OpenOptions& options = {});
-fault::Result<ShardedWorld> open_sharded(
-    std::shared_ptr<const store::MappedFile> file, std::string source,
-    const OpenOptions& options = {});
-// mmap + open in one step.
-fault::Result<ShardedWorld> open_sharded_file(const std::string& path,
-                                              const OpenOptions& options = {});
 
 // -- inspection (fa_store_inspect, tests) ------------------------------
 

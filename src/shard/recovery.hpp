@@ -1,31 +1,29 @@
-// Sharded cold-start recovery ladder.
+// The store's one cold-start recovery path.
 //
-// ShardRecoveryManager runs store::recover_newest, the ladder loop the
-// monolithic store::RecoveryManager also runs (MANIFEST -> scan
-// fallback, generations newest to oldest), and supplies only the
-// per-generation loader. It recovers a serving *view* instead of a
-// decoded world, and degrades shard-by-shard instead of
-// generation-by-generation:
+// recover() runs store::recover_newest (MANIFEST -> scan fallback,
+// generations newest to oldest) with one per-generation loader, and is
+// what serve::Snapshot::recover, fa_store_inspect's verdict and
+// bench_store all call. It recovers a serving *view*, degrading
+// shard-by-shard where the image format allows it. The loader maps the
+// generation, applies the store.read.corrupt seam, records store.loads,
+// store.load.bytes and the store.load_ns span, then branches on the
+// magic:
 //
-//   * a FASHRD01 generation opens zero-copy with deep verification on
-//     every open: the frame and global sections are checked, and every
-//     per-shard payload is CRC'd against the section table (one
-//     parallel sweep over the file). The manifest's whole-file CRC is
-//     never checked; a payload that fails its CRC quarantines exactly
-//     that shard — one flipped bit in one shard costs that shard, not
-//     the generation (the monolithic ladder would reject the whole
-//     image and fall back a generation, losing every committed delta
-//     since);
-//   * a FASNAP01 generation (a store written before sharding, or by the
-//     monolithic path) is loaded through store::RecoveryManager's
-//     load_generation (manifest CRC rung included) and migrated in
-//     memory with ShardedWorld::from_world — the upgrade path needs no
-//     offline conversion step;
-//   * a generation is rejected only when its frame or global sections
-//     are unreadable, or every shard is quarantined (nothing servable).
+//   * a FASHRD01 generation opens zero-copy with deep verification: the
+//     frame and global sections are checked, and every per-shard
+//     payload is CRC'd against the section table (one parallel sweep
+//     over the file). The manifest's whole-file CRC is never checked; a
+//     payload that fails its CRC quarantines exactly that shard — one
+//     flipped bit in one shard costs that shard, not the generation
+//     (and with it every delta committed since). The generation is
+//     rejected only when its frame or global sections are unreadable,
+//     or every shard is quarantined (nothing servable);
+//   * a FASNAP01 generation (a store written before sharding) must
+//     match the manifest's whole-file CRC and pass the strict
+//     decode_world, and is then migrated in memory with
+//     ShardedWorld::from_world — the upgrade needs no offline
+//     conversion step.
 #pragma once
-
-#include <string>
 
 #include "fault/status.hpp"
 #include "shard/layout.hpp"
@@ -35,43 +33,20 @@
 
 namespace fa::shard {
 
-struct RecoveredShardedWorld {
+struct Recovered {
   ShardedWorld world;
   store::Generation generation;  // which image produced it
   // Loaded from a monolithic FASNAP01 image and re-sharded in memory.
   bool migrated = false;
 };
 
-class ShardRecoveryManager {
- public:
-  // `layout` is used only when migrating a monolithic generation (a
-  // FASHRD01 image carries its own layout).
-  explicit ShardRecoveryManager(store::StoreDir dir,
-                                const LayoutOptions& layout = {})
-      : dir_(std::move(dir)), layout_(layout) {}
-
-  const store::StoreDir& dir() const { return dir_; }
-
-  // The ladder (store::recover_newest over load_generation). On error
-  // every generation was rejected (or none exist); the error Status
-  // summarizes the last failure. Reuses store::RecoveryReport so
-  // operators read one step-per-attempt story for either flavor.
-  fault::Result<RecoveredShardedWorld> recover(
-      store::RecoveryReport* report = nullptr);
-
-  // Loads one generation, sniffing the magic to pick the path. Sets
-  // `migrated` (when non-null) for the FASNAP01 case.
-  fault::Result<ShardedWorld> load_generation(
-      const store::Generation& generation, bool* migrated = nullptr);
-
- private:
-  store::StoreDir dir_;
-  LayoutOptions layout_;
-};
-
-// Convenience: open `path` (no create) and run the ladder.
-fault::Result<RecoveredShardedWorld> recover_sharded(
-    const std::string& path, const LayoutOptions& layout = {},
-    store::RecoveryReport* report = nullptr);
+// The newest servable generation in `dir`. `layout` cuts a migrated
+// FASNAP01 generation (a FASHRD01 image carries its own layout). On
+// error every generation was rejected (or none exist); the Status
+// summarizes the newest failure, and `report` holds one step per
+// attempt.
+fault::Result<Recovered> recover(const store::StoreDir& dir,
+                                 const LayoutOptions& layout = {},
+                                 store::RecoveryReport* report = nullptr);
 
 }  // namespace fa::shard

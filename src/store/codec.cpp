@@ -18,6 +18,48 @@ namespace {
 using fault::ErrCode;
 using fault::Status;
 
+constexpr std::size_t kGeomBytes = 40;
+
+template <class T>
+Status decode_raster(const SectionLookup& img, SectionKind kind,
+                     raster::Raster<T>& out) {
+  Status status;
+  const SectionInfo* s = need(img, kind, status);
+  if (!s) return status;
+  if (s->length < kGeomBytes) {
+    return fail(ErrCode::kTruncated, s->offset, img.source,
+                std::string("raster section ") +
+                    std::string(section_kind_name(kind)) + " too short");
+  }
+  Cursor c{img.base + s->offset, static_cast<std::size_t>(s->length)};
+  raster::GridGeometry geom;
+  geom.origin_x = c.get<double>();
+  geom.origin_y = c.get<double>();
+  geom.cell_w = c.get<double>();
+  geom.cell_h = c.get<double>();
+  geom.cols = c.get<std::int32_t>();
+  geom.rows = c.get<std::int32_t>();
+  if (!std::isfinite(geom.origin_x) || !std::isfinite(geom.origin_y) ||
+      !std::isfinite(geom.cell_w) || !std::isfinite(geom.cell_h) ||
+      geom.cell_w <= 0.0 || geom.cell_h <= 0.0 || geom.cols < 0 ||
+      geom.rows < 0) {
+    return fail(ErrCode::kOutOfRange, s->offset, img.source,
+                std::string("raster section ") +
+                    std::string(section_kind_name(kind)) +
+                    " has invalid geometry");
+  }
+  const std::uint64_t cell_bytes = geom.cell_count() * sizeof(T);
+  if (s->length - kGeomBytes != cell_bytes) {
+    return fail(ErrCode::kSchema, s->offset, img.source,
+                std::string("raster section ") +
+                    std::string(section_kind_name(kind)) +
+                    " cell payload disagrees with cols*rows");
+  }
+  out = raster::Raster<T>(geom);
+  if (cell_bytes) std::memcpy(out.data().data(), c.p + c.off, cell_bytes);
+  return Status{};
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -35,6 +77,13 @@ void encode_meta_section(ImageBuilder& b, const MetaFields& meta) {
   b.put<std::uint64_t>(meta.ingest_repaired);
   b.put<std::uint64_t>(meta.transceivers);
   b.end();
+}
+
+void encode_whp_sections(ImageBuilder& b, const synth::WhpModel& whp) {
+  b.section_raster(SectionKind::kWhpGrid, whp.grid());
+  b.section_raster(SectionKind::kWhpStates, whp.state_grid());
+  b.section_raster(SectionKind::kWhpUrban, whp.urban_mask());
+  b.section_raster(SectionKind::kWhpRoads, whp.road_mask());
 }
 
 void encode_county_sections(ImageBuilder& b, const synth::CountyMap& map) {
@@ -98,6 +147,28 @@ fault::Status decode_meta(const SectionLookup& img, MetaFields& out) {
     return fail(ErrCode::kOutOfRange, meta->offset, img.source,
                 "implausible transceiver count");
   }
+  return {};
+}
+
+fault::Status decode_whp(const SectionLookup& img, synth::WhpModel& out) {
+  raster::ClassRaster grid;
+  raster::Raster<std::int16_t> states;
+  raster::MaskRaster urban, roads;
+  if (Status s = decode_raster(img, SectionKind::kWhpGrid, grid); !s.ok()) {
+    return s;
+  }
+  if (Status s = decode_raster(img, SectionKind::kWhpStates, states);
+      !s.ok()) {
+    return s;
+  }
+  if (Status s = decode_raster(img, SectionKind::kWhpUrban, urban); !s.ok()) {
+    return s;
+  }
+  if (Status s = decode_raster(img, SectionKind::kWhpRoads, roads); !s.ok()) {
+    return s;
+  }
+  out = Access::make_whp(std::move(grid), std::move(states), std::move(urban),
+                         std::move(roads));
   return {};
 }
 
@@ -225,15 +296,7 @@ std::string encode_world(const core::World& world,
   b.section_vec(SectionKind::kTxrCounty, Access::txr_county(world));
   b.section_vec(SectionKind::kTxrProvider, Access::txr_provider(world));
 
-  b.section_raster_u8(SectionKind::kWhpGrid, world.whp().grid());
-  {
-    b.begin(SectionKind::kWhpStates);
-    b.geometry(world.whp().state_grid().geom());
-    b.vec(world.whp().state_grid().data());
-    b.end();
-  }
-  b.section_raster_u8(SectionKind::kWhpUrban, world.whp().urban_mask());
-  b.section_raster_u8(SectionKind::kWhpRoads, world.whp().road_mask());
+  encode_whp_sections(b, world.whp());
 
   encode_county_sections(b, world.counties());
 
@@ -354,21 +417,8 @@ fault::Result<LoadedWorld> decode_world(const void* data, std::size_t size,
     }
   }
 
-  // rasters
-  raster::ClassRaster whp_grid;
-  raster::Raster<std::int16_t> whp_states;
-  raster::MaskRaster whp_urban, whp_roads;
-  if (Status s = decode_raster(img, SectionKind::kWhpGrid, whp_grid); !s.ok())
-    return s;
-  if (Status s = decode_raster(img, SectionKind::kWhpStates, whp_states);
-      !s.ok())
-    return s;
-  if (Status s = decode_raster(img, SectionKind::kWhpUrban, whp_urban);
-      !s.ok())
-    return s;
-  if (Status s = decode_raster(img, SectionKind::kWhpRoads, whp_roads);
-      !s.ok())
-    return s;
+  synth::WhpModel whp;
+  if (Status s = decode_whp(img, whp); !s.ok()) return s;
 
   // grid index
   const SectionInfo* imeta = need(img, SectionKind::kIndexMeta, status);
@@ -476,10 +526,7 @@ fault::Result<LoadedWorld> decode_world(const void* data, std::size_t size,
   }
   LoadedWorld loaded{
       Access::make_world(
-          config,
-          Access::make_whp(std::move(whp_grid), std::move(whp_states),
-                           std::move(whp_urban), std::move(whp_roads)),
-          cellnet::CellCorpus(std::move(records)),
+          config, std::move(whp), cellnet::CellCorpus(std::move(records)),
           Access::make_counties(std::move(counties)), ingest_dropped,
           ingest_repaired, std::move(txr_class), std::move(txr_county),
           std::move(txr_provider),

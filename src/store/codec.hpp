@@ -67,10 +67,11 @@ fault::Result<FileReport> inspect_image(const void* data, std::size_t size,
                                         std::string source = "fastore");
 
 // -- shared section codecs ----------------------------------------------
-// The global sections (scenario meta, county layer, provider-risk
-// aggregate) have one byte layout used by both container flavors; the
-// monolithic codec and the sharded one (fa::shard) encode and decode
-// them through these.
+// The global sections (scenario meta, WHP rasters, county layer,
+// provider-risk aggregate) have one byte layout used by both container
+// flavors; the monolithic codec and the sharded one (fa::shard) encode
+// and decode them through these, so the two formats differ only in how
+// they lay out the transceivers.
 
 struct MetaFields {
   synth::ScenarioConfig config;
@@ -80,11 +81,13 @@ struct MetaFields {
 };
 
 void encode_meta_section(ImageBuilder& b, const MetaFields& meta);
+void encode_whp_sections(ImageBuilder& b, const synth::WhpModel& whp);
 void encode_county_sections(ImageBuilder& b, const synth::CountyMap& counties);
 void encode_provider_risk_section(ImageBuilder& b,
                                   const core::ProviderRiskResult& risk);
 
 fault::Status decode_meta(const SectionLookup& img, MetaFields& out);
+fault::Status decode_whp(const SectionLookup& img, synth::WhpModel& out);
 fault::Status decode_counties(const SectionLookup& img,
                               std::vector<synth::County>& out);
 fault::Status decode_provider_risk(const SectionLookup& img,

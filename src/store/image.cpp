@@ -7,18 +7,62 @@ namespace fa::store {
 using fault::ErrCode;
 using fault::Status;
 
-// Walks header/table/footer and validates the full CRC ladder. On
-// success `out` holds every section with in-bounds, CRC-clean payloads.
-Status validate_image(const void* data, std::size_t size,
-                      const std::string& source, SectionLookup& out,
-                      FileReport* report) {
-  const auto* base = static_cast<const unsigned char*>(data);
+namespace {
+
+// The header/table/footer frame both container flavors share, after
+// walk_frame() has checked it.
+struct Frame {
+  const unsigned char* base = nullptr;
+  std::uint64_t section_count = 0;
+  std::uint64_t table_end = 0;
+  std::uint64_t data_end = 0;
+
+  std::uint64_t entry_offset(std::uint64_t i) const {
+    return kHeaderSize + i * kSectionEntrySize;
+  }
+  SectionInfo entry(std::uint64_t i) const {
+    const unsigned char* e = base + entry_offset(i);
+    SectionInfo info;
+    info.kind = static_cast<SectionKind>(load_u32(e));
+    info.owner = load_u32(e + 4);
+    info.offset = load_u64(e + 8);
+    info.length = load_u64(e + 16);
+    info.crc = load_u32(e + 24);
+    return info;
+  }
+  bool in_bounds(const SectionInfo& s) const {
+    return s.offset >= table_end && s.offset <= data_end &&
+           s.length <= data_end - s.offset;
+  }
+};
+
+Status out_of_bounds(std::uint64_t entry_off, const SectionInfo& s,
+                     const std::string& source) {
+  return fail(ErrCode::kOutOfRange, entry_off, source,
+              std::string("section ") + std::string(section_kind_name(s.kind)) +
+                  " payload out of bounds");
+}
+
+Status out_of_order(const SectionInfo& s, const std::string& source) {
+  return fail(ErrCode::kSchema, s.offset, source,
+              "section payloads overlap or are out of order");
+}
+
+// Checks the frame: header (magic, version, endianness, header CRC),
+// the section table's bounds, and the footer (magic, CRC, file size,
+// data_end). A FASNAP01 frame must also carry zero footer padding.
+Status walk_frame(const unsigned char* base, std::size_t size,
+                  const char* magic, const std::string& source, Frame& out,
+                  FileReport* report) {
+  const bool snapshot = std::memcmp(magic, kMagic, 8) == 0;
   if (size < kHeaderSize + kFooterSize) {
     return fail(ErrCode::kTruncated, size, source,
                 "file shorter than header + footer");
   }
-  if (std::memcmp(base, kMagic, 8) != 0) {
-    return fail(ErrCode::kBadMagic, 0, source, "bad snapshot magic");
+  if (std::memcmp(base, magic, 8) != 0) {
+    return fail(ErrCode::kBadMagic, 0, source,
+                snapshot ? "bad snapshot magic"
+                         : "bad sharded container magic");
   }
   const std::uint32_t version = load_u32(base + 8);
   if (report) report->version = version;
@@ -51,8 +95,8 @@ Status validate_image(const void* data, std::size_t size,
                 "section table or data extends past end of file");
   }
 
-  // Footer first: it pins file_size and the whole-body CRC, so torn
-  // tails and padding flips are caught even before section walks.
+  // Footer before any section walk: it pins file_size, so torn tails
+  // are caught first.
   const unsigned char* footer = base + size - kFooterSize;
   if (std::memcmp(footer + 16, kFooterMagic, 8) != 0) {
     return fail(ErrCode::kTruncated, size - kFooterSize + 16, source,
@@ -63,8 +107,9 @@ Status validate_image(const void* data, std::size_t size,
                 "footer checksum mismatch");
   }
   // The 4 pad bytes after footer_crc are the only ones no CRC covers;
-  // requiring them zero keeps "every byte is validated" literally true.
-  if (load_u32(footer + 28) != 0) {
+  // requiring them zero keeps FASNAP01's "every byte is validated"
+  // literally true.
+  if (snapshot && load_u32(footer + 28) != 0) {
     return fail(ErrCode::kParse, size - kFooterSize + 28, source,
                 "footer padding is not zero");
   }
@@ -77,6 +122,23 @@ Status validate_image(const void* data, std::size_t size,
                 "header data_end disagrees with footer position");
   }
   if (report) report->footer_ok = true;
+  out = Frame{base, section_count, table_end, data_end};
+  return Status{};
+}
+
+}  // namespace
+
+// The frame walk plus the full CRC ladder. On success `out` holds every
+// section with in-bounds, CRC-clean payloads.
+Status validate_image(const void* data, std::size_t size,
+                      const std::string& source, SectionLookup& out,
+                      FileReport* report) {
+  const auto* base = static_cast<const unsigned char*>(data);
+  Frame frame;
+  if (Status s = walk_frame(base, size, kMagic, source, frame, report);
+      !s.ok()) {
+    return s;
+  }
   // The whole-body CRC duplicates the per-section CRCs over the
   // payloads; a second full pass would double cold-start checksum time.
   // The strict decode path instead proves the same total coverage in
@@ -86,36 +148,27 @@ Status validate_image(const void* data, std::size_t size,
   // redundant whole-body CRC — it is the cross-check on the ladder
   // itself.
   const bool body_ok =
-      report ? load_u32(footer + 8) == crc32(base, data_end) : true;
+      report ? load_u32(base + frame.data_end + 8) ==
+                   crc32(base, frame.data_end)
+             : true;
   if (report) report->body_crc_ok = body_ok;
 
   out.base = base;
   out.source = source;
-  out.sections.reserve(section_count);
+  out.sections.reserve(frame.section_count);
   Status first_bad;  // inspect mode records all, returns first failure
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const unsigned char* e = base + table_offset + i * kSectionEntrySize;
-    SectionInfo info;
-    info.kind = static_cast<SectionKind>(load_u32(e));
-    info.offset = load_u64(e + 8);
-    info.length = load_u64(e + 16);
-    info.crc = load_u32(e + 24);
-    const std::uint64_t entry_off = table_offset + i * kSectionEntrySize;
+  for (std::uint64_t i = 0; i < frame.section_count; ++i) {
+    const SectionInfo info = frame.entry(i);
+    const std::uint64_t entry_off = frame.entry_offset(i);
     bool crc_ok = false;
-    if (load_u32(e + 4) != 0 || load_u32(e + 28) != 0) {
+    if (info.owner != 0 || load_u32(base + entry_off + 28) != 0) {
       if (first_bad.ok()) {
         first_bad = fail(ErrCode::kParse, entry_off, source,
                          "section entry reserved bytes are not zero");
       }
     }
-    if (info.offset < table_end || info.offset > data_end ||
-        info.length > data_end - info.offset) {
-      if (first_bad.ok()) {
-        first_bad = fail(ErrCode::kOutOfRange, entry_off, source,
-                         std::string("section ") +
-                             std::string(section_kind_name(info.kind)) +
-                             " payload out of bounds");
-      }
+    if (!frame.in_bounds(info)) {
+      if (first_bad.ok()) first_bad = out_of_bounds(entry_off, info, source);
     } else {
       crc_ok = crc32(base + info.offset, info.length) == info.crc;
       if (!crc_ok && first_bad.ok()) {
@@ -139,12 +192,9 @@ Status validate_image(const void* data, std::size_t size,
   // Sections must tile [table_end, data_end) in ascending order with
   // zero-filled gaps: together with the per-section CRCs this covers
   // every body byte without the redundant second CRC pass.
-  std::uint64_t cursor = table_end;
+  std::uint64_t cursor = frame.table_end;
   for (const SectionInfo& s : out.sections) {
-    if (s.offset < cursor) {
-      return fail(ErrCode::kSchema, s.offset, source,
-                  "section payloads overlap or are out of order");
-    }
+    if (s.offset < cursor) return out_of_order(s, source);
     for (std::uint64_t b = cursor; b < s.offset; ++b) {
       if (base[b] != 0) {
         return fail(ErrCode::kParse, b, source, "padding byte is not zero");
@@ -152,7 +202,7 @@ Status validate_image(const void* data, std::size_t size,
     }
     cursor = s.offset + s.length;
   }
-  for (std::uint64_t b = cursor; b < data_end; ++b) {
+  for (std::uint64_t b = cursor; b < frame.data_end; ++b) {
     if (base[b] != 0) {
       return fail(ErrCode::kParse, b, source, "padding byte is not zero");
     }
@@ -160,90 +210,28 @@ Status validate_image(const void* data, std::size_t size,
   return Status{};
 }
 
+// The frame walk plus the structural floor: in-bounds, ascending,
+// non-overlapping payloads. This is the memory-safety floor for spans
+// served off the mmap; payload CRCs are a caller policy (deep verify /
+// quarantine), not an open cost.
 Status validate_container(const void* data, std::size_t size,
                           const std::string& source, SectionLookup& out) {
   const auto* base = static_cast<const unsigned char*>(data);
-  if (size < kHeaderSize + kFooterSize) {
-    return fail(ErrCode::kTruncated, size, source,
-                "file shorter than header + footer");
+  Frame frame;
+  if (Status s = walk_frame(base, size, kShardMagic, source, frame, nullptr);
+      !s.ok()) {
+    return s;
   }
-  if (std::memcmp(base, kShardMagic, 8) != 0) {
-    return fail(ErrCode::kBadMagic, 0, source, "bad sharded container magic");
-  }
-  const std::uint32_t version = load_u32(base + 8);
-  if (version != kFormatVersion) {
-    return fail(ErrCode::kSchema, 8, source,
-                "unsupported format version " + std::to_string(version));
-  }
-  if (load_u32(base + 12) != kEndianTag) {
-    return fail(ErrCode::kSchema, 12, source,
-                "endianness mismatch (file written on foreign-endian host)");
-  }
-  if (load_u32(base + 60) != crc32(base, 60)) {
-    return fail(ErrCode::kParse, 60, source, "header checksum mismatch");
-  }
-
-  const std::uint64_t section_count = load_u64(base + 16);
-  const std::uint64_t table_offset = load_u64(base + 24);
-  const std::uint64_t data_end = load_u64(base + 32);
-  if (table_offset != kHeaderSize) {
-    return fail(ErrCode::kSchema, 24, source, "unexpected table offset");
-  }
-  if (section_count > (size / kSectionEntrySize) + 1) {
-    return fail(ErrCode::kSchema, 16, source, "implausible section count");
-  }
-  const std::uint64_t table_end =
-      table_offset + section_count * kSectionEntrySize;
-  if (table_end > size || data_end > size || table_end > data_end) {
-    return fail(ErrCode::kTruncated, 32, source,
-                "section table or data extends past end of file");
-  }
-
-  const unsigned char* footer = base + size - kFooterSize;
-  if (std::memcmp(footer + 16, kFooterMagic, 8) != 0) {
-    return fail(ErrCode::kTruncated, size - kFooterSize + 16, source,
-                "footer magic missing (torn write?)");
-  }
-  if (load_u32(footer + 24) != crc32(footer, 24)) {
-    return fail(ErrCode::kParse, size - kFooterSize + 24, source,
-                "footer checksum mismatch");
-  }
-  if (load_u64(footer) != size) {
-    return fail(ErrCode::kTruncated, size - kFooterSize, source,
-                "footer file size disagrees with actual size");
-  }
-  if (data_end != size - kFooterSize) {
-    return fail(ErrCode::kSchema, 32, source,
-                "header data_end disagrees with footer position");
-  }
-
   out.base = base;
   out.source = source;
-  out.sections.reserve(section_count);
-  // Structural walk only: in-bounds, ascending, non-overlapping. This is
-  // the memory-safety floor for spans served off the mmap; payload CRCs
-  // are a caller policy (deep verify / quarantine), not an open cost.
-  std::uint64_t cursor = table_end;
-  for (std::uint64_t i = 0; i < section_count; ++i) {
-    const unsigned char* e = base + table_offset + i * kSectionEntrySize;
-    SectionInfo info;
-    info.kind = static_cast<SectionKind>(load_u32(e));
-    info.owner = load_u32(e + 4);
-    info.offset = load_u64(e + 8);
-    info.length = load_u64(e + 16);
-    info.crc = load_u32(e + 24);
-    const std::uint64_t entry_off = table_offset + i * kSectionEntrySize;
-    if (info.offset < table_end || info.offset > data_end ||
-        info.length > data_end - info.offset) {
-      return fail(ErrCode::kOutOfRange, entry_off, source,
-                  std::string("section ") +
-                      std::string(section_kind_name(info.kind)) +
-                      " payload out of bounds");
+  out.sections.reserve(frame.section_count);
+  std::uint64_t cursor = frame.table_end;
+  for (std::uint64_t i = 0; i < frame.section_count; ++i) {
+    const SectionInfo info = frame.entry(i);
+    if (!frame.in_bounds(info)) {
+      return out_of_bounds(frame.entry_offset(i), info, source);
     }
-    if (info.offset < cursor) {
-      return fail(ErrCode::kSchema, info.offset, source,
-                  "section payloads overlap or are out of order");
-    }
+    if (info.offset < cursor) return out_of_order(info, source);
     cursor = info.offset + info.length;
     out.sections.push_back(info);
   }

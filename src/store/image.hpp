@@ -4,18 +4,20 @@
 // helpers (cursors, bulk copies, shape checks).
 //
 // Two container flavors share one byte layout — header, entry table,
-// 64-byte-aligned payloads, footer:
+// 64-byte-aligned payloads, footer — and one frame walk (header CRC,
+// table bounds, footer CRC and size); each validator adds only its own
+// policy on top:
 //   * FASNAP01 (monolithic): one section per kind, entry bytes [4,8)
 //     reserved-zero, validated strictly by validate_image() (full CRC
 //     ladder, padding scan).
 //   * FASHRD01 (sharded): per-shard sections repeat a kind once per
 //     shard and carry the owning shard id in entry bytes [4,8).
-//     validate_container() walks header/table/footer only; payload
-//     verification is the caller's policy, which is what lets a shard
-//     open serve straight off the mmap without a per-record decode.
+//     validate_container() adds only the structural section walk;
+//     payload verification is the caller's policy, which is what lets
+//     a shard open serve straight off the mmap without a per-record
+//     decode.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -83,8 +85,8 @@ class ImageBuilder {
     span(p, count);
     end();
   }
-  void section_raster_u8(SectionKind kind,
-                         const raster::Raster<std::uint8_t>& r) {
+  template <class T>
+  void section_raster(SectionKind kind, const raster::Raster<T>& r) {
     begin(kind);
     geometry(r.geom());
     vec(r.data());
@@ -195,16 +197,11 @@ struct SectionLookup {
   std::vector<SectionInfo> sections;
   std::string source;
 
+  // The first section of `kind`. FASHRD01 repeats the per-shard kinds,
+  // so its shard sections are read by table position instead.
   const SectionInfo* find(SectionKind kind) const {
     for (const auto& s : sections) {
       if (s.kind == kind) return &s;
-    }
-    return nullptr;
-  }
-  // FASHRD01: sections repeat per shard, so lookups key on (kind, owner).
-  const SectionInfo* find(SectionKind kind, std::uint32_t owner) const {
-    for (const auto& s : sections) {
-      if (s.kind == kind && s.owner == owner) return &s;
     }
     return nullptr;
   }
@@ -220,13 +217,13 @@ fault::Status validate_image(const void* data, std::size_t size,
                              const std::string& source, SectionLookup& out,
                              FileReport* report);
 
-// Walks a FASHRD01 header/table/footer: header CRC, footer magic/CRC/
-// size, and the structural section walk (in-bounds, ascending,
-// non-overlapping payloads — the memory-safety floor for serving
-// straight off the mmap). Deliberately does NOT checksum payloads or
-// scan padding: per-section CRCs stay recorded in the table for the
-// deep-verify path (inspector, recovery quarantine), and skipping them
-// here is what makes a sharded open O(sections) instead of O(bytes).
+// Walks a FASHRD01 header/table/footer and the structural section walk
+// (in-bounds, ascending, non-overlapping payloads — the memory-safety
+// floor for serving straight off the mmap). Deliberately does NOT
+// checksum payloads or scan padding: per-section CRCs stay recorded in
+// the table for the deep-verify path (inspector, recovery quarantine),
+// and skipping them here is what makes a sharded open O(sections)
+// instead of O(bytes).
 fault::Status validate_container(const void* data, std::size_t size,
                                  const std::string& source,
                                  SectionLookup& out);
@@ -237,54 +234,5 @@ const SectionInfo* need(const SectionLookup& img, SectionKind kind,
 
 bool check_len(const SectionLookup& img, const SectionInfo& s,
                std::uint64_t want, fault::Status& status);
-
-inline constexpr std::size_t kGeomBytes = 40;
-
-template <class T>
-fault::Status decode_raster_at(const SectionLookup& img, const SectionInfo& s,
-                               raster::Raster<T>& out) {
-  using fault::ErrCode;
-  if (s.length < kGeomBytes) {
-    return fail(ErrCode::kTruncated, s.offset, img.source,
-                std::string("raster section ") +
-                    std::string(section_kind_name(s.kind)) + " too short");
-  }
-  Cursor c{img.base + s.offset, static_cast<std::size_t>(s.length)};
-  raster::GridGeometry geom;
-  geom.origin_x = c.get<double>();
-  geom.origin_y = c.get<double>();
-  geom.cell_w = c.get<double>();
-  geom.cell_h = c.get<double>();
-  geom.cols = c.get<std::int32_t>();
-  geom.rows = c.get<std::int32_t>();
-  if (!std::isfinite(geom.origin_x) || !std::isfinite(geom.origin_y) ||
-      !std::isfinite(geom.cell_w) || !std::isfinite(geom.cell_h) ||
-      geom.cell_w <= 0.0 || geom.cell_h <= 0.0 || geom.cols < 0 ||
-      geom.rows < 0) {
-    return fail(ErrCode::kOutOfRange, s.offset, img.source,
-                std::string("raster section ") +
-                    std::string(section_kind_name(s.kind)) +
-                    " has invalid geometry");
-  }
-  const std::uint64_t cell_bytes = geom.cell_count() * sizeof(T);
-  if (s.length - kGeomBytes != cell_bytes) {
-    return fail(ErrCode::kSchema, s.offset, img.source,
-                std::string("raster section ") +
-                    std::string(section_kind_name(s.kind)) +
-                    " cell payload disagrees with cols*rows");
-  }
-  out = raster::Raster<T>(geom);
-  if (cell_bytes) std::memcpy(out.data().data(), c.p + c.off, cell_bytes);
-  return fault::Status{};
-}
-
-template <class T>
-fault::Status decode_raster(const SectionLookup& img, SectionKind kind,
-                            raster::Raster<T>& out) {
-  fault::Status status;
-  const SectionInfo* s = need(img, kind, status);
-  if (!s) return status;
-  return decode_raster_at(img, *s, out);
-}
 
 }  // namespace fa::store

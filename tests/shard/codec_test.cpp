@@ -8,6 +8,7 @@
 #include "shard/codec.hpp"
 #include "shard_test_util.hpp"
 #include "store/codec.hpp"
+#include "store/format.hpp"
 
 namespace fa::shard {
 namespace {
@@ -103,6 +104,38 @@ TEST(ShardCodec, FlippedShardByteQuarantinesOnlyThatShard) {
   }
   EXPECT_TRUE(exercised)
       << "no probe offset landed in a single shard payload; widen probes";
+}
+
+// A shard's sections are read from their table positions, so damage to
+// one table entry costs only the shard that entry belongs to. Flipping
+// bit 0 of the owner of shard 0's kShardX entry (table entry
+// 9 + 12 * 0 + 1) turns it into a claim by shard 1; a lookup by
+// (kind, owner) would then hand shard 1 that entry too.
+TEST(ShardCodec, FlippedOwnerBitQuarantinesOnlyItsShard) {
+  const std::size_t at =
+      store::kHeaderSize + (9 + 1) * store::kSectionEntrySize + 4;
+  ASSERT_EQ(at, 388u);
+  std::string dirty = small_image();
+  dirty[at] = static_cast<char>(dirty[at] ^ 0x01);
+  OpenOptions deep;
+  deep.deep_verify = true;
+  auto opened = open_image(dirty, deep);
+  ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+  const ShardedWorld& view = opened.value();
+  EXPECT_EQ(view.quarantined_count(), 1u);
+  EXPECT_TRUE(view.shard(0).quarantined);
+  for (std::size_t s = 1; s < view.shard_count(); ++s) {
+    EXPECT_FALSE(view.shard(s).quarantined) << "shard " << s;
+    EXPECT_TRUE(testing::shard_bytes(view.shard(s)) ==
+                testing::shard_bytes(small_sharded().shard(s)))
+        << "shard " << s;
+  }
+  // The inspector blames the same single shard.
+  auto report = inspect_sharded(dirty.data(), dirty.size(), "dirty");
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  for (const ShardReport& sh : report.value().shards) {
+    EXPECT_EQ(sh.structural_ok, sh.shard != 0) << "shard " << sh.shard;
+  }
 }
 
 TEST(ShardCodec, TruncationRejectsTheContainer) {

@@ -1,6 +1,7 @@
-// Shard-by-shard cold-start recovery: a flipped bit costs one shard,
-// not a generation; monolithic FASNAP01 stores migrate in place; only
-// an unservable container falls back down the ladder.
+// Shard-by-shard cold-start recovery through shard::recover: a flipped
+// bit costs one shard, not a generation; monolithic FASNAP01 stores
+// migrate in place; only an unservable container falls back down the
+// ladder.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -39,8 +40,7 @@ TEST(ShardRecovery, CleanShardedGenerationRecoversZeroCopy) {
   store::StoreDir dir = open_store(tmp.path);
   ASSERT_TRUE(dir.commit(small_image()).ok());
 
-  ShardRecoveryManager manager(open_store(tmp.path), small_layout());
-  auto recovered = manager.recover();
+  auto recovered = recover(open_store(tmp.path), small_layout());
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_FALSE(recovered.value().migrated);
   EXPECT_EQ(recovered.value().world.quarantined_count(), 0u);
@@ -53,8 +53,7 @@ TEST(ShardRecovery, MonolithicGenerationMigratesInMemory) {
   ASSERT_TRUE(
       dir.commit(store::encode_world(small_world(), small_risk())).ok());
 
-  ShardRecoveryManager manager(open_store(tmp.path), small_layout());
-  auto recovered = manager.recover();
+  auto recovered = recover(open_store(tmp.path), small_layout());
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_TRUE(recovered.value().migrated);
   // The migrated view is the same function of the world the sharded
@@ -88,18 +87,26 @@ TEST(ShardRecovery, FlippedBitQuarantinesOneShardNotTheGeneration) {
   store::StoreDir dir = open_store(tmp.path);
   auto gen = dir.commit(clean);
   ASSERT_TRUE(gen.ok());
-  // Corrupt after commit: the manifest CRC now disagrees, which demotes
-  // the open to deep verification instead of rejecting the generation.
+  // Corrupt after commit. The manifest CRC now disagrees, but a
+  // FASHRD01 load never reads it: every open deep-verifies, and the
+  // damaged payload fails only its own shard's CRC.
   rewrite_generation(dir, gen.value(), dirty);
 
   store::RecoveryReport report;
-  ShardRecoveryManager manager(open_store(tmp.path), small_layout());
-  auto recovered = manager.recover(&report);
+  auto recovered = recover(open_store(tmp.path), small_layout(), &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  EXPECT_EQ(recovered.value().world.quarantined_count(), 1u);
+  EXPECT_EQ(recovered.value().generation.number, 1u);
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_TRUE(report.steps[0].ok());
+  const ShardedWorld& view = recovered.value().world;
+  EXPECT_EQ(view.quarantined_count(), 1u);
   std::uint64_t servable = 0;
-  for (const Shard& sh : recovered.value().world.shards()) {
-    if (!sh.quarantined) servable += sh.n();
+  for (std::size_t s = 0; s < view.shard_count(); ++s) {
+    if (view.shard(s).quarantined) continue;
+    servable += view.shard(s).n();
+    EXPECT_TRUE(testing::shard_bytes(view.shard(s)) ==
+                testing::shard_bytes(small_sharded().shard(s)))
+        << "shard " << s;
   }
   EXPECT_GT(servable, 0u);
   EXPECT_LT(servable, small_sharded().total_points());
@@ -114,8 +121,7 @@ TEST(ShardRecovery, UnwalkableNewestFallsBackToOlderGeneration) {
   // Destroy generation 2's frame entirely; the ladder must land on 1.
   rewrite_generation(dir, gen2.value(), std::string(64, '\0'));
 
-  ShardRecoveryManager manager(open_store(tmp.path), small_layout());
-  auto recovered = manager.recover();
+  auto recovered = recover(open_store(tmp.path), small_layout());
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_EQ(recovered.value().generation.number, 1u);
   EXPECT_EQ(encode_sharded(recovered.value().world), small_image());
@@ -123,17 +129,7 @@ TEST(ShardRecovery, UnwalkableNewestFallsBackToOlderGeneration) {
 
 TEST(ShardRecovery, EmptyStoreErrors) {
   TempDir tmp;
-  ShardRecoveryManager manager(open_store(tmp.path), small_layout());
-  EXPECT_FALSE(manager.recover().ok());
-}
-
-TEST(ShardRecovery, ConvenienceEntryPointMatchesManager) {
-  TempDir tmp;
-  store::StoreDir dir = open_store(tmp.path);
-  ASSERT_TRUE(dir.commit(small_image()).ok());
-  auto recovered = recover_sharded(tmp.path, small_layout());
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(encode_sharded(recovered.value().world), small_image());
+  EXPECT_FALSE(recover(open_store(tmp.path), small_layout()).ok());
 }
 
 }  // namespace

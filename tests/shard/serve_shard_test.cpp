@@ -16,6 +16,7 @@
 #include "delta/feed.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "delta/log.hpp"
 #include "serve/server.hpp"
 #include "shard/codec.hpp"
@@ -152,6 +153,26 @@ TEST(ServeSharded, SaveThenColdStartServesIdenticalAnswers) {
     ASSERT_TRUE(before[i] == ask(reborn, stream[i]))
         << "query " << i << " changed across the cold start";
   }
+}
+
+// A cold start counts the generation it loads whatever its format, so
+// a traced restart reports the bytes it mapped.
+TEST(ServeSharded, ColdStartCountsTheGenerationItLoads) {
+  ObsOn obs_on;
+  TempDir tmp;
+  auto dir = store::StoreDir::open(tmp.path);
+  ASSERT_TRUE(dir.ok());
+  auto gen = dir.value().commit(testing::small_image());
+  ASSERT_TRUE(gen.ok());
+
+  obs::ScopedRegistry scope;
+  serve::Server server(st::small_config(), sharded_options(tmp.path));
+  ASSERT_TRUE(server.loaded_from_store());
+  obs::Registry& reg = scope.registry();
+  EXPECT_EQ(reg.counter(obs::metrics::kStoreLoads).value(), 1u);
+  EXPECT_EQ(reg.counter(obs::metrics::kStoreLoadBytes).value(),
+            gen.value().size);
+  EXPECT_EQ(reg.histogram(obs::metrics::kStoreLoadNs).count(), 1u);
 }
 
 TEST(ServeSharded, MonolithicStoreMigratesOnColdStart) {

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,37 @@ inline const std::string& small_image() {
   static const std::string* image =
       new std::string(encode_sharded(small_sharded()));
   return *image;
+}
+
+// One shard as encode_sharded writes it: grid and point count, then
+// each page's entries column by column with cell_start re-based, so an
+// opened shard and the built shard it came from compare equal when they
+// hold the same entries in the same cells.
+inline std::string shard_bytes(const Shard& sh) {
+  std::string out;
+  const auto put = [&out](const auto& span) {
+    out.append(reinterpret_cast<const char*>(span.data()), span.size_bytes());
+  };
+  const std::uint64_t shape[] = {static_cast<std::uint64_t>(sh.cols),
+                                 static_cast<std::uint64_t>(sh.rows), sh.n()};
+  put(std::span(shape));
+  std::uint32_t base = 0;
+  for (std::size_t p = 0; p < sh.page_count(); ++p) {
+    const Page& pg = sh.page(p);
+    std::vector<std::uint32_t> cell_start(pg.cell_start.begin(),
+                                          pg.cell_start.end());
+    for (std::uint32_t& c : cell_start) c = c - pg.begin() + base;
+    put(std::span(cell_start));
+    base += static_cast<std::uint32_t>(pg.n());
+    const auto entries = [&pg](const auto& column) {
+      return column.subspan(pg.begin(), pg.n());
+    };
+    put(entries(pg.ids)), put(entries(pg.xs)), put(entries(pg.ys));
+    put(entries(pg.cls)), put(entries(pg.provider)), put(entries(pg.radio));
+    put(entries(pg.mcc)), put(entries(pg.mnc)), put(entries(pg.cell_id));
+    put(entries(pg.state)), put(entries(pg.county));
+  }
+  return out;
 }
 
 // mkdtemp-backed directory, recursively removed on destruction.

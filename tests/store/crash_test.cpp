@@ -1,11 +1,12 @@
 // Crash-injection harness for the commit protocol. A forked child runs
-// StoreDir::commit() with a CommitHooks crash step armed — _exit(2) at
-// a deterministic instruction boundary, exactly like kill -9 at that
-// point — and the parent then runs the recovery ladder and asserts the
+// StoreDir::commit() of a FASHRD01 generation with a CommitHooks crash
+// step armed — _exit(2) at a deterministic instruction boundary,
+// exactly like kill -9 at that point — and the parent then runs
+// shard::recover, the recovery fa_served boots through, and asserts the
 // invariant the store exists to provide: recovery NEVER surfaces a
-// half-written world. Every recovered image must re-encode to the
-// canonical bytes; when nothing was ever durable, recovery must say so
-// with an error, not garbage.
+// half-written world. Every recovered view must have no quarantined
+// shard and re-encode to the canonical bytes; when nothing was ever
+// durable, recovery must say so with an error, not garbage.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -14,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "store/codec.hpp"
+#include "shard/recovery.hpp"
 #include "store/recovery.hpp"
 #include "store/store.hpp"
 #include "store_test_util.hpp"
@@ -23,8 +24,9 @@ namespace fa::store {
 namespace {
 
 using CrashStep = CommitHooks::CrashStep;
+using testing::expect_canonical;
 using testing::TempDir;
-using testing::tiny_image;
+using testing::tiny_sharded_image;
 
 // Forks, commits `image` with `hooks` in the child, and reaps it.
 // Returns the child's exit code (2 = the armed crash fired).
@@ -64,10 +66,10 @@ std::vector<CrashCase> crash_matrix(std::size_t image_size) {
 
 // The core matrix: one good generation exists, then a second commit
 // crashes at every interesting point. Recovery must always produce a
-// world whose re-encoding is byte-identical to the canonical image —
+// view whose re-encoding is byte-identical to the canonical image —
 // whichever generation it came from.
 TEST(CrashMatrix, RecoveryNeverServesAHalfWrittenWorld) {
-  const std::string& image = tiny_image();
+  const std::string& image = tiny_sharded_image();
   for (const CrashCase& c : crash_matrix(image.size())) {
     SCOPED_TRACE(c.name);
     TempDir tmp;
@@ -79,7 +81,8 @@ TEST(CrashMatrix, RecoveryNeverServesAHalfWrittenWorld) {
         << "armed crash step did not fire";
 
     RecoveryReport report;
-    fault::Result<RecoveredWorld> rec = recover_from(tmp.path, &report);
+    fault::Result<shard::Recovered> rec =
+        shard::recover(StoreDir::open(tmp.path).take(), {}, &report);
     ASSERT_TRUE(rec.ok()) << rec.status().to_string();
     // Crashes before the rename leave only gen 1; after it, either
     // generation is a legitimate (identical-content) winner.
@@ -90,9 +93,8 @@ TEST(CrashMatrix, RecoveryNeverServesAHalfWrittenWorld) {
       EXPECT_GE(rec.value().generation.number, 1u);
       EXPECT_LE(rec.value().generation.number, 2u);
     }
-    const std::string reencoded = encode_world(
-        rec.value().loaded.world, rec.value().loaded.provider_risk);
-    EXPECT_EQ(reencoded, image) << "recovered world diverged from canonical";
+    EXPECT_FALSE(rec.value().migrated);
+    expect_canonical(rec.value().world);
   }
 }
 
@@ -101,7 +103,7 @@ TEST(CrashMatrix, RecoveryNeverServesAHalfWrittenWorld) {
 // a full rebuild) — except after the rename, where the orphaned but
 // complete generation is recoverable via the scan fallback.
 TEST(CrashMatrix, CrashOnEmptyStoreDegradesCleanly) {
-  const std::string& image = tiny_image();
+  const std::string& image = tiny_sharded_image();
   for (const CrashCase& c : crash_matrix(image.size())) {
     SCOPED_TRACE(c.name);
     TempDir tmp;
@@ -109,16 +111,15 @@ TEST(CrashMatrix, CrashOnEmptyStoreDegradesCleanly) {
     ASSERT_EQ(crash_commit(tmp.path, image, c.hooks), 2);
 
     RecoveryReport report;
-    fault::Result<RecoveredWorld> rec = recover_from(tmp.path, &report);
+    fault::Result<shard::Recovered> rec =
+        shard::recover(StoreDir::open(tmp.path).take(), {}, &report);
     const bool generation_durable =
         c.hooks.crash_at == CrashStep::kAfterRename ||
         c.hooks.crash_at == CrashStep::kMidManifest;
     if (generation_durable) {
       ASSERT_TRUE(rec.ok()) << rec.status().to_string();
       EXPECT_EQ(rec.value().generation.number, 1u);
-      const std::string reencoded = encode_world(
-          rec.value().loaded.world, rec.value().loaded.provider_risk);
-      EXPECT_EQ(reencoded, image);
+      expect_canonical(rec.value().world);
     } else {
       ASSERT_FALSE(rec.ok()) << "recovered a world that was never durable";
       EXPECT_EQ(rec.status().code, fault::ErrCode::kIoFailure);
@@ -130,7 +131,7 @@ TEST(CrashMatrix, CrashOnEmptyStoreDegradesCleanly) {
 // fresh number (orphans are never overwritten) and recovery then
 // prefers it.
 TEST(CrashMatrix, StoreStaysWritableAfterEveryCrash) {
-  const std::string& image = tiny_image();
+  const std::string& image = tiny_sharded_image();
   for (const CrashCase& c : crash_matrix(image.size())) {
     SCOPED_TRACE(c.name);
     TempDir tmp;
@@ -146,9 +147,10 @@ TEST(CrashMatrix, StoreStaysWritableAfterEveryCrash) {
     ASSERT_TRUE(g.ok()) << g.status().to_string();
     EXPECT_EQ(g.value().number, next);
 
-    fault::Result<RecoveredWorld> rec = recover_from(tmp.path);
+    fault::Result<shard::Recovered> rec = shard::recover(dir);
     ASSERT_TRUE(rec.ok()) << rec.status().to_string();
     EXPECT_EQ(rec.value().generation.number, g.value().number);
+    expect_canonical(rec.value().world);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <string>
 
+#include "mutants.hpp"
 #include "store/codec.hpp"
 #include "store/format.hpp"
 #include "store_test_util.hpp"
@@ -17,50 +18,8 @@
 namespace fa::store {
 namespace {
 
+using testing::mutate;
 using testing::tiny_image;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-// Deterministic mutant for `seed`; always differs from the original.
-std::string mutate(const std::string& image, std::uint64_t seed) {
-  const std::uint64_t r0 = splitmix64(seed);
-  const std::uint64_t r1 = splitmix64(r0);
-  const std::uint64_t r2 = splitmix64(r1);
-  std::string m = image;
-  switch (r0 % 8) {
-    case 0: {  // truncate (possibly to empty)
-      m.resize(r1 % image.size());
-      break;
-    }
-    case 1: {  // extend with junk
-      m.append(1 + r1 % 64, static_cast<char>(0xAB));
-      break;
-    }
-    case 2: {  // zero a short run
-      const std::size_t at = r1 % image.size();
-      const std::size_t len = std::min<std::size_t>(1 + r2 % 32,
-                                                    image.size() - at);
-      bool changed = false;
-      for (std::size_t i = 0; i < len; ++i) {
-        changed |= m[at + i] != 0;
-        m[at + i] = 0;
-      }
-      if (!changed) m[at] = 1;  // run was already zero: force a delta
-      break;
-    }
-    default: {  // single-byte XOR with a non-zero mask (the bulk)
-      const std::size_t at = r1 % image.size();
-      m[at] = static_cast<char>(m[at] ^ (1 + r2 % 255));
-      break;
-    }
-  }
-  return m;
-}
 
 TEST(FormatFuzz, AllThousandMutantsDetected) {
   const std::string& image = tiny_image();
@@ -70,7 +29,8 @@ TEST(FormatFuzz, AllThousandMutantsDetected) {
   int detected = 0;
   constexpr int kSeeds = 1000;
   for (int seed = 0; seed < kSeeds; ++seed) {
-    const std::string m = mutate(image, static_cast<std::uint64_t>(seed));
+    const std::string m =
+        mutate(image, static_cast<std::uint64_t>(seed)).bytes;
     ASSERT_NE(m, image) << "mutation " << seed << " was a no-op";
     fault::Result<LoadedWorld> r = decode_world(m.data(), m.size());
     if (!r.ok()) ++detected;

@@ -1,7 +1,10 @@
 // StoreDir unit suite: manifest syntax/checksum/hash-chain, the commit
 // + prune protocol, scan fallback, both fault seams, and the recovery
 // ladder's degrade order (newest good generation wins, older ones are
-// the fallback, a full rebuild is the floor).
+// the fallback, a full rebuild is the floor). The ladder under test is
+// shard::recover, the one fa_served boots through, over FASHRD01
+// generations; the FASNAP01-only rungs (manifest CRC, strict decode,
+// migration) run over FASNAP01 generations through the same call.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,17 +14,22 @@
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "shard/recovery.hpp"
 #include "store/codec.hpp"
 #include "store/format.hpp"
 #include "store/recovery.hpp"
 #include "store/store.hpp"
 #include "store_test_util.hpp"
+#include "../shard/shard_test_util.hpp"
 
 namespace fa::store {
 namespace {
 
+using testing::expect_canonical;
 using testing::TempDir;
 using testing::tiny_image;
+using testing::tiny_sharded;
+using testing::tiny_sharded_image;
 
 struct ObsOn {
   bool was = obs::enabled();
@@ -212,12 +220,12 @@ TEST(StoreDir, TornWriteSeamFailsCommitAndKeepsManifest) {
   ObsOn obs_on;
   TempDir tmp;
   StoreDir dir = StoreDir::open(tmp.path).take();
-  ASSERT_TRUE(dir.commit(tiny_image()).ok());
+  ASSERT_TRUE(dir.commit(tiny_sharded_image()).ok());
 
   {
     fault::ScopedInjector torn(
         fault::Injector::parse("seed=11,store.write.torn=1").take());
-    fault::Result<Generation> g = dir.commit(tiny_image());
+    fault::Result<Generation> g = dir.commit(tiny_sharded_image());
     ASSERT_FALSE(g.ok());
     EXPECT_EQ(g.status().code, fault::ErrCode::kInjected);
   }
@@ -227,27 +235,38 @@ TEST(StoreDir, TornWriteSeamFailsCommitAndKeepsManifest) {
   fault::Result<Manifest> m = dir.read_manifest();
   ASSERT_TRUE(m.ok());
   ASSERT_EQ(m.value().generations.size(), 1u);
-  fault::Result<RecoveredWorld> rec = RecoveryManager(std::move(dir)).recover();
+  fault::Result<shard::Recovered> rec = shard::recover(dir);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
   EXPECT_EQ(rec.value().generation.number, 1u);
+  expect_canonical(rec.value().world);
 }
 
 TEST(Recovery, ReadCorruptSeamRejectsButNeverDamagesDisk) {
   TempDir tmp;
   StoreDir dir = StoreDir::open(tmp.path).take();
-  ASSERT_TRUE(dir.commit(tiny_image()).ok());
-  RecoveryManager mgr(std::move(dir));
-  const Generation gen = mgr.dir().read_manifest().take().generations[0];
+  ASSERT_TRUE(dir.commit(tiny_sharded_image()).ok());
 
   {
     fault::ScopedInjector corrupt(
         fault::Injector::parse("seed=3,store.read.corrupt=1").take());
-    fault::Result<LoadedWorld> r = mgr.load_generation(gen);
-    EXPECT_FALSE(r.ok()) << "seeded bit flips must not decode";
+    fault::Result<shard::Recovered> r = shard::recover(dir);
+    // Seeded bit flips either reject the generation or quarantine the
+    // shards they hit; a shard that still serves is the clean one.
+    if (r.ok()) {
+      const shard::ShardedWorld& view = r.value().world;
+      ASSERT_EQ(view.shard_count(), tiny_sharded().shard_count());
+      for (std::size_t s = 0; s < view.shard_count(); ++s) {
+        if (view.shard(s).quarantined) continue;
+        EXPECT_TRUE(shard::testing::shard_bytes(view.shard(s)) ==
+                    shard::testing::shard_bytes(tiny_sharded().shard(s)))
+            << "shard " << s << " served flipped bytes";
+      }
+    }
   }
   // MAP_PRIVATE: the flips never reached the file.
-  fault::Result<LoadedWorld> clean = mgr.load_generation(gen);
-  EXPECT_TRUE(clean.ok()) << clean.status().to_string();
+  fault::Result<shard::Recovered> clean = shard::recover(dir);
+  ASSERT_TRUE(clean.ok()) << clean.status().to_string();
+  expect_canonical(clean.value().world);
 }
 
 TEST(Recovery, LadderFallsBackToOlderGeneration) {
@@ -256,18 +275,19 @@ TEST(Recovery, LadderFallsBackToOlderGeneration) {
   obs::Registry& reg = scope.registry();
   TempDir tmp;
   StoreDir dir = StoreDir::open(tmp.path).take();
-  ASSERT_TRUE(dir.commit(tiny_image()).ok());
+  ASSERT_TRUE(dir.commit(tiny_sharded_image()).ok());
   // Generation 2 is corrupt-at-rest: its manifest CRC matches the bytes
-  // we committed, but the image's own checksum ladder rejects it.
-  std::string bad = tiny_image();
-  bad[bad.size() / 2] ^= 0x40;
+  // we committed, but its frame (the header checksum) rejects it. A
+  // payload flip would only quarantine one shard.
+  std::string bad = tiny_sharded_image();
+  bad[20] ^= 0x40;
   ASSERT_TRUE(dir.commit(bad).ok());
 
   RecoveryReport report;
-  fault::Result<RecoveredWorld> rec =
-      RecoveryManager(std::move(dir)).recover(&report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
   EXPECT_EQ(rec.value().generation.number, 1u);
+  expect_canonical(rec.value().world);
   ASSERT_EQ(report.steps.size(), 2u);
   EXPECT_FALSE(report.steps[0].ok());
   EXPECT_TRUE(report.steps[1].ok());
@@ -277,6 +297,9 @@ TEST(Recovery, LadderFallsBackToOlderGeneration) {
   EXPECT_EQ(reg.counter(obs::metrics::kStoreRecoverLoaded).value(), 1u);
 }
 
+// The whole-file CRC in the manifest is a FASNAP01 rung (a FASHRD01
+// generation deep-verifies instead), so this runs over a pre-sharding
+// generation.
 TEST(Recovery, ManifestCrcCatchesAtRestTamper) {
   TempDir tmp;
   StoreDir dir = StoreDir::open(tmp.path).take();
@@ -287,9 +310,39 @@ TEST(Recovery, ManifestCrcCatchesAtRestTamper) {
   bytes[bytes.size() / 3] ^= 0x10;
   spit(path, bytes);
 
-  fault::Result<RecoveredWorld> rec = RecoveryManager(std::move(dir)).recover();
+  RecoveryReport report;
+  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
   ASSERT_FALSE(rec.ok());
   EXPECT_EQ(rec.status().code, fault::ErrCode::kParse);
+  ASSERT_EQ(report.steps.size(), 1u);
+  EXPECT_NE(report.steps[0].message.find("manifest checksum"),
+            std::string::npos)
+      << report.steps[0].to_string();
+}
+
+// A pre-sharding store: a FASNAP01 generation the strict decode rejects
+// falls back to an older one, which migrates into the serving view.
+TEST(Recovery, MonolithicGenerationsDecodeStrictlyAndMigrate) {
+  TempDir tmp;
+  StoreDir dir = StoreDir::open(tmp.path).take();
+  ASSERT_TRUE(dir.commit(tiny_image()).ok());
+  // Committed as is, so the manifest CRC matches and only the image's
+  // own checksum ladder can reject it.
+  std::string bad = tiny_image();
+  bad[bad.size() / 2] ^= 0x40;
+  ASSERT_TRUE(dir.commit(bad).ok());
+
+  RecoveryReport report;
+  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
+  ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+  EXPECT_EQ(rec.value().generation.number, 1u);
+  EXPECT_TRUE(rec.value().migrated);
+  expect_canonical(rec.value().world);
+  ASSERT_EQ(report.steps.size(), 2u);
+  EXPECT_EQ(report.steps[0].code, fault::ErrCode::kParse)
+      << report.steps[0].to_string();
+  EXPECT_EQ(report.steps[1].message,
+            "loaded (migrated from monolithic image)");
 }
 
 TEST(Recovery, CorruptManifestFallsBackToScan) {
@@ -299,14 +352,14 @@ TEST(Recovery, CorruptManifestFallsBackToScan) {
   TempDir tmp;
   StoreDir dir = StoreDir::open(tmp.path).take();
   ASSERT_TRUE(dir.commit("not a decodable image").ok());
-  ASSERT_TRUE(dir.commit(tiny_image()).ok());
+  ASSERT_TRUE(dir.commit(tiny_sharded_image()).ok());
   spit(dir.file_path("MANIFEST"), "fastore-manifest 1\ngarbage\n");
 
   RecoveryReport report;
-  fault::Result<RecoveredWorld> rec =
-      RecoveryManager(std::move(dir)).recover(&report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
   EXPECT_EQ(rec.value().generation.number, 2u);
+  expect_canonical(rec.value().world);
   EXPECT_TRUE(report.manifest_fallback);
   EXPECT_GE(report.steps.size(), 2u);  // fallback note + load step(s)
   EXPECT_EQ(reg.counter(obs::metrics::kStoreManifestFallbacks).value(), 1u);
@@ -315,7 +368,7 @@ TEST(Recovery, CorruptManifestFallsBackToScan) {
 TEST(Recovery, OverflowingGenerationFilenameIsIgnoredNotWrapped) {
   TempDir tmp;
   StoreDir dir = StoreDir::open(tmp.path).take();
-  ASSERT_TRUE(dir.commit(tiny_image()).ok());
+  ASSERT_TRUE(dir.commit(tiny_sharded_image()).ok());
   // 2*2^64 + 3 wraps to 3 modulo 2^64: without an overflow guard the
   // scan would alias this junk file to "generation 3" and try it before
   // the real newest generation.
@@ -323,10 +376,10 @@ TEST(Recovery, OverflowingGenerationFilenameIsIgnoredNotWrapped) {
   spit(dir.file_path("MANIFEST"), "fastore-manifest 1\ngarbage\n");
 
   RecoveryReport report;
-  fault::Result<RecoveredWorld> rec =
-      RecoveryManager(std::move(dir)).recover(&report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
   EXPECT_EQ(rec.value().generation.number, 1u);
+  expect_canonical(rec.value().world);
   for (const fault::Status& step : report.steps) {
     EXPECT_EQ(step.message.find("36893488147419103235"), std::string::npos)
         << step.to_string();
@@ -336,7 +389,8 @@ TEST(Recovery, OverflowingGenerationFilenameIsIgnoredNotWrapped) {
 TEST(Recovery, EmptyStoreIsAnErrorNotACrash) {
   TempDir tmp;
   RecoveryReport report;
-  fault::Result<RecoveredWorld> rec = recover_from(tmp.path, &report);
+  fault::Result<shard::Recovered> rec = shard::recover(
+      StoreDir::open(tmp.path, /*create=*/false).take(), {}, &report);
   ASSERT_FALSE(rec.ok());
   EXPECT_EQ(rec.status().code, fault::ErrCode::kIoFailure);
 }
@@ -347,8 +401,7 @@ TEST(Recovery, EveryGenerationRejectedSummarizesNewestFailure) {
   ASSERT_TRUE(dir.commit("junk one").ok());
   ASSERT_TRUE(dir.commit("junk two").ok());
   RecoveryReport report;
-  fault::Result<RecoveredWorld> rec =
-      RecoveryManager(std::move(dir)).recover(&report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
   ASSERT_FALSE(rec.ok());
   EXPECT_EQ(report.steps.size(), 2u);
   EXPECT_NE(rec.status().message.find("every generation rejected"),

@@ -1,8 +1,11 @@
 // Shared scaffolding for the store suite: a throwaway store directory
-// and one lazily built tiny world whose encoded image every test
-// reuses (world builds dominate runtime; the image is immutable).
+// and one lazily built tiny world whose encoded images every test
+// reuses (world builds dominate runtime; the images are immutable):
+// the FASHRD01 container a server persists and boots from, and the
+// FASNAP01 image pre-sharding stores hold.
 #pragma once
 
+#include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -11,6 +14,8 @@
 
 #include "core/provider_risk.hpp"
 #include "core/world.hpp"
+#include "shard/codec.hpp"
+#include "shard/world.hpp"
 #include "store/codec.hpp"
 #include "../serve/serve_test_util.hpp"
 
@@ -44,11 +49,34 @@ inline const core::ProviderRiskResult& tiny_risk() {
   return *risk;
 }
 
-// The canonical encoded image of tiny_world().
+// The canonical FASNAP01 image of tiny_world().
 inline const std::string& tiny_image() {
   static const std::string* image =
       new std::string(encode_world(tiny_world(), tiny_risk()));
   return *image;
+}
+
+// tiny_world() cut by the default layout, the view a server over it
+// serves.
+inline const shard::ShardedWorld& tiny_sharded() {
+  static const shard::ShardedWorld* sharded = new shard::ShardedWorld(
+      shard::ShardedWorld::from_world(tiny_world(), tiny_risk()));
+  return *sharded;
+}
+
+// The canonical FASHRD01 image of tiny_sharded().
+inline const std::string& tiny_sharded_image() {
+  static const std::string* image =
+      new std::string(shard::encode_sharded(tiny_sharded()));
+  return *image;
+}
+
+// A recovered view is the canonical one: no shard quarantined, and it
+// re-encodes to tiny_sharded_image().
+inline void expect_canonical(const shard::ShardedWorld& view) {
+  EXPECT_EQ(view.quarantined_count(), 0u);
+  EXPECT_TRUE(shard::encode_sharded(view) == tiny_sharded_image())
+      << "recovered view diverged from the canonical FASHRD01 image";
 }
 
 }  // namespace fa::store::testing

@@ -1,6 +1,7 @@
 // fa_store_inspect CLI contract: exit 0 on a clean store (monolithic or
-// sharded), non-zero on corruption, and the sharded listing names the
-// shard a cold start would quarantine. Runs the real binary — the
+// sharded), non-zero on corruption, the sharded listing names the
+// shard a cold start would quarantine, and the cold-start verdict is
+// what a server on the store does. Runs the real binary — the
 // health-check semantics ("is this store safe to boot from?") are the
 // product here, so the test drives the same entry point an operator's
 // cron job would.
@@ -11,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/snapshot.hpp"
 #include "shard/codec.hpp"
 #include "store/codec.hpp"
+#include "store/format.hpp"
 #include "store/store.hpp"
 #include "../shard/shard_test_util.hpp"
 
@@ -20,6 +23,7 @@ namespace fa {
 namespace {
 
 using shard::testing::small_image;
+using shard::testing::small_layout;
 using shard::testing::small_risk;
 using shard::testing::small_world;
 using shard::testing::TempDir;
@@ -90,7 +94,7 @@ TEST(StoreInspectCli, CleanShardedStoreExitsZero) {
   const CliResult r = run_inspect(dir.path);
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("FASHRD01"), std::string::npos) << r.output;
-  EXPECT_NE(r.output.find("sharded cold start would serve generation 1"),
+  EXPECT_NE(r.output.find("cold start would serve generation 1\n"),
             std::string::npos)
       << r.output;
   // Every shard row lists bounds and both verification verdicts.
@@ -129,7 +133,31 @@ TEST(StoreInspectCli, MonolithicStoreStillVerifies) {
           .ok());
   const CliResult r = run_inspect(dir.path);
   EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("cold start would serve generation 1"),
+  EXPECT_NE(r.output.find("cold start would serve generation 1 (migrated "
+                          "from a monolithic image)"),
+            std::string::npos)
+      << r.output;
+}
+
+// A corrupt FASNAP01 generation committed over a clean FASHRD01 one: a
+// server skips it and boots generation 1, so the verdict must say the
+// same (the corrupt generation still fails the listing).
+TEST(StoreInspectCli, VerdictIsWhatAServerBoots) {
+  TempDir dir;
+  commit_sharded(dir);
+  auto store = store::StoreDir::open(dir.path);
+  ASSERT_TRUE(store.ok());
+  std::string corrupt(store::kMagic, sizeof store::kMagic);
+  corrupt.append(4096, '\0');
+  ASSERT_TRUE(store.value().commit(corrupt).ok());
+
+  auto served = serve::Snapshot::recover(store.value(), 1, small_layout());
+  ASSERT_TRUE(served.ok()) << served.status().to_string();
+  EXPECT_EQ(served.value().generation.number, 1u);
+
+  const CliResult r = run_inspect(dir.path);
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("cold start would serve generation 1\n"),
             std::string::npos)
       << r.output;
 }

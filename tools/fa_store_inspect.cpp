@@ -5,10 +5,12 @@
 //
 // Dumps the manifest (generation chain, sizes, checksums) and walks
 // every generation image's checksum ladder, printing per-section
-// status. Exit code 0 means everything verified; any corruption —
-// unreadable manifest, missing generation, failed CRC, structural
-// mismatch — is reported and the exit code is non-zero, so the tool
-// slots into health checks ("is this store safe to boot from?").
+// status, then says what a cold start would serve by running the
+// recovery fa_served boots through (shard::recover). Exit code 0 means
+// everything verified; any corruption — unreadable manifest, missing
+// generation, failed CRC, structural mismatch — is reported and the
+// exit code is non-zero, so the tool slots into health checks ("is this
+// store safe to boot from?").
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -17,7 +19,6 @@
 #include "shard/recovery.hpp"
 #include "store/codec.hpp"
 #include "store/format.hpp"
-#include "store/recovery.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -141,51 +142,26 @@ int inspect_store(const std::string& dir_path) {
   }
 
   // The bottom line an operator (or a health check) actually wants:
-  // would a cold start right now get a world, and from which generation?
-  // A store whose newest generation is a FASHRD01 container boots
-  // through the sharded ladder (which degrades shard-by-shard and
-  // migrates monolithic fallbacks), so report that verdict; otherwise
-  // the monolithic one.
-  bool newest_sharded = false;
-  {
-    fault::Result<store::MappedFile> newest = store::MappedFile::open(
-        dir.file_path(listing.generations.back().filename));
-    newest_sharded = newest.ok() && newest.value().size() >= 8 &&
-                     std::memcmp(newest.value().data(), store::kShardMagic,
-                                 8) == 0;
-  }
-  if (newest_sharded) {
-    fault::Result<shard::RecoveredShardedWorld> rec =
-        shard::recover_sharded(dir_path);
-    if (rec.ok()) {
-      const std::size_t quarantined = rec.value().world.quarantined_count();
-      std::printf("sharded cold start would serve generation %llu",
-                  static_cast<unsigned long long>(
-                      rec.value().generation.number));
-      if (quarantined > 0) {
-        all_ok = false;
-        std::printf(" DEGRADED (%zu of %zu shards quarantined)",
-                    quarantined, rec.value().world.shard_count());
-      }
-      std::printf("%s\n", rec.value().migrated
-                              ? " (migrated from a monolithic image)"
-                              : "");
-    } else {
-      all_ok = false;
-      std::printf("sharded cold start would REBUILD: %s\n",
-                  rec.status().to_string().c_str());
-    }
-    return all_ok ? 0 : 1;
-  }
-  fault::Result<store::RecoveredWorld> rec = store::recover_from(dir_path);
-  if (rec.ok()) {
-    std::printf("cold start would serve generation %llu\n",
-                static_cast<unsigned long long>(rec.value().generation.number));
-  } else {
-    all_ok = false;
+  // would a cold start right now get a world, and from which
+  // generation? Answered by the recovery a server runs, so the verdict
+  // is what fa_served would do.
+  fault::Result<shard::Recovered> rec = shard::recover(dir);
+  if (!rec.ok()) {
     std::printf("cold start would REBUILD: %s\n",
                 rec.status().to_string().c_str());
+    return 1;
   }
+  const shard::ShardedWorld& world = rec.value().world;
+  std::printf("cold start would serve generation %llu",
+              static_cast<unsigned long long>(rec.value().generation.number));
+  if (world.quarantined_count() > 0) {
+    all_ok = false;
+    std::printf(" DEGRADED (%zu of %zu shards quarantined)",
+                world.quarantined_count(), world.shard_count());
+  }
+  std::printf("%s\n", rec.value().migrated
+                          ? " (migrated from a monolithic image)"
+                          : "");
   return all_ok ? 0 : 1;
 }
 
