@@ -29,7 +29,7 @@ synth::ScenarioConfig bench_scenario() {
   return cfg;
 }
 
-core::AnalysisContext& bench_context(const std::string& bench_name) {
+synth::ScenarioConfig bench_banner(const std::string& bench_name) {
   const synth::ScenarioConfig cfg = bench_scenario();
   std::printf("== %s ==\n", bench_name.c_str());
   std::printf(
@@ -38,16 +38,27 @@ core::AnalysisContext& bench_context(const std::string& bench_name) {
       static_cast<unsigned long long>(cfg.seed), cfg.whp_cell_m,
       cfg.corpus_scale, cfg.corpus_size());
   std::printf("observability: %s (FA_OBS)\n", obs::enabled() ? "on" : "off");
-  core::AnalysisContext& ctx = core::AnalysisContext::shared(cfg);
-  if (const char* policy = std::getenv("FA_POLICY");
-      policy != nullptr && *policy != '\0') {
-    if (const auto parsed = fault::recovery_policy_from_name(policy)) {
-      ctx.recovery_policy = *parsed;
+  return cfg;
+}
+
+fault::RecoveryPolicy bench_policy() {
+  fault::RecoveryPolicy policy = fault::RecoveryPolicy::kQuarantine;
+  if (const char* name = std::getenv("FA_POLICY");
+      name != nullptr && *name != '\0') {
+    if (const auto parsed = fault::recovery_policy_from_name(name)) {
+      policy = *parsed;
     } else {
       std::fprintf(stderr, "FA_POLICY: unknown policy '%s' (ignored)\n",
-                   policy);
+                   name);
     }
   }
+  return policy;
+}
+
+core::AnalysisContext& bench_context(const std::string& bench_name) {
+  core::AnalysisContext& ctx =
+      core::AnalysisContext::shared(bench_banner(bench_name));
+  ctx.recovery_policy = bench_policy();
   if (!ctx.built()) {
     Stopwatch timer;
     ctx.world();

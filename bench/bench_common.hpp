@@ -25,6 +25,13 @@ namespace fa::bench {
 // Scenario from defaults + environment overrides.
 synth::ScenarioConfig bench_scenario();
 
+// Prints the banner (name, scenario, observability) and returns the
+// scenario, building nothing — for benches that build their own view.
+synth::ScenarioConfig bench_banner(const std::string& bench_name);
+
+// The FA_POLICY ingestion policy (quarantine when unset or unknown).
+fault::RecoveryPolicy bench_policy();
+
 // The process-wide AnalysisContext for the env-configured scenario.
 // Prints the banner, and the build time when this call builds the world
 // (first bench in the process; reruns reuse the cached scenario).

@@ -64,9 +64,9 @@ int main() {
   using namespace fa;
 
   bench::Stopwatch run_timer;
-  core::AnalysisContext& ctx = bench::bench_context(
+  const synth::ScenarioConfig cfg = bench::bench_banner(
       "fa::delta — incremental epoch updates vs full rebuild");
-  const synth::ScenarioConfig cfg = ctx.world().config();
+  std::printf("\n");
 
   const char* ticks_env = std::getenv("FA_DELTA_TICKS");
   const std::size_t ticks =
@@ -76,7 +76,7 @@ int main() {
   // a server's rebuild runs.
   bench::Stopwatch rebuild_timer;
   auto built = shard::ShardedWorld::build(
-      cfg, core::World::BuildOptions{ctx.recovery_policy, nullptr}, {});
+      cfg, core::World::BuildOptions{bench::bench_policy(), nullptr}, {});
   const double rebuild_s = rebuild_timer.seconds();
   if (!built.ok()) {
     std::fprintf(stderr, "sharded build failed: %s\n",

@@ -6,14 +6,22 @@
 // control, and the worker pool. Two phases:
 //
 //   throughput  1/2/4/8 client threads (one connection each) against a
-//               generously-queued server — QPS and p50/p99 latency of
-//               accepted replies, zero sheds expected
-//   saturation  many closed-loop clients against 1 worker and a tiny
-//               admission queue — BUSY sheds must rise while the p99 of
-//               *accepted* replies stays bounded (the reject path is
-//               cheap and never queues behind real work), and a
-//               concurrent Server::rebuild() completes mid-overload
-//               with every accepted response epoch-pure
+//               generously-queued server, after one pass over the
+//               request pool warmed the cache — QPS and p50/p99 latency
+//               of accepted replies, zero sheds expected, and at least
+//               99% of replies answered from the cache on the IO thread
+//               (NetServer::stats, counted whatever FA_OBS says)
+//   saturation  many closed-loop clients, each call a distinct query
+//               (a miss), against 1 worker and a tiny admission queue —
+//               BUSY sheds must rise while the p99 of *accepted*
+//               replies stays bounded (the reject path is cheap and
+//               never queues behind real work), and a concurrent
+//               Server::rebuild() completes mid-overload with every
+//               accepted response epoch-pure
+//
+// The exit code is non-zero unless the rebuild succeeded, every
+// accepted reply was epoch-pure, shedding was demonstrated, and the
+// warm pass ran at least 99% inline.
 //
 // Sizes for smoke runs come from the environment:
 //   FA_NET_WORKERS         throughput-phase worker threads (default 4)
@@ -49,11 +57,12 @@ std::size_t env_size(const char* name, std::size_t fallback) {
              : fallback;
 }
 
-// Mixed-shape request pool; clients sample it with repetition. Same
-// spatial envelope as bench_serve_qps so the two benches stress the
-// same snapshot regions.
-std::vector<serve::Request> request_pool(std::size_t distinct) {
-  std::mt19937_64 rng(5'364'949);
+// Mixed-shape request pool. Same spatial envelope as bench_serve_qps so
+// the two benches stress the same snapshot regions; coordinates are
+// continuous, so two seeds share no query.
+std::vector<serve::Request> request_pool(std::size_t distinct,
+                                         std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> lon(-122.0, -70.0);
   std::uniform_real_distribution<double> lat(26.0, 48.0);
   std::vector<serve::Request> pool;
@@ -93,11 +102,17 @@ struct LoadStats {
   std::uint64_t max_epoch = 0;
 };
 
+// How a client picks its next request from the pool.
+enum class Draw : std::uint8_t {
+  kRepeat,    // sample with repetition
+  kDistinct,  // client t walks its own slice: every call a new query
+};
+
 // `threads` closed-loop clients, one connection each, `per_thread`
 // framed calls per client. BUSY/RATE_LIMITED are answers (counted, not
 // retried); a transport failure aborts the bench.
 LoadStats run_load(std::uint16_t port, const std::vector<serve::Request>& pool,
-                   int threads, std::size_t per_thread) {
+                   int threads, std::size_t per_thread, Draw draw) {
   using Clock = std::chrono::steady_clock;
   struct PerThread {
     std::vector<std::uint64_t> latencies_ns;
@@ -124,7 +139,10 @@ LoadStats run_load(std::uint16_t port, const std::vector<serve::Request>& pool,
       mine.latencies_ns.reserve(per_thread);
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::size_t i = 0; i < per_thread; ++i) {
-        const serve::Request& req = pool[pick(rng)];
+        const serve::Request& req =
+            draw == Draw::kDistinct
+                ? pool[static_cast<std::size_t>(t) * per_thread + i]
+                : pool[pick(rng)];
         const Clock::time_point t0 = Clock::now();
         fault::Result<net::Client::Reply> reply = client.call(req);
         const Clock::time_point t1 = Clock::now();
@@ -202,7 +220,9 @@ int main() {
   const std::size_t sat_queue = env_size("FA_NET_SAT_QUEUE", 4);
 
   constexpr std::size_t kDistinct = 192;
-  const std::vector<serve::Request> pool = request_pool(kDistinct);
+  const std::vector<serve::Request> pool = request_pool(kDistinct, 5'364'949);
+  const std::vector<serve::Request> sat_pool =
+      request_pool(sat_clients * sat_per_thread, 20'250'107);
 
   bench::Stopwatch build_timer;
   serve::Server backend(cfg);
@@ -210,19 +230,24 @@ int main() {
               static_cast<unsigned long long>(backend.epoch()));
 
   // -- throughput phase ------------------------------------------------
-  std::printf("[throughput] %zu workers, queue 256, %zu calls per client\n",
+  std::printf("[throughput] %zu workers, queue 256, %zu calls per client, "
+              "warm cache\n",
               workers, per_thread);
   core::TextTable table(
       {"Threads", "QPS", "p50 (us)", "p99 (us)", "Accepted", "Shed"});
   io::JsonArray rows;
+  net::NetServerStats warm;
   {
     net::NetServerOptions options;
     options.workers = static_cast<int>(workers);
     options.queue_capacity = 256;
     net::NetServer front(backend, options);
+    // One pass over the pool fills the cache in the binary codec.
+    (void)run_load(front.port(), pool, 1, kDistinct, Draw::kDistinct);
+    const net::NetServerStats before = front.stats();
     for (const int threads : {1, 2, 4, 8}) {
       const LoadStats r =
-          run_load(front.port(), pool, threads, per_thread);
+          run_load(front.port(), pool, threads, per_thread, Draw::kRepeat);
       table.add_row({std::to_string(threads), core::fmt_double(r.qps, 0),
                      core::fmt_double(r.p50_us, 1),
                      core::fmt_double(r.p99_us, 1),
@@ -235,16 +260,30 @@ int main() {
           {"accepted", static_cast<double>(r.accepted)},
           {"shed", static_cast<double>(r.shed)}});
     }
+    const net::NetServerStats after = front.stats();
+    warm.inline_hits = after.inline_hits - before.inline_hits;
+    warm.pool_replies = after.pool_replies - before.pool_replies;
     front.shutdown(/*drain=*/true);
   }
   std::printf("%s\n", table.str().c_str());
+  const std::uint64_t warm_replies = warm.inline_hits + warm.pool_replies;
+  const double inline_ratio =
+      warm_replies > 0 ? static_cast<double>(warm.inline_hits) /
+                             static_cast<double>(warm_replies)
+                       : 0.0;
+  const bool inline_ok = inline_ratio >= 0.99;
+  std::printf("  warm pass: %llu of %llu replies from the cache on the IO "
+              "thread (%.2f%%) — %s\n\n",
+              static_cast<unsigned long long>(warm.inline_hits),
+              static_cast<unsigned long long>(warm_replies),
+              100.0 * inline_ratio, inline_ok ? "ok" : "BELOW 99%");
 
   // -- saturation phase ------------------------------------------------
   // One worker, a tiny admission queue, and more closed-loop clients
   // than the queue can hold: overflow arrivals must be shed with cheap
   // BUSY frames while a rebuild() races the overload.
-  std::printf("[saturation] 1 worker, queue %zu, %zu clients x %zu calls, "
-              "rebuild() mid-flight\n",
+  std::printf("[saturation] 1 worker, queue %zu, %zu clients x %zu distinct "
+              "calls, rebuild() mid-flight\n",
               sat_queue, sat_clients, sat_per_thread);
   LoadStats sat;
   std::uint64_t final_epoch = 0;
@@ -259,8 +298,8 @@ int main() {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       rebuild_ok = backend.rebuild(cfg).ok();
     });
-    sat = run_load(front.port(), pool, static_cast<int>(sat_clients),
-                   sat_per_thread);
+    sat = run_load(front.port(), sat_pool, static_cast<int>(sat_clients),
+                   sat_per_thread, Draw::kDistinct);
     rebuilder.join();
     front.shutdown(/*drain=*/true);
   }
@@ -301,9 +340,11 @@ int main() {
   payload["per_thread"] = static_cast<double>(per_thread);
   payload["distinct_queries"] = static_cast<double>(kDistinct);
   payload["shed_demonstrated"] = shed_demonstrated;
+  payload["inline_hit_ratio"] = inline_ratio;
+  payload["inline_ok"] = inline_ok;
   payload["rows"] = io::JsonValue{std::move(rows)};
   payload["saturation"] = io::JsonValue{std::move(saturation)};
   bench::print_json_trailer("serve_net", io::JsonValue{std::move(payload)},
                             &run_timer);
-  return epoch_pure && rebuild_ok ? 0 : 1;
+  return epoch_pure && rebuild_ok && shed_demonstrated && inline_ok ? 0 : 1;
 }

@@ -23,7 +23,6 @@
 
 #include "bench_common.hpp"
 #include "exec/exec.hpp"
-#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -91,14 +90,11 @@ struct LoadResult {
 };
 
 // Runs `threads` closed-loop clients for `per_thread` queries each.
-LoadResult run_load(serve::Server& server, obs::Registry& registry,
-                    const std::vector<AnyQuery>& pool, int threads,
-                    std::size_t per_thread) {
+LoadResult run_load(serve::Server& server, const std::vector<AnyQuery>& pool,
+                    int threads, std::size_t per_thread) {
   using Clock = std::chrono::steady_clock;
-  const std::uint64_t hits0 =
-      registry.counter(obs::metrics::kServeCacheHits).value();
-  const std::uint64_t misses0 =
-      registry.counter(obs::metrics::kServeCacheMisses).value();
+  // The cache's own tallies: exact whether or not FA_OBS is on.
+  const serve::ShardedCache::Stats before = server.cache_stats();
 
   std::vector<std::vector<std::uint64_t>> latencies(
       static_cast<std::size_t>(threads));
@@ -145,10 +141,9 @@ LoadResult run_load(serve::Server& server, obs::Registry& registry,
   result.qps = wall_s > 0.0 ? static_cast<double>(all.size()) / wall_s : 0.0;
   result.p50_us = pct(0.50);
   result.p99_us = pct(0.99);
-  const std::uint64_t hits =
-      registry.counter(obs::metrics::kServeCacheHits).value() - hits0;
-  const std::uint64_t misses =
-      registry.counter(obs::metrics::kServeCacheMisses).value() - misses0;
+  const serve::ShardedCache::Stats after = server.cache_stats();
+  const std::uint64_t hits = after.hits - before.hits;
+  const std::uint64_t misses = after.misses - before.misses;
   result.hit_rate = hits + misses > 0
                         ? static_cast<double>(hits) /
                               static_cast<double>(hits + misses)
@@ -209,7 +204,7 @@ int main() {
     for (std::size_t t = 0; t < 4; ++t) {
       const int threads = thread_counts[t];
       const LoadResult r =
-          run_load(server, registry, pool, threads, kPerThread);
+          run_load(server, pool, threads, kPerThread);
       qps[m][t] = r.qps;
       table.add_row({mode.name, std::to_string(threads),
                      core::fmt_double(r.qps, 0),

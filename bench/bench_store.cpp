@@ -30,14 +30,14 @@ int main() {
   using namespace fa;
 
   bench::Stopwatch run_timer;
-  core::AnalysisContext& ctx = bench::bench_context(
+  const synth::ScenarioConfig cfg = bench::bench_banner(
       "fa::store — snapshot persistence vs full rebuild");
-  const synth::ScenarioConfig cfg = ctx.world().config();
+  std::printf("\n");
 
   // Baseline: the World-free sharded build a store-less server runs.
   bench::Stopwatch build_timer;
   auto built = shard::ShardedWorld::build(
-      cfg, core::World::BuildOptions{ctx.recovery_policy, nullptr}, {});
+      cfg, core::World::BuildOptions{bench::bench_policy(), nullptr}, {});
   const double build_s = build_timer.seconds();
   if (!built.ok()) {
     std::fprintf(stderr, "sharded build failed: %s\n",

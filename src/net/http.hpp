@@ -29,9 +29,11 @@
 //
 // Responses are JSON (io::JsonValue, deterministic key order). The shim
 // shares the binary path's admission control end to end: parsed
-// requests enter the same bounded queue, quotas and shedding included —
-// BUSY maps to 503, RATE_LIMITED to 429, SHUTTING_DOWN to 503,
-// BAD_REQUEST to 400, TOO_LARGE to 413.
+// requests pass the same drain and quota checks and the same cache
+// probe (a hit answers from the cached JSON body), and misses enter the
+// same bounded queue, shedding included — BUSY maps to 503,
+// RATE_LIMITED to 429, SHUTTING_DOWN to 503, BAD_REQUEST to 400,
+// TOO_LARGE to 413.
 //
 // Parsing is deliberately small: request line + headers (Content-Length
 // and Connection are the only ones consulted), optional body, with hard
@@ -47,6 +49,7 @@
 
 #include "io/json.hpp"
 #include "net/protocol.hpp"
+#include "serve/json.hpp"
 #include "serve/types.hpp"
 
 namespace fa::serve {
@@ -106,8 +109,9 @@ HttpRoute route_http(const HttpRequest& req);
 // -- response rendering ------------------------------------------------
 
 // JSON document for one typed response (shared by the HTTP shim and the
-// scenario payload builder).
-io::JsonValue response_json(const serve::Response& response);
+// scenario payload builder); rendered by fa::serve so the result cache
+// can hold the body bytes (serve/json.hpp).
+using serve::response_json;
 
 // Complete HTTP/1.1 response bytes.
 std::string http_response(int status, std::string_view json_body,
@@ -126,8 +130,8 @@ inline constexpr double kCampFireLat = 39.810;
 
 // URL token for a provider (att/tmobile/sprint/verizon/regional) and
 // its inverse, used by /providers/{name} and the by_provider JSON keys.
-std::string_view provider_token(cellnet::Provider p);
-std::optional<cellnet::Provider> provider_from_token(std::string_view token);
+using serve::provider_from_token;
+using serve::provider_token;
 
 // Prebuilt /scenario/camp-fire-2018 payload: point risk at the
 // ignition, the 25 riskiest sites within 60 km, and all five provider

@@ -74,12 +74,10 @@ constexpr bool http_method_prefix(std::string_view head) {
 
 struct Conn;
 
-// One unit of response work. Either a live request (evaluated through
-// Server::handle by a worker) or a canned answer — reject frames,
-// health, 404s — whose bytes were prebuilt on the IO thread. Both kinds
-// carry a per-connection sequence number so replies reach the outbox
-// strictly in request order: the frames carry no request id, ordering
-// IS the correlation.
+// A miss (or the scenario composite) handed to the worker pool. It
+// carries its connection's sequence number: replies leave strictly in
+// request order whichever thread finishes first — the frames carry no
+// request id, ordering IS the correlation.
 struct Work {
   enum class Kind : std::uint8_t { kQuery, kScenario };
 
@@ -88,14 +86,23 @@ struct Work {
   Kind kind = Kind::kQuery;
   bool http = false;
   bool keep_alive = true;
-  bool close_after = false;
   std::uint64_t seq = 0;
-  std::string canned;  // non-empty: deliver these bytes verbatim
+};
+
+// Finished reply bytes. The thread that produced them — the IO thread
+// for cache hits and canned answers, a worker for a miss — hands them
+// to the connection's reorder buffer, which appends them to the outbox
+// once every earlier reply has been.
+struct Reply {
+  std::uint64_t seq = 0;
+  std::string bytes;
+  bool close_after = false;  // close the connection once flushed
+  bool frame = false;        // one binary frame (net.frames_out)
 };
 
 // One accepted socket. Parser state, the token bucket, and the fd are
-// owned by the IO thread; `mu` guards the outbox and the ordering state
-// shared with workers.
+// owned by the IO thread; `mu` guards the outbox, the reorder buffer
+// and the send state, which workers share.
 struct Conn {
   enum class Proto : std::uint8_t { kUnknown, kBinary, kHttp };
 
@@ -108,12 +115,10 @@ struct Conn {
   HttpAssembler http;
   TokenBucket bucket;
   std::uint64_t requests_seen = 0;  // fault key: net.frame.decode
-  std::uint64_t flush_seq = 0;      // fault key: net.conn.slow
-  std::uint64_t admit_seq = 0;      // last stamped request seq
+  std::uint64_t admit_seq = 0;      // last stamped reply seq
   std::uint64_t last_activity_ns = 0;
-  bool want_write = false;   // EPOLLOUT armed
-  bool error_sent = false;   // poisoned stream answered; discard reads
-  bool dead = false;         // fd closed; shared_ptrs may outlive it
+  bool error_sent = false;  // poisoned stream answered; discard reads
+  bool dead = false;        // fd closed; shared_ptrs may outlive it
 
   // -- shared with workers (under mu) ----------------------------------
   std::mutex mu;
@@ -122,30 +127,26 @@ struct Conn {
   // empty outbox and whenever send() moves bytes. The sweep expires
   // connections whose outbox sat non-empty past write_timeout_ms.
   std::uint64_t outbox_progress_ns = 0;
-  std::vector<Work> pending;   // out-of-order completions parked here
-  std::uint64_t next_seq = 1;  // next response the peer expects
-  bool busy = false;           // a worker is executing for this conn
-  bool closed = false;         // worker-visible mirror of `dead`
+  std::uint64_t flush_seq = 0;  // fault key: net.conn.slow
+  std::vector<Reply> parked;    // finished out of order, ascending seq
+  std::uint64_t next_seq = 1;   // next reply the peer expects
+  bool want_write = false;      // EPOLLOUT armed
+  bool closed = false;          // worker-visible mirror of `dead`
   bool close_after_flush = false;
-  bool overflow = false;  // outbox blew max_outbox_bytes; drop the peer
+  bool overflow = false;     // outbox blew max_outbox_bytes; drop the peer
+  bool send_failed = false;  // send() hit a dead socket; close the peer
 
-  // Admitted-but-unanswered requests (drain + idle-sweep bookkeeping).
-  std::atomic<std::uint32_t> in_flight{0};
+  // Every stamped reply is in the outbox (IO thread, mu held): nothing
+  // is queued, executing, or parked for this connection.
+  bool answered() const { return next_seq == admit_seq + 1; }
+};
 
-  // All three require mu.
-  void pending_insert(Work w) {
-    auto it = std::find_if(pending.begin(), pending.end(),
-                           [&](const Work& p) { return p.seq > w.seq; });
-    pending.insert(it, std::move(w));
-  }
-  bool pending_ready() const {
-    return !pending.empty() && pending.front().seq == next_seq;
-  }
-  Work pending_pop() {
-    Work w = std::move(pending.front());
-    pending.erase(pending.begin());
-    return w;
-  }
+// One flush round's verdict (see Impl::flush_locked).
+enum class Flush : std::uint8_t {
+  kIdle,     // outbox empty
+  kBlocked,  // bytes left: the socket (or the net.conn.slow seam) stalled
+  kDrop,     // outbox overflowed: drop the slow peer
+  kFailed,   // send() failed: close the peer
 };
 
 struct NetServer::Impl {
@@ -161,24 +162,22 @@ struct NetServer::Impl {
   std::atomic<bool> draining{false};
   std::atomic<bool> stop{false};
   std::atomic<bool> quiescent{false};
-  std::atomic<std::uint64_t> in_flight_total{0};
   std::uint64_t next_conn_id = 1;
 
-  // Admission queue (bounded; full = shed) and the canned-reply side
-  // queue (unbounded but each entry is a few hundred prebuilt bytes
-  // tied to one received request — inbound socket rate bounds it).
+  // The pool's admission queue: misses and scenario composites only
+  // (bounded; full = shed). Cache hits and canned replies never enter
+  // it.
   std::mutex qmu;
   std::condition_variable qcv;
   std::deque<Work> queue;
-  std::deque<Work> canned_queue;
 
   // IO-thread-owned connection table.
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
 
-  // Connections with freshly appended outbox bytes (workers push, the
-  // eventfd wakes the IO thread to flush).
-  std::mutex dirty_mu;
-  std::vector<std::shared_ptr<Conn>> dirty;
+  // Component-owned reply tallies (NetServer::stats), exact under any
+  // FA_OBS setting. Only the IO thread writes inline_hits.
+  std::atomic<std::uint64_t> inline_hits{0};
+  std::atomic<std::uint64_t> pool_replies{0};
 
   std::mutex shutdown_mu;
   bool joined = false;
@@ -308,14 +307,18 @@ struct NetServer::Impl {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     }
-    stop.store(true, std::memory_order_release);
+    {
+      // Under qmu: a worker that just found the queue empty holds qmu
+      // until it blocks, so the stop it re-checks is never missed.
+      std::lock_guard<std::mutex> lk(qmu);
+      stop.store(true, std::memory_order_release);
+    }
     qcv.notify_all();
     wake();
     for (auto& t : workers) t.join();
     io_thread.join();
-    // Workers and this thread wake() the IO loop until they are joined;
-    // closing the eventfd any earlier races those writes (and a reused
-    // descriptor number would take them).
+    // The eventfd only carries these shutdown wakes; it closes once the
+    // IO thread that reads it has joined.
     ::close(wake_fd);
     wake_fd = -1;
     joined = true;
@@ -382,9 +385,10 @@ struct NetServer::Impl {
           continue;
         }
         if (ev & EPOLLIN) read_conn(conn);
-        if (!conn->dead && (ev & EPOLLOUT)) flush_conn(*conn);
+        // EPOLLOUT is armed while the outbox is blocked, and by a worker
+        // that left the IO thread a verdict (drop, failed send, close).
+        if (ev & EPOLLOUT) flush_conn(*conn);
       }
-      flush_dirty();
       const std::uint64_t now = reg.now_ns();
       if (now - last_sweep_ns >= 100'000'000ull) {
         sweep_timeouts(now);
@@ -399,6 +403,7 @@ struct NetServer::Impl {
       {
         std::lock_guard<std::mutex> lk(conn->mu);
         conn->closed = true;
+        conn->parked.clear();
       }
       ::close(fd);
       c_closed.add();
@@ -433,12 +438,16 @@ struct NetServer::Impl {
     }
   }
 
+  // Closing is the IO thread's job alone. `closed` is set under mu
+  // before the fd closes, so a worker that sees it clear under mu may
+  // still send() on (or re-arm) this fd, never on a reused number.
   void close_conn(Conn& conn) {
     if (conn.dead) return;
     conn.dead = true;
     {
       std::lock_guard<std::mutex> lk(conn.mu);
       conn.closed = true;
+      conn.parked.clear();
     }
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn.fd, nullptr);
     ::close(conn.fd);
@@ -454,6 +463,9 @@ struct NetServer::Impl {
         c_bytes_in.add(static_cast<std::uint64_t>(r));
         conn->last_activity_ns = reg.now_ns();
         ingest(conn, std::string_view(buf, static_cast<std::size_t>(r)));
+        // Hits and canned replies answered by this chunk leave now,
+        // before the IO thread goes back to epoll_wait.
+        flush_conn(*conn);
         if (conn->dead) return;
         if (r < static_cast<ssize_t>(sizeof buf)) return;
         continue;
@@ -508,9 +520,8 @@ struct NetServer::Impl {
                                    : ErrorCode::kBadRequest;
         c_bad.add();
         conn->error_sent = true;
-        send_canned(conn, error_frame(code, next.status().message),
-                    /*http=*/false, /*keep_alive=*/false,
-                    /*close_after=*/true);
+        reply_inline(*conn, error_frame(code, next.status().message),
+                     /*frame=*/true, /*close_after=*/true);
         return;
       }
       std::optional<std::string> opt = std::move(next).take();
@@ -527,10 +538,9 @@ struct NetServer::Impl {
         // The frame boundary held, so the stream is still synchronized;
         // reject this request and keep the connection.
         c_bad.add();
-        send_canned(conn,
-                    error_frame(ErrorCode::kBadRequest, req.status().message),
-                    /*http=*/false, /*keep_alive=*/true,
-                    /*close_after=*/false);
+        reply_inline(*conn,
+                     error_frame(ErrorCode::kBadRequest, req.status().message),
+                     /*frame=*/true, /*close_after=*/false);
         continue;
       }
       Work w;
@@ -551,11 +561,11 @@ struct NetServer::Impl {
             status == 413 ? ErrorCode::kTooLarge : ErrorCode::kBadRequest;
         c_bad.add();
         conn->error_sent = true;
-        send_canned(conn,
-                    http_response(status,
-                                  http_error_body(code, next.status().message),
-                                  false),
-                    /*http=*/true, /*keep_alive=*/false, /*close_after=*/true);
+        reply_inline(*conn,
+                     http_response(status,
+                                   http_error_body(code, next.status().message),
+                                   false),
+                     /*frame=*/false, /*close_after=*/true);
         return;
       }
       std::optional<HttpRequest> opt = std::move(next).take();
@@ -571,29 +581,30 @@ struct NetServer::Impl {
                             ? "draining"
                             : "serving";
           o["epoch"] = static_cast<double>(server.epoch());
-          send_canned(conn,
-                      http_response(200, io::to_json(io::JsonValue{std::move(o)}),
-                                    req.keep_alive),
-                      /*http=*/true, req.keep_alive, !req.keep_alive);
+          reply_inline(*conn,
+                       http_response(200,
+                                     io::to_json(io::JsonValue{std::move(o)}),
+                                     req.keep_alive),
+                       /*frame=*/false, !req.keep_alive);
           break;
         }
         case HttpRoute::Kind::kNotFound:
           c_bad.add();
-          send_canned(conn,
-                      http_response(404,
-                                    http_error_body(ErrorCode::kBadRequest,
-                                                    "no such endpoint"),
-                                    req.keep_alive),
-                      /*http=*/true, req.keep_alive, !req.keep_alive);
+          reply_inline(*conn,
+                       http_response(404,
+                                     http_error_body(ErrorCode::kBadRequest,
+                                                     "no such endpoint"),
+                                     req.keep_alive),
+                       /*frame=*/false, !req.keep_alive);
           break;
         case HttpRoute::Kind::kBadRequest:
           c_bad.add();
-          send_canned(conn,
-                      http_response(400,
-                                    http_error_body(ErrorCode::kBadRequest,
-                                                    route.error),
-                                    req.keep_alive),
-                      /*http=*/true, req.keep_alive, !req.keep_alive);
+          reply_inline(*conn,
+                       http_response(400,
+                                     http_error_body(ErrorCode::kBadRequest,
+                                                     route.error),
+                                     req.keep_alive),
+                       /*frame=*/false, !req.keep_alive);
           break;
         case HttpRoute::Kind::kScenario: {
           Work w;
@@ -620,156 +631,179 @@ struct NetServer::Impl {
 
   // -- admission (IO thread) -------------------------------------------
 
+  // Drain, quota, then the cache: a hit is answered here, in this
+  // pass, and only a miss (or the scenario composite) reaches the
+  // bounded pool queue — so BUSY sheds pool work only, and a hit is
+  // answered even while the pool is saturated.
   void admit(Work w) {
-    const std::shared_ptr<Conn> conn = w.conn;
+    Conn& conn = *w.conn;
     const std::uint64_t now = reg.now_ns();
     ErrorCode rc{};
     std::string_view detail;
-    bool rejected = false;
     if (draining.load(std::memory_order_acquire)) {
       c_shutdown_rejects.add();
       rc = ErrorCode::kShuttingDown;
       detail = "server draining; no new work admitted";
-      rejected = true;
-    } else if (!conn->bucket.take(now)) {
+    } else if (!conn.bucket.take(now)) {
       c_rate_limited.add();
       rc = ErrorCode::kRateLimited;
       detail = "per-connection quota exceeded";
-      rejected = true;
-    }
-    if (!rejected) {
+    } else if (w.kind == Work::Kind::kQuery && answer_hit(w, now)) {
+      return;
+    } else {
       std::lock_guard<std::mutex> lk(qmu);
-      if (queue.size() >= opts.queue_capacity) {
-        c_sheds.add();
-        rc = ErrorCode::kBusy;
-        detail = "admission queue full";
-        rejected = true;
-      } else {
-        w.seq = ++conn->admit_seq;
-        conn->in_flight.fetch_add(1, std::memory_order_relaxed);
-        in_flight_total.fetch_add(1, std::memory_order_relaxed);
+      if (queue.size() < opts.queue_capacity) {
+        w.seq = ++conn.admit_seq;
         h_queue_depth.record(queue.size());
         queue.push_back(std::move(w));
         qcv.notify_one();
         return;
       }
+      c_sheds.add();
+      rc = ErrorCode::kBusy;
+      detail = "admission queue full";
     }
     // Cheap reject: bytes prebuilt here, never touching the serving
     // stack, delivered through the same ordered pipeline.
-    send_canned(conn,
-                w.http ? http_response(http_status_for(rc),
-                                       http_error_body(rc, detail),
-                                       w.keep_alive)
-                       : error_frame(rc, detail),
-                w.http, w.keep_alive, w.http && !w.keep_alive);
+    reply_inline(conn,
+                 w.http ? http_response(http_status_for(rc),
+                                        http_error_body(rc, detail),
+                                        w.keep_alive)
+                        : error_frame(rc, detail),
+                 /*frame=*/!w.http, w.http && !w.keep_alive);
   }
 
-  // Enqueues prebuilt response bytes (rejects, health, parse errors)
-  // behind this connection's in-flight requests. IO thread only.
-  void send_canned(const std::shared_ptr<Conn>& conn, std::string bytes,
-                   bool http, bool keep_alive, bool close_after) {
-    if (conn->dead) return;
-    Work w;
-    w.conn = conn;
-    w.http = http;
-    w.keep_alive = keep_alive;
-    w.close_after = close_after;
-    w.canned = std::move(bytes);
-    w.seq = ++conn->admit_seq;
-    conn->in_flight.fetch_add(1, std::memory_order_relaxed);
-    in_flight_total.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lk(qmu);
-      canned_queue.push_back(std::move(w));
-    }
-    qcv.notify_one();
+  // Answers `w` from the result cache's encoded bytes, on the IO
+  // thread, if the current epoch holds them for its codec. A probe miss
+  // counts nothing; the worker's handle() counts the request.
+  bool answer_hit(const Work& w, std::uint64_t t0) {
+    const serve::SharedReply hit = server.probe(w.request, codec_of(w));
+    if (!hit) return false;
+    const std::string& payload = std::get<std::string>(*hit);
+    reply_inline(*w.conn,
+                 w.http ? http_response(200, payload, w.keep_alive)
+                        : frame(payload),
+                 /*frame=*/!w.http, w.http && !w.keep_alive);
+    latency_histogram(w.request).record(reg.now_ns() - t0);
+    c_ok.add();
+    inline_hits.store(inline_hits.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+    return true;
   }
 
-  // -- flushing (IO thread) --------------------------------------------
-
-  void flush_dirty() {
-    std::vector<std::shared_ptr<Conn>> batch;
-    {
-      std::lock_guard<std::mutex> lk(dirty_mu);
-      batch.swap(dirty);
-    }
-    for (const auto& conn : batch) {
-      if (!conn->dead) flush_conn(*conn);
-    }
+  static serve::Codec codec_of(const Work& w) {
+    return w.http ? serve::Codec::kJson : serve::Codec::kBinary;
   }
 
-  void flush_conn(Conn& conn) {
+  // Stamps the next reply seq and delivers bytes the IO thread built
+  // (hits, health, rejects, parse errors) behind this connection's
+  // earlier replies. The caller's read pass flushes them.
+  void reply_inline(Conn& conn, std::string bytes, bool frame,
+                    bool close_after) {
     if (conn.dead) return;
-    conn.flush_seq++;
-    bool drop_now = false;
-    {
-      // The overflow verdict comes first: a peer that stopped reading
-      // (or a flush stalled by the net.conn.slow fault) must be dropped
-      // even if every subsequent round would also stall.
-      std::lock_guard<std::mutex> lk(conn.mu);
-      drop_now = conn.overflow;
-    }
-    if (drop_now) {
-      c_dropped_slow.add();
-      close_conn(conn);
+    Reply r{++conn.admit_seq, std::move(bytes), close_after, frame};
+    std::lock_guard<std::mutex> lk(conn.mu);
+    deliver_locked(conn, std::move(r));
+  }
+
+  // -- ordered delivery (any thread, conn.mu held) ---------------------
+
+  // Appends `r` to the outbox if it is the reply the peer expects next,
+  // then every parked reply it unblocks; parks it otherwise.
+  void deliver_locked(Conn& conn, Reply r) {
+    if (r.seq != conn.next_seq) {
+      auto it = std::find_if(conn.parked.begin(), conn.parked.end(),
+                             [&](const Reply& p) { return p.seq > r.seq; });
+      conn.parked.insert(it, std::move(r));
       return;
     }
+    append_locked(conn, std::move(r));
+    std::size_t drained = 0;
+    while (drained < conn.parked.size() &&
+           conn.parked[drained].seq == conn.next_seq) {
+      append_locked(conn, std::move(conn.parked[drained++]));
+    }
+    conn.parked.erase(conn.parked.begin(),
+                      conn.parked.begin() +
+                          static_cast<std::ptrdiff_t>(drained));
+  }
+
+  void append_locked(Conn& conn, Reply r) {
+    conn.next_seq++;
+    if (conn.outbox.empty()) {
+      conn.outbox_progress_ns = reg.now_ns();
+      conn.outbox = std::move(r.bytes);
+    } else {
+      conn.outbox.append(r.bytes);
+    }
+    if (r.close_after) conn.close_after_flush = true;
+    if (conn.outbox.size() > opts.max_outbox_bytes) conn.overflow = true;
+    if (r.frame) c_frames_out.add();
+  }
+
+  // -- flushing --------------------------------------------------------
+
+  // One flush round over the outbox, by the IO thread or by a worker
+  // (conn.mu held, conn not closed). Every send path runs through here,
+  // so flush_seq, the net.conn.slow seam and outbox_progress_ns cover
+  // them all.
+  Flush flush_locked(Conn& conn) {
+    // The overflow verdict comes first: a peer that stopped reading
+    // (or a flush stalled by the net.conn.slow fault) must be dropped
+    // even if every subsequent round would also stall.
+    if (conn.overflow) return Flush::kDrop;
+    if (conn.send_failed) return Flush::kFailed;
+    conn.flush_seq++;
     const fault::Injector& inj = fault::Injector::global();
     if (inj.armed() && inj.fires(kSlowClientSite, conn.flush_seq)) {
       // Simulated stalled writer: skip the round, stay write-armed so
       // the backlog (and the overflow guard) is exercised next round.
-      if (!conn.want_write) {
-        conn.want_write = true;
-        epoll_mod(conn.fd, EPOLLIN | EPOLLOUT);
-      }
-      return;
+      return Flush::kBlocked;
     }
-    bool drop_slow = false;
+    while (!conn.outbox.empty()) {
+      const ssize_t n = ::send(conn.fd, conn.outbox.data(),
+                               conn.outbox.size(), MSG_NOSIGNAL);
+      if (n > 0) {
+        c_bytes_out.add(static_cast<std::uint64_t>(n));
+        conn.outbox.erase(0, static_cast<std::size_t>(n));
+        conn.outbox_progress_ns = reg.now_ns();
+        continue;
+      }
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        return Flush::kBlocked;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      conn.send_failed = true;
+      return Flush::kFailed;
+    }
+    return Flush::kIdle;
+  }
+
+  // EPOLLOUT interest (conn.mu held, conn not closed).
+  void want_write_locked(Conn& conn, bool on) {
+    if (conn.want_write == on) return;
+    conn.want_write = on;
+    epoll_mod(conn.fd, on ? (EPOLLIN | EPOLLOUT) : EPOLLIN);
+  }
+
+  // IO thread: flushes, then acts on the verdict — closing is its job
+  // alone. EPOLLOUT stays armed exactly while the outbox is blocked.
+  void flush_conn(Conn& conn) {
+    if (conn.dead) return;
+    Flush verdict;
     bool close_now = false;
-    bool blocked = false;
     {
       std::lock_guard<std::mutex> lk(conn.mu);
-      if (conn.overflow) {
-        drop_slow = true;
-      } else {
-        while (!conn.outbox.empty()) {
-          const ssize_t n = ::send(conn.fd, conn.outbox.data(),
-                                   conn.outbox.size(), MSG_NOSIGNAL);
-          if (n > 0) {
-            c_bytes_out.add(static_cast<std::uint64_t>(n));
-            conn.outbox.erase(0, static_cast<std::size_t>(n));
-            conn.outbox_progress_ns = reg.now_ns();
-            continue;
-          }
-          if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            blocked = true;
-            break;
-          }
-          if (n < 0 && errno == EINTR) continue;
-          close_now = true;
-          break;
-        }
-        if (conn.outbox.empty() && conn.close_after_flush &&
-            conn.in_flight.load(std::memory_order_relaxed) == 0) {
-          close_now = true;
-        }
-      }
+      verdict = flush_locked(conn);
+      close_now = verdict == Flush::kIdle && conn.close_after_flush &&
+                  conn.answered();
+      want_write_locked(conn, verdict == Flush::kBlocked);
     }
-    if (drop_slow) {
+    if (verdict == Flush::kDrop) {
       c_dropped_slow.add();
       close_conn(conn);
-      return;
-    }
-    if (close_now) {
+    } else if (verdict == Flush::kFailed || close_now) {
       close_conn(conn);
-      return;
-    }
-    if (blocked && !conn.want_write) {
-      conn.want_write = true;
-      epoll_mod(conn.fd, EPOLLIN | EPOLLOUT);
-    } else if (!blocked && conn.want_write) {
-      conn.want_write = false;
-      epoll_mod(conn.fd, EPOLLIN);
     }
   }
 
@@ -798,7 +832,7 @@ struct NetServer::Impl {
         continue;
       }
       if (!mid && idle_ns > opts.idle_timeout_ms * 1'000'000ull &&
-          conn->in_flight.load(std::memory_order_relaxed) == 0) {
+          conn->answered()) {
         expired.push_back(conn);
       }
     }
@@ -809,14 +843,13 @@ struct NetServer::Impl {
   }
 
   void check_quiescent() {
-    if (in_flight_total.load(std::memory_order_relaxed) != 0) return;
     {
       std::lock_guard<std::mutex> lk(qmu);
-      if (!queue.empty() || !canned_queue.empty()) return;
+      if (!queue.empty()) return;
     }
     for (const auto& [fd, conn] : conns) {
       std::lock_guard<std::mutex> lk(conn->mu);
-      if (!conn->outbox.empty() || conn->busy) return;
+      if (!conn->outbox.empty() || !conn->answered()) return;
     }
     quiescent.store(true, std::memory_order_release);
   }
@@ -829,73 +862,36 @@ struct NetServer::Impl {
       {
         std::unique_lock<std::mutex> lk(qmu);
         qcv.wait(lk, [this] {
-          return stop.load(std::memory_order_acquire) ||
-                 !canned_queue.empty() || !queue.empty();
+          return stop.load(std::memory_order_acquire) || !queue.empty();
         });
         if (stop.load(std::memory_order_acquire)) return;
-        if (!canned_queue.empty()) {
-          w = std::move(canned_queue.front());
-          canned_queue.pop_front();
-        } else {
-          w = std::move(queue.front());
-          queue.pop_front();
-        }
+        w = std::move(queue.front());
+        queue.pop_front();
       }
-      deliver(std::move(w));
+      Reply r{w.seq, execute(w), w.http && !w.keep_alive, !w.http};
+      pool_replies.fetch_add(1, std::memory_order_relaxed);
+      complete(*w.conn, std::move(r));
     }
   }
 
-  // Hands one unit of work to its connection's ordered pipeline:
-  // responses append to the outbox strictly in admission order, however
-  // workers interleave.
-  void deliver(Work w) {
-    std::shared_ptr<Conn> conn = w.conn;
-    {
-      std::lock_guard<std::mutex> lk(conn->mu);
-      conn->pending_insert(std::move(w));
-    }
-    for (;;) {
-      Work job;
-      {
-        std::lock_guard<std::mutex> lk(conn->mu);
-        if (conn->busy) return;
-        if (!conn->pending_ready()) return;
-        job = conn->pending_pop();
-        conn->busy = true;
-      }
-      const std::string out = execute(job);
-      bool notify_io = false;
-      {
-        std::lock_guard<std::mutex> lk(conn->mu);
-        conn->busy = false;
-        conn->next_seq++;
-        if (!conn->closed) {
-          if (conn->outbox.empty()) conn->outbox_progress_ns = reg.now_ns();
-          conn->outbox.append(out);
-          if (job.close_after || (job.http && !job.keep_alive)) {
-            conn->close_after_flush = true;
-          }
-          if (conn->outbox.size() > opts.max_outbox_bytes) {
-            conn->overflow = true;
-          }
-          notify_io = true;
-        }
-      }
-      conn->in_flight.fetch_sub(1, std::memory_order_relaxed);
-      in_flight_total.fetch_sub(1, std::memory_order_relaxed);
-      if (notify_io) {
-        if (!job.http) c_frames_out.add();
-        {
-          std::lock_guard<std::mutex> lk(dirty_mu);
-          dirty.push_back(conn);
-        }
-        wake();
-      }
+  // A worker writes its own reply: delivered in order, and sent straight
+  // away when it opened an empty outbox (a non-empty one already has a
+  // flush owner: the IO thread's read pass, or EPOLLOUT). Whatever is
+  // left for the IO thread — a blocked socket, an overflow drop, a
+  // failed send, a close after flush — arms EPOLLOUT, which epoll
+  // reports at once for a writable or dead socket.
+  void complete(Conn& conn, Reply r) {
+    std::lock_guard<std::mutex> lk(conn.mu);
+    if (conn.closed) return;
+    const bool opened = conn.outbox.empty();
+    deliver_locked(conn, std::move(r));
+    if (!opened || conn.outbox.empty()) return;
+    if (flush_locked(conn) != Flush::kIdle || conn.close_after_flush) {
+      want_write_locked(conn, true);
     }
   }
 
   std::string execute(const Work& w) {
-    if (!w.canned.empty()) return w.canned;
     const std::uint64_t t0 = reg.now_ns();
     std::string out;
     try {
@@ -904,13 +900,10 @@ struct NetServer::Impl {
         out = http_response(200, io::to_json(doc), w.keep_alive);
         h_scenario_ns.record(reg.now_ns() - t0);
       } else {
-        const serve::Response resp = server.handle(w.request);
-        if (w.http) {
-          out = http_response(200, io::to_json(response_json(resp)),
-                              w.keep_alive);
-        } else {
-          out = frame(serve::wire::encode(resp));
-        }
+        const serve::SharedReply reply = server.handle(w.request, codec_of(w));
+        const std::string& payload = std::get<std::string>(*reply);
+        out = w.http ? http_response(200, payload, w.keep_alive)
+                     : frame(payload);
         latency_histogram(w.request).record(reg.now_ns() - t0);
       }
       c_ok.add();
@@ -974,6 +967,11 @@ void NetServer::shutdown(bool drain) { impl_->shutdown(drain); }
 
 bool NetServer::draining() const {
   return impl_->draining.load(std::memory_order_acquire);
+}
+
+NetServerStats NetServer::stats() const {
+  return {impl_->inline_hits.load(std::memory_order_relaxed),
+          impl_->pool_replies.load(std::memory_order_relaxed)};
 }
 
 }  // namespace fa::net

@@ -10,16 +10,19 @@
 // The design contract is *robustness under overload*, not just
 // throughput:
 //
-//   * Admission control. Every parsed request passes a per-connection
-//     token bucket (quota_qps/quota_burst; 0 disables) and then a
-//     bounded in-flight queue. A full queue sheds the request with a
-//     cheap BUSY frame (HTTP 503) encoded without touching the serving
-//     stack — overload can make clients retry, it can never stall the
-//     snapshot hot-swap path or grow memory without bound.
-//   * Slow clients. Responses accumulate in a per-connection outbox
-//     flushed by the IO thread; an outbox past max_outbox_bytes means
-//     the peer stopped reading, and the connection is dropped
-//     (net.connections.dropped_slow) instead of buffering forever.
+//   * Admission control. Every parsed request passes the drain check
+//     and a per-connection token bucket (quota_qps/quota_burst; 0
+//     disables), then a cache probe: a hit is answered on the spot. A
+//     miss enters a bounded queue for the worker pool. A full queue
+//     sheds the request with a cheap BUSY frame (HTTP 503) encoded
+//     without touching the serving stack — overload can make clients
+//     retry, it can never stall the snapshot hot-swap path or grow
+//     memory without bound. BUSY bounds pool work only: a hit is
+//     answered even while the pool is saturated.
+//   * Slow clients. Replies accumulate in a per-connection outbox;
+//     an outbox past max_outbox_bytes means the peer stopped reading,
+//     and the connection is dropped (net.connections.dropped_slow)
+//     instead of buffering forever.
 //   * Timeouts. A connection idle past idle_timeout_ms, stalled
 //     mid-frame past read_timeout_ms, or making no send progress on a
 //     non-empty outbox past write_timeout_ms (a peer that vanished
@@ -30,11 +33,21 @@
 //     rebuild() is in flight — the serve layer guarantees epoch-pure
 //     answers; the net layer just keeps admitting or shedding.
 //
-// Threading: one IO thread owns every socket and all parser state;
-// workers only evaluate admitted requests through Server::handle (the
-// unified surface) and append encoded bytes to the connection outbox
-// under its mutex. Nothing here blocks the IO thread on the serving
-// stack, and nothing in the serving stack ever waits on a socket.
+// Threading: one IO thread owns every socket's lifetime and all parser
+// state. It answers cache hits itself — Server::probe hands it the
+// encoded reply bytes the cache holds — along with every canned reply
+// (health, 404/400, BUSY, RATE_LIMITED, SHUTTING_DOWN, frame errors),
+// and sends them in the same pass. Only misses and the scenario
+// composite go to the workers, which evaluate through Server::handle
+// (the unified surface, in the connection's codec) and write their own
+// replies: a reply that opens an empty outbox is sent by its worker at
+// once, and EPOLLOUT is armed only when bytes (or a verdict only the IO
+// thread acts on: drop, close) remain. Replies leave in request order
+// through a per-connection reorder buffer that whichever thread
+// produced the bytes fills; closing a connection stays the IO thread's
+// job. A cache probe takes only the snapshot pin and one cache shard's
+// lock, so nothing here blocks the IO thread on evaluation, and nothing
+// in the serving stack ever waits on a socket.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +64,7 @@ struct NetServerOptions {
   // Loopback-only by default; set to false to bind 0.0.0.0.
   bool loopback_only = true;
   int workers = 2;                    // clamped to >= 1
-  std::size_t queue_capacity = 256;   // bounded admission queue
+  std::size_t queue_capacity = 256;   // bounded pool queue (misses)
   std::size_t max_connections = 1024;
   // Per-connection token bucket; 0 disables quota enforcement.
   double quota_qps = 0.0;
@@ -77,6 +90,14 @@ constexpr bool write_stalled(std::uint64_t now_ns, std::uint64_t progress_ns,
          now_ns - progress_ns > timeout_ms * 1'000'000ull;
 }
 
+// Where replies to admitted queries came from, exact under any FA_OBS
+// setting: cache bytes on the IO thread, or a worker (misses and
+// scenario composites). Canned replies are in neither.
+struct NetServerStats {
+  std::uint64_t inline_hits = 0;
+  std::uint64_t pool_replies = 0;
+};
+
 class NetServer {
  public:
   // Binds, listens, and starts the IO thread and workers. Throws
@@ -97,6 +118,7 @@ class NetServer {
 
   bool draining() const;
   serve::Server& backend() { return server_; }
+  NetServerStats stats() const;
 
  private:
   struct Impl;

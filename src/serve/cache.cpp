@@ -24,47 +24,66 @@ ShardedCache::ShardedCache(const CacheConfig& config, obs::Registry& registry)
       1, config.capacity / static_cast<std::size_t>(shards));
 }
 
-std::optional<CachedResponse> ShardedCache::get(Epoch epoch,
-                                                std::uint64_t fingerprint) {
-  Shard& shard = shard_of(fingerprint);
-  const Key key{epoch, fingerprint};
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_.add();
-    return std::nullopt;
-  }
-  const fault::Injector& inj = fault::Injector::global();
-  if (inj.armed() && inj.fires(kCacheCorruptSite, fingerprint)) {
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    corrupt_dropped_.add();
-    misses_.add();
-    return std::nullopt;
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.add();
-  return it->second->response;
+CacheHit ShardedCache::get(Epoch epoch, std::uint64_t fingerprint,
+                           Codec codec) {
+  return lookup(epoch, fingerprint, codec, /*count_miss=*/true);
 }
 
-void ShardedCache::put(Epoch epoch, std::uint64_t fingerprint,
-                       CachedResponse response) {
+CacheHit ShardedCache::probe(Epoch epoch, std::uint64_t fingerprint,
+                             Codec codec) {
+  return lookup(epoch, fingerprint, codec, /*count_miss=*/false);
+}
+
+CacheHit ShardedCache::lookup(Epoch epoch, std::uint64_t fingerprint,
+                              Codec codec, bool count_miss) {
   Shard& shard = shard_of(fingerprint);
-  const Key key{epoch, fingerprint};
+  const Key key{epoch, fingerprint, codec};
+  const std::lock_guard<std::mutex> lock(shard.mu);
+  const auto it = shard.index.find(key);
+  bool hit = it != shard.index.end();
+  if (hit) {
+    const fault::Injector& inj = fault::Injector::global();
+    if (inj.armed() && inj.fires(kCacheCorruptSite, fingerprint)) {
+      shard.lru.erase(it->second);
+      shard.index.erase(it);
+      corrupt_dropped_.add();
+      hit = false;
+    }
+  }
+  if (!hit) {
+    if (count_miss) {
+      shard.tally.misses++;
+      misses_.add();
+    }
+    return {};
+  }
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  shard.tally.hits++;
+  hits_.add();
+  return {it->second->reply};
+}
+
+SharedReply ShardedCache::put(Epoch epoch, std::uint64_t fingerprint,
+                              Codec codec, CachedReply reply) {
+  auto entry = std::make_shared<const CachedReply>(std::move(reply));
+  Shard& shard = shard_of(fingerprint);
+  const Key key{epoch, fingerprint, codec};
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
-    it->second->response = std::move(response);
+    it->second->reply = entry;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
+    return entry;
   }
-  shard.lru.push_front(Entry{key, std::move(response)});
+  shard.lru.push_front(Entry{key, entry});
   shard.index.emplace(key, shard.lru.begin());
   while (shard.lru.size() > per_shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
+    shard.tally.evictions++;
     evictions_.add();
   }
+  return entry;
 }
 
 void ShardedCache::invalidate_all() {
@@ -81,6 +100,17 @@ std::size_t ShardedCache::size() const {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
     total += shard->lru.size();
+  }
+  return total;
+}
+
+ShardedCache::Stats ShardedCache::stats() const {
+  Stats total;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    const std::lock_guard<std::mutex> lock(shard->mu);
+    total.hits += shard->tally.hits;
+    total.misses += shard->tally.misses;
+    total.evictions += shard->tally.evictions;
   }
   return total;
 }

@@ -4,6 +4,7 @@
 #include <variant>
 
 #include "obs/metrics.hpp"
+#include "serve/json.hpp"
 
 namespace fa::serve {
 
@@ -79,53 +80,64 @@ synth::ScenarioConfig Server::config() const {
   return store_.acquire()->config();
 }
 
-template <class Query, class Resp>
-Resp Server::answer(const Query& q) {
-  // One snapshot acquisition per request: the epoch this pins is the
-  // epoch of every byte in the answer, hot-swap or not.
-  const std::shared_ptr<const Snapshot> snap = store_.acquire();
-  const Epoch epoch = snap->epoch();
-  Resp r;
-  if (options_.cache_enabled) {
-    const std::uint64_t fp = fingerprint(q);
-    std::optional<CachedResponse> hit = cache_.get(epoch, fp);
-    if (const Resp* cached = hit ? std::get_if<Resp>(&*hit) : nullptr) {
-      r = *cached;
-    } else {
-      r = evaluate(*snap, q);
-      cache_.put(epoch, fp, r);
-    }
-  } else {
-    r = evaluate(*snap, q);
-  }
-  return r;
+namespace {
+
+// One evaluation, rendered in the one codec the caller asked for.
+CachedReply render(const Snapshot& snap, const Request& request,
+                   Codec codec) {
+  Response r = std::visit(
+      [&snap](const auto& q) -> Response { return evaluate(snap, q); },
+      request);
+  if (codec == Codec::kResponse) return r;
+  std::string bytes = codec == Codec::kBinary ? wire::encode(r) : json_body(r);
+  // The entry lives as long as its epoch: drop the append-growth slack.
+  bytes.shrink_to_fit();
+  return bytes;
 }
 
-Response Server::handle(const Request& request) {
+}  // namespace
+
+SharedReply Server::handle(const Request& request, Codec codec) {
   queries_.add();
   const bool timed = obs::enabled();
   const std::uint64_t t0 = timed ? registry_.now_ns() : 0;
-  Response r = std::visit(
-      [&](const auto& q) -> Response {
-        using Q = std::decay_t<decltype(q)>;
-        if constexpr (std::is_same_v<Q, PointRiskQuery>) {
-          return answer<Q, PointRiskResponse>(q);
-        } else if constexpr (std::is_same_v<Q, BBoxAggregateQuery>) {
-          return answer<Q, BBoxAggregateResponse>(q);
-        } else if constexpr (std::is_same_v<Q, ProviderExposureQuery>) {
-          return answer<Q, ProviderExposureResponse>(q);
-        } else if constexpr (std::is_same_v<Q, TopKSitesQuery>) {
-          return answer<Q, TopKSitesResponse>(q);
-        } else if constexpr (std::is_same_v<Q, EnsembleSummaryQuery>) {
-          return answer<Q, EnsembleSummaryResponse>(q);
-        } else {
-          static_assert(std::is_same_v<Q, TopKFragileSitesQuery>);
-          return answer<Q, TopKFragileSitesResponse>(q);
-        }
-      },
-      request);
+  // One snapshot acquisition per request: the epoch this pins is the
+  // epoch of every byte in the answer, hot-swap or not. The fingerprint
+  // carries the wire type tag, so an entry is never read as another
+  // query shape.
+  const std::shared_ptr<const Snapshot> snap = store_.acquire();
+  SharedReply reply;
+  if (options_.cache_enabled) {
+    const std::uint64_t fp = fingerprint(request);
+    reply = cache_.get(snap->epoch(), fp, codec).reply;
+    if (!reply) {
+      reply = cache_.put(snap->epoch(), fp, codec,
+                         render(*snap, request, codec));
+    }
+  } else {
+    reply = std::make_shared<const CachedReply>(
+        render(*snap, request, codec));
+  }
   if (timed) query_ns_.record(registry_.now_ns() - t0);
-  return r;
+  return reply;
+}
+
+Response Server::handle(const Request& request) {
+  return std::get<Response>(*handle(request, Codec::kResponse));
+}
+
+SharedReply Server::probe(const Request& request, Codec codec) {
+  if (!options_.cache_enabled) return nullptr;
+  const bool timed = obs::enabled();
+  const std::uint64_t t0 = timed ? registry_.now_ns() : 0;
+  const std::shared_ptr<const Snapshot> snap = store_.acquire();
+  SharedReply reply =
+      cache_.probe(snap->epoch(), fingerprint(request), codec).reply;
+  if (reply) {
+    queries_.add();
+    if (timed) query_ns_.record(registry_.now_ns() - t0);
+  }
+  return reply;
 }
 
 PointRiskResponse Server::point_risk(const PointRiskQuery& q) {

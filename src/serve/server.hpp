@@ -1,13 +1,17 @@
 // fa::serve — the concurrent risk-query serving layer.
 //
 // One Server owns a SnapshotStore (versioned immutable views with
-// RCU-style hot-swap) and a ShardedCache (results keyed by epoch +
-// query fingerprint). Every query, of every shape and from either wire
-// protocol, takes one path: handle() -> cache -> evaluate() on the
-// calling thread. Any number of client threads may query concurrently;
-// rebuild() may run concurrently with queries and publishes a new epoch
-// atomically — in-flight requests finish against the epoch they
-// acquired, and a failed rebuild leaves the old epoch serving.
+// RCU-style hot-swap) and a ShardedCache (encoded replies keyed by
+// epoch + query fingerprint + codec). Every query, of every shape and
+// from either wire protocol, takes one path: handle() -> cache ->
+// evaluate() -> encode in the caller's codec, on the calling thread.
+// The network front door also calls probe(), the cache-only half of
+// that path, on its IO thread: a hit is answered there, a miss goes to
+// a worker's handle(). Any number of client threads may query
+// concurrently; rebuild() may run concurrently with queries and
+// publishes a new epoch atomically — in-flight requests finish against
+// the epoch they acquired, and a failed rebuild leaves the old epoch
+// serving.
 //
 // Every snapshot is a geo-sharded view (snapshot.hpp), so each
 // lifecycle step below has one body: builds, cold starts and recoveries
@@ -76,13 +80,26 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   // -- queries (safe from any thread) ----------------------------------
-  // THE entry point: every query shape, one uniform surface. The wire
-  // decoder and the cache both dispatch through here; the response
-  // alternative always matches the request alternative (PointRiskQuery
-  // -> PointRiskResponse, etc.), and the bytes are identical to the
-  // legacy typed methods below (tests/serve/unified_api_test.cpp pins
-  // both).
+  // THE entry point: every query shape, one uniform surface, answered
+  // in `codec` — the typed Response, the canonical wire payload, or the
+  // HTTP shim's JSON body. Pins one snapshot, looks up (epoch,
+  // fingerprint, codec), and on a miss evaluates, encodes only that
+  // codec and caches the entry. Counts one query and one cache hit or
+  // miss. The returned entry is immutable and shared with the cache.
+  SharedReply handle(const Request& request, Codec codec);
+
+  // The typed answer (Codec::kResponse). The response alternative
+  // always matches the request alternative (PointRiskQuery ->
+  // PointRiskResponse, etc.), and the bytes are identical to the typed
+  // methods below (tests/serve/unified_api_test.cpp pins both).
   Response handle(const Request& request);
+
+  // The cache-only half of handle(): the cached entry for `request` in
+  // `codec` at the current epoch, or null. A hit counts as one query
+  // (serve.queries, serve.query_ns) and one cache hit; a miss counts
+  // nothing, so the handle() that answers it counts the request once.
+  // Null whenever the cache is disabled.
+  SharedReply probe(const Request& request, Codec codec);
 
   // Typed convenience wrappers over handle().
   PointRiskResponse point_risk(const PointRiskQuery& q);
@@ -131,6 +148,9 @@ class Server {
 
   Epoch epoch() const { return store_.current_epoch(); }
   const SnapshotStore& snapshots() const { return store_; }
+  // The result cache's own hit/miss/eviction counts (exact under any
+  // FA_OBS setting).
+  ShardedCache::Stats cache_stats() const { return cache_.stats(); }
   // Scenario of the currently serving snapshot.
   synth::ScenarioConfig config() const;
   obs::Registry& registry() { return registry_; }
@@ -141,9 +161,6 @@ class Server {
   // delta-log chain; set loaded_from_store_ on success, leave the
   // fresh-build fallback to the constructor otherwise.
   void cold_start(const synth::ScenarioConfig& config);
-  // Cache-then-evaluate for one typed query; the body behind handle().
-  template <class Query, class Resp>
-  Resp answer(const Query& q);
   // The delta applier's options for this server's ingestion policy.
   delta::ApplyOptions apply_options() const;
   // Publish + retire/cache/counter bookkeeping (rebuild_mu_ held).

@@ -195,12 +195,6 @@ using Response = std::variant<PointRiskResponse, BBoxAggregateResponse,
                               EnsembleSummaryResponse,
                               TopKFragileSitesResponse>;
 
-// What the result cache stores: the same one-slot-for-every-shape
-// variant, so a fingerprint collision across query *types* (already
-// prevented by the wire type tag) can also never be misread as the
-// wrong shape.
-using CachedResponse = Response;
-
 // Query fingerprints are FNV-1a over the query's canonical wire payload
 // and live next to the codec they must never drift from: serve/wire.hpp.
 

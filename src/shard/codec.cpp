@@ -240,6 +240,36 @@ bool check_shard(const SectionLookup& img, std::uint32_t shard,
   return true;
 }
 
+// Counts the bytes of a validated container (ascending, in-bounds
+// sections) that no CRC covers and no open reads, yet the encoder
+// always writes the same way: entry pads, global owners, alignment
+// padding and the footer pad.
+std::uint64_t reserved_mismatches(const SectionLookup& img, std::size_t size) {
+  std::uint64_t bad = 0;
+  const auto expect = [&](std::uint64_t from, std::uint64_t to,
+                          unsigned char want) {
+    for (std::uint64_t b = from; b < to; ++b) bad += img.base[b] != want;
+  };
+  const std::uint64_t table_end =
+      store::kHeaderSize + img.sections.size() * store::kSectionEntrySize;
+  static_assert(store::kGlobalOwner == 0xFFFFFFFFu);
+  for (std::size_t i = 0; i < img.sections.size(); ++i) {
+    const std::uint64_t entry =
+        store::kHeaderSize + i * store::kSectionEntrySize;
+    expect(entry + 28, entry + 32, 0);
+    if (i < kGlobalSections) expect(entry + 4, entry + 8, 0xFF);
+  }
+  std::uint64_t cursor = table_end;
+  for (const SectionInfo& s : img.sections) {
+    expect(cursor, s.offset, 0);
+    cursor = s.offset + s.length;
+  }
+  const std::uint64_t data_end = size - store::kFooterSize;
+  expect(cursor, data_end, 0);
+  expect(data_end + 28, size, 0);
+  return bad;
+}
+
 // One shard column as one section: every page's entries, in page order.
 template <class T>
 void section_pages(store::ImageBuilder& b, SectionKind kind,
@@ -501,6 +531,8 @@ fault::Result<ContainerReport> inspect_sharded(const void* data,
   report.total_points = parts.total_points;
   report.tiles_x = static_cast<std::uint64_t>(parts.layout.tiles_x());
   report.tiles_y = static_cast<std::uint64_t>(parts.layout.tiles_y());
+
+  report.reserved_mismatches = reserved_mismatches(img, size);
 
   report.shards.resize(parts.records.size());
   for (std::size_t s = 0; s < parts.records.size(); ++s) {

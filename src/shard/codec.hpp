@@ -74,6 +74,14 @@ struct ContainerReport {
   std::uint64_t tiles_x = 0, tiles_y = 0;
   bool globals_ok = false;  // frame + global sections decode and CRC clean
   std::vector<ShardReport> shards;
+  // Bytes no CRC or structural check covers that differ from what the
+  // encoder writes: each table entry's pad [28,32), the global entries'
+  // owner field (kGlobalOwner), the alignment padding between payloads
+  // and after the last one, and the footer pad [28,32). Zero for every
+  // container encode_sharded writes. Not part of ok(): damage here
+  // quarantines nothing, so ok() keeps mirroring what a cold start
+  // would serve.
+  std::uint64_t reserved_mismatches = 0;
   bool ok() const;
 };
 

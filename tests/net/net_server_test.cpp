@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "net/server.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "serve/json.hpp"
 #include "serve/wire.hpp"
 #include "../serve/serve_test_util.hpp"
 
@@ -96,6 +99,32 @@ class RawSock {
     return out;
   }
 
+  // Reads exactly `n` pipelined HTTP/1.1 responses, split on their
+  // Content-Length.
+  std::vector<std::string> read_http(std::size_t n) {
+    std::vector<std::string> replies;
+    std::string buf;
+    char chunk[8192];
+    while (replies.size() < n) {
+      const std::size_t head_end = buf.find("\r\n\r\n");
+      if (head_end != std::string::npos) {
+        const std::size_t cl = buf.find("Content-Length: ");
+        const std::size_t body = head_end + 4;
+        const std::size_t total =
+            body + std::stoul(buf.substr(cl + 16, head_end - cl - 16));
+        if (buf.size() >= total) {
+          replies.push_back(buf.substr(0, total));
+          buf.erase(0, total);
+          continue;
+        }
+      }
+      const ssize_t r = ::recv(fd_, chunk, sizeof chunk, 0);
+      if (r <= 0) break;
+      buf.append(chunk, static_cast<std::size_t>(r));
+    }
+    return replies;
+  }
+
   // Reads exactly `n` framed payloads through an assembler.
   std::vector<std::string> read_frames(std::size_t n) {
     std::vector<std::string> payloads;
@@ -118,6 +147,17 @@ class RawSock {
   int fd_ = -1;
   bool connected_ = false;
 };
+
+// The serve::Request an HTTP request routes to.
+Request routed(const std::string& raw) {
+  HttpAssembler assembler;
+  assembler.feed(raw);
+  auto next = assembler.next();
+  EXPECT_TRUE(next.ok() && next.value().has_value()) << raw;
+  const HttpRoute route = route_http(*next.value());
+  EXPECT_EQ(route.kind, HttpRoute::Kind::kQuery) << raw;
+  return route.request;
+}
 
 std::string http_get(std::uint16_t port, const std::string& target) {
   RawSock s(port);
@@ -176,6 +216,245 @@ TEST(NetServer, PipelinedRequestsAnswerInOrder) {
   net.shutdown();
 }
 
+TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverBinary) {
+  serve::Server& backend = shared_server();
+  NetServerOptions opts;
+  opts.workers = 4;  // misses race each other and the inline hits
+  NetServer net(backend, opts);
+
+  // Two hits: warmed over the socket, because a hit is keyed by codec.
+  const Request hit_a{serve::ProviderExposureQuery{cellnet::Provider::kSprint}};
+  const Request hit_b{serve::PointRiskQuery{{-104.9, 39.7}, 20e3}};
+  {
+    auto client = Client::connect(kLoop, net.port());
+    ASSERT_TRUE(client.ok());
+    Client c = std::move(client).take();
+    ASSERT_TRUE(c.call(hit_a).ok());
+    ASSERT_TRUE(c.call(hit_b).ok());
+  }
+  // Cold keys no other test (or earlier --gtest_repeat run) asks: each
+  // miss takes a worker.
+  static std::atomic<int> runs{0};
+  const double lat = 34.1 + runs.fetch_add(1) * 1e-3;
+  const auto miss = [lat](int i) {
+    return Request{
+        serve::TopKSitesQuery{{-118.5 + i * 0.013, lat}, 2.5e5, 64}};
+  };
+  std::string malformed = serve::wire::encode(hit_a);
+  malformed[1] = 0x5A;  // well framed, unknown tag: BAD_REQUEST
+
+  std::vector<std::optional<Request>> sent;  // nullopt = malformed
+  std::string burst;
+  const auto push = [&](std::optional<Request> r) {
+    burst += frame(r ? serve::wire::encode(*r) : malformed);
+    sent.push_back(std::move(r));
+  };
+  for (int i = 0; i < 6; ++i) {
+    push(miss(i));
+    push(hit_a);
+    if (i % 2 == 0) push(std::nullopt);
+    push(miss(100 + i));
+    push(hit_b);
+  }
+  const NetServerStats before = net.stats();
+  RawSock s(net.port());
+  ASSERT_TRUE(s.connected());
+  s.send_all(burst);
+  const std::vector<std::string> replies = s.read_frames(sent.size());
+  ASSERT_EQ(replies.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    if (sent[i]) {
+      EXPECT_EQ(replies[i], serve::wire::encode(backend.handle(*sent[i])))
+          << "position " << i;
+    } else {
+      fault::Result<WireError> err = decode_error(replies[i]);
+      ASSERT_TRUE(err.ok()) << "position " << i;
+      EXPECT_EQ(err.value().code, ErrorCode::kBadRequest);
+    }
+  }
+  const NetServerStats after = net.stats();
+  EXPECT_EQ(after.inline_hits - before.inline_hits, 12u)
+      << "every hit is answered on the IO thread";
+  EXPECT_EQ(after.pool_replies - before.pool_replies, 12u)
+      << "only the misses reach the pool";
+  net.shutdown();
+}
+
+TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverHttp) {
+  serve::Server& backend = shared_server();
+  NetServerOptions opts;
+  opts.workers = 4;
+  NetServer net(backend, opts);
+
+  const std::string hit_a = "GET /providers/regional HTTP/1.1\r\n\r\n";
+  const std::string risk_body = "{\"lon\":-111.9,\"lat\":40.76}";
+  const std::string hit_b = "POST /risk HTTP/1.1\r\nContent-Length: " +
+                            std::to_string(risk_body.size()) + "\r\n\r\n" +
+                            risk_body;
+  {
+    RawSock warm(net.port());
+    ASSERT_TRUE(warm.connected());
+    warm.send_all(hit_a + hit_b);
+    ASSERT_EQ(warm.read_http(2).size(), 2u);
+  }
+  static std::atomic<int> runs{0};
+  const std::string lat = std::to_string(33.9 + runs.fetch_add(1) * 1e-3);
+  const auto miss = [&lat](int i) {
+    return "GET /fires?lon=" + std::to_string(-117.2 + i * 0.017) +
+           "&lat=" + lat + "&radius_m=250000&k=64 HTTP/1.1\r\n\r\n";
+  };
+  const std::string not_found = "GET /nope HTTP/1.1\r\n\r\n";
+
+  std::vector<std::string> sent;
+  for (int i = 0; i < 6; ++i) {
+    sent.push_back(miss(i));
+    sent.push_back(hit_a);
+    if (i % 2 == 0) sent.push_back(not_found);
+    sent.push_back(miss(100 + i));
+    sent.push_back(hit_b);
+  }
+  std::string burst;
+  for (const std::string& r : sent) burst += r;
+  const NetServerStats before = net.stats();
+  RawSock s(net.port());
+  ASSERT_TRUE(s.connected());
+  s.send_all(burst);
+  const std::vector<std::string> replies = s.read_http(sent.size());
+  ASSERT_EQ(replies.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const std::string want =
+        sent[i] == not_found
+            ? http_response(404,
+                            http_error_body(ErrorCode::kBadRequest,
+                                            "no such endpoint"),
+                            true)
+            : http_response(
+                  200, serve::json_body(backend.handle(routed(sent[i]))),
+                  true);
+    EXPECT_EQ(replies[i], want) << "position " << i;
+  }
+  const NetServerStats after = net.stats();
+  EXPECT_EQ(after.inline_hits - before.inline_hits, 12u);
+  EXPECT_EQ(after.pool_replies - before.pool_replies, 12u);
+  net.shutdown();
+}
+
+TEST(NetServer, HitsAreAnsweredWhileThePoolIsSaturated) {
+  ObsOn obs_on;
+  obs::ScopedRegistry scoped;
+  serve::Server backend(tiny_config());  // counts into the scoped registry
+  NetServerOptions opts;
+  opts.workers = 1;
+  opts.queue_capacity = 2;
+  NetServer net(backend, opts);
+  obs::Registry& reg = scoped.registry();
+  const auto wait_for = [](auto done) {
+    for (int i = 0; i < 2000 && !done(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+
+  auto client = Client::connect(kLoop, net.port());
+  ASSERT_TRUE(client.ok());
+  Client c = std::move(client).take();
+  const Request hit{serve::ProviderExposureQuery{cellnet::Provider::kAtt}};
+  ASSERT_TRUE(c.call(hit).ok());  // warms the binary entry
+
+  // Slow misses: 1024-member fire-season ensembles (~0.7 s each on
+  // this world in a release build), distinct seeds.
+  const auto slow = [](std::uint64_t seed) {
+    return frame(serve::wire::encode(
+        Request{serve::EnsembleSummaryQuery{1024, seed}}));
+  };
+  RawSock hog(net.port());
+  ASSERT_TRUE(hog.connected());
+  hog.send_all(slow(1));
+  // The one worker has started it...
+  ASSERT_TRUE(wait_for([&] {
+    return reg.counter(obs::metrics::kServeQueries).value() == 2;
+  }));
+  // ...and two more fill the queue (the warming miss was the first
+  // enqueue).
+  hog.send_all(slow(2) + slow(3));
+  ASSERT_TRUE(wait_for([&] {
+    return reg.histogram(obs::metrics::kNetQueueDepth).count() == 4;
+  }));
+
+  // The pool is saturated: a hit is still answered, a miss is shed.
+  auto answered = c.call(hit);
+  ASSERT_TRUE(answered.ok()) << answered.status().to_string();
+  ASSERT_TRUE(answered.value().ok())
+      << "a hit was shed: "
+      << error_code_name(answered.value().error->code);
+  EXPECT_EQ(serve::wire::encode(*answered.value().response),
+            serve::wire::encode(backend.handle(hit)));
+  auto shed = c.call(Request{serve::PointRiskQuery{{-100.0, 35.0}, 0.0}});
+  ASSERT_TRUE(shed.ok());
+  ASSERT_FALSE(shed.value().ok());
+  EXPECT_EQ(shed.value().error->code, ErrorCode::kBusy);
+  EXPECT_EQ(net.stats().inline_hits, 1u);
+  net.shutdown(/*drain=*/false);  // the worker finishes only its first
+}
+
+// N requests over sockets, binary and HTTP, with repeats: the served
+// bytes, and serve.cache.hits + serve.cache.misses == serve.queries == N.
+std::vector<std::string> exact_count_run(std::uint64_t* queries,
+                                         std::uint64_t* lookups) {
+  ObsOn obs_on;
+  obs::ScopedRegistry scoped;
+  serve::Server backend(tiny_config());
+  NetServerOptions opts;
+  opts.workers = 2;
+  NetServer net(backend, opts);
+  std::vector<std::string> served;
+
+  const auto stream = serve::testing::make_stream(60, 41, 12);
+  std::string burst;
+  for (const auto& any : stream) burst += frame(serve::wire::encode(to_request(any)));
+  RawSock bin(net.port());
+  EXPECT_TRUE(bin.connected());
+  bin.send_all(burst);
+  for (std::string& r : bin.read_frames(stream.size())) served.push_back(std::move(r));
+
+  const std::vector<std::string> gets = {
+      "GET /providers/att HTTP/1.1\r\n\r\n",
+      "GET /assets?bbox=-125,32,-114,42 HTTP/1.1\r\n\r\n",
+      "GET /fires?lon=-121.4&lat=39.8&k=5 HTTP/1.1\r\n\r\n"};
+  std::string http_burst;
+  for (int i = 0; i < 20; ++i) http_burst += gets[static_cast<std::size_t>(i) % 3];
+  RawSock http(net.port());
+  EXPECT_TRUE(http.connected());
+  http.send_all(http_burst);
+  for (std::string& r : http.read_http(20)) served.push_back(std::move(r));
+  net.shutdown();
+
+  obs::Registry& reg = scoped.registry();
+  *queries = reg.counter(obs::metrics::kServeQueries).value();
+  *lookups = reg.counter(obs::metrics::kServeCacheHits).value() +
+             reg.counter(obs::metrics::kServeCacheMisses).value();
+  const serve::ShardedCache::Stats stats = backend.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, *lookups);
+  return served;
+}
+
+TEST(NetServer, EverySocketRequestIsCountedOnce) {
+  std::uint64_t queries = 0, lookups = 0;
+  const std::vector<std::string> clean = exact_count_run(&queries, &lookups);
+  ASSERT_EQ(clean.size(), 80u);
+  EXPECT_EQ(queries, 80u);
+  EXPECT_EQ(lookups, 80u);
+
+  // Corrupt cache hits recompute: the counts stay exact and the bytes
+  // do not change.
+  fault::ScopedInjector inject(
+      fault::Injector::parse("seed=3,serve.cache=0.5").value());
+  const std::vector<std::string> armed = exact_count_run(&queries, &lookups);
+  EXPECT_EQ(queries, 80u);
+  EXPECT_EQ(lookups, 80u);
+  EXPECT_EQ(armed, clean);
+}
+
 TEST(NetServer, ShedsUnderSaturationWithBusyFrames) {
   serve::Server& backend = shared_server();
   ObsOn obs_on;
@@ -186,6 +465,11 @@ TEST(NetServer, ShedsUnderSaturationWithBusyFrames) {
   opts.registry = &scoped.registry();
   NetServer net(backend, opts);
 
+  // A distinct query per call, also across --gtest_repeat runs in one
+  // process: every call is a miss, so the load saturates the pool
+  // instead of being answered from the cache.
+  static std::atomic<int> runs{0};
+  const int run = runs.fetch_add(1);
   std::atomic<std::uint64_t> ok{0};
   std::atomic<std::uint64_t> busy{0};
   std::vector<std::thread> threads;
@@ -194,9 +478,9 @@ TEST(NetServer, ShedsUnderSaturationWithBusyFrames) {
       auto client = Client::connect(kLoop, net.port());
       if (!client.ok()) return;
       Client c = std::move(client).take();
-      const Request req{serve::TopKSitesQuery{{-120.0 - t * 0.1, 40.0}, 8e4,
-                                              32}};
       for (int i = 0; i < 50; ++i) {
+        const Request req{serve::TopKSitesQuery{
+            {-120.0 - t * 0.1, 40.0 + (run * 50 + i) * 1e-4}, 8e4, 32}};
         auto reply = c.call(req);
         if (!reply.ok()) return;
         if (reply.value().ok()) {

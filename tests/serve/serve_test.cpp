@@ -11,6 +11,8 @@
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "serve/json.hpp"
+#include "serve/wire.hpp"
 #include "serve_test_util.hpp"
 
 namespace fa::serve {
@@ -78,9 +80,10 @@ TEST_F(ServeTest, CacheCountsHitsMissesAndEvictsLru) {
   EXPECT_FALSE(cache.get(1, 20).has_value()) << "LRU tail should be evicted";
   EXPECT_TRUE(cache.get(1, 30).has_value());
   EXPECT_TRUE(cache.get(1, 40).has_value());
-  const std::optional<CachedResponse> refreshed = cache.get(1, 40);
+  const CacheHit refreshed = cache.get(1, 40);
   ASSERT_TRUE(refreshed.has_value());
-  const auto* hit = std::get_if<PointRiskResponse>(&*refreshed);
+  const auto* hit =
+      std::get_if<PointRiskResponse>(&std::get<Response>(*refreshed.reply));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->county, 40);
   EXPECT_EQ(reg.counter(obs::metrics::kServeCacheHits).value(), 4u);
@@ -117,6 +120,86 @@ TEST_F(ServeTest, CorruptionSeamDropsHitAndRecomputes) {
   // Refill with the seam disarmed: served normally again.
   cache.put(1, 7, point_response(1, 7));
   EXPECT_TRUE(cache.get(1, 7).has_value());
+}
+
+TEST_F(ServeTest, CacheTalliesAreExactWithObsOff) {
+  // The cache's own counts are correctness counters: they must not
+  // depend on FA_OBS, unlike the serve.cache.* obs counters.
+  obs::set_enabled(false);
+  obs::Registry reg;
+  ShardedCache cache({.capacity = 2, .shards = 1}, reg);
+  EXPECT_FALSE(cache.get(1, 10).has_value());                     // miss
+  cache.put(1, 10, point_response(1, 10));
+  EXPECT_TRUE(cache.get(1, 10).has_value());                      // hit
+  EXPECT_FALSE(cache.get(1, 10, Codec::kBinary).has_value());     // miss
+  cache.put(1, 10, Codec::kBinary, CachedReply{std::string("wire")});
+  EXPECT_TRUE(cache.probe(1, 10, Codec::kBinary).has_value());    // hit
+  EXPECT_FALSE(cache.probe(1, 10, Codec::kJson).has_value());     // uncounted
+  cache.put(1, 20, point_response(1, 20));                        // evicts
+  EXPECT_FALSE(cache.get(1, 10).has_value());                     // miss
+  const ShardedCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(reg.counter(obs::metrics::kServeCacheHits).value(), 0u)
+      << "obs counters stay off with FA_OBS off";
+}
+
+TEST_F(ServeTest, CacheKeyIncludesCodec) {
+  obs::Registry reg;
+  ShardedCache cache({.capacity = 8, .shards = 2}, reg);
+  cache.put(1, 5, Codec::kBinary, CachedReply{std::string("payload")});
+  EXPECT_FALSE(cache.get(1, 5, Codec::kJson).has_value());
+  EXPECT_FALSE(cache.get(1, 5).has_value());
+  const CacheHit hit = cache.get(1, 5, Codec::kBinary);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(std::get<std::string>(*hit.reply), "payload");
+  // A hit's share outlives the entry.
+  cache.invalidate_all();
+  EXPECT_EQ(std::get<std::string>(*hit.reply), "payload");
+}
+
+TEST_F(ServeTest, EncodedRepliesMatchTheTypedAnswer) {
+  // Every codec's entry is the typed answer's encoding, whether the
+  // cache was cold, warm, or off.
+  Server& server = shared_server();
+  ServerOptions off;
+  off.cache_enabled = false;
+  Server uncached(small_config(), off);
+  for (const AnyQuery& any : make_stream(40, 31, 12)) {
+    const Request req = std::visit([](const auto& q) { return Request{q}; }, any);
+    const Response typed = server.handle(req);
+    for (Server* s : {&server, &uncached}) {
+      EXPECT_EQ(std::get<std::string>(*s->handle(req, Codec::kBinary)),
+                wire::encode(typed));
+      EXPECT_EQ(std::get<std::string>(*s->handle(req, Codec::kJson)),
+                json_body(typed));
+      EXPECT_EQ(std::get<Response>(*s->handle(req, Codec::kResponse)), typed);
+    }
+  }
+}
+
+TEST_F(ServeTest, ProbeCountsOnlyHits) {
+  obs::ScopedRegistry scoped;
+  Server server(tiny_config());
+  obs::Registry& reg = scoped.registry();
+  const Request req{PointRiskQuery{{-98.0, 39.0}, 0.0}};
+  EXPECT_EQ(server.probe(req, Codec::kBinary), nullptr);
+  EXPECT_EQ(reg.counter(obs::metrics::kServeQueries).value(), 0u)
+      << "a probe miss counts nothing";
+  const SharedReply filled = server.handle(req, Codec::kBinary);
+  const SharedReply hit = server.probe(req, Codec::kBinary);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, filled) << "a hit shares the entry the miss stored";
+  EXPECT_EQ(server.probe(req, Codec::kJson), nullptr)
+      << "a binary entry never answers a JSON probe";
+  EXPECT_EQ(reg.counter(obs::metrics::kServeQueries).value(), 2u);
+  EXPECT_EQ(reg.counter(obs::metrics::kServeCacheHits).value(), 1u);
+  EXPECT_EQ(reg.counter(obs::metrics::kServeCacheMisses).value(), 1u);
+  EXPECT_EQ(reg.histogram(obs::metrics::kServeQueryNs).count(), 2u);
+  const ShardedCache::Stats stats = server.cache_stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST_F(ServeTest, SnapshotStoreRetiresAndReclaims) {

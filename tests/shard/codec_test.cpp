@@ -3,6 +3,7 @@
 // a single flipped bit), and the inspection report tooling reads.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "shard/codec.hpp"
@@ -169,6 +170,35 @@ TEST(ShardCodec, InspectEnumeratesEveryShard) {
     points += sh.n_points;
   }
   EXPECT_EQ(points, small_sharded().total_points());
+  EXPECT_EQ(r.reserved_mismatches, 0u);
+}
+
+TEST(ShardCodec, InspectFlagsBytesTheOpenNeverReads) {
+  const std::string& clean = small_image();
+  const std::size_t first_entry = store::kHeaderSize;
+  const std::size_t footer = clean.size() - store::kFooterSize;
+  // The alignment padding after the first section (the meta section's
+  // length is not a multiple of the 64-byte alignment).
+  std::uint64_t offset = 0, length = 0;
+  std::memcpy(&offset, clean.data() + first_entry + 8, 8);
+  std::memcpy(&length, clean.data() + first_entry + 16, 8);
+  ASSERT_NE((offset + length) % store::kSectionAlign, 0u);
+  // An entry pad, a global entry's owner, padding and the footer pad:
+  // the open serves the container intact, and the inspector objects.
+  for (const std::size_t at :
+       {first_entry + 29, first_entry + 5,
+        static_cast<std::size_t>(offset + length), footer + 30}) {
+    SCOPED_TRACE("byte " + std::to_string(at));
+    std::string dirty = clean;
+    dirty[at] = static_cast<char>(dirty[at] ^ 0x10);
+    auto opened = open_image(dirty);
+    ASSERT_TRUE(opened.ok()) << opened.status().to_string();
+    EXPECT_EQ(opened.value().quarantined_count(), 0u);
+    auto report = inspect_sharded(dirty.data(), dirty.size(), "dirty");
+    ASSERT_TRUE(report.ok()) << report.status().to_string();
+    EXPECT_TRUE(report.value().ok()) << "ok() mirrors quarantine only";
+    EXPECT_EQ(report.value().reserved_mismatches, 1u);
+  }
 }
 
 }  // namespace

@@ -56,7 +56,12 @@ bool inspect_sharded_file(const store::MappedFile& mapped,
         s.structural_ok ? "ok" : "BAD", s.crc_ok ? "ok" : "MISMATCH",
         s.structural_ok && s.crc_ok ? "" : "  << would be quarantined");
   }
-  if (!r.ok()) {
+  if (r.reserved_mismatches > 0) {
+    std::printf("    reserved bytes: %llu differ from the encoder's "
+                "(entry pads, global owners, padding, footer pad)\n",
+                static_cast<unsigned long long>(r.reserved_mismatches));
+  }
+  if (!r.ok() || r.reserved_mismatches > 0) {
     std::printf("  => container FAILS verification\n");
     return false;
   }
