@@ -9,8 +9,8 @@
 //
 //   2. Microbenchmarks of the GIS substrate (google-benchmark): the
 //      overlay primitives whose cost dominates the reproduction
-//      pipeline, plus the R-tree vs uniform-grid index ablation called
-//      out in DESIGN.md. Filter with --benchmark_filter=...
+//      pipeline, the uniform-grid point index among them. Filter with
+//      --benchmark_filter=...
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -26,7 +26,6 @@
 #include "geo/buffer.hpp"
 #include "geo/projection.hpp"
 #include "index/grid_index.hpp"
-#include "index/rtree.hpp"
 #include "raster/morphology.hpp"
 #include "raster/rasterize.hpp"
 #include "synth/noise.hpp"
@@ -145,42 +144,8 @@ void BM_PointInPolygon(benchmark::State& state) {
 }
 BENCHMARK(BM_PointInPolygon)->Arg(8)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_RTreeBuild(benchmark::State& state) {
-  const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 11);
-  std::vector<index::RTree::Entry> entries;
-  entries.reserve(pts.size());
-  for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    entries.push_back({geo::BBox::of_point(pts[i]).inflated(0.05), i});
-  }
-  for (auto _ : state) {
-    index::RTree tree(entries);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_RTreeBuild)->Arg(1000)->Arg(10000)->Arg(100000);
-
-void BM_RTreeQuery(benchmark::State& state) {
-  const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 13);
-  std::vector<index::RTree::Entry> entries;
-  for (std::uint32_t i = 0; i < pts.size(); ++i) {
-    entries.push_back({geo::BBox::of_point(pts[i]).inflated(0.05), i});
-  }
-  const index::RTree tree(entries);
-  std::size_t i = 0;
-  std::size_t found = 0;
-  for (auto _ : state) {
-    const geo::Vec2 q = pts[i % pts.size()];
-    tree.query_point(q, [&found](std::uint32_t) { ++found; });
-    ++i;
-  }
-  benchmark::DoNotOptimize(found);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_RTreeQuery)->Arg(1000)->Arg(100000);
-
 void BM_GridIndexQuery(benchmark::State& state) {
-  // Ablation vs BM_RTreeQuery: point storage in a uniform grid.
+  // The corpus's point index: one inflated-point probe per iteration.
   const auto pts = random_points(static_cast<std::size_t>(state.range(0)), 13);
   const index::GridIndex idx(pts, geo::BBox{-125, 24, -66, 50}, 256, 128);
   std::size_t i = 0;

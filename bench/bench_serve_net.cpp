@@ -15,13 +15,16 @@
 //               (a miss), against 1 worker and a tiny admission queue —
 //               BUSY sheds must rise while the p99 of *accepted*
 //               replies stays bounded (the reject path is cheap and
-//               never queues behind real work), and a concurrent
-//               Server::rebuild() completes mid-overload with every
-//               accepted response epoch-pure
+//               never queues behind real work). A Server::rebuild()
+//               starts once accepted replies are flowing, and the
+//               clients keep calling with fresh distinct queries until
+//               the rebuilt epoch has answered, so the swap lands
+//               mid-overload with every accepted response epoch-pure
 //
-// The exit code is non-zero unless the rebuild succeeded, every
-// accepted reply was epoch-pure, shedding was demonstrated, and the
-// warm pass ran at least 99% inline.
+// The exit code is non-zero unless the rebuild succeeded, accepted
+// replies came from both the old and the rebuilt epoch and from no
+// other, shedding was demonstrated, and the warm pass ran at least 99%
+// inline.
 //
 // Sizes for smoke runs come from the environment:
 //   FA_NET_WORKERS         throughput-phase worker threads (default 4)
@@ -57,32 +60,33 @@ std::size_t env_size(const char* name, std::size_t fallback) {
              : fallback;
 }
 
-// Mixed-shape request pool. Same spatial envelope as bench_serve_qps so
-// the two benches stress the same snapshot regions; coordinates are
-// continuous, so two seeds share no query.
+// The i-th request of a mixed-shape stream. Same spatial envelope as
+// bench_serve_qps so the two benches stress the same snapshot regions;
+// coordinates are continuous, so two seeds share no query.
+serve::Request mixed_request(std::mt19937_64& rng, std::size_t i) {
+  std::uniform_real_distribution<double> lon(-122.0, -70.0);
+  std::uniform_real_distribution<double> lat(26.0, 48.0);
+  switch (i % 4) {
+    case 0:
+    case 1:
+      return serve::PointRiskQuery{{lon(rng), lat(rng)}, 40e3};
+    case 2: {
+      const double x = lon(rng);
+      const double y = lat(rng);
+      return serve::BBoxAggregateQuery{{x, y, x + 2.0, y + 1.5}};
+    }
+    default:
+      return serve::TopKSitesQuery{{lon(rng), lat(rng)}, 75e3, 10};
+  }
+}
+
 std::vector<serve::Request> request_pool(std::size_t distinct,
                                          std::uint64_t seed) {
   std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> lon(-122.0, -70.0);
-  std::uniform_real_distribution<double> lat(26.0, 48.0);
   std::vector<serve::Request> pool;
   pool.reserve(distinct);
   for (std::size_t i = 0; i < distinct; ++i) {
-    switch (i % 4) {
-      case 0:
-      case 1:
-        pool.push_back(serve::PointRiskQuery{{lon(rng), lat(rng)}, 40e3});
-        break;
-      case 2: {
-        const double x = lon(rng);
-        const double y = lat(rng);
-        pool.push_back(serve::BBoxAggregateQuery{{x, y, x + 2.0, y + 1.5}});
-        break;
-      }
-      default:
-        pool.push_back(serve::TopKSitesQuery{{lon(rng), lat(rng)}, 75e3, 10});
-        break;
-    }
+    pool.push_back(mixed_request(rng, i));
   }
   return pool;
 }
@@ -108,11 +112,23 @@ enum class Draw : std::uint8_t {
   kDistinct,  // client t walks its own slice: every call a new query
 };
 
+// A run as a concurrent observer sees it. While `extend` is set, a
+// client that has made its `per_thread` calls keeps calling with fresh
+// queries from its own stream, so the load lasts as long as the
+// observer needs it to.
+struct LiveLoad {
+  std::atomic<bool> extend{false};
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> newest_epoch{0};
+};
+
 // `threads` closed-loop clients, one connection each, `per_thread`
-// framed calls per client. BUSY/RATE_LIMITED are answers (counted, not
-// retried); a transport failure aborts the bench.
+// framed calls per client (more while `live->extend` holds).
+// BUSY/RATE_LIMITED are answers (counted, not retried); a transport
+// failure aborts the bench.
 LoadStats run_load(std::uint16_t port, const std::vector<serve::Request>& pool,
-                   int threads, std::size_t per_thread, Draw draw) {
+                   int threads, std::size_t per_thread, Draw draw,
+                   LiveLoad* live = nullptr) {
   using Clock = std::chrono::steady_clock;
   struct PerThread {
     std::vector<std::uint64_t> latencies_ns;
@@ -135,12 +151,17 @@ LoadStats run_load(std::uint16_t port, const std::vector<serve::Request>& pool,
       net::Client client = std::move(conn).take();
       std::mt19937_64 rng(1000 + static_cast<std::uint64_t>(t));
       std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+      std::mt19937_64 fresh(1'800'000 + static_cast<std::uint64_t>(t));
       PerThread& mine = per[static_cast<std::size_t>(t)];
       mine.latencies_ns.reserve(per_thread);
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::size_t i = 0; i < per_thread; ++i) {
-        const serve::Request& req =
-            draw == Draw::kDistinct
+      for (std::size_t i = 0;
+           i < per_thread ||
+           (live && live->extend.load(std::memory_order_acquire));
+           ++i) {
+        const serve::Request req =
+            i >= per_thread ? mixed_request(fresh, i)
+            : draw == Draw::kDistinct
                 ? pool[static_cast<std::size_t>(t) * per_thread + i]
                 : pool[pick(rng)];
         const Clock::time_point t0 = Clock::now();
@@ -159,6 +180,13 @@ LoadStats run_load(std::uint16_t port, const std::vector<serve::Request>& pool,
           const std::uint64_t epoch = response_epoch(*r.response);
           mine.min_epoch = std::min(mine.min_epoch, epoch);
           mine.max_epoch = std::max(mine.max_epoch, epoch);
+          if (live) {
+            live->accepted.fetch_add(1, std::memory_order_relaxed);
+            std::uint64_t seen = live->newest_epoch.load();
+            while (seen < epoch &&
+                   !live->newest_epoch.compare_exchange_weak(seen, epoch)) {
+            }
+          }
         } else if (r.error->code == net::ErrorCode::kBusy) {
           ++mine.shed;
         } else {
@@ -286,6 +314,7 @@ int main() {
               "calls, rebuild() mid-flight\n",
               sat_queue, sat_clients, sat_per_thread);
   LoadStats sat;
+  const std::uint64_t start_epoch = backend.epoch();
   std::uint64_t final_epoch = 0;
   bool rebuild_ok = false;
   {
@@ -293,13 +322,30 @@ int main() {
     options.workers = 1;
     options.queue_capacity = sat_queue;
     net::NetServer front(backend, options);
+    LiveLoad live;
+    live.extend = true;
     std::thread rebuilder([&] {
-      // Give the clients a moment to reach saturation first.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      // Bounded waits: a server that stops answering fails the bench
+      // instead of hanging it.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      const auto wait_while = [&](auto&& pending) {
+        while (pending() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      };
+      // Start once saturation replies are flowing...
+      wait_while([&] { return live.accepted.load() < sat_clients; });
       rebuild_ok = backend.rebuild(cfg).ok();
+      // ...and keep the clients calling until the rebuilt epoch has
+      // answered.
+      wait_while([&] {
+        return rebuild_ok && live.newest_epoch.load() < backend.epoch();
+      });
+      live.extend = false;
     });
     sat = run_load(front.port(), sat_pool, static_cast<int>(sat_clients),
-                   sat_per_thread, Draw::kDistinct);
+                   sat_per_thread, Draw::kDistinct, &live);
     rebuilder.join();
     front.shutdown(/*drain=*/true);
   }
@@ -307,20 +353,26 @@ int main() {
   // Every accepted reply carries an epoch that existed while it was in
   // flight: nothing older than the starting snapshot, nothing newer
   // than the swapped-in one, no torn mixtures (the response types are
-  // epoch-stamped by the snapshot they were answered from).
-  const bool epoch_pure =
-      sat.accepted > 0 && sat.min_epoch >= 1 && sat.max_epoch <= final_epoch;
+  // epoch-stamped by the snapshot they were answered from). Both
+  // epochs must have answered, or the swap never met the overload.
+  const bool epoch_pure = sat.accepted > 0 && sat.min_epoch >= start_epoch &&
+                          sat.max_epoch <= final_epoch;
+  const bool both_epochs = final_epoch > start_epoch &&
+                           sat.min_epoch == start_epoch &&
+                           sat.max_epoch == final_epoch;
   const bool shed_demonstrated = sat.shed > 0 && sat.accepted > 0;
   std::printf("  accepted %llu (p99 %.1f us)  shed %llu  rejected %llu\n",
               static_cast<unsigned long long>(sat.accepted), sat.p99_us,
               static_cast<unsigned long long>(sat.shed),
               static_cast<unsigned long long>(sat.rejected));
-  std::printf("  rebuild %s; epochs seen [%llu, %llu], final %llu — %s\n",
+  std::printf("  rebuild %s; epochs seen [%llu, %llu], final %llu — %s, %s\n",
               rebuild_ok ? "ok" : "FAILED",
               static_cast<unsigned long long>(sat.min_epoch),
               static_cast<unsigned long long>(sat.max_epoch),
               static_cast<unsigned long long>(final_epoch),
-              epoch_pure ? "epoch-pure" : "EPOCH VIOLATION");
+              epoch_pure ? "epoch-pure" : "EPOCH VIOLATION",
+              both_epochs ? "both epochs answered"
+                          : "REBUILD MISSED THE LOAD");
   std::printf("  load shedding %s\n\n",
               shed_demonstrated ? "demonstrated (BUSY while accepted flow)"
                                 : "NOT demonstrated");
@@ -334,6 +386,7 @@ int main() {
   saturation["rebuild_ok"] = rebuild_ok;
   saturation["final_epoch"] = static_cast<double>(final_epoch);
   saturation["epoch_pure"] = epoch_pure;
+  saturation["both_epochs"] = both_epochs;
 
   io::JsonObject payload;
   payload["workers"] = static_cast<double>(workers);
@@ -346,5 +399,8 @@ int main() {
   payload["saturation"] = io::JsonValue{std::move(saturation)};
   bench::print_json_trailer("serve_net", io::JsonValue{std::move(payload)},
                             &run_timer);
-  return epoch_pure && rebuild_ok && shed_demonstrated && inline_ok ? 0 : 1;
+  return epoch_pure && both_epochs && rebuild_ok && shed_demonstrated &&
+                 inline_ok
+             ? 0
+             : 1;
 }

@@ -71,35 +71,29 @@ FeedEvent FeedGenerator::fire_event(std::uint64_t t_ms) {
   e.severity = rng_.chance(0.6) ? synth::WhpClass::kVeryHigh
                                 : synth::WhpClass::kHigh;
   const geo::LonLat at = random_onshore_position();
-  Fire* grown = nullptr;
-  std::uint32_t grown_id = 0;
   // An ignition that lands on an active fire is that fire growing: the
   // feed re-serves a larger perimeter for the same incident.
-  fires_.query(geo::BBox::of_point(at.as_vec()), [&](std::uint32_t id) {
-    if (grown == nullptr) {
-      grown = &fire_state_[id];
-      grown_id = id;
-    }
-  });
-  if (grown != nullptr) {
+  const geo::BBox probe = geo::BBox::of_point(at.as_vec());
+  const auto grown = std::find_if(
+      fires_.begin(), fires_.end(),
+      [&probe](const Fire& f) { return f.box.intersects(probe); });
+  if (grown != fires_.end()) {
     grown->radius *= rng_.uniform(1.3, 1.8);
     e.perimeter =
         geo::make_circle(grown->center, grown->radius, grown->segments);
-    fires_.remove(grown_id);
-    fires_.insert({e.perimeter.bbox(), grown_id});
-    if (fire_state_[grown_id].radius > 1.5) {
+    grown->box = e.perimeter.bbox();
+    if (grown->radius > 1.5) {
       // A fire this size has burned out of the feed's interest window.
-      fires_.remove(grown_id);
+      fires_.erase(grown);
     }
   } else {
     Fire f;
     f.center = at.as_vec();
     f.radius = rng_.uniform(0.04, 0.15);
     f.segments = rng_.range(12, 24);
-    const std::uint32_t id = next_fire_id_++;
-    fire_state_.push_back(f);
     e.perimeter = geo::make_circle(f.center, f.radius, f.segments);
-    fires_.insert({e.perimeter.bbox(), id});
+    f.box = e.perimeter.bbox();
+    fires_.push_back(f);
   }
   return e;
 }

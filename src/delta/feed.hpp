@@ -13,7 +13,6 @@
 #include "core/world.hpp"
 #include "delta/event.hpp"
 #include "fault/diagnostics.hpp"
-#include "index/dynamic_rtree.hpp"
 #include "synth/rng.hpp"
 
 namespace fa::delta {
@@ -41,7 +40,8 @@ struct FeedOptions {
 // it emits is a valid dense id of the epoch the next batch applies to:
 // call tick() to get a raw batch, apply it (all of it — the generator
 // assumes its own output is accepted), and tick() again for the
-// successor epoch's batch. A tick costs O(events), not O(corpus).
+// successor epoch's batch. A tick costs O(events) plus one scan of the
+// active fires per fire event, not O(corpus).
 class FeedGenerator {
  public:
   // Copies the corpus positions of `world`, the epoch the first batch
@@ -67,6 +67,7 @@ class FeedGenerator {
     geo::Vec2 center;  // lon/lat
     double radius = 0.0;
     int segments = 0;
+    geo::BBox box;  // bbox of the last perimeter emitted for it
   };
 
   // Slots per live-count block: a dense-id lookup walks at most
@@ -98,11 +99,13 @@ class FeedGenerator {
   std::vector<std::pair<std::size_t, geo::LonLat>> moved_;  // slot, to
   std::vector<geo::LonLat> added_;
   std::unordered_set<std::uint32_t> touched_;  // targets used this tick
-  // Active fires, indexed by bbox so a new ignition that lands on an
-  // existing fire grows it instead (the "grown perimeter" events).
-  index::DynamicRTree fires_;
-  std::vector<Fire> fire_state_;
-  std::uint32_t next_fire_id_ = 0;
+  // Active fires in ignition order. An ignition that lands in an active
+  // fire's last perimeter bbox (closed test, edges included) grows the
+  // oldest such fire instead of starting a new one: the "grown
+  // perimeter" events. A grown fire keeps its place; one whose radius
+  // passes 1.5 degrees emits that perimeter and leaves the list, the
+  // rest keeping their order.
+  std::vector<Fire> fires_;
   // Lookback window: (expiry tick, event) for duplicate re-serving.
   std::deque<std::pair<std::uint64_t, FeedEvent>> window_;
 };

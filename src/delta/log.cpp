@@ -203,48 +203,12 @@ fault::Result<std::uint64_t> DeltaLog::append(
   const obs::Span span("delta.log.append_ns");
   const std::string image = encode_increment(
       base_gen_, next_ordinal_, chain_crc_, encode_events(batch));
-  const std::string filename = increment_filename(base_gen_, next_ordinal_);
-  const std::string final_path = dir_path_ + "/" + filename;
-  const std::string tmp_path = final_path + ".tmp";
-
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
-  if (fd < 0) {
-    obs::count(obs::metrics::kDeltaLogAppendFailures);
-    return errno_status(tmp_path, "open increment tmp");
-  }
-  std::size_t written = 0;
-  while (written < image.size()) {
-    const ssize_t n =
-        ::write(fd, image.data() + written, image.size() - written);
-    if (n < 0) {
-      fault::Status s = errno_status(tmp_path, "write increment");
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      obs::count(obs::metrics::kDeltaLogAppendFailures);
-      return s;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    fault::Status s = errno_status(tmp_path, "fsync increment");
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
+  if (fault::Status s = store::write_file_durably(
+          dir_path_, increment_filename(base_gen_, next_ordinal_), image);
+      !s.ok()) {
     obs::count(obs::metrics::kDeltaLogAppendFailures);
     return s;
   }
-  ::close(fd);
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    fault::Status s = errno_status(final_path, "rename increment");
-    ::unlink(tmp_path.c_str());
-    obs::count(obs::metrics::kDeltaLogAppendFailures);
-    return s;
-  }
-  const int dfd = ::open(dir_path_.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
-
   chain_crc_ = store::crc32(image.data(), image.size());
   obs::count(obs::metrics::kDeltaLogAppends);
   return next_ordinal_++;

@@ -17,9 +17,10 @@
 // path falls back to the last provably consistent state), it never
 // poisons.
 //
-// Increments commit atomically (tmp + fsync + rename + dir fsync, the
-// store's own protocol); a crash mid-append leaves ignorable .tmp
-// debris.
+// Increments commit atomically through store::write_file_durably (tmp +
+// fsync + rename + dir fsync, the store's own protocol): an append
+// succeeds only once the directory fsync has, and a crash mid-append
+// leaves ignorable .tmp debris.
 #pragma once
 
 #include <cstddef>

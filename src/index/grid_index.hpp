@@ -1,6 +1,6 @@
-// Uniform grid index over points. Complements the R-tree: the transceiver
-// corpus is large (10^5..10^6 points) and queried by region, where binned
-// points give cache-friendly scans and O(1) cell addressing.
+// Uniform grid index over points: the transceiver corpus is large
+// (10^5..10^6 points) and queried by region, where binned points give
+// cache-friendly scans and O(1) cell addressing.
 //
 // Visitors are templated (`Fn&&`) so the per-point callback inlines into
 // the scan loop — no std::function indirection or allocation on the hot

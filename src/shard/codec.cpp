@@ -206,7 +206,8 @@ const SectionInfo* shard_section(const SectionLookup& img,
 // the local grid dims are sane, and cell_start is a monotone prefix sum
 // over exactly cols*rows cells ending at n_s. Returns false (shard
 // quarantined) instead of failing the open. `deep` additionally CRCs
-// every payload.
+// every payload (the open always does; the inspector reports CRCs per
+// section on its own).
 bool check_shard(const SectionLookup& img, std::uint32_t shard,
                  const ShardRecord& r, bool deep,
                  const SectionInfo* (&secs)[store::kShardSectionsPerShard]) {
@@ -407,8 +408,7 @@ std::string encode_sharded(const ShardedWorld& sw) {
 
 fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
                                          std::shared_ptr<const void> payload,
-                                         std::string source,
-                                         const OpenOptions& options) {
+                                         std::string source) {
   obs::Span span(obs::metrics::kShardOpenNs);
   obs::count(obs::metrics::kShardOpens);
 
@@ -445,12 +445,12 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
                        "shard layout total disagrees with scenario meta");
   }
 
-  // Shards: structural floor only (plus payload CRCs under deep_verify);
-  // a bad shard is quarantined, not fatal. The shards are independent,
-  // so the walk fans out on fa::exec — under deep_verify that turns the
-  // dominant cost of a cold start (CRCing the transceiver columns) into
-  // a parallel sweep, which is what keeps the sharded cold start an
-  // order of magnitude under the monolithic decode.
+  // Shards: structural floor plus payload CRCs; a bad shard is
+  // quarantined, not fatal. The shards are independent, so the walk fans
+  // out on fa::exec — that turns the dominant cost of a cold start
+  // (CRCing the transceiver columns) into a parallel sweep, which is
+  // what keeps the sharded cold start an order of magnitude under the
+  // monolithic decode.
   const std::size_t shard_count = parts.records.size();
   std::vector<Shard> shards(shard_count);
   std::vector<std::uint8_t> bad(shard_count, 0);
@@ -462,7 +462,7 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
         const int rows = std::max(1, static_cast<int>(r.rows));
         const SectionInfo* secs[store::kShardSectionsPerShard] = {};
         if (!check_shard(img, static_cast<std::uint32_t>(s), r,
-                         options.deep_verify, secs)) {
+                         /*deep=*/true, secs)) {
           shards[s] = shard_grid(r.bounds, cols, rows);
           shards[s].quarantined = true;
           bad[s] = 1;

@@ -9,22 +9,23 @@
 // open_sharded() is NOT decode_world's mirror — that is the point. It
 // validates the container frame (header/table/footer CRCs, in-bounds
 // non-overlapping sections), CRC-checks and decodes only the small
-// global sections, structurally checks each shard (column lengths agree
-// with the layout record, cell_start is a monotone prefix-sum ending at
-// n_s — the memory-safety floor for span queries), and then points the
-// shard's pages straight into the caller's mapping. No per-record
-// decode, no copy of the dominant payload: open cost is O(sections +
-// cells + pages), independent of the transceiver count. The encoder
-// writes each shard's pages back to back with dense ids (a view with
-// tombstones ranks its stable ids on the way out), so the bytes are
-// those of a fresh build over the same state.
+// global sections, checks each shard (column lengths agree with the
+// layout record, cell_start is a monotone prefix-sum ending at n_s —
+// the memory-safety floor for span queries — and every payload matches
+// its section-table CRC), and then points the shard's pages straight
+// into the caller's mapping. No per-record decode, no copy of the
+// dominant payload: the only pass over the transceiver columns is the
+// CRC sweep, which fans out shard by shard. The encoder writes each
+// shard's pages back to back with dense ids (a view with tombstones
+// ranks its stable ids on the way out), so the bytes are those of a
+// fresh build over the same state.
 //
-// A shard that fails its structural checks (or, under deep_verify, its
-// payload CRCs) is quarantined — empty columns, flag set — rather than
-// failing the open; only an unwalkable frame, a corrupt global section,
-// or a layout that lies about totals rejects the container. The
-// recovery ladder (shard/recovery.hpp) turns that into shard-by-shard
-// degradation instead of generation-level fallback.
+// A shard that fails its structural checks or its payload CRCs is
+// quarantined — empty columns, flag set — rather than failing the open;
+// only an unwalkable frame, a corrupt global section, or a layout that
+// lies about totals rejects the container. The recovery ladder
+// (shard/recovery.hpp) turns that into shard-by-shard degradation
+// instead of generation-level fallback.
 #pragma once
 
 #include <cstddef>
@@ -38,14 +39,6 @@
 
 namespace fa::shard {
 
-struct OpenOptions {
-  // Also CRC every per-shard payload against the section table (the
-  // open stays zero-copy; this adds one sequential pass over the file).
-  // Off by default: serving trusts the structural floor and the
-  // store's commit-time fsync; the inspector and recovery turn it on.
-  bool deep_verify = false;
-};
-
 std::string encode_sharded(const ShardedWorld& sw);
 
 // Opens a container over caller-owned bytes (recovery passes a
@@ -54,8 +47,7 @@ std::string encode_sharded(const ShardedWorld& sw);
 // that still share untouched shards).
 fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
                                          std::shared_ptr<const void> payload,
-                                         std::string source,
-                                         const OpenOptions& options = {});
+                                         std::string source);
 
 // -- inspection (fa_store_inspect, tests) ------------------------------
 

@@ -57,18 +57,16 @@ fault::Result<ShardedWorld> migrate(const store::MappedFile& file,
   return ShardedWorld::from_world(lw.world, lw.provider_risk, layout);
 }
 
-// A FASHRD01 container, always deep-verified: the per-shard payload
-// CRCs run as a parallel sweep inside open_sharded, so integrity costs
-// one fan-out over the file instead of a serial whole-file pass, and a
-// failed CRC quarantines precisely the damaged shard while the rest of
-// the geography serves.
+// A FASHRD01 container: the per-shard payload CRCs run as a parallel
+// sweep inside open_sharded, so integrity costs one fan-out over the
+// file instead of a serial whole-file pass, and a failed CRC
+// quarantines precisely the damaged shard while the rest of the
+// geography serves.
 fault::Result<ShardedWorld> open_container(
     std::shared_ptr<const store::MappedFile> file, const std::string& path) {
-  OpenOptions options;
-  options.deep_verify = true;
   const void* data = file->data();
   const std::size_t size = file->size();
-  auto opened = open_sharded(data, size, std::move(file), path, options);
+  auto opened = open_sharded(data, size, std::move(file), path);
   if (!opened.ok()) return opened.status();
   ShardedWorld world = std::move(opened).take();
   if (world.shard_count() > 0 &&

@@ -352,30 +352,36 @@ std::uint64_t StoreDir::next_generation() const {
                                      : on_disk.generations.back().number + 1;
 }
 
-fault::Status StoreDir::write_manifest(const Manifest& manifest) const {
-  const std::string text = encode_manifest(manifest);
-  const std::string final_path = file_path(std::string(kManifestName));
+fault::Status write_file_durably(const std::string& dir,
+                                 const std::string& name,
+                                 std::string_view bytes) {
+  const std::string final_path = dir + "/" + name;
   const std::string tmp_path = final_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
   if (fd < 0) return errno_status(tmp_path, "open");
-  if (write_all(fd, text.data(), text.size(), ~0ull) < 0) {
+  if (write_all(fd, bytes.data(), bytes.size(), ~0ull) < 0) {
     Status s = errno_status(tmp_path, "write");
     ::close(fd);
     ::unlink(tmp_path.c_str());
     return s;
   }
-  if (Status s = fsync_path_fd(fd, tmp_path, "manifest"); !s.ok()) {
+  if (Status s = fsync_path_fd(fd, tmp_path, name); !s.ok()) {
     ::close(fd);
     ::unlink(tmp_path.c_str());
     return s;
   }
   ::close(fd);
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    Status s = errno_status(final_path, "rename manifest");
+    Status s = errno_status(final_path, "rename " + name);
     ::unlink(tmp_path.c_str());
     return s;
   }
-  return fsync_dir(path_);
+  return fsync_dir(dir);
+}
+
+fault::Status StoreDir::write_manifest(const Manifest& manifest) const {
+  return write_file_durably(path_, std::string(kManifestName),
+                            encode_manifest(manifest));
 }
 
 fault::Result<Generation> StoreDir::commit(const std::string& image,

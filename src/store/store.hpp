@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/status.hpp"
@@ -124,6 +125,16 @@ class StoreDir {
 
   std::string path_;
 };
+
+// Durably replaces `dir`/`name` with `bytes` — the commit protocol of
+// the store's small files (MANIFEST, delta-log increments): write
+// `name.tmp` (short writes and EINTR retried), fsync it, rename it onto
+// `name`, fsync `dir`. The file is durable only when this returns ok. A
+// failure before the rename removes the .tmp; a failed directory fsync
+// leaves the renamed file in place but not known durable.
+fault::Status write_file_durably(const std::string& dir,
+                                 const std::string& name,
+                                 std::string_view bytes);
 
 // Formats a generation filename ("gen-000042.fa").
 std::string generation_filename(std::uint64_t number);

@@ -8,12 +8,15 @@
 // base generation instead of paying for a world build.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "delta/event.hpp"
 #include "delta/log.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "../store/store_test_util.hpp"
@@ -90,6 +93,44 @@ TEST(DeltaLog, AppendReplayRoundTrip) {
       EXPECT_EQ(replayed.batches[i][j], batches[i][j]);
     }
   }
+}
+
+TEST(DeltaLog, FailedCommitIsAnAppendFailure) {
+  // A directory squatting on the next increment's name makes the commit's
+  // rename fail after the write and fsync. The append must report it,
+  // count it, leave no .tmp debris and keep its ordinal and chain link,
+  // so the chain on disk stays the durably written prefix.
+  Fixture fx;
+  DeltaLog d = DeltaLog::open(fx.dir, fx.gen.number, fx.gen.crc).take();
+  ASSERT_TRUE(d.append(batch(0, 2)).ok());
+  const std::string squatter =
+      fx.dir.file_path(increment_filename(fx.gen.number, 1));
+  ASSERT_TRUE(std::filesystem::create_directory(squatter));
+  const bool obs_was = obs::enabled();
+  obs::set_enabled(true);
+  {
+    obs::ScopedRegistry scoped;
+    const auto failed = d.append(batch(2, 2));
+    EXPECT_FALSE(failed.ok());
+    EXPECT_EQ(
+        scoped.registry().counter(obs::metrics::kDeltaLogAppendFailures)
+            .value(),
+        1u);
+    EXPECT_EQ(scoped.registry().counter(obs::metrics::kDeltaLogAppends)
+                  .value(),
+              0u);
+  }
+  obs::set_enabled(obs_was);
+  EXPECT_FALSE(file_exists(squatter + ".tmp"));
+  EXPECT_EQ(d.replay().batches.size(), 1u);
+  // Once the name is free, the retry takes the same ordinal and links.
+  ASSERT_TRUE(std::filesystem::remove(squatter));
+  const auto retried = d.append(batch(2, 2));
+  ASSERT_TRUE(retried.ok()) << retried.status().to_string();
+  EXPECT_EQ(retried.value(), 1u);
+  const DeltaLog::Replay replayed = d.replay();
+  EXPECT_EQ(replayed.truncated, 0u);
+  EXPECT_EQ(replayed.batches.size(), 2u);
 }
 
 TEST(DeltaLog, ZeroBaseCrcComputedFromImage) {

@@ -14,12 +14,14 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/historical.hpp"
 #include "core/provider_risk.hpp"
 #include "core/whp_overlay.hpp"
+#include "delta/event.hpp"
 #include "delta/feed.hpp"
 #include "io/json.hpp"
 #include "store/codec.hpp"
@@ -192,6 +194,42 @@ TEST(Golden, DeltaEpochBytes) {
   doc["rebuild_crc"] = static_cast<std::size_t>(
       store::crc32(rebuilt_bytes.data(), rebuilt_bytes.size()));
   check_golden("delta_epoch", io::JsonValue{std::move(doc)});
+}
+
+TEST(Golden, FeedStreamBytes) {
+  // Pins the raw feed stream of a fixed-seed generator over the shared
+  // test world: every tick's events in encode_events bytes, chained into
+  // one CRC and checkpointed every 100 ticks so a drift names the window
+  // it starts in. The run is long enough that some ignitions land in the
+  // bboxes of two or more active fires, so it pins which fire grows (the
+  // oldest) and not only the RNG draw order.
+  constexpr std::uint64_t kSeed = 7;
+  constexpr int kTicks = 600;
+  fa::delta::FeedOptions feed_options;
+  feed_options.seed = kSeed;
+  fa::delta::FeedGenerator gen(test_world(), feed_options);
+  std::uint32_t crc = 0;
+  std::size_t events = 0;
+  std::size_t fire_events = 0;
+  io::JsonArray checkpoints;
+  for (int tick = 1; tick <= kTicks; ++tick) {
+    const std::vector<fa::delta::FeedEvent> batch = gen.tick();
+    const std::string bytes = fa::delta::encode_events(batch);
+    crc = store::crc32(bytes.data(), bytes.size(), crc);
+    events += batch.size();
+    for (const fa::delta::FeedEvent& e : batch) {
+      if (e.kind == fa::delta::EventKind::kFirePerimeter) ++fire_events;
+    }
+    if (tick % 100 == 0) checkpoints.push_back(static_cast<std::size_t>(crc));
+  }
+  io::JsonObject doc;
+  doc["feed_seed"] = static_cast<std::size_t>(kSeed);
+  doc["ticks"] = kTicks;
+  doc["events"] = events;
+  doc["fire_events"] = fire_events;
+  doc["next_seq"] = static_cast<std::size_t>(gen.next_seq());
+  doc["crc_every_100_ticks"] = io::JsonValue{std::move(checkpoints)};
+  check_golden("feed_stream", io::JsonValue{std::move(doc)});
 }
 
 TEST(Golden, ShardImageBytes) {

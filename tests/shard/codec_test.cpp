@@ -19,13 +19,11 @@ using testing::small_risk;
 using testing::small_sharded;
 using testing::small_world;
 
-fault::Result<ShardedWorld> open_image(const std::string& image,
-                                       const OpenOptions& options = {}) {
+fault::Result<ShardedWorld> open_image(const std::string& image) {
   // Tests keep the bytes alive via a shared copy, the way the mmap path
   // keeps the MappedFile alive.
   auto owned = std::make_shared<std::string>(image);
-  return open_sharded(owned->data(), owned->size(), owned, "test-image",
-                      options);
+  return open_sharded(owned->data(), owned->size(), owned, "test-image");
 }
 
 TEST(ShardCodec, EncodeIsDeterministic) {
@@ -33,9 +31,7 @@ TEST(ShardCodec, EncodeIsDeterministic) {
 }
 
 TEST(ShardCodec, OpenedViewMatchesBuiltView) {
-  OpenOptions deep;
-  deep.deep_verify = true;
-  auto opened = open_image(small_image(), deep);
+  auto opened = open_image(small_image());
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   const ShardedWorld& view = opened.value();
   const ShardedWorld& built = small_sharded();
@@ -88,9 +84,7 @@ TEST(ShardCodec, FlippedShardByteQuarantinesOnlyThatShard) {
     }
     if (bad != 1) continue;
     exercised = true;
-    OpenOptions deep;
-    deep.deep_verify = true;
-    auto opened = open_image(dirty, deep);
+    auto opened = open_image(dirty);
     ASSERT_TRUE(opened.ok())
         << "one damaged shard must not reject the container: "
         << opened.status().to_string();
@@ -118,9 +112,7 @@ TEST(ShardCodec, FlippedOwnerBitQuarantinesOnlyItsShard) {
   ASSERT_EQ(at, 388u);
   std::string dirty = small_image();
   dirty[at] = static_cast<char>(dirty[at] ^ 0x01);
-  OpenOptions deep;
-  deep.deep_verify = true;
-  auto opened = open_image(dirty, deep);
+  auto opened = open_image(dirty);
   ASSERT_TRUE(opened.ok()) << opened.status().to_string();
   const ShardedWorld& view = opened.value();
   EXPECT_EQ(view.quarantined_count(), 1u);

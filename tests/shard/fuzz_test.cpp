@@ -50,8 +50,6 @@ TEST(ShardFormatFuzz, MutantsAreRejectedOrQuarantinedNeverServed) {
       (9 + store::kShardSectionsPerShard * clean.shard_count()) *
           store::kSectionEntrySize;
 
-  OpenOptions deep;
-  deep.deep_verify = true;
   int rejected = 0, degraded = 0, intact = 0;
   constexpr int kSeeds = 1000;
   for (int seed = 0; seed < kSeeds; ++seed) {
@@ -62,7 +60,7 @@ TEST(ShardFormatFuzz, MutantsAreRejectedOrQuarantinedNeverServed) {
     ASSERT_NE(m.bytes, image) << "mutation was a no-op";
     auto owned = std::make_shared<const std::string>(m.bytes);
     auto opened =
-        open_sharded(owned->data(), owned->size(), owned, "mutant", deep);
+        open_sharded(owned->data(), owned->size(), owned, "mutant");
     auto report = inspect_sharded(owned->data(), owned->size(), "mutant");
     if (!opened.ok()) {
       ++rejected;
