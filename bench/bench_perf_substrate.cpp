@@ -163,13 +163,14 @@ BENCHMARK(BM_GridIndexQuery)->Arg(1000)->Arg(100000);
 
 void BM_ParallelReduce(benchmark::State& state) {
   // fa::exec region overhead + throughput on a trivially-parallel sum,
-  // swept over thread caps (Arg = max_threads; 1 = serial inline path).
+  // swept over thread caps (Arg = ConcurrencyLimit; 1 = serial inline
+  // path; caps above the pool's workers run with all of them).
   const std::size_t n = 1 << 20;
   std::vector<double> values(n);
   for (std::size_t i = 0; i < n; ++i) {
     values[i] = static_cast<double>(i % 97) * 0.25;
   }
-  const int threads = static_cast<int>(state.range(0));
+  const exec::ConcurrencyLimit limit(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     const double total = exec::parallel_reduce(
         n, 0.0,
@@ -177,7 +178,7 @@ void BM_ParallelReduce(benchmark::State& state) {
           for (std::size_t i = begin; i < end; ++i) acc += values[i];
         },
         [](double& into, double&& part) { into += part; },
-        {.grain = 1 << 14, .max_threads = threads});
+        {.grain = 1 << 14});
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));

@@ -24,12 +24,9 @@ int default_worker_count() {
     const int parsed = std::atoi(env);
     if (parsed >= 1) return std::min(parsed, ThreadPool::kMaxWorkers);
   }
+  // One worker per hardware thread (0 when the host cannot tell).
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  // Headroom above the core count so thread-count sweeps (benches, the
-  // determinism tests) exercise real multi-worker scheduling even on
-  // small machines; surplus workers park on a condition variable.
-  return std::clamp(std::max(hw, ThreadPool::kMinDefaultWorkers), 1,
-                    ThreadPool::kMaxWorkers);
+  return std::clamp(hw, 1, ThreadPool::kMaxWorkers);
 }
 
 // Per-region instrumentation handles, resolved once per work()/run()
@@ -243,10 +240,9 @@ void ThreadPool::worker_loop(int worker_id) {
   }
 }
 
-void ThreadPool::run(std::size_t num_chunks, ChunkFnRef fn, int max_threads) {
+void ThreadPool::run(std::size_t num_chunks, ChunkFnRef fn) {
   if (num_chunks == 0) return;
   int workers = max_workers_;
-  if (max_threads >= 1) workers = std::min(workers, max_threads);
   if (const int limit = ConcurrencyLimit::current(); limit >= 1) {
     workers = std::min(workers, limit);
   }

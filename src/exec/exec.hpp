@@ -41,28 +41,9 @@ inline constexpr std::size_t kMaxChunks = 4096;
 struct ExecOptions {
   // Target iterations per chunk (0 = kDefaultGrain). Part of the chunk
   // plan, so changing it changes float-reduction results; thread count
-  // never does.
+  // never does. (ConcurrencyLimit caps a region's threads.)
   std::size_t grain = 0;
-  // Cap on worker threads for this region (0 = no cap). Results are
-  // identical regardless; this is a throughput knob.
-  int max_threads = 0;
-  // Inline threshold for latency-sensitive callers (the serve planner's
-  // shard fan-out): when 0 < n < min_parallel the region runs on the
-  // calling thread via the pool's serial inline path instead of waking
-  // workers, skipping the dispatch/park round-trip that dominates tiny
-  // regions. The chunk plan is unchanged, so results stay bit-identical
-  // either way.
-  std::size_t min_parallel = 0;
 };
-
-namespace detail {
-// Resolves the ExecOptions thread cap: the min_parallel hook forces the
-// serial inline path for small regions by capping workers at one.
-inline int region_thread_cap(std::size_t n, const ExecOptions& opt) {
-  if (opt.min_parallel != 0 && n < opt.min_parallel) return 1;
-  return opt.max_threads;
-}
-}  // namespace detail
 
 // The deterministic chunk decomposition of [0, n).
 struct ChunkPlan {
@@ -112,8 +93,7 @@ class ChunkFnRef {
 // calling thread participates as worker 0.
 class ThreadPool {
  public:
-  // threads == 0: FA_THREADS env if set, else max(hardware_concurrency,
-  // kMinDefaultWorkers) so thread-count sweeps work on small machines.
+  // threads == 0: FA_THREADS env if set, else hardware_concurrency.
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
@@ -127,15 +107,14 @@ class ThreadPool {
 
   // Invokes fn(chunk, worker) exactly once per chunk in [0, num_chunks),
   // blocking until all complete; rethrows the first chunk exception.
-  // worker ids are in [0, max_workers()). max_threads caps parallelism
-  // for this region only (0 = all workers).
-  void run(std::size_t num_chunks, ChunkFnRef fn, int max_threads = 0);
+  // worker ids are in [0, max_workers()); the calling thread's
+  // ConcurrencyLimit caps how many run.
+  void run(std::size_t num_chunks, ChunkFnRef fn);
 
   // True on threads currently executing a chunk body (used to run nested
   // regions inline).
   static bool on_worker_thread();
 
-  static constexpr int kMinDefaultWorkers = 8;
   static constexpr int kMaxWorkers = 256;
 
  private:
@@ -179,8 +158,7 @@ void parallel_for_chunks(std::size_t n, Body&& body, ExecOptions opt = {}) {
     const auto [begin, end] = plan.bounds(chunk);
     body(begin, end, ChunkContext{chunk, worker});
   };
-  ThreadPool::global().run(plan.chunks, ChunkFnRef(chunk_fn),
-                           detail::region_thread_cap(n, opt));
+  ThreadPool::global().run(plan.chunks, ChunkFnRef(chunk_fn));
 }
 
 // body(i) for every i in [0, n), grouped into chunks.
@@ -209,8 +187,7 @@ T parallel_reduce(std::size_t n, T identity, Map&& map, Combine&& combine,
     const auto [begin, end] = plan.bounds(chunk);
     map(begin, end, parts[chunk]);
   };
-  ThreadPool::global().run(plan.chunks, ChunkFnRef(chunk_fn),
-                           detail::region_thread_cap(n, opt));
+  ThreadPool::global().run(plan.chunks, ChunkFnRef(chunk_fn));
   for (T& part : parts) combine(total, std::move(part));
   return total;
 }

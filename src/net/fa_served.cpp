@@ -6,7 +6,7 @@
 //
 // Builds the synthetic scenario straight into a geo-sharded view (no
 // monolithic world: the corpus streams into shard columns, and queries
-// scatter/gather across balanced geographic shards), starts a
+// scan the balanced geographic shards they overlap), starts a
 // serve::Server behind a net::NetServer, and runs until SIGINT/SIGTERM.
 // SIGTERM and SIGINT trigger a graceful drain: the listener closes,
 // admitted requests finish and flush, then the process exits. SIGHUP

@@ -185,8 +185,8 @@ inline constexpr std::string_view kShardQuarantined = "shard.quarantined";
 // Point queries routed (counter += shards touched; one in the common
 // case, more when a neighborhood disc straddles a shard boundary).
 inline constexpr std::string_view kShardPointRoutes = "shard.point_routes";
-// Scatter/gather fan-outs (one per bbox/top-K query) and the shards
-// each touched.
+// Shard fan-outs (one per bbox/top-K query, scanned on the calling
+// thread) and the shards each touched.
 inline constexpr std::string_view kShardFanouts = "shard.fanouts";
 inline constexpr std::string_view kShardFanoutShards = "shard.fanout_shards";
 // Queries that touched a quarantined shard and answered degraded.

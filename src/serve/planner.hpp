@@ -1,13 +1,14 @@
-// Scatter/gather query planner: the evaluate() bodies of the four
-// interactive query shapes (declared in snapshot.hpp), over a snapshot's
-// geo-sharded view (fa::shard), with one routing contract per family:
+// Shard planner: the evaluate() bodies of the four interactive query
+// shapes (declared in snapshot.hpp), over a snapshot's geo-sharded view
+// (fa::shard), with one routing contract per family:
 //   * point queries touch the global rasters only; a neighborhood scan
 //     routes through layout().shards_overlapping(disc bbox) — exactly
 //     one shard unless the disc straddles a tile boundary;
-//   * bbox and top-K queries scatter across the overlapping shard set
-//     on fa::exec (one task per shard, each writing only its own
-//     partial slot) and merge the partials serially in ascending shard
-//     id;
+//   * bbox and top-K queries scan every overlapping shard in ascending
+//     shard id on the calling thread: a bbox tallies straight into its
+//     response, a top-K into one candidate vector. No query enters the
+//     fa::exec pool, so none waits behind a feed apply or a build
+//     region holding it;
 //   * provider exposure reads the view's provider-risk aggregate, O(1).
 //
 // Determinism contract (pinned by tests/shard/equivalence_test.cpp
@@ -15,9 +16,9 @@
 // thread-count equivalence suites): responses are the same bytes at any
 // thread count and under any layout. The shards partition the point
 // set, every per-point filter (bbox containment, haversine radius) is
-// the same expression over the same doubles, the merged tallies are
+// the same expression over the same doubles, the tallies are
 // order-independent integer sums, and the top-K comparator is a strict
-// total order (txr id tiebreak), so merge order cannot leak into any
+// total order (txr id tiebreak), so scan order cannot leak into any
 // response byte.
 //
 // Quarantined shards are skipped and counted (shard.degraded_serves):

@@ -10,8 +10,8 @@
 // There is one representation. build() streams the scenario straight
 // into shard columns (shard::ShardedWorld::build — no core::World),
 // recover() is shard::recover, apply() is shard::apply_delta, encode()
-// writes FASHRD01, and every evaluate() goes through the scatter/gather
-// planner (planner.cpp). A layout only says how the columns are cut;
+// writes FASHRD01, and every evaluate() goes through the shard planner
+// (planner.cpp). A layout only says how the columns are cut;
 // answers are the same bytes under any.
 //
 // The SnapshotStore publishes new epochs atomically: readers acquire()

@@ -39,8 +39,9 @@ struct LayoutOptions {
   int tiles_x = 32;
   int tiles_y = 16;
   // Shards to balance toward (exact when the grid has at least this
-  // many tiles). Matches the default exec pool width so a continental
-  // fan-out saturates the machine without oversubscribing it.
+  // many tiles). Each shard is one task of the per-shard batch regions
+  // (build, open, delta apply), and one quarantine unit: a damaged
+  // shard costs about a sixteenth of the corpus, not all of it.
   int target_shards = 16;
 };
 

@@ -33,12 +33,11 @@
 // ids, encode_sharded, materialize and positions_by_id.
 //
 // Determinism contract (pinned by tests/shard/equivalence_test.cpp):
-// for any query, scattering over shards_overlapping() and merging in
-// ascending shard id yields responses byte-identical to a brute-force
-// scan of the whole corpus, under any layout — the shards partition the
-// point set, every query applies its exact containment filters per
-// point, and the merged aggregates are order-independent sums or
-// totally-ordered rankings.
+// for any query, scanning shards_overlapping() in ascending shard id
+// yields responses byte-identical to a brute-force scan of the whole
+// corpus, under any layout — the shards partition the point set, every
+// query applies its exact containment filters per point, and the
+// aggregates are order-independent sums or totally-ordered rankings.
 #pragma once
 
 #include <algorithm>

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -233,32 +237,26 @@ TEST(WorkerScratchTest, OneSlotPerWorkerBuffersAreReused) {
   EXPECT_EQ(total.load(), 100000u);
 }
 
-TEST(ThreadPoolTest, DefaultPoolHasSweepHeadroom) {
-  // The default pool keeps >= kMinDefaultWorkers workers so thread-count
-  // sweeps exercise real multi-worker scheduling even on 1-CPU hosts.
-  EXPECT_GE(ThreadPool::global().max_workers(), ThreadPool::kMinDefaultWorkers);
-}
+TEST(ThreadPoolTest, DefaultPoolFollowsHostOrFaThreads) {
+  // One worker per hardware thread unless FA_THREADS says otherwise
+  // (tests/CMakeLists.txt sets FA_THREADS=8 on every test, so the
+  // thread-count sweeps run 8 workers on any host). Garbage falls back
+  // to the host size.
+  const char* env = std::getenv("FA_THREADS");
+  const std::optional<std::string> saved =
+      env != nullptr ? std::optional<std::string>(env) : std::nullopt;
+  EXPECT_EQ(ThreadPool::global().max_workers(), ThreadPool().max_workers());
 
-TEST(ParallelForTest, MinParallelKeepsTinyRegionsOnCallingThread) {
-  // The serve planner's latency hook: below the threshold the region
-  // runs serially on the caller (no worker wakeup), above it the pool
-  // dispatches as usual. Results are identical either way.
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ids(8);
-  parallel_for(
-      ids.size(),
-      [&ids](std::size_t i) { ids[i] = std::this_thread::get_id(); },
-      {.grain = 1, .min_parallel = 16});
-  for (const std::thread::id& id : ids) EXPECT_EQ(id, caller);
-
-  std::vector<int> with(1000);
-  std::vector<int> without(1000);
-  const auto fill = [](std::vector<int>& out) {
-    return [&out](std::size_t i) { out[i] = static_cast<int>(i * 7 % 13); };
-  };
-  parallel_for(with.size(), fill(with), {.grain = 16, .min_parallel = 64});
-  parallel_for(without.size(), fill(without), {.grain = 16});
-  EXPECT_EQ(with, without);
+  const int host =
+      std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 1,
+                 ThreadPool::kMaxWorkers);
+  ::setenv("FA_THREADS", "3", 1);
+  EXPECT_EQ(ThreadPool().max_workers(), 3);
+  ::setenv("FA_THREADS", "lots", 1);
+  EXPECT_EQ(ThreadPool().max_workers(), host);
+  ::unsetenv("FA_THREADS");
+  EXPECT_EQ(ThreadPool().max_workers(), host);
+  if (saved) ::setenv("FA_THREADS", saved->c_str(), 1);
 }
 
 TEST(ThreadPoolTest, OffWorkerThreadByDefault) {

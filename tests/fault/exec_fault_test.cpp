@@ -52,10 +52,9 @@ TEST(ExecFault, PartialProbabilityFailsDeterministically) {
 
   const ScopedInjector scope(Injector::parse("seed=77,exec.chunk=0.05").take());
   for (const int threads : {1, 4}) {
+    const ConcurrencyLimit limit(threads);
     try {
-      parallel_for(
-          100 * 64, [](std::size_t) {},
-          {.grain = 64, .max_threads = threads});
+      parallel_for(100 * 64, [](std::size_t) {}, {.grain = 64});
       FAIL() << "expected an injected fault";
     } catch (const InjectedFault& e) {
       EXPECT_EQ(e.status().source, "exec.chunk");
