@@ -1,17 +1,18 @@
 // Closed-loop load generator for the fa::serve query layer.
 //
 // Builds one snapshot per server mode and drives it with 1/2/4/8 client
-// threads, each issuing a fixed count of queries back-to-back (closed
-// loop: the next request leaves when the previous answer lands). Two
-// configurations per thread count:
+// threads, each issuing queries back-to-back (closed loop: the next
+// request leaves when the previous answer lands) for a fixed wall time
+// per row. Two configurations per thread count:
 //
 //   direct   cache disabled — every request recomputes (the baseline)
 //   cached   sharded LRU on, fully warmed over the repeated-query pool
 //
 // The workload repeats a fixed pool of mixed-shape queries, the regime
-// the result cache is built for; the trailer reports QPS and p50/p99
-// latency per row plus whether cache-on beat cache-off at every thread
-// count (the PR's acceptance gate).
+// the result cache is built for; the trailer reports QPS, p50/p99
+// latency and the query count per row, whether cache-on beat cache-off
+// at every thread count, and the fewest queries any client thread
+// answered in any row (queries_per_thread).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -82,16 +83,23 @@ serve::PointRiskResponse ask(serve::Server& server, const AnyQuery& q) {
       q);
 }
 
+// Wall time of one row: long enough that even the slowest row answers
+// tens of thousands of queries per client, so host scheduling noise
+// averages out within the row.
+constexpr std::chrono::milliseconds kRowTime{500};
+
 struct LoadResult {
   double qps = 0.0;
   double p50_us = 0.0;
   double p99_us = 0.0;
   double hit_rate = 0.0;  // of this run's cache lookups
+  std::size_t queries = 0;
+  std::size_t min_per_thread = 0;  // fewest answered by one client
 };
 
-// Runs `threads` closed-loop clients for `per_thread` queries each.
+// Runs `threads` closed-loop clients until kRowTime has passed.
 LoadResult run_load(serve::Server& server, const std::vector<AnyQuery>& pool,
-                    int threads, std::size_t per_thread) {
+                    int threads) {
   using Clock = std::chrono::steady_clock;
   // The cache's own tallies: exact whether or not FA_OBS is on.
   const serve::ShardedCache::Stats before = server.cache_stats();
@@ -99,6 +107,7 @@ LoadResult run_load(serve::Server& server, const std::vector<AnyQuery>& pool,
   std::vector<std::vector<std::uint64_t>> latencies(
       static_cast<std::size_t>(threads));
   std::atomic<bool> start{false};
+  std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
   for (int t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
@@ -106,9 +115,9 @@ LoadResult run_load(serve::Server& server, const std::vector<AnyQuery>& pool,
       std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
       std::vector<std::uint64_t>& out =
           latencies[static_cast<std::size_t>(t)];
-      out.reserve(per_thread);
+      out.reserve(1 << 18);
       while (!start.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (std::size_t i = 0; i < per_thread; ++i) {
+      while (!stop.load(std::memory_order_relaxed)) {
         const AnyQuery& q = pool[pick(rng)];
         const Clock::time_point t0 = Clock::now();
         const serve::PointRiskResponse r = ask(server, q);
@@ -122,14 +131,18 @@ LoadResult run_load(serve::Server& server, const std::vector<AnyQuery>& pool,
   }
   const Clock::time_point wall0 = Clock::now();
   start.store(true, std::memory_order_release);
+  std::this_thread::sleep_for(kRowTime);
+  stop.store(true, std::memory_order_relaxed);
   for (std::thread& c : clients) c.join();
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - wall0).count();
 
+  LoadResult result;
+  result.min_per_thread = latencies.front().size();
   std::vector<std::uint64_t> all;
-  all.reserve(static_cast<std::size_t>(threads) * per_thread);
   for (const std::vector<std::uint64_t>& v : latencies) {
     all.insert(all.end(), v.begin(), v.end());
+    result.min_per_thread = std::min(result.min_per_thread, v.size());
   }
   std::sort(all.begin(), all.end());
   const auto pct = [&all](double p) {
@@ -137,7 +150,7 @@ LoadResult run_load(serve::Server& server, const std::vector<AnyQuery>& pool,
         p * static_cast<double>(all.size() - 1));
     return static_cast<double>(all[i]) * 1e-3;  // ns -> us
   };
-  LoadResult result;
+  result.queries = all.size();
   result.qps = wall_s > 0.0 ? static_cast<double>(all.size()) / wall_s : 0.0;
   result.p50_us = pct(0.50);
   result.p99_us = pct(0.99);
@@ -167,7 +180,6 @@ int main() {
               exec::ThreadPool::global().max_workers());
 
   constexpr std::size_t kDistinct = 192;
-  constexpr std::size_t kPerThread = 1200;
   const std::vector<AnyQuery> pool = query_pool(kDistinct);
 
   struct Mode {
@@ -177,14 +189,16 @@ int main() {
   const Mode modes[] = {{"direct", false}, {"cached", true}};
   const int thread_counts[] = {1, 2, 4, 8};
 
-  std::printf("workload: %zu distinct queries, %zu per client thread, "
-              "closed loop\n\n", kDistinct, kPerThread);
+  std::printf("workload: %zu distinct queries, %lld ms per row, closed "
+              "loop\n\n",
+              kDistinct, static_cast<long long>(kRowTime.count()));
 
-  core::TextTable table(
-      {"Mode", "Threads", "QPS", "p50 (us)", "p99 (us)", "Hit rate"});
+  core::TextTable table({"Mode", "Threads", "QPS", "p50 (us)", "p99 (us)",
+                         "Hit rate", "Queries"});
   io::JsonArray rows;
   // qps[mode][threads-row]
   double qps[2][4] = {};
+  std::size_t min_per_thread = ~std::size_t{0};
   for (std::size_t m = 0; m < 2; ++m) {
     const Mode& mode = modes[m];
     obs::Registry registry;
@@ -203,21 +217,23 @@ int main() {
     }
     for (std::size_t t = 0; t < 4; ++t) {
       const int threads = thread_counts[t];
-      const LoadResult r =
-          run_load(server, pool, threads, kPerThread);
+      const LoadResult r = run_load(server, pool, threads);
       qps[m][t] = r.qps;
+      min_per_thread = std::min(min_per_thread, r.min_per_thread);
       table.add_row({mode.name, std::to_string(threads),
                      core::fmt_double(r.qps, 0),
                      core::fmt_double(r.p50_us, 1),
                      core::fmt_double(r.p99_us, 1),
-                     core::fmt_double(100.0 * r.hit_rate, 1) + "%"});
+                     core::fmt_double(100.0 * r.hit_rate, 1) + "%",
+                     std::to_string(r.queries)});
       rows.push_back(io::JsonObject{{"mode", std::string(mode.name)},
                                     {"threads", threads},
                                     {"cache", mode.cache},
                                     {"qps", r.qps},
                                     {"p50_us", r.p50_us},
                                     {"p99_us", r.p99_us},
-                                    {"hit_rate", r.hit_rate}});
+                                    {"hit_rate", r.hit_rate},
+                                    {"queries", static_cast<double>(r.queries)}});
     }
   }
   std::printf("\n%s\n", table.str().c_str());
@@ -232,7 +248,8 @@ int main() {
       static_cast<int>(std::thread::hardware_concurrency());
   payload["pool_workers"] = exec::ThreadPool::global().max_workers();
   payload["distinct_queries"] = kDistinct;
-  payload["queries_per_thread"] = kPerThread;
+  payload["queries_per_thread"] = static_cast<double>(min_per_thread);
+  payload["row_seconds"] = kRowTime.count() * 1e-3;
   payload["cache_on_beats_off"] = cache_wins;
   payload["rows"] = io::JsonValue{std::move(rows)};
   bench::print_json_trailer("serve_qps", io::JsonValue{std::move(payload)},

@@ -74,9 +74,10 @@ constexpr bool http_method_prefix(std::string_view head) {
 
 struct Conn;
 
-// A miss (or the scenario composite) handed to the worker pool. It
-// carries its connection's sequence number: replies leave strictly in
-// request order whichever thread finishes first — the frames carry no
+// One admitted request: a query answered on the IO thread, or work
+// (an ensemble shape, the scenario composite) handed to the pool. Pool
+// work carries its connection's sequence number: replies leave strictly
+// in request order whichever thread finishes first — the frames carry no
 // request id, ordering IS the correlation.
 struct Work {
   enum class Kind : std::uint8_t { kQuery, kScenario };
@@ -90,9 +91,9 @@ struct Work {
 };
 
 // Finished reply bytes. The thread that produced them — the IO thread
-// for cache hits and canned answers, a worker for a miss — hands them
-// to the connection's reorder buffer, which appends them to the outbox
-// once every earlier reply has been.
+// for serving queries and canned answers, a worker for pool work —
+// hands them to the connection's reorder buffer, which appends them to
+// the outbox once every earlier reply has been.
 struct Reply {
   std::uint64_t seq = 0;
   std::string bytes;
@@ -164,9 +165,9 @@ struct NetServer::Impl {
   std::atomic<bool> quiescent{false};
   std::uint64_t next_conn_id = 1;
 
-  // The pool's admission queue: misses and scenario composites only
-  // (bounded; full = shed). Cache hits and canned replies never enter
-  // it.
+  // The pool's admission queue: ensemble queries and scenario
+  // composites only (bounded; full = shed). Point, bbox, provider and
+  // top-K queries and canned replies never enter it.
   std::mutex qmu;
   std::condition_variable qcv;
   std::deque<Work> queue;
@@ -175,8 +176,8 @@ struct NetServer::Impl {
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
 
   // Component-owned reply tallies (NetServer::stats), exact under any
-  // FA_OBS setting. Only the IO thread writes inline_hits.
-  std::atomic<std::uint64_t> inline_hits{0};
+  // FA_OBS setting. Only the IO thread writes inline_replies.
+  std::atomic<std::uint64_t> inline_replies{0};
   std::atomic<std::uint64_t> pool_replies{0};
 
   std::mutex shutdown_mu;
@@ -463,7 +464,7 @@ struct NetServer::Impl {
         c_bytes_in.add(static_cast<std::uint64_t>(r));
         conn->last_activity_ns = reg.now_ns();
         ingest(conn, std::string_view(buf, static_cast<std::size_t>(r)));
-        // Hits and canned replies answered by this chunk leave now,
+        // Queries and canned replies answered by this chunk leave now,
         // before the IO thread goes back to epoll_wait.
         flush_conn(*conn);
         if (conn->dead) return;
@@ -631,9 +632,10 @@ struct NetServer::Impl {
 
   // -- admission (IO thread) -------------------------------------------
 
-  // Drain, quota, then the cache: a hit is answered here, in this
-  // pass, and only a miss (or the scenario composite) reaches the
-  // bounded pool queue — so BUSY sheds pool work only, and a hit is
+  // Drain, quota, then the shape: a point, bbox, provider or top-K
+  // query is answered here, hit or miss, in this read pass. Only the
+  // ensemble shapes and the scenario composite reach the bounded pool
+  // queue — so BUSY sheds pool work only, and a serving query is
   // answered even while the pool is saturated.
   void admit(Work w) {
     Conn& conn = *w.conn;
@@ -648,7 +650,11 @@ struct NetServer::Impl {
       c_rate_limited.add();
       rc = ErrorCode::kRateLimited;
       detail = "per-connection quota exceeded";
-    } else if (w.kind == Work::Kind::kQuery && answer_hit(w, now)) {
+    } else if (runs_inline(w)) {
+      reply_inline(conn, execute(w, now), /*frame=*/!w.http,
+                   w.http && !w.keep_alive);
+      inline_replies.store(inline_replies.load(std::memory_order_relaxed) + 1,
+                           std::memory_order_relaxed);
       return;
     } else {
       std::lock_guard<std::mutex> lk(qmu);
@@ -673,22 +679,14 @@ struct NetServer::Impl {
                  /*frame=*/!w.http, w.http && !w.keep_alive);
   }
 
-  // Answers `w` from the result cache's encoded bytes, on the IO
-  // thread, if the current epoch holds them for its codec. A probe miss
-  // counts nothing; the worker's handle() counts the request.
-  bool answer_hit(const Work& w, std::uint64_t t0) {
-    const serve::SharedReply hit = server.probe(w.request, codec_of(w));
-    if (!hit) return false;
-    const std::string& payload = std::get<std::string>(*hit);
-    reply_inline(*w.conn,
-                 w.http ? http_response(200, payload, w.keep_alive)
-                        : frame(payload),
-                 /*frame=*/!w.http, w.http && !w.keep_alive);
-    latency_histogram(w.request).record(reg.now_ns() - t0);
-    c_ok.add();
-    inline_hits.store(inline_hits.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
-    return true;
+  // The serving shapes run to completion on the IO thread: one
+  // handle() call, a cache hit or a few microseconds of evaluation. An
+  // ensemble run or the scenario composite would stall every other
+  // connection, so those go to the pool.
+  static bool runs_inline(const Work& w) {
+    return w.kind == Work::Kind::kQuery &&
+           !std::holds_alternative<serve::EnsembleSummaryQuery>(w.request) &&
+           !std::holds_alternative<serve::TopKFragileSitesQuery>(w.request);
   }
 
   static serve::Codec codec_of(const Work& w) {
@@ -696,8 +694,8 @@ struct NetServer::Impl {
   }
 
   // Stamps the next reply seq and delivers bytes the IO thread built
-  // (hits, health, rejects, parse errors) behind this connection's
-  // earlier replies. The caller's read pass flushes them.
+  // (serving answers, health, rejects, parse errors) behind this
+  // connection's earlier replies. The caller's read pass flushes them.
   void reply_inline(Conn& conn, std::string bytes, bool frame,
                     bool close_after) {
     if (conn.dead) return;
@@ -868,7 +866,8 @@ struct NetServer::Impl {
         w = std::move(queue.front());
         queue.pop_front();
       }
-      Reply r{w.seq, execute(w), w.http && !w.keep_alive, !w.http};
+      Reply r{w.seq, execute(w, reg.now_ns()), w.http && !w.keep_alive,
+              !w.http};
       pool_replies.fetch_add(1, std::memory_order_relaxed);
       complete(*w.conn, std::move(r));
     }
@@ -891,8 +890,10 @@ struct NetServer::Impl {
     }
   }
 
-  std::string execute(const Work& w) {
-    const std::uint64_t t0 = reg.now_ns();
+  // The reply bytes for `w`, by the IO thread or a worker. The shape's
+  // net.latency histogram measures from `t0`: admission for an inline
+  // answer, dequeue for pool work.
+  std::string execute(const Work& w, std::uint64_t t0) {
     std::string out;
     try {
       if (w.kind == Work::Kind::kScenario) {
@@ -915,8 +916,9 @@ struct NetServer::Impl {
                                    w.keep_alive)
                    : error_frame(ErrorCode::kBadRequest, e.what());
     } catch (const std::exception& e) {
-      // Anything else escaping a worker thread would std::terminate the
-      // whole server on one bad request; answer 500 and keep serving.
+      // Anything else escaping the IO thread or a worker would
+      // std::terminate the whole server on one bad request; answer 500
+      // and keep serving.
       c_bad.add();
       out = w.http
                 ? http_response(500,
@@ -970,7 +972,7 @@ bool NetServer::draining() const {
 }
 
 NetServerStats NetServer::stats() const {
-  return {impl_->inline_hits.load(std::memory_order_relaxed),
+  return {impl_->inline_replies.load(std::memory_order_relaxed),
           impl_->pool_replies.load(std::memory_order_relaxed)};
 }
 

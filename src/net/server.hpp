@@ -12,13 +12,14 @@
 //
 //   * Admission control. Every parsed request passes the drain check
 //     and a per-connection token bucket (quota_qps/quota_burst; 0
-//     disables), then a cache probe: a hit is answered on the spot. A
-//     miss enters a bounded queue for the worker pool. A full queue
-//     sheds the request with a cheap BUSY frame (HTTP 503) encoded
-//     without touching the serving stack — overload can make clients
-//     retry, it can never stall the snapshot hot-swap path or grow
-//     memory without bound. BUSY bounds pool work only: a hit is
-//     answered even while the pool is saturated.
+//     disables). A point, bbox, provider or top-K query is then
+//     answered on the spot, hit or miss. The ensemble shapes and the
+//     scenario composite enter a bounded queue for the worker pool. A
+//     full queue sheds the request with a cheap BUSY frame (HTTP 503)
+//     encoded without touching the serving stack — overload can make
+//     clients retry, it can never stall the snapshot hot-swap path or
+//     grow memory without bound. BUSY bounds pool work only: a serving
+//     query is answered even while the pool is saturated.
 //   * Slow clients. Replies accumulate in a per-connection outbox;
 //     an outbox past max_outbox_bytes means the peer stopped reading,
 //     and the connection is dropped (net.connections.dropped_slow)
@@ -34,20 +35,24 @@
 //     answers; the net layer just keeps admitting or shedding.
 //
 // Threading: one IO thread owns every socket's lifetime and all parser
-// state. It answers cache hits itself — Server::probe hands it the
-// encoded reply bytes the cache holds — along with every canned reply
+// state. It runs each point, bbox, provider and top-K query to
+// completion — one Server::handle call in the connection's codec: the
+// cached bytes on a hit, an evaluation on the calling thread on a miss
+// (the planner never enters fa::exec) — along with every canned reply
 // (health, 404/400, BUSY, RATE_LIMITED, SHUTTING_DOWN, frame errors),
-// and sends them in the same pass. Only misses and the scenario
-// composite go to the workers, which evaluate through Server::handle
-// (the unified surface, in the connection's codec) and write their own
-// replies: a reply that opens an empty outbox is sent by its worker at
-// once, and EPOLLOUT is armed only when bytes (or a verdict only the IO
-// thread acts on: drop, close) remain. Replies leave in request order
-// through a per-connection reorder buffer that whichever thread
-// produced the bytes fills; closing a connection stays the IO thread's
-// job. A cache probe takes only the snapshot pin and one cache shard's
-// lock, so nothing here blocks the IO thread on evaluation, and nothing
-// in the serving stack ever waits on a socket.
+// and sends them in the same pass. Only the ensemble shapes and the
+// scenario composite go to the workers, which answer through the same
+// Server::handle and write their own replies: a reply that opens an
+// empty outbox is sent by its worker at once, and EPOLLOUT is armed
+// only when bytes (or a verdict only the IO thread acts on: drop,
+// close) remain. Replies leave in request order through a
+// per-connection reorder buffer that whichever thread produced the
+// bytes fills; closing a connection stays the IO thread's job. An
+// inline answer takes the snapshot pin, one cache shard's lock and, on
+// a miss, an evaluation: microseconds at the median, milliseconds for a
+// top-K over a populous disc, during which the other connections wait.
+// The IO thread never waits on a worker, and nothing in the serving
+// stack ever waits on a socket.
 #pragma once
 
 #include <cstdint>
@@ -64,7 +69,7 @@ struct NetServerOptions {
   // Loopback-only by default; set to false to bind 0.0.0.0.
   bool loopback_only = true;
   int workers = 2;                    // clamped to >= 1
-  std::size_t queue_capacity = 256;   // bounded pool queue (misses)
+  std::size_t queue_capacity = 256;   // bounded pool queue (ensemble, scenario)
   std::size_t max_connections = 1024;
   // Per-connection token bucket; 0 disables quota enforcement.
   double quota_qps = 0.0;
@@ -91,10 +96,11 @@ constexpr bool write_stalled(std::uint64_t now_ns, std::uint64_t progress_ns,
 }
 
 // Where replies to admitted queries came from, exact under any FA_OBS
-// setting: cache bytes on the IO thread, or a worker (misses and
-// scenario composites). Canned replies are in neither.
+// setting: the IO thread (point, bbox, provider and top-K queries, hit
+// or miss), or a worker (ensemble shapes and scenario composites).
+// Canned replies are in neither.
 struct NetServerStats {
-  std::uint64_t inline_hits = 0;
+  std::uint64_t inline_replies = 0;
   std::uint64_t pool_replies = 0;
 };
 

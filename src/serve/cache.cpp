@@ -26,16 +26,6 @@ ShardedCache::ShardedCache(const CacheConfig& config, obs::Registry& registry)
 
 CacheHit ShardedCache::get(Epoch epoch, std::uint64_t fingerprint,
                            Codec codec) {
-  return lookup(epoch, fingerprint, codec, /*count_miss=*/true);
-}
-
-CacheHit ShardedCache::probe(Epoch epoch, std::uint64_t fingerprint,
-                             Codec codec) {
-  return lookup(epoch, fingerprint, codec, /*count_miss=*/false);
-}
-
-CacheHit ShardedCache::lookup(Epoch epoch, std::uint64_t fingerprint,
-                              Codec codec, bool count_miss) {
   Shard& shard = shard_of(fingerprint);
   const Key key{epoch, fingerprint, codec};
   const std::lock_guard<std::mutex> lock(shard.mu);
@@ -51,10 +41,8 @@ CacheHit ShardedCache::lookup(Epoch epoch, std::uint64_t fingerprint,
     }
   }
   if (!hit) {
-    if (count_miss) {
-      shard.tally.misses++;
-      misses_.add();
-    }
+    shard.tally.misses++;
+    misses_.add();
     return {};
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);

@@ -93,11 +93,6 @@ class ShardedCache {
   CacheHit get(Epoch epoch, std::uint64_t fingerprint,
                Codec codec = Codec::kResponse);
 
-  // get() that counts only a hit: the front door's cache-only probe,
-  // whose miss is handed to a worker that looks the key up again (and
-  // counts that lookup, hit or miss).
-  CacheHit probe(Epoch epoch, std::uint64_t fingerprint, Codec codec);
-
   // Inserts or replaces (epoch, fingerprint, codec) → reply, evicting
   // the shard's LRU tail when over budget; returns the stored entry.
   SharedReply put(Epoch epoch, std::uint64_t fingerprint, Codec codec,
@@ -146,8 +141,6 @@ class ShardedCache {
     // High bits select the shard; low bits feed the in-shard hash.
     return *shards_[(fingerprint >> 48) % shards_.size()];
   }
-  CacheHit lookup(Epoch epoch, std::uint64_t fingerprint, Codec codec,
-                  bool count_miss);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t per_shard_capacity_;

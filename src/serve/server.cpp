@@ -126,20 +126,6 @@ Response Server::handle(const Request& request) {
   return std::get<Response>(*handle(request, Codec::kResponse));
 }
 
-SharedReply Server::probe(const Request& request, Codec codec) {
-  if (!options_.cache_enabled) return nullptr;
-  const bool timed = obs::enabled();
-  const std::uint64_t t0 = timed ? registry_.now_ns() : 0;
-  const std::shared_ptr<const Snapshot> snap = store_.acquire();
-  SharedReply reply =
-      cache_.probe(snap->epoch(), fingerprint(request), codec).reply;
-  if (reply) {
-    queries_.add();
-    if (timed) query_ns_.record(registry_.now_ns() - t0);
-  }
-  return reply;
-}
-
 PointRiskResponse Server::point_risk(const PointRiskQuery& q) {
   return std::get<PointRiskResponse>(handle(Request{q}));
 }

@@ -5,9 +5,9 @@
 // epoch + query fingerprint + codec). Every query, of every shape and
 // from either wire protocol, takes one path: handle() -> cache ->
 // evaluate() -> encode in the caller's codec, on the calling thread.
-// The network front door also calls probe(), the cache-only half of
-// that path, on its IO thread: a hit is answered there, a miss goes to
-// a worker's handle(). Any number of client threads may query
+// The network front door calls handle() on its IO thread for point,
+// bbox, provider and top-K queries, hit or miss, and from a worker for
+// the ensemble shapes. Any number of client threads may query
 // concurrently; rebuild() may run concurrently with queries and
 // publishes a new epoch atomically — in-flight requests finish against
 // the epoch they acquired, and a failed rebuild leaves the old epoch
@@ -93,13 +93,6 @@ class Server {
   // PointRiskResponse, etc.), and the bytes are identical to the typed
   // methods below (tests/serve/unified_api_test.cpp pins both).
   Response handle(const Request& request);
-
-  // The cache-only half of handle(): the cached entry for `request` in
-  // `codec` at the current epoch, or null. A hit counts as one query
-  // (serve.queries, serve.query_ns) and one cache hit; a miss counts
-  // nothing, so the handle() that answers it counts the request once.
-  // Null whenever the cache is disabled.
-  SharedReply probe(const Request& request, Codec codec);
 
   // Typed convenience wrappers over handle().
   PointRiskResponse point_risk(const PointRiskQuery& q);

@@ -219,7 +219,7 @@ TEST(NetServer, PipelinedRequestsAnswerInOrder) {
 TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverBinary) {
   serve::Server& backend = shared_server();
   NetServerOptions opts;
-  opts.workers = 4;  // misses race each other and the inline hits
+  opts.workers = 4;  // ensemble misses race each other and the inline replies
   NetServer net(backend, opts);
 
   // Two hits: warmed over the socket, because a hit is keyed by codec.
@@ -232,13 +232,19 @@ TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverBinary) {
     ASSERT_TRUE(c.call(hit_a).ok());
     ASSERT_TRUE(c.call(hit_b).ok());
   }
-  // Cold keys no other test (or earlier --gtest_repeat run) asks: each
-  // miss takes a worker.
+  // Cold keys no other test (or earlier --gtest_repeat run) asks: a
+  // top-K miss is answered on the IO thread, an ensemble miss takes a
+  // worker.
   static std::atomic<int> runs{0};
-  const double lat = 34.1 + runs.fetch_add(1) * 1e-3;
+  const int run = runs.fetch_add(1);
+  const double lat = 34.1 + run * 1e-3;
   const auto miss = [lat](int i) {
     return Request{
         serve::TopKSitesQuery{{-118.5 + i * 0.013, lat}, 2.5e5, 64}};
+  };
+  const auto pool_miss = [run](int i) {
+    return Request{serve::EnsembleSummaryQuery{
+        4, 9'000'000 + static_cast<std::uint64_t>(run * 100 + i)}};
   };
   std::string malformed = serve::wire::encode(hit_a);
   malformed[1] = 0x5A;  // well framed, unknown tag: BAD_REQUEST
@@ -253,7 +259,7 @@ TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverBinary) {
     push(miss(i));
     push(hit_a);
     if (i % 2 == 0) push(std::nullopt);
-    push(miss(100 + i));
+    push(pool_miss(i));
     push(hit_b);
   }
   const NetServerStats before = net.stats();
@@ -273,10 +279,10 @@ TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverBinary) {
     }
   }
   const NetServerStats after = net.stats();
-  EXPECT_EQ(after.inline_hits - before.inline_hits, 12u)
-      << "every hit is answered on the IO thread";
-  EXPECT_EQ(after.pool_replies - before.pool_replies, 12u)
-      << "only the misses reach the pool";
+  EXPECT_EQ(after.inline_replies - before.inline_replies, 18u)
+      << "every hit and top-K miss is answered on the IO thread";
+  EXPECT_EQ(after.pool_replies - before.pool_replies, 6u)
+      << "only the ensemble misses reach the pool";
   net.shutdown();
 }
 
@@ -298,10 +304,15 @@ TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverHttp) {
     ASSERT_EQ(warm.read_http(2).size(), 2u);
   }
   static std::atomic<int> runs{0};
-  const std::string lat = std::to_string(33.9 + runs.fetch_add(1) * 1e-3);
+  const int run = runs.fetch_add(1);
+  const std::string lat = std::to_string(33.9 + run * 1e-3);
   const auto miss = [&lat](int i) {
     return "GET /fires?lon=" + std::to_string(-117.2 + i * 0.017) +
            "&lat=" + lat + "&radius_m=250000&k=64 HTTP/1.1\r\n\r\n";
+  };
+  const auto pool_miss = [run](int i) {
+    return "GET /ensemble/summary?members=4&seed=" +
+           std::to_string(9'500'000 + run * 100 + i) + " HTTP/1.1\r\n\r\n";
   };
   const std::string not_found = "GET /nope HTTP/1.1\r\n\r\n";
 
@@ -310,7 +321,7 @@ TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverHttp) {
     sent.push_back(miss(i));
     sent.push_back(hit_a);
     if (i % 2 == 0) sent.push_back(not_found);
-    sent.push_back(miss(100 + i));
+    sent.push_back(pool_miss(i));
     sent.push_back(hit_b);
   }
   std::string burst;
@@ -334,8 +345,71 @@ TEST(NetServer, OrderHoldsAcrossHitsMissesAndRejectsOverHttp) {
     EXPECT_EQ(replies[i], want) << "position " << i;
   }
   const NetServerStats after = net.stats();
-  EXPECT_EQ(after.inline_hits - before.inline_hits, 12u);
-  EXPECT_EQ(after.pool_replies - before.pool_replies, 12u);
+  EXPECT_EQ(after.inline_replies - before.inline_replies, 18u);
+  EXPECT_EQ(after.pool_replies - before.pool_replies, 6u);
+  net.shutdown();
+}
+
+TEST(NetServer, ServingMissesNeverEnterThePool) {
+  // A dedicated backend with a cold cache: every request below is a
+  // miss, even the provider queries, whose keys are one per provider.
+  serve::Server backend(tiny_config());
+  NetServerOptions opts;
+  opts.workers = 2;
+  NetServer net(backend, opts);
+
+  // Binary: one miss of each serving shape, pipelined.
+  const std::vector<Request> binary = {
+      Request{serve::PointRiskQuery{{-112.07, 33.45}, 15e3}},
+      Request{serve::BBoxAggregateQuery{{-112.5, 33.0, -111.0, 34.2}}},
+      Request{serve::ProviderExposureQuery{cellnet::Provider::kTMobile}},
+      Request{serve::TopKSitesQuery{{-112.3, 33.6}, 9e4, 12}}};
+  std::string burst;
+  for (const Request& r : binary) burst += frame(serve::wire::encode(r));
+  RawSock bin(net.port());
+  ASSERT_TRUE(bin.connected());
+  bin.send_all(burst);
+  const std::vector<std::string> frames = bin.read_frames(binary.size());
+  ASSERT_EQ(frames.size(), binary.size());
+  for (std::size_t i = 0; i < binary.size(); ++i) {
+    EXPECT_EQ(frames[i], serve::wire::encode(backend.handle(binary[i])))
+        << "binary position " << i;
+  }
+
+  // HTTP: the same four shapes, a cold key each in the JSON codec.
+  const std::string risk_body = "{\"lon\":-111.93,\"lat\":33.42}";
+  const std::vector<std::string> http = {
+      "POST /risk HTTP/1.1\r\nContent-Length: " +
+          std::to_string(risk_body.size()) + "\r\n\r\n" + risk_body,
+      "GET /assets?bbox=-113,32.5,-111.5,34 HTTP/1.1\r\n\r\n",
+      "GET /providers/verizon HTTP/1.1\r\n\r\n",
+      "GET /fires?lon=-111.8&lat=33.5&radius_m=120000&k=7 HTTP/1.1\r\n\r\n"};
+  std::string http_burst;
+  for (const std::string& r : http) http_burst += r;
+  RawSock web(net.port());
+  ASSERT_TRUE(web.connected());
+  web.send_all(http_burst);
+  const std::vector<std::string> pages = web.read_http(http.size());
+  ASSERT_EQ(pages.size(), http.size());
+  for (std::size_t i = 0; i < http.size(); ++i) {
+    EXPECT_EQ(pages[i],
+              http_response(
+                  200, serve::json_body(backend.handle(routed(http[i]))), true))
+        << "http position " << i;
+  }
+  EXPECT_EQ(backend.cache_stats().hits, 0u) << "the socket requests missed";
+  EXPECT_EQ(net.stats().inline_replies, 8u);
+  EXPECT_EQ(net.stats().pool_replies, 0u)
+      << "a point, bbox, provider or top-K miss waited for a worker";
+
+  // An ensemble miss is the pool's work.
+  const Request ensemble{serve::EnsembleSummaryQuery{4, 11}};
+  bin.send_all(frame(serve::wire::encode(ensemble)));
+  const std::vector<std::string> last = bin.read_frames(1);
+  ASSERT_EQ(last.size(), 1u);
+  EXPECT_EQ(last[0], serve::wire::encode(backend.handle(ensemble)));
+  EXPECT_EQ(net.stats().inline_replies, 8u);
+  EXPECT_EQ(net.stats().pool_replies, 1u);
   net.shutdown();
 }
 
@@ -361,7 +435,7 @@ TEST(NetServer, HitsAreAnsweredWhileThePoolIsSaturated) {
   const Request hit{serve::ProviderExposureQuery{cellnet::Provider::kAtt}};
   ASSERT_TRUE(c.call(hit).ok());  // warms the binary entry
 
-  // Slow misses: 1024-member fire-season ensembles (~0.7 s each on
+  // Slow pool work: 1024-member fire-season ensembles (~0.7 s each on
   // this world in a release build), distinct seeds.
   const auto slow = [](std::uint64_t seed) {
     return frame(serve::wire::encode(
@@ -374,14 +448,15 @@ TEST(NetServer, HitsAreAnsweredWhileThePoolIsSaturated) {
   ASSERT_TRUE(wait_for([&] {
     return reg.counter(obs::metrics::kServeQueries).value() == 2;
   }));
-  // ...and two more fill the queue (the warming miss was the first
-  // enqueue).
+  // ...and two more fill the queue (the warming miss was answered on
+  // the IO thread, so these are the second and third enqueues).
   hog.send_all(slow(2) + slow(3));
   ASSERT_TRUE(wait_for([&] {
-    return reg.histogram(obs::metrics::kNetQueueDepth).count() == 4;
+    return reg.histogram(obs::metrics::kNetQueueDepth).count() == 3;
   }));
 
-  // The pool is saturated: a hit is still answered, a miss is shed.
+  // The pool is saturated: a hit and a point miss are still answered,
+  // an ensemble miss is shed.
   auto answered = c.call(hit);
   ASSERT_TRUE(answered.ok()) << answered.status().to_string();
   ASSERT_TRUE(answered.value().ok())
@@ -389,11 +464,19 @@ TEST(NetServer, HitsAreAnsweredWhileThePoolIsSaturated) {
       << error_code_name(answered.value().error->code);
   EXPECT_EQ(serve::wire::encode(*answered.value().response),
             serve::wire::encode(backend.handle(hit)));
-  auto shed = c.call(Request{serve::PointRiskQuery{{-100.0, 35.0}, 0.0}});
+  const Request point_miss{serve::PointRiskQuery{{-100.0, 35.0}, 0.0}};
+  auto evaluated = c.call(point_miss);
+  ASSERT_TRUE(evaluated.ok()) << evaluated.status().to_string();
+  ASSERT_TRUE(evaluated.value().ok())
+      << "a point miss was shed: "
+      << error_code_name(evaluated.value().error->code);
+  EXPECT_EQ(serve::wire::encode(*evaluated.value().response),
+            serve::wire::encode(backend.handle(point_miss)));
+  auto shed = c.call(Request{serve::EnsembleSummaryQuery{8, 4}});
   ASSERT_TRUE(shed.ok());
   ASSERT_FALSE(shed.value().ok());
   EXPECT_EQ(shed.value().error->code, ErrorCode::kBusy);
-  EXPECT_EQ(net.stats().inline_hits, 1u);
+  EXPECT_EQ(net.stats().inline_replies, 3u);
   net.shutdown(/*drain=*/false);  // the worker finishes only its first
 }
 
@@ -456,7 +539,8 @@ TEST(NetServer, EverySocketRequestIsCountedOnce) {
 }
 
 TEST(NetServer, ShedsUnderSaturationWithBusyFrames) {
-  serve::Server& backend = shared_server();
+  // The coarse world keeps each ensemble, and so the test, short.
+  serve::Server backend(tiny_config());
   ObsOn obs_on;
   obs::ScopedRegistry scoped;
   NetServerOptions opts;
@@ -465,9 +549,10 @@ TEST(NetServer, ShedsUnderSaturationWithBusyFrames) {
   opts.registry = &scoped.registry();
   NetServer net(backend, opts);
 
-  // A distinct query per call, also across --gtest_repeat runs in one
-  // process: every call is a miss, so the load saturates the pool
-  // instead of being answered from the cache.
+  // A distinct small ensemble per call, also across --gtest_repeat runs
+  // in one process: every call is pool work (a serving query would be
+  // answered on the IO thread, never shed), and a miss, so the load
+  // saturates the pool instead of being answered from the cache.
   static std::atomic<int> runs{0};
   const int run = runs.fetch_add(1);
   std::atomic<std::uint64_t> ok{0};
@@ -479,8 +564,8 @@ TEST(NetServer, ShedsUnderSaturationWithBusyFrames) {
       if (!client.ok()) return;
       Client c = std::move(client).take();
       for (int i = 0; i < 50; ++i) {
-        const Request req{serve::TopKSitesQuery{
-            {-120.0 - t * 0.1, 40.0 + (run * 50 + i) * 1e-4}, 8e4, 32}};
+        const Request req{serve::EnsembleSummaryQuery{
+            1, static_cast<std::uint64_t>((run * 8 + t) * 50 + i + 1)}};
         auto reply = c.call(req);
         if (!reply.ok()) return;
         if (reply.value().ok()) {

@@ -133,8 +133,7 @@ TEST_F(ServeTest, CacheTalliesAreExactWithObsOff) {
   EXPECT_TRUE(cache.get(1, 10).has_value());                      // hit
   EXPECT_FALSE(cache.get(1, 10, Codec::kBinary).has_value());     // miss
   cache.put(1, 10, Codec::kBinary, CachedReply{std::string("wire")});
-  EXPECT_TRUE(cache.probe(1, 10, Codec::kBinary).has_value());    // hit
-  EXPECT_FALSE(cache.probe(1, 10, Codec::kJson).has_value());     // uncounted
+  EXPECT_TRUE(cache.get(1, 10, Codec::kBinary).has_value());      // hit
   cache.put(1, 20, point_response(1, 20));                        // evicts
   EXPECT_FALSE(cache.get(1, 10).has_value());                     // miss
   const ShardedCache::Stats stats = cache.stats();
@@ -177,29 +176,6 @@ TEST_F(ServeTest, EncodedRepliesMatchTheTypedAnswer) {
       EXPECT_EQ(std::get<Response>(*s->handle(req, Codec::kResponse)), typed);
     }
   }
-}
-
-TEST_F(ServeTest, ProbeCountsOnlyHits) {
-  obs::ScopedRegistry scoped;
-  Server server(tiny_config());
-  obs::Registry& reg = scoped.registry();
-  const Request req{PointRiskQuery{{-98.0, 39.0}, 0.0}};
-  EXPECT_EQ(server.probe(req, Codec::kBinary), nullptr);
-  EXPECT_EQ(reg.counter(obs::metrics::kServeQueries).value(), 0u)
-      << "a probe miss counts nothing";
-  const SharedReply filled = server.handle(req, Codec::kBinary);
-  const SharedReply hit = server.probe(req, Codec::kBinary);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit, filled) << "a hit shares the entry the miss stored";
-  EXPECT_EQ(server.probe(req, Codec::kJson), nullptr)
-      << "a binary entry never answers a JSON probe";
-  EXPECT_EQ(reg.counter(obs::metrics::kServeQueries).value(), 2u);
-  EXPECT_EQ(reg.counter(obs::metrics::kServeCacheHits).value(), 1u);
-  EXPECT_EQ(reg.counter(obs::metrics::kServeCacheMisses).value(), 1u);
-  EXPECT_EQ(reg.histogram(obs::metrics::kServeQueryNs).count(), 2u);
-  const ShardedCache::Stats stats = server.cache_stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
 }
 
 TEST_F(ServeTest, SnapshotStoreRetiresAndReclaims) {

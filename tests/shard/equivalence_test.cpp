@@ -2,15 +2,18 @@
 // family byte-identically to a brute-force scan of the whole corpus (the
 // reference evaluator in tests/serve/reference_eval.hpp) — randomized
 // streams, tile-edge points, boxes straddling several shards, empty
-// ocean tiles, and any thread count (the exec cap cannot leak into
-// response bytes).
+// ocean tiles, and readers racing each other over one snapshot and one
+// cached server (which thread asks, and how many ask at once, cannot
+// leak into response bytes).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
+#include <thread>
 #include <vector>
 
-#include "exec/exec.hpp"
 #include "serve/planner.hpp"
+#include "serve/server.hpp"
 #include "serve/snapshot.hpp"
 #include "shard_test_util.hpp"
 
@@ -85,32 +88,48 @@ TEST(ShardEquivalence, DiscFilterNeverContradictsHaversine) {
   EXPECT_GT(decided, total * 3 / 4);
 }
 
-TEST(ShardEquivalence, SerialAndParallelFanoutsAreIdentical) {
+// The concurrency a served query does meet: the net IO thread, the
+// pool workers and in-process callers read one snapshot, and one cached
+// server, at once. Eight threads answer the same stream together, each
+// from its own offset so first-touch misses, cache fills and hits
+// interleave across threads; every answer equals the serial one.
+TEST(ShardEquivalence, ConcurrentReadersMatchSerialAnswers) {
+  constexpr std::size_t kThreads = 8;
   const std::vector<AnyQuery> stream = st::make_stream(250, 29, 64);
+  expect_stream_identical(stream);
   const serve::Snapshot& shrd = *sharded_snapshot();
-  std::vector<AnyResponse> serial, parallel;
-  {
-    exec::ConcurrencyLimit one(1);
-    for (const AnyQuery& q : stream) serial.push_back(ask_snapshot(shrd, q));
+  std::vector<AnyResponse> serial;
+  for (const AnyQuery& q : stream) serial.push_back(ask_snapshot(shrd, q));
+  serve::ServerOptions options;
+  options.shard_layout = testing::small_layout();
+  serve::Server server(st::small_config(), options);
+
+  std::vector<std::vector<AnyResponse>> from_snapshot(
+      kThreads, std::vector<AnyResponse>(stream.size()));
+  std::vector<std::vector<AnyResponse>> from_server = from_snapshot;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::size_t n = 0; n < stream.size(); ++n) {
+        const std::size_t i = (n + t * stream.size() / kThreads) % stream.size();
+        from_snapshot[t][i] = ask_snapshot(shrd, stream[i]);
+        from_server[t][i] = st::ask(server, stream[i]);
+      }
+    });
   }
-  {
-    exec::ConcurrencyLimit eight(8);
-    for (const AnyQuery& q : stream) {
-      parallel.push_back(ask_snapshot(shrd, q));
+  go.store(true, std::memory_order_release);
+  for (std::thread& r : readers) r.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE(from_snapshot[t][i] == serial[i])
+          << "thread " << t << ", query " << i
+          << ": a concurrent snapshot read diverged from the serial one";
+      ASSERT_TRUE(from_server[t][i] == serial[i])
+          << "thread " << t << ", query " << i
+          << ": a concurrent cached answer diverged from the serial one";
     }
-  }
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(serial[i] == parallel[i])
-        << "query " << i << ": thread count leaked into response bytes";
-  }
-  // And both match the reference evaluator under the same caps.
-  {
-    exec::ConcurrencyLimit one(1);
-    expect_stream_identical(stream);
-  }
-  {
-    exec::ConcurrencyLimit eight(8);
-    expect_stream_identical(stream);
   }
 }
 
