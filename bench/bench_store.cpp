@@ -4,7 +4,12 @@
 // the store fa_served writes and boots from:
 //   build_s             ShardedWorld::build from synthesis (the baseline
 //                       a store-less boot pays every time)
-//   save_s              encode_sharded + atomic commit of one generation
+//   save_s              the save a server runs (Server::save_snapshot's
+//                       StoreDir::commit of shard::sharded_image): FASHRD01
+//                       streamed from the page columns into the generation
+//                       file, with no image-sized buffer; save_cpu_s is
+//                       its CPU and save_hwm_step_mb how far it lifts the
+//                       process's peak RSS
 //   load_s              shard::recover of that generation (mmap, frame
 //                       and global checks, deep-verified zero-copy open)
 //   recover_fallback_s  the same recovery when the newest generation's
@@ -12,12 +17,17 @@
 //                       win
 //
 // The acceptance gate is the trailer's load_speedup (build_s / load_s):
-// the mmap cold start must be >= 10x faster than a full rebuild.
+// the mmap cold start must be >= 10x faster than a full rebuild. The
+// bench exits non-zero unless the committed generation is byte-equal to
+// encode_sharded's string of the same view (save_identical).
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "bench_common.hpp"
@@ -25,6 +35,22 @@
 #include "shard/recovery.hpp"
 #include "shard/world.hpp"
 #include "store/store.hpp"
+
+namespace {
+
+// The process's peak resident set so far (VmHWM), in MB.
+double peak_rss_mb() {
+  rusage ru{};
+  ::getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+}  // namespace
 
 int main() {
   using namespace fa;
@@ -52,20 +78,29 @@ int main() {
   char tmpl[] = "/tmp/fastore-bench-XXXXXX";
   const std::string dir_path = ::mkdtemp(tmpl);
 
-  // Save: encode + atomic commit.
-  bench::Stopwatch save_timer;
-  const std::string image = shard::encode_sharded(view);
+  // Save: the streamed commit a server's save_snapshot runs.
   store::StoreDir dir = store::StoreDir::open(dir_path).take();
-  fault::Result<store::Generation> committed = dir.commit(image);
+  const double hwm_before_mb = peak_rss_mb();
+  bench::Stopwatch save_timer;
+  fault::Result<store::Generation> committed =
+      dir.commit(shard::sharded_image(view));
   const double save_s = save_timer.seconds();
+  const double save_cpu_s = save_timer.cpu_seconds();
+  const double save_hwm_step_mb = peak_rss_mb() - hwm_before_mb;
   if (!committed.ok()) {
     std::fprintf(stderr, "commit failed: %s\n",
                  committed.status().to_string().c_str());
     return 1;
   }
-  std::printf("save: %.3fs (%zu bytes, generation %llu)\n", save_s,
-              image.size(),
-              static_cast<unsigned long long>(committed.value().number));
+  const std::string image = shard::encode_sharded(view);
+  const bool save_identical =
+      slurp(dir.file_path(committed.value().filename)) == image;
+  std::printf(
+      "save: %.3fs, %.3fs CPU, peak RSS +%.1f MB (%zu bytes, generation "
+      "%llu, %s encode_sharded)\n",
+      save_s, save_cpu_s, save_hwm_step_mb, image.size(),
+      static_cast<unsigned long long>(committed.value().number),
+      save_identical ? "byte-identical to" : "DIFFERS from");
 
   // Load: the cold start fa_served runs (manifest -> mmap -> open).
   bench::Stopwatch load_timer;
@@ -110,6 +145,9 @@ int main() {
   payload["image_bytes"] = image.size();
   payload["build_s"] = build_s;
   payload["save_s"] = save_s;
+  payload["save_cpu_s"] = save_cpu_s;
+  payload["save_hwm_step_mb"] = save_hwm_step_mb;
+  payload["save_identical"] = save_identical;
   payload["load_s"] = load_s;
   payload["recover_fallback_s"] = fallback_s;
   payload["fallback_to_older_generation"] = fallback_ok;
@@ -117,5 +155,5 @@ int main() {
   payload["load_faster"] = load_faster;
   bench::print_json_trailer("store", io::JsonValue{std::move(payload)},
                             &run_timer);
-  return 0;
+  return save_identical ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "serve/planner.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -153,27 +154,9 @@ TopKSitesResponse evaluate(const Snapshot& snap, const TopKSitesQuery& q) {
   r.epoch = snap.epoch();
   const geo::BBox box = detail::disc_bbox(q.center, q.radius_m);
   const detail::DiscFilter disc(q.center, q.radius_m, box);
-  std::vector<RankedSite> candidates;
-  const std::size_t touched = scan(
-      sw, box, [&](const shard::Page& pg, std::uint32_t b, std::uint32_t e) {
-        for (std::uint32_t k = b; k < e; ++k) {
-          const geo::Vec2 p{pg.xs[k], pg.ys[k]};
-          if (!box.contains(p)) continue;
-          // Ranked sites need the exact distance anyway; the filter
-          // still pre-rejects the bbox corners without a transcendental.
-          if (disc.classify(p.x, p.y) < 0) continue;
-          const geo::LonLat pos = geo::LonLat::from_vec(p);
-          const double d = geo::haversine_m(q.center, pos);
-          if (d > q.radius_m) continue;
-          candidates.push_back(
-              {pg.ids[k], pos, static_cast<synth::WhpClass>(pg.cls[k]), d});
-        }
-      });
-  count_fanout(touched);
-  r.candidates = static_cast<std::uint32_t>(candidates.size());
   // Strict total order (class desc, distance asc, id asc — ids are
   // unique), so the selected K and their order are independent of the
-  // scan order above. The ids are stable ids until the end: dense ids
+  // scan order below. The ids are stable ids until the end: dense ids
   // are their ranks among the live ids, a monotone map, so ranking by
   // either picks the same K in the same order.
   const auto riskier = [](const RankedSite& a, const RankedSite& b) {
@@ -181,12 +164,47 @@ TopKSitesResponse evaluate(const Snapshot& snap, const TopKSitesQuery& q) {
     if (a.distance_m != b.distance_m) return a.distance_m < b.distance_m;
     return a.txr_id < b.txr_id;
   };
-  const std::size_t k = std::min<std::size_t>(q.k, candidates.size());
-  std::partial_sort(candidates.begin(), candidates.begin() + k,
-                    candidates.end(), riskier);
-  candidates.resize(k);
-  for (RankedSite& site : candidates) site.txr_id = sw.dense_id(site.txr_id);
-  r.sites = std::move(candidates);
+  // The k riskiest sites so far, in a heap whose front is the least
+  // risky of them: a miss costs what its answer holds, not what its
+  // disc holds.
+  const std::size_t k = q.k;
+  std::vector<RankedSite> best;
+  std::uint32_t candidates = 0;
+  const std::size_t touched = scan(
+      sw, box, [&](const shard::Page& pg, std::uint32_t b, std::uint32_t e) {
+        for (std::uint32_t i = b; i < e; ++i) {
+          const geo::Vec2 p{pg.xs[i], pg.ys[i]};
+          if (!box.contains(p)) continue;
+          const int side = disc.classify(p.x, p.y);
+          if (side < 0) continue;
+          const auto whp = static_cast<synth::WhpClass>(pg.cls[i]);
+          const bool full = best.size() == k;
+          // Proven inside and of a lower class than the worst kept site:
+          // it counts, but cannot rank, so it needs no distance.
+          if (side > 0 && full && (k == 0 || whp < best.front().whp)) {
+            ++candidates;
+            continue;
+          }
+          const geo::LonLat pos = geo::LonLat::from_vec(p);
+          const double d = geo::haversine_m(q.center, pos);
+          if (d > q.radius_m) continue;
+          ++candidates;
+          const RankedSite site{pg.ids[i], pos, whp, d};
+          if (!full) {
+            best.push_back(site);
+            std::push_heap(best.begin(), best.end(), riskier);
+          } else if (k > 0 && riskier(site, best.front())) {
+            std::pop_heap(best.begin(), best.end(), riskier);
+            best.back() = site;
+            std::push_heap(best.begin(), best.end(), riskier);
+          }
+        }
+      });
+  count_fanout(touched);
+  r.candidates = candidates;
+  std::sort_heap(best.begin(), best.end(), riskier);
+  for (RankedSite& site : best) site.txr_id = sw.dense_id(site.txr_id);
+  r.sites = std::move(best);
   return r;
 }
 

@@ -6,9 +6,11 @@
 //     one shard unless the disc straddles a tile boundary;
 //   * bbox and top-K queries scan every overlapping shard in ascending
 //     shard id on the calling thread: a bbox tallies straight into its
-//     response, a top-K into one candidate vector. No query enters the
-//     fa::exec pool, so none waits behind a feed apply or a build
-//     region holding it;
+//     response, a top-K into a heap of its k riskiest sites (a site the
+//     disc filter proves inside, of a lower class than the heap's worst,
+//     is counted without a haversine). No query enters the fa::exec
+//     pool, so none waits behind a feed apply or a build region
+//     holding it;
 //   * provider exposure reads the view's provider-risk aggregate, O(1).
 //
 // Determinism contract (pinned by tests/shard/equivalence_test.cpp

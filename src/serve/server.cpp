@@ -5,6 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
+#include "shard/codec.hpp"
 
 namespace fa::serve {
 
@@ -222,16 +223,23 @@ fault::Status Server::save_snapshot() {
     return fault::Status::error(fault::ErrCode::kIoFailure, 0, "serve.store",
                                 "no store directory configured");
   }
-  // Hold rebuild_mu_ across encode AND commit: a delta applied between
-  // them would re-root the log at an image that predates the serving
-  // state, so replay would diverge from serving history. Queries never
-  // take this lock; only swaps wait. Lock order rebuild_mu_ -> save_mu_
-  // matches every other path.
+  // Hold rebuild_mu_ across the streamed write (encode AND commit are
+  // one pass): a delta applied before the re-root below would re-root
+  // the log at an image that predates the serving state, so replay
+  // would diverge from serving history. Queries never take this lock;
+  // only swaps wait. Lock order rebuild_mu_ -> save_mu_ matches every
+  // other path.
   const std::lock_guard<std::mutex> rebuild_lock(rebuild_mu_);
-  const fault::Result<std::string> image = store_.acquire()->encode();
-  if (!image.ok()) return image.status();
+  const std::shared_ptr<const Snapshot> snap = store_.acquire();
+  if (snap->sharded().quarantined_count() > 0) {
+    // Persisting a degraded view would commit the data loss as the
+    // newest generation, the one recovery prefers.
+    return fault::Status::error(fault::ErrCode::kIoFailure, snap->epoch(),
+                                "serve.store",
+                                "refusing to persist a degraded sharded view");
+  }
   const std::lock_guard<std::mutex> lock(save_mu_);
-  auto gen = store_dir_->commit(image.value());
+  auto gen = store_dir_->commit(shard::sharded_image(snap->sharded()));
   if (!gen.ok()) return gen.status();
   // The new generation supersedes every older increment chain, and the
   // serving state is now exactly this image — re-root the delta log so

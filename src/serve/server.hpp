@@ -110,11 +110,12 @@ class Server {
   // Callable from a background thread while queries run.
   fault::Status rebuild(const synth::ScenarioConfig& config);
 
-  // Encodes the currently serving snapshot and commits it to the store
-  // as the next generation (atomic: a crash mid-commit never damages
-  // existing generations). Error when no store is configured or the
-  // commit fails (torn-write seam included) — the serving epoch is
-  // unaffected either way.
+  // Streams the currently serving snapshot into the store as the next
+  // generation — FASHRD01 straight from the page columns to the file,
+  // with no image-sized buffer (atomic: a crash mid-commit never damages
+  // existing generations). Error when no store is configured, the view
+  // is degraded (quarantined shards), or the commit fails (torn-write
+  // seam included) — the serving epoch is unaffected either way.
   fault::Status save_snapshot();
 
   // Publishes a snapshot restored from the store as the next epoch —

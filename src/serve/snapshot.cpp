@@ -3,7 +3,6 @@
 #include "fault/injector.hpp"
 #include "obs/obs.hpp"
 #include "shard/apply.hpp"
-#include "shard/codec.hpp"
 #include "shard/recovery.hpp"
 
 namespace fa::serve {
@@ -50,15 +49,6 @@ fault::Result<std::shared_ptr<const Snapshot>> Snapshot::apply(
   shard::Successor result = std::move(applied).take();
   if (stats != nullptr) *stats = result.stats;
   return adopt(std::move(result.world), epoch);
-}
-
-fault::Result<std::string> Snapshot::encode() const {
-  if (sharded_->quarantined_count() > 0) {
-    return fault::Status::error(fault::ErrCode::kIoFailure, epoch_,
-                                "serve.store",
-                                "refusing to persist a degraded sharded view");
-  }
-  return shard::encode_sharded(*sharded_);
 }
 
 const core::World& Snapshot::world() const {

@@ -9,10 +9,10 @@
 //
 // There is one representation. build() streams the scenario straight
 // into shard columns (shard::ShardedWorld::build — no core::World),
-// recover() is shard::recover, apply() is shard::apply_delta, encode()
-// writes FASHRD01, and every evaluate() goes through the shard planner
-// (planner.cpp). A layout only says how the columns are cut;
-// answers are the same bytes under any.
+// recover() is shard::recover, apply() is shard::apply_delta, a save
+// streams shard::sharded_image (FASHRD01), and every evaluate() goes
+// through the shard planner (planner.cpp). A layout only says how the
+// columns are cut; answers are the same bytes under any.
 //
 // The SnapshotStore publishes new epochs atomically: readers acquire()
 // a shared_ptr to the current snapshot (one small critical section),
@@ -81,11 +81,6 @@ class Snapshot {
       std::span<const delta::FeedEvent> events, Epoch epoch,
       const delta::ApplyOptions& options,
       delta::ApplyStats* stats = nullptr) const;
-
-  // The FASHRD01 store image of this snapshot. A degraded view
-  // (quarantined shards) is refused — persisting it would commit the
-  // data loss as the newest generation, the one recovery prefers.
-  fault::Result<std::string> encode() const;
 
   Epoch epoch() const { return epoch_; }
   const shard::ShardedWorld& sharded() const { return *sharded_; }

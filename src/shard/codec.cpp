@@ -309,12 +309,11 @@ struct Codec {
   }
 };
 
-std::string encode_sharded(const ShardedWorld& sw) {
-  const std::size_t shard_count = sw.shard_count();
-  store::ImageBuilder b(
-      kGlobalSections + store::kShardSectionsPerShard * shard_count,
-      store::kShardMagic, store::kGlobalOwner);
+namespace {
 
+// Every section of `sw`'s container, in file order.
+void encode_sections(const ShardedWorld& sw, store::ImageBuilder& b) {
+  const std::size_t shard_count = sw.shard_count();
   store::encode_meta_section(b, sw.meta());
   store::encode_whp_sections(b, sw.whp());
   store::encode_county_sections(b, sw.counties());
@@ -357,6 +356,7 @@ std::string encode_sharded(const ShardedWorld& sw) {
   // among the live ones (rank is monotone, so bin order holds).
   const bool dense_ids = sw.tombstones() == 0;
   std::vector<std::uint32_t> dense;
+  std::vector<std::uint32_t> starts;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const Shard& sh = sw.shard(s);
     const std::uint32_t owner = static_cast<std::uint32_t>(s);
@@ -378,21 +378,22 @@ std::string encode_sharded(const ShardedWorld& sw) {
     section_pages(b, SectionKind::kShardX, owner, sh, &Page::xs);
     section_pages(b, SectionKind::kShardY, owner, sh, &Page::ys);
     {
-      // The shard's cols*rows+1 prefix sums, re-based page by page.
-      std::vector<std::uint32_t> cell_start;
-      if (sh.page_count() > 0) {
-        cell_start.reserve(sh.cells() + 1);
-        cell_start.push_back(0);
-      }
+      // The shard's cols*rows+1 prefix sums, re-based page by page onto
+      // the entries before the page.
+      b.begin(SectionKind::kShardCellStart, owner);
+      std::uint32_t before = 0;
+      if (sh.page_count() > 0) b.put<std::uint32_t>(before);
       for (std::size_t p = 0; p < sh.page_count(); ++p) {
         const Page& pg = sh.page(p);
-        const std::uint32_t base = cell_start.back() - pg.begin();
+        const std::uint32_t base = before - pg.begin();
+        starts.resize(pg.cell_start.size() - 1);
         for (std::size_t j = 1; j < pg.cell_start.size(); ++j) {
-          cell_start.push_back(base + pg.cell_start[j]);
+          starts[j - 1] = base + pg.cell_start[j];
         }
+        b.vec(starts);
+        before = base + pg.end();
       }
-      b.section_span(SectionKind::kShardCellStart, owner, cell_start.data(),
-                     cell_start.size());
+      b.end();
     }
     section_pages(b, SectionKind::kShardClass, owner, sh, &Page::cls);
     section_pages(b, SectionKind::kShardProvider, owner, sh, &Page::provider);
@@ -403,7 +404,18 @@ std::string encode_sharded(const ShardedWorld& sw) {
     section_pages(b, SectionKind::kShardState, owner, sh, &Page::state);
     section_pages(b, SectionKind::kShardCounty, owner, sh, &Page::county);
   }
-  return b.finish();
+}
+
+}  // namespace
+
+store::Image sharded_image(const ShardedWorld& sw) {
+  return store::Image(
+      store::kShardMagic, store::kGlobalOwner,
+      [&sw](store::ImageBuilder& b) { encode_sections(sw, b); });
+}
+
+std::string encode_sharded(const ShardedWorld& sw) {
+  return sharded_image(sw).bytes();
 }
 
 fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,

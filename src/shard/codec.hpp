@@ -1,10 +1,13 @@
 // ShardedWorld <-> FASHRD01 container codec.
 //
-// encode_sharded() lays a ShardedWorld into one relocatable byte image:
-// the global sections (scenario meta, WHP rasters, county layer,
+// sharded_image() lays a ShardedWorld out as one relocatable byte
+// image: the global sections (scenario meta, WHP rasters, county layer,
 // provider-risk aggregate, shard layout) followed by twelve 64-byte-
 // aligned SoA sections per shard, every payload individually CRC'd in
-// the section table. Deterministic: same view, same bytes.
+// the section table. The image streams in file order straight from the
+// page columns (store/image.hpp): into a generation file through
+// StoreDir::commit with no image-sized buffer, or into a string through
+// encode_sharded(). Deterministic: same view, same bytes.
 //
 // open_sharded() is NOT decode_world's mirror — that is the point. It
 // validates the container frame (header/table/footer CRCs, in-bounds
@@ -36,9 +39,14 @@
 #include "fault/status.hpp"
 #include "geo/bbox.hpp"
 #include "shard/world.hpp"
+#include "store/image.hpp"
 
 namespace fa::shard {
 
+// The FASHRD01 container of `sw` as a streaming image: StoreDir::commit
+// writes it into a generation file straight from the page columns, and
+// encode_sharded() into a string. `sw` must outlive the Image.
+store::Image sharded_image(const ShardedWorld& sw);
 std::string encode_sharded(const ShardedWorld& sw);
 
 // Opens a container over caller-owned bytes (recovery passes a

@@ -263,27 +263,26 @@ std::string encode_world(const core::World& world,
                          const core::ProviderRiskResult& provider_risk) {
   const auto& txr = world.corpus().transceivers();
   const std::size_t n = txr.size();
-  ImageBuilder b(kSectionCount);
 
-  encode_meta_section(b, MetaFields{world.config(), world.ingest_dropped(),
-                                    world.ingest_repaired(), n});
+  // Transceiver SoA columns, gathered once for both passes.
+  std::vector<double> lon(n), lat(n);
+  std::vector<std::uint8_t> radio(n);
+  std::vector<std::uint16_t> mcc(n), mnc(n);
+  std::vector<std::uint32_t> cell_id(n);
+  std::vector<std::int16_t> state(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lon[i] = txr[i].position.lon;
+    lat[i] = txr[i].position.lat;
+    radio[i] = static_cast<std::uint8_t>(txr[i].radio);
+    mcc[i] = txr[i].mcc;
+    mnc[i] = txr[i].mnc;
+    cell_id[i] = txr[i].cell_id;
+    state[i] = txr[i].state;
+  }
 
-  // Transceiver SoA columns.
-  {
-    std::vector<double> lon(n), lat(n);
-    std::vector<std::uint8_t> radio(n);
-    std::vector<std::uint16_t> mcc(n), mnc(n);
-    std::vector<std::uint32_t> cell_id(n);
-    std::vector<std::int16_t> state(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      lon[i] = txr[i].position.lon;
-      lat[i] = txr[i].position.lat;
-      radio[i] = static_cast<std::uint8_t>(txr[i].radio);
-      mcc[i] = txr[i].mcc;
-      mnc[i] = txr[i].mnc;
-      cell_id[i] = txr[i].cell_id;
-      state[i] = txr[i].state;
-    }
+  return Image(kMagic, 0, [&](ImageBuilder& b) {
+    encode_meta_section(b, MetaFields{world.config(), world.ingest_dropped(),
+                                      world.ingest_repaired(), n});
     b.section_vec(SectionKind::kTxrLon, lon);
     b.section_vec(SectionKind::kTxrLat, lat);
     b.section_vec(SectionKind::kTxrRadio, radio);
@@ -291,16 +290,14 @@ std::string encode_world(const core::World& world,
     b.section_vec(SectionKind::kTxrMnc, mnc);
     b.section_vec(SectionKind::kTxrCellId, cell_id);
     b.section_vec(SectionKind::kTxrState, state);
-  }
-  b.section_vec(SectionKind::kTxrClass, Access::txr_class(world));
-  b.section_vec(SectionKind::kTxrCounty, Access::txr_county(world));
-  b.section_vec(SectionKind::kTxrProvider, Access::txr_provider(world));
+    b.section_vec(SectionKind::kTxrClass, Access::txr_class(world));
+    b.section_vec(SectionKind::kTxrCounty, Access::txr_county(world));
+    b.section_vec(SectionKind::kTxrProvider, Access::txr_provider(world));
 
-  encode_whp_sections(b, world.whp());
+    encode_whp_sections(b, world.whp());
 
-  encode_county_sections(b, world.counties());
+    encode_county_sections(b, world.counties());
 
-  {
     const auto& idx = world.txr_index();
     b.begin(SectionKind::kIndexMeta);
     b.put<double>(idx.bounds().min_x);
@@ -318,11 +315,9 @@ std::string encode_world(const core::World& world,
     b.section_vec(SectionKind::kIndexBinnedX, Access::binned_x(idx));
     b.section_vec(SectionKind::kIndexBinnedY, Access::binned_y(idx));
     b.section_vec(SectionKind::kIndexCellStart, Access::cell_start(idx));
-  }
 
-  encode_provider_risk_section(b, provider_risk);
-
-  return b.finish();
+    encode_provider_risk_section(b, provider_risk);
+  }).bytes();
 }
 
 // ---------------------------------------------------------------------

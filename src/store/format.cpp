@@ -14,14 +14,13 @@ namespace {
 
 // Slice-by-16 CRC-32 tables (16 KiB, generated once at static init).
 // Table 0 is the classic byte-at-a-time table; table s advances a byte
-// that is s positions from the end of the 16-byte block. The checksum
-// ladder runs over every byte of every image twice (per-section +
-// whole-body), so CRC throughput bounds mmap cold-start time — and on a
-// sharded container the per-shard CRC sweep IS the cold start, so the
-// kernel's bytes-per-cycle sets time-to-first-query. Wider slicing
-// shortens the loop-carried dependency per byte (the running crc folds
-// into one 16-byte block instead of two 8-byte ones) without changing a
-// single output bit.
+// that is s positions from the end of the 16-byte block. A cold start
+// CRCs every payload it serves, so CRC throughput bounds mmap cold-start
+// time — and on a sharded container the per-shard CRC sweep IS the cold
+// start, so the kernel's bytes-per-cycle sets time-to-first-query. Wider
+// slicing shortens the loop-carried dependency per byte (the running crc
+// folds into one 16-byte block instead of two 8-byte ones) without
+// changing a single output bit.
 struct CrcTables {
   std::array<std::array<std::uint32_t, 256>, 16> t{};
   CrcTables() {
@@ -174,7 +173,44 @@ std::uint32_t crc32_table(const void* data, std::size_t size,
   return crc_bytes(p, size, c) ^ 0xFFFFFFFFu;
 }
 
+// a(x) * b(x) mod P(x) in the reflected domain (bit 31 is x^0).
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return p;
+}
+
+// x^(2^k) mod P(x) for k in [0, 32).
+struct PowerTable {
+  std::array<std::uint32_t, 32> x2n{};
+  PowerTable() {
+    std::uint32_t p = 1u << 30;  // x^1
+    x2n[0] = p;
+    for (std::size_t k = 1; k < x2n.size(); ++k) x2n[k] = p = multmodp(p, p);
+  }
+};
+
 }  // namespace
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b) {
+  static const PowerTable table;
+  // x^(8 * len_b) mod P: appending len_b zero bytes to `a` multiplies
+  // its register by it. Never zero, so multmodp terminates.
+  std::uint32_t shift = 1u << 31;  // x^0
+  for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k) {
+    if (len_b & 1u) shift = multmodp(table.x2n[k & 31u], shift);
+  }
+  return multmodp(shift, crc_a) ^ crc_b;
+}
 
 std::string_view section_kind_name(SectionKind kind) {
   switch (kind) {

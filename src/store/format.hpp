@@ -115,6 +115,14 @@ struct SectionInfo {
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 
+// crc32(a+b) from crc_a = crc32(a), crc_b = crc32(b) and b's length,
+// without touching a byte of either (zlib's crc32_combine): O(log
+// len_b). The image writer derives the footer's body CRC and the
+// manifest's whole-file CRC from the section CRCs this way, so every
+// image byte is checksummed once.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::uint64_t len_b);
+
 inline std::size_t align_up(std::size_t n) {
   return (n + (kSectionAlign - 1)) & ~(kSectionAlign - 1);
 }

@@ -128,6 +128,101 @@ Status walk_frame(const unsigned char* base, std::size_t size,
 
 }  // namespace
 
+// ---------------------------------------------------------------------
+// Image
+// ---------------------------------------------------------------------
+
+namespace {
+
+class StringSink final : public ByteSink {
+ public:
+  explicit StringSink(std::string& out) : out_(out) {}
+  void write(const void* p, std::size_t n) override {
+    out_.append(static_cast<const char*>(p), n);
+  }
+
+ private:
+  std::string& out_;
+};
+
+}  // namespace
+
+Image::Plan Image::plan() const {
+  // Sections are placed relative to the first one's 64-byte boundary
+  // (the table's size is known only once they are counted); alignment
+  // from an aligned base is the same either way.
+  ImageBuilder b(0, default_owner_, nullptr);
+  encode_(b);
+  std::vector<SectionInfo>& sections = b.sections_;
+  const std::uint64_t table_end =
+      kHeaderSize + sections.size() * kSectionEntrySize;
+  const std::uint64_t base = align_up(table_end);
+  for (SectionInfo& s : sections) s.offset += base;
+  const std::uint64_t data_end = sections.empty() ? table_end : base + b.pos_;
+  Plan plan;
+  plan.size = data_end + kFooterSize;
+
+  plan.head.assign(table_end, '\0');
+  char* h = plan.head.data();
+  const auto put32 = [](char* at, std::uint32_t v) { std::memcpy(at, &v, 4); };
+  const auto put64 = [](char* at, std::uint64_t v) { std::memcpy(at, &v, 8); };
+  std::memcpy(h, magic_, 8);
+  put32(h + 8, kFormatVersion);
+  put32(h + 12, kEndianTag);
+  put64(h + 16, sections.size());
+  put64(h + 24, kHeaderSize);
+  put64(h + 32, data_end);
+  // [40, 60) stays zero (reserved).
+  std::uint32_t crc = crc32(h, 60);
+  put32(h + 60, crc);
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const SectionInfo& s = sections[i];
+    char* e = h + kHeaderSize + i * kSectionEntrySize;
+    put32(e, static_cast<std::uint32_t>(s.kind));
+    put32(e + 4, s.owner);
+    put64(e + 8, s.offset);
+    put64(e + 16, s.length);
+    put32(e + 24, s.crc);
+    // [28, 32) stays zero (reserved).
+  }
+
+  // The body CRC, chained from the header CRC over the table, each
+  // padding run and each section's CRC — no payload byte is read again.
+  crc = crc32(h + 60, table_end - 60, crc);
+  std::uint64_t at = table_end;
+  for (const SectionInfo& s : sections) {
+    crc = crc32(kZeroPad, s.offset - at, crc);
+    crc = crc32_combine(crc, s.crc, s.length);
+    at = s.offset + s.length;
+  }
+  char* f = plan.footer.data();
+  put64(f, plan.size);
+  put32(f + 8, crc);
+  std::memcpy(f + 16, kFooterMagic, 8);
+  const std::uint32_t footer_crc = crc32(f, 24);
+  put32(f + 24, footer_crc);
+  // [28, 32) stays zero (reserved). The whole-file CRC chains the footer
+  // onto the body CRC.
+  plan.crc = crc32(f + 24, 8, crc32_combine(crc, footer_crc, 24));
+  return plan;
+}
+
+void Image::emit(const Plan& plan, ByteSink& sink) const {
+  sink.write(plan.head.data(), plan.head.size());
+  ImageBuilder b(plan.head.size(), default_owner_, &sink);
+  encode_(b);
+  sink.write(plan.footer.data(), plan.footer.size());
+}
+
+std::string Image::bytes() const {
+  const Plan p = plan();
+  std::string out;
+  out.reserve(p.size);
+  StringSink sink(out);
+  emit(p, sink);
+  return out;
+}
+
 // The frame walk plus the full CRC ladder. On success `out` holds every
 // section with in-bounds, CRC-clean payloads.
 Status validate_image(const void* data, std::size_t size,

@@ -1,7 +1,9 @@
 // Section-container internals shared by the monolithic snapshot codec
 // (store/codec.cpp) and the sharded container codec (fa::shard): the
-// image builder, the container validators, and the small decode
-// helpers (cursors, bulk copies, shape checks).
+// streaming image writer (Image plans a container, then emits it in
+// file order into a ByteSink — a string, or StoreDir::commit's
+// fixed-buffer file writer), the container validators, and the small
+// decode helpers (cursors, bulk copies, shape checks).
 //
 // Two container flavors share one byte layout — header, entry table,
 // 64-byte-aligned payloads, footer — and one frame walk (header CRC,
@@ -18,9 +20,12 @@
 //     decode.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/status.hpp"
@@ -32,22 +37,43 @@ namespace fa::store {
 // ---------------------------------------------------------------------
 // encode
 // ---------------------------------------------------------------------
+//
+// An image is never held whole while it is written. Image runs its
+// encoder twice over the same section calls: a planning pass places
+// every section and CRCs its payload, writing nothing; from those CRCs
+// alone (crc32_combine) it derives the header, table and footer bytes
+// and the whole-file CRC the manifest records. The emit pass then
+// writes the file in order — header and table, each payload straight
+// from the encoder's storage, footer — into a ByteSink and CRCs
+// nothing. Every image byte is checksummed once, and the only
+// image-sized buffer is the one a string sink is asked to fill.
 
+// The alignment padding between payloads.
+inline constexpr char kZeroPad[kSectionAlign] = {};
+
+// Where an emitted image goes, in file order.
+class ByteSink {
+ public:
+  virtual void write(const void* p, std::size_t n) = 0;
+
+ protected:
+  ~ByteSink() = default;
+};
+
+// The section calls an encoder makes, in file order. Handed out by
+// Image for one pass: planning (no sink — CRC each payload as it
+// arrives) or emitting (pad to each section's 64-byte boundary and
+// forward the payload bytes to the sink).
 class ImageBuilder {
  public:
-  // `default_owner` is what begin(kind) stamps into the entry's owner
-  // bytes: 0 for monolithic images (validated as reserved), kGlobalOwner
-  // for whole-world sections of a sharded container. Shard-local
-  // sections pass their shard id to begin(kind, owner) explicitly.
-  explicit ImageBuilder(std::size_t section_count, const char* magic = kMagic,
-                        std::uint32_t default_owner = 0)
-      : magic_(magic), default_owner_(default_owner) {
-    buf_.resize(kHeaderSize + section_count * kSectionEntrySize, '\0');
-    sections_.reserve(section_count);
-  }
-
   void raw(const void* p, std::size_t n) {
-    if (n) buf_.append(static_cast<const char*>(p), n);
+    if (n == 0) return;
+    if (sink_) {
+      sink_->write(p, n);
+    } else {
+      crc_ = crc32(p, n, crc_);
+    }
+    pos_ += n;
   }
   template <class T>
   void put(T v) {
@@ -62,27 +88,27 @@ class ImageBuilder {
     raw(p, count * sizeof(T));
   }
 
+  // `default_owner` (the Image's) is what begin(kind) stamps into the
+  // entry's owner bytes: 0 for monolithic images (validated as
+  // reserved), kGlobalOwner for whole-world sections of a sharded
+  // container. Shard-local sections pass their shard id explicitly.
   void begin(SectionKind kind) { begin(kind, default_owner_); }
   void begin(SectionKind kind, std::uint32_t owner) {
-    buf_.resize(align_up(buf_.size()), '\0');
-    cur_ = SectionInfo{kind, buf_.size(), 0, 0, owner};
+    const std::uint64_t at = align_up(pos_);
+    if (sink_ && at > pos_) sink_->write(kZeroPad, at - pos_);
+    pos_ = at;
+    cur_ = SectionInfo{kind, at, 0, 0, owner};
+    crc_ = 0;
   }
   void end() {
-    cur_.length = buf_.size() - cur_.offset;
-    cur_.crc = crc32(buf_.data() + cur_.offset, cur_.length);
+    cur_.length = pos_ - cur_.offset;
+    cur_.crc = crc_;
     sections_.push_back(cur_);
   }
   template <class T>
   void section_vec(SectionKind kind, const std::vector<T>& v) {
     begin(kind);
     vec(v);
-    end();
-  }
-  template <class T>
-  void section_span(SectionKind kind, std::uint32_t owner, const T* p,
-                    std::size_t count) {
-    begin(kind, owner);
-    span(p, count);
     end();
   }
   template <class T>
@@ -102,52 +128,54 @@ class ImageBuilder {
     put<std::int32_t>(g.rows);
   }
 
-  // Patches header + table, computes the CRC ladder, appends the footer.
-  std::string finish() {
-    const std::uint64_t data_end = buf_.size();
-    char* h = buf_.data();
-    std::memcpy(h, magic_, 8);
-    patch_u32(8, kFormatVersion);
-    patch_u32(12, kEndianTag);
-    patch_u64(16, sections_.size());
-    patch_u64(24, kHeaderSize);
-    patch_u64(32, data_end);
-    // [40, 60) stays zero (reserved).
-    patch_u32(60, crc32(h, 60));
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-      const std::size_t off = kHeaderSize + i * kSectionEntrySize;
-      patch_u32(off, static_cast<std::uint32_t>(sections_[i].kind));
-      patch_u32(off + 4, sections_[i].owner);
-      patch_u64(off + 8, sections_[i].offset);
-      patch_u64(off + 16, sections_[i].length);
-      patch_u32(off + 24, sections_[i].crc);
-      patch_u32(off + 28, 0);
-    }
-    const std::uint32_t body_crc = crc32(buf_.data(), data_end);
-    char footer[kFooterSize] = {};
-    const std::uint64_t file_size = data_end + kFooterSize;
-    std::memcpy(footer, &file_size, 8);
-    std::memcpy(footer + 8, &body_crc, 4);
-    std::memcpy(footer + 16, kFooterMagic, 8);
-    const std::uint32_t footer_crc = crc32(footer, 24);
-    std::memcpy(footer + 24, &footer_crc, 4);
-    buf_.append(footer, kFooterSize);
-    return std::move(buf_);
-  }
+ private:
+  friend class Image;
+  // Places sections from byte `pos` on.
+  ImageBuilder(std::uint64_t pos, std::uint32_t default_owner, ByteSink* sink)
+      : sink_(sink), default_owner_(default_owner), pos_(pos) {}
+
+  ByteSink* sink_;
+  std::uint32_t default_owner_;
+  std::uint64_t pos_;
+  std::uint32_t crc_ = 0;
+  SectionInfo cur_;
+  std::vector<SectionInfo> sections_;
+};
+
+// A container image: the sections `encode` writes through the
+// ImageBuilder it is handed — identically on every call — in a FASNAP01
+// (`magic` kMagic) or FASHRD01 (kShardMagic) frame. Whatever `encode`
+// reads must outlive the Image and stay unchanged while it is planned
+// and emitted.
+class Image {
+ public:
+  using Encoder = std::function<void(ImageBuilder&)>;
+
+  Image(const char* magic, std::uint32_t default_owner, Encoder encode)
+      : magic_(magic),
+        default_owner_(default_owner),
+        encode_(std::move(encode)) {}
+
+  // The planning pass's result: the frame bytes around the payloads,
+  // and the file's size and whole-file CRC.
+  struct Plan {
+    std::string head;  // header + section table
+    std::array<char, kFooterSize> footer{};
+    std::uint64_t size = 0;
+    std::uint32_t crc = 0;
+  };
+  Plan plan() const;
+
+  // Writes `plan`'s image into `sink` in file order.
+  void emit(const Plan& plan, ByteSink& sink) const;
+
+  // The whole image in a string reserved to its exact size.
+  std::string bytes() const;
 
  private:
-  void patch_u32(std::size_t off, std::uint32_t v) {
-    std::memcpy(buf_.data() + off, &v, 4);
-  }
-  void patch_u64(std::size_t off, std::uint64_t v) {
-    std::memcpy(buf_.data() + off, &v, 8);
-  }
-
   const char* magic_;
-  std::uint32_t default_owner_ = 0;
-  std::string buf_;
-  std::vector<SectionInfo> sections_;
-  SectionInfo cur_;
+  std::uint32_t default_owner_;
+  Encoder encode_;
 };
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -19,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "store/format.hpp"
+#include "store/image.hpp"
 
 namespace fa::store {
 
@@ -27,9 +29,10 @@ namespace {
 using fault::ErrCode;
 using fault::Status;
 
-Status errno_status(const std::string& source, const std::string& what) {
+Status errno_status(const std::string& source, const std::string& what,
+                    int err = errno) {
   return Status::error(ErrCode::kIoFailure, 0, source,
-                       what + ": " + std::strerror(errno));
+                       what + ": " + std::strerror(err));
 }
 
 // Writes all of `data`, tolerating short writes / EINTR. Stops after
@@ -49,6 +52,59 @@ ssize_t write_all(int fd, const char* data, std::size_t size,
   }
   return static_cast<ssize_t>(total);
 }
+
+// What a streamed commit holds of the image at once: emitted bytes
+// collect here and reach the kernel one full buffer per write_all.
+constexpr std::size_t kWriteBufferBytes = 256 * 1024;
+
+// Writes an emitted image into a generation's .tmp file through one
+// kWriteBufferBytes buffer; a payload at least that large goes to the
+// kernel straight from the encoder's storage (copying it through the
+// buffer measured twice the save's system time, EXPERIMENTS.md). Only
+// the first `limit` bytes reach the file (the torn-write seam, the
+// partial-write crash step). A failed write sticks: later bytes are
+// dropped and error() keeps its errno.
+class FileSink final : public ByteSink {
+ public:
+  FileSink(int fd, std::uint64_t limit)
+      : fd_(fd), limit_(limit), buf_(new char[kWriteBufferBytes]) {}
+
+  void write(const void* p, std::size_t n) override {
+    if (used_ + n > kWriteBufferBytes) flush();
+    if (n >= kWriteBufferBytes) {
+      put(static_cast<const char*>(p), n);
+      return;
+    }
+    std::memcpy(buf_.get() + used_, p, n);
+    used_ += n;
+  }
+
+  // Hands the buffered bytes to the kernel; false once any write failed.
+  bool flush() {
+    put(buf_.get(), used_);
+    used_ = 0;
+    return err_ == 0;
+  }
+  int error() const { return err_; }
+
+ private:
+  void put(const char* p, std::size_t n) {
+    if (err_ != 0) return;
+    const ssize_t w = write_all(fd_, p, n, limit_ - sent_);
+    if (w < 0) {
+      err_ = errno;
+    } else {
+      sent_ += static_cast<std::uint64_t>(w);
+    }
+  }
+
+  int fd_;
+  std::uint64_t limit_;
+  std::uint64_t sent_ = 0;
+  int err_ = 0;
+  std::unique_ptr<char[]> buf_;
+  std::size_t used_ = 0;
+};
 
 Status fsync_path_fd(int fd, const std::string& source,
                      const std::string& what) {
@@ -384,16 +440,34 @@ fault::Status StoreDir::write_manifest(const Manifest& manifest) const {
                             encode_manifest(manifest));
 }
 
-fault::Result<Generation> StoreDir::commit(const std::string& image,
+fault::Result<Generation> StoreDir::commit(const Image& image,
                                            const CommitHooks& hooks) {
   obs::Span span(obs::metrics::kStoreSaveNs);
+  const Image::Plan plan = image.plan();
+  return commit_streamed(
+      plan.size, plan.crc, [&](ByteSink& out) { image.emit(plan, out); },
+      hooks);
+}
+
+fault::Result<Generation> StoreDir::commit(std::string_view bytes,
+                                           const CommitHooks& hooks) {
+  obs::Span span(obs::metrics::kStoreSaveNs);
+  return commit_streamed(
+      bytes.size(), crc32(bytes.data(), bytes.size()),
+      [bytes](ByteSink& out) { out.write(bytes.data(), bytes.size()); },
+      hooks);
+}
+
+fault::Result<Generation> StoreDir::commit_streamed(
+    std::uint64_t size, std::uint32_t crc,
+    const std::function<void(ByteSink&)>& emit, const CommitHooks& hooks) {
   const auto& injector = fault::Injector::global();
   const std::uint64_t number = next_generation();
   Generation gen;
   gen.number = number;
   gen.filename = generation_filename(number);
-  gen.size = image.size();
-  gen.crc = crc32(image.data(), image.size());
+  gen.size = size;
+  gen.crc = crc;
   const std::string final_path = file_path(gen.filename);
   const std::string tmp_path = final_path + ".tmp";
 
@@ -405,24 +479,25 @@ fault::Result<Generation> StoreDir::commit(const std::string& image,
 
   // Torn-write seam: persist only a seeded prefix and report the commit
   // as failed, leaving .tmp debris exactly like a mid-write power cut.
-  if (injector.fires("store.write.torn", number)) {
-    const std::uint64_t keep =
-        image.empty() ? 0 : injector.draw("store.write.torn", number) %
-                                image.size();
-    write_all(fd, image.data(), image.size(), keep);
+  const bool torn = injector.fires("store.write.torn", number);
+  std::uint64_t limit = ~0ull;
+  if (torn) {
+    limit = size == 0 ? 0 : injector.draw("store.write.torn", number) % size;
+  } else if (hooks.crash_at == CommitHooks::CrashStep::kAfterPartialWrite) {
+    limit = hooks.write_byte_limit;
+  }
+  FileSink sink(fd, limit);
+  emit(sink);
+  const bool written = sink.flush();
+  if (torn) {
     ::close(fd);
     obs::count(obs::metrics::kStoreSaveFailures);
-    return Status::error(ErrCode::kInjected, keep, "store.write.torn",
+    return Status::error(ErrCode::kInjected, limit, "store.write.torn",
                          "torn write injected at generation " +
                              std::to_string(number));
   }
-
-  const std::uint64_t limit =
-      hooks.crash_at == CommitHooks::CrashStep::kAfterPartialWrite
-          ? hooks.write_byte_limit
-          : ~0ull;
-  if (write_all(fd, image.data(), image.size(), limit) < 0) {
-    Status s = errno_status(tmp_path, "write");
+  if (!written) {
+    Status s = errno_status(tmp_path, "write", sink.error());
     ::close(fd);
     ::unlink(tmp_path.c_str());
     obs::count(obs::metrics::kStoreSaveFailures);
@@ -506,7 +581,7 @@ fault::Result<Generation> StoreDir::commit(const std::string& image,
     }
   }
   obs::count(obs::metrics::kStoreSaves);
-  obs::count(obs::metrics::kStoreSaveBytes, image.size());
+  obs::count(obs::metrics::kStoreSaveBytes, size);
   return gen;
 }
 

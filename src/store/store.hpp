@@ -8,7 +8,12 @@
 //     gen-000042.fa
 //
 // Commit protocol (all-or-nothing under kill -9 at any instruction):
-//   1. write gen-NNNNNN.fa.tmp, fsync the file
+//   1. stream the image into gen-NNNNNN.fa.tmp through one fixed-size
+//      buffer, fsync the file. An Image (store/image.hpp) emits in file
+//      order from the encoder's own storage, so no image-sized buffer
+//      exists; each of its bytes is CRC'd once, and the whole-file CRC
+//      the manifest records is derived from the section CRCs, not read
+//      back
 //   2. rename onto gen-NNNNNN.fa, fsync the directory
 //   3. write MANIFEST.tmp (new generation appended, old ones pruned to
 //      the keep window), fsync, rename onto MANIFEST, fsync the
@@ -21,12 +26,14 @@
 //
 // Fault seams (deterministic, fault::Injector):
 //   store.write.torn    commit writes only a seeded prefix of the image
-//                       and reports kInjected (a torn write)
+//                       (streamed or in memory) and reports kInjected (a
+//                       torn write)
 //   store.read.corrupt  load flips seeded bytes of the mapped image
 //                       (MAP_PRIVATE: the flip never reaches the disk)
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +41,9 @@
 #include "fault/status.hpp"
 
 namespace fa::store {
+
+class ByteSink;  // store/image.hpp
+class Image;
 
 // Read-write *private* mapping of a file: PROT_WRITE + MAP_PRIVATE so
 // the read-corruption seam can flip bytes in-core without touching the
@@ -113,13 +123,23 @@ class StoreDir {
   // orphans from a crashed commit are never overwritten).
   std::uint64_t next_generation() const;
 
-  // Atomic commit of `image` as the next generation. On success the
-  // returned Generation is durable and referenced by the manifest.
-  fault::Result<Generation> commit(const std::string& image,
+  // Atomic commit of `image` as the next generation, streamed into the
+  // generation file (see the protocol above). On success the returned
+  // Generation is durable and referenced by the manifest.
+  fault::Result<Generation> commit(const Image& image,
+                                   const CommitHooks& hooks = {});
+  // The same commit of bytes already in memory.
+  fault::Result<Generation> commit(std::string_view bytes,
                                    const CommitHooks& hooks = {});
 
  private:
   explicit StoreDir(std::string path) : path_(std::move(path)) {}
+
+  // Steps 1-3 for `size` bytes with whole-file CRC `crc`, written by
+  // `emit`.
+  fault::Result<Generation> commit_streamed(
+      std::uint64_t size, std::uint32_t crc,
+      const std::function<void(ByteSink&)>& emit, const CommitHooks& hooks);
 
   fault::Status write_manifest(const Manifest& manifest) const;
 

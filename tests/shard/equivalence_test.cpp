@@ -7,14 +7,19 @@
 // leak into response bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <map>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/planner.hpp"
 #include "serve/server.hpp"
 #include "serve/snapshot.hpp"
+#include "serve/wire.hpp"
 #include "shard_test_util.hpp"
 
 namespace fa::shard {
@@ -38,8 +43,49 @@ void expect_stream_identical(const std::vector<AnyQuery>& stream) {
   }
 }
 
+// Top-K discs over the test world's densest metros (its most populous
+// quarter-degree cells), at k = 0, 1, 8, the disc's whole candidate
+// count and the wire cap: the planner's k-bounded heap and its class
+// skip must keep exactly the reference's k riskiest, class ties at the
+// heap's boundary included.
+std::vector<AnyQuery> dense_metro_top_k() {
+  std::map<std::pair<int, int>, std::size_t> cells;
+  for (const cellnet::Transceiver& t :
+       testing::small_world().corpus().transceivers()) {
+    ++cells[{static_cast<int>(std::floor(t.position.lon * 4.0)),
+             static_cast<int>(std::floor(t.position.lat * 4.0))}];
+  }
+  std::vector<std::pair<std::size_t, std::pair<int, int>>> densest;
+  for (const auto& [cell, count] : cells) densest.push_back({count, cell});
+  std::sort(densest.rbegin(), densest.rend());
+  densest.resize(std::min<std::size_t>(densest.size(), 4));
+
+  std::vector<AnyQuery> stream;
+  std::uint32_t most = 0;
+  for (const auto& [count, cell] : densest) {
+    const geo::LonLat center{(cell.first + 0.5) / 4.0,
+                             (cell.second + 0.5) / 4.0};
+    for (const double radius_m : {10e3, 25e3}) {
+      const std::uint32_t all =
+          std::get<serve::TopKSitesResponse>(
+              ask_reference(serve::TopKSitesQuery{center, radius_m, 0}))
+              .candidates;
+      most = std::max(most, all);
+      for (const std::uint32_t k :
+           {0u, 1u, 8u, all, serve::wire::kMaxTopK}) {
+        stream.push_back(serve::TopKSitesQuery{center, radius_m, k});
+      }
+    }
+  }
+  EXPECT_GT(most, 8u) << "no metro disc holds more sites than k";
+  return stream;
+}
+
 TEST(ShardEquivalence, RandomizedStreamMatchesMonolithic) {
-  expect_stream_identical(st::make_stream(600, 11, 96));
+  std::vector<AnyQuery> stream = st::make_stream(600, 11, 96);
+  const std::vector<AnyQuery> metros = dense_metro_top_k();
+  stream.insert(stream.end(), metros.begin(), metros.end());
+  expect_stream_identical(stream);
 }
 
 // The trig-free disc prefilter may never disagree with the exact

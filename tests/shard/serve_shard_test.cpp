@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -152,6 +154,94 @@ TEST(ServeSharded, SaveThenColdStartServesIdenticalAnswers) {
   for (std::size_t i = 0; i < stream.size(); ++i) {
     ASSERT_TRUE(before[i] == ask(reborn, stream[i]))
         << "query " << i << " changed across the cold start";
+  }
+}
+
+// Saves `server`'s serving view and checks the generation the streamed
+// commit wrote: byte-equal to encode_sharded's string of the same view,
+// and recorded in MANIFEST with its size and crc32 of the file.
+store::Generation expect_save_writes_the_view(serve::Server& server,
+                                              const std::string& store_dir) {
+  const std::shared_ptr<const serve::Snapshot> snap =
+      server.snapshots().acquire();
+  EXPECT_TRUE(server.save_snapshot().ok());
+  auto dir = store::StoreDir::open(store_dir);
+  EXPECT_TRUE(dir.ok());
+  auto manifest = dir.value().read_manifest();
+  EXPECT_TRUE(manifest.ok());
+  if (!manifest.ok()) return {};
+  const store::Generation gen = manifest.value().generations.back();
+  std::ifstream in(dir.value().file_path(gen.filename), std::ios::binary);
+  const std::string bytes(std::istreambuf_iterator<char>(in), {});
+  EXPECT_TRUE(bytes == encode_sharded(snap->sharded()))
+      << "the streamed generation differs from encode_sharded's bytes";
+  EXPECT_EQ(gen.size, bytes.size());
+  EXPECT_EQ(gen.crc, store::crc32(bytes.data(), bytes.size()));
+  return gen;
+}
+
+// The delta log rooted on `gen` replays `batches` increments: its first
+// link, the manifest's whole-file CRC, matches the one replay derives
+// from the file.
+void expect_log_replays(const std::string& store_dir,
+                        const store::Generation& gen, std::size_t batches) {
+  auto log = delta::DeltaLog::open(store::StoreDir::open(store_dir).take(),
+                                   gen.number, gen.crc);
+  ASSERT_TRUE(log.ok()) << log.status().to_string();
+  const delta::DeltaLog::Replay replay = log.value().replay();
+  EXPECT_EQ(replay.batches.size(), batches);
+  EXPECT_EQ(replay.truncated, 0u);
+}
+
+// save_snapshot streams the serving view into its generation file with
+// no image-sized buffer; the file must still be the bytes encode_sharded
+// writes, for three views under each test layout: a fresh build, a fed
+// view with tombstones (its ids leave re-ranked dense, a page at a
+// time), and a view a retire-heavy chain compacted.
+TEST(ServeSharded, StreamedSaveWritesEncodeShardedBytes) {
+  delta::FeedOptions feed_options;
+  feed_options.seed = 907;
+  feed_options.events_per_tick_mean = 640.0;
+  feed_options.w_retire = 24.0;
+  for (const LayoutOptions& layout : st::test_layouts()) {
+    SCOPED_TRACE(st::layout_name(layout));
+    TempDir tmp;
+    serve::ServerOptions options;
+    options.shard_layout = layout;
+    options.store_dir = tmp.path;
+    serve::Server server(st::small_config(), options);
+    delta::FeedGenerator gen(testing::small_world(), feed_options);
+    delta::FeedIngestor ingestor;
+    const auto tombstones = [&server] {
+      return server.snapshots().acquire()->sharded().tombstones();
+    };
+    const auto tick = [&] {
+      auto cleaned = ingestor.ingest(gen.tick());
+      ASSERT_TRUE(cleaned.ok());
+      ASSERT_TRUE(server.apply_delta(cleaned.value()).ok());
+    };
+
+    store::Generation saved = expect_save_writes_the_view(server, tmp.path);
+    std::size_t ticks = 0;
+    while (tombstones() == 0 && ticks < 20) {
+      tick();
+      ++ticks;
+    }
+    ASSERT_GT(tombstones(), 0u) << "the feed never retired a site";
+    expect_log_replays(tmp.path, saved, ticks);
+
+    saved = expect_save_writes_the_view(server, tmp.path);
+    ticks = 0;
+    while (tombstones() > 0 && ticks < 40) {
+      tick();
+      ++ticks;
+    }
+    ASSERT_EQ(tombstones(), 0u) << "the chain never compacted";
+    expect_log_replays(tmp.path, saved, ticks);
+
+    saved = expect_save_writes_the_view(server, tmp.path);
+    tick();
+    expect_log_replays(tmp.path, saved, 1);
   }
 }
 

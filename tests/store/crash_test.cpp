@@ -1,7 +1,9 @@
 // Crash-injection harness for the commit protocol. A forked child runs
-// StoreDir::commit() of a FASHRD01 generation with a CommitHooks crash
-// step armed — _exit(2) at a deterministic instruction boundary,
-// exactly like kill -9 at that point — and the parent then runs
+// StoreDir::commit() of a FASHRD01 generation (streamed from a view's
+// page columns, the path a server's save runs, or from bytes already in
+// memory) with a CommitHooks crash step armed — _exit(2) at a
+// deterministic instruction boundary, exactly like kill -9 at that
+// point — and the parent then runs
 // shard::recover, the recovery fa_served boots through, and asserts the
 // invariant the store exists to provide: recovery NEVER surfaces a
 // half-written world. Every recovered view must have no quarantined
@@ -13,8 +15,10 @@
 #include <unistd.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "shard/codec.hpp"
 #include "shard/recovery.hpp"
 #include "store/recovery.hpp"
 #include "store/store.hpp"
@@ -26,11 +30,24 @@ namespace {
 using CrashStep = CommitHooks::CrashStep;
 using testing::expect_canonical;
 using testing::TempDir;
+using testing::tiny_sharded;
 using testing::tiny_sharded_image;
 
-// Forks, commits `image` with `hooks` in the child, and reaps it.
-// Returns the child's exit code (2 = the armed crash fired).
-int crash_commit(const std::string& dir_path, const std::string& image,
+// The two forms of one generation a commit writes.
+enum class Source { kStreamedView, kInMemoryImage };
+
+// Commits the canonical generation in `source`'s form.
+fault::Result<Generation> commit(StoreDir& dir, Source source,
+                                 const CommitHooks& hooks = {}) {
+  return source == Source::kStreamedView
+             ? dir.commit(shard::sharded_image(tiny_sharded()), hooks)
+             : dir.commit(tiny_sharded_image(), hooks);
+}
+
+// Forks, commits the canonical generation in `source`'s form with
+// `hooks` in the child, and reaps it. Returns the child's exit code
+// (2 = the armed crash fired).
+int crash_commit(const std::string& dir_path, Source source,
                  const CommitHooks& hooks) {
   const pid_t pid = ::fork();
   if (pid == 0) {
@@ -38,7 +55,7 @@ int crash_commit(const std::string& dir_path, const std::string& image,
     // through to _exit(0) only if the armed crash step never fired.
     fault::Result<StoreDir> dir = StoreDir::open(dir_path);
     if (!dir.ok()) ::_exit(3);
-    (void)dir.value().commit(image, hooks);
+    (void)commit(dir.value(), source, hooks);
     ::_exit(0);
   }
   int status = 0;
@@ -47,12 +64,14 @@ int crash_commit(const std::string& dir_path, const std::string& image,
 }
 
 struct CrashCase {
-  const char* name;
+  std::string name;
+  Source source;
   CommitHooks hooks;
 };
 
+// Every crash step, under both commit forms.
 std::vector<CrashCase> crash_matrix(std::size_t image_size) {
-  return {
+  const std::pair<const char*, CommitHooks> steps[] = {
       {"partial_write_0_bytes", {CrashStep::kAfterPartialWrite, 0}},
       {"partial_write_1_byte", {CrashStep::kAfterPartialWrite, 1}},
       {"partial_write_half", {CrashStep::kAfterPartialWrite, image_size / 2}},
@@ -62,6 +81,15 @@ std::vector<CrashCase> crash_matrix(std::size_t image_size) {
       {"after_rename", {CrashStep::kAfterRename}},
       {"mid_manifest", {CrashStep::kMidManifest}},
   };
+  std::vector<CrashCase> cases;
+  for (const Source source : {Source::kStreamedView, Source::kInMemoryImage}) {
+    const char* form =
+        source == Source::kStreamedView ? "streamed " : "in-memory ";
+    for (const auto& [name, hooks] : steps) {
+      cases.push_back({form + std::string(name), source, hooks});
+    }
+  }
+  return cases;
 }
 
 // The core matrix: one good generation exists, then a second commit
@@ -75,9 +103,9 @@ TEST(CrashMatrix, RecoveryNeverServesAHalfWrittenWorld) {
     TempDir tmp;
     {
       StoreDir dir = StoreDir::open(tmp.path).take();
-      ASSERT_TRUE(dir.commit(image).ok());
+      ASSERT_TRUE(commit(dir, c.source).ok());
     }
-    ASSERT_EQ(crash_commit(tmp.path, image, c.hooks), 2)
+    ASSERT_EQ(crash_commit(tmp.path, c.source, c.hooks), 2)
         << "armed crash step did not fire";
 
     RecoveryReport report;
@@ -108,7 +136,7 @@ TEST(CrashMatrix, CrashOnEmptyStoreDegradesCleanly) {
     SCOPED_TRACE(c.name);
     TempDir tmp;
     ASSERT_TRUE(StoreDir::open(tmp.path).ok());  // create the directory
-    ASSERT_EQ(crash_commit(tmp.path, image, c.hooks), 2);
+    ASSERT_EQ(crash_commit(tmp.path, c.source, c.hooks), 2);
 
     RecoveryReport report;
     fault::Result<shard::Recovered> rec =
@@ -137,13 +165,13 @@ TEST(CrashMatrix, StoreStaysWritableAfterEveryCrash) {
     TempDir tmp;
     {
       StoreDir dir = StoreDir::open(tmp.path).take();
-      ASSERT_TRUE(dir.commit(image).ok());
+      ASSERT_TRUE(commit(dir, c.source).ok());
     }
-    ASSERT_EQ(crash_commit(tmp.path, image, c.hooks), 2);
+    ASSERT_EQ(crash_commit(tmp.path, c.source, c.hooks), 2);
 
     StoreDir dir = StoreDir::open(tmp.path).take();
     const std::uint64_t next = dir.next_generation();
-    fault::Result<Generation> g = dir.commit(image);
+    fault::Result<Generation> g = commit(dir, c.source);
     ASSERT_TRUE(g.ok()) << g.status().to_string();
     EXPECT_EQ(g.value().number, next);
 

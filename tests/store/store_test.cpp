@@ -7,13 +7,16 @@
 // migration) run over FASNAP01 generations through the same call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
 
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "shard/codec.hpp"
 #include "shard/recovery.hpp"
 #include "store/codec.hpp"
 #include "store/format.hpp"
@@ -89,6 +92,48 @@ TEST(Crc32, MatchesPublishedCheckValues) {
   const std::uint32_t chained =
       crc32(long_input.data() + 4321, long_input.size() - 4321, head);
   EXPECT_EQ(chained, flat);
+}
+
+// crc32_combine(crc32(a), crc32(b), |b|) == crc32(a + b): over random
+// two-way splits (either side may be empty), folded across many parts
+// the way the image writer folds sections into the body CRC (empty
+// parts included), and across a part whose shift passes 2^32 bits.
+TEST(Crc32, CombineMatchesFlatCrcOverRandomSplits) {
+  std::mt19937_64 rng(20261020);
+  std::string buf;
+  for (int trial = 0; trial < 300; ++trial) {
+    buf.resize(trial == 0 ? 0 : rng() % 5000);
+    for (char& c : buf) c = static_cast<char>(rng());
+    const std::uint32_t flat = crc32(buf.data(), buf.size());
+
+    const std::size_t cut = rng() % (buf.size() + 1);
+    EXPECT_EQ(crc32_combine(crc32(buf.data(), cut),
+                            crc32(buf.data() + cut, buf.size() - cut),
+                            buf.size() - cut),
+              flat)
+        << "size " << buf.size() << ", cut at " << cut;
+
+    std::uint32_t folded = 0;
+    for (std::size_t at = 0, parts = 0; at < buf.size() || parts < 2;
+         ++parts) {
+      const std::size_t n = std::min<std::size_t>(rng() % 400, buf.size() - at);
+      folded = crc32_combine(folded, crc32(buf.data() + at, n), n);
+      at += n;
+    }
+    EXPECT_EQ(folded, flat) << "size " << buf.size();
+  }
+  // A part past 2^29 bytes shifts by more than 2^32 bits, wrapping the
+  // power table. It is all zeros, CRC'd in 1 MiB pieces.
+  const std::string zeros(std::size_t{1} << 20, '\0');
+  const std::size_t pieces = 520;
+  const std::uint32_t head = crc32("head", 4);
+  std::uint32_t tail = 0;
+  std::uint32_t flat = head;
+  for (std::size_t i = 0; i < pieces; ++i) {
+    tail = crc32(zeros.data(), zeros.size(), tail);
+    flat = crc32(zeros.data(), zeros.size(), flat);
+  }
+  EXPECT_EQ(crc32_combine(head, tail, pieces * zeros.size()), flat);
 }
 
 TEST(Manifest, FilenameFormat) {
@@ -220,14 +265,29 @@ TEST(StoreDir, TornWriteSeamFailsCommitAndKeepsManifest) {
   ObsOn obs_on;
   TempDir tmp;
   StoreDir dir = StoreDir::open(tmp.path).take();
-  ASSERT_TRUE(dir.commit(tiny_sharded_image()).ok());
+  ASSERT_TRUE(dir.commit(shard::sharded_image(tiny_sharded())).ok());
 
-  {
+  // A view streamed from its page columns (the path a server's save
+  // runs) and the same bytes in memory tear at the same seeded prefix,
+  // leave it as .tmp debris, and count a failed save.
+  const obs::Counter& failures =
+      obs::Registry::global().counter(obs::metrics::kStoreSaveFailures);
+  for (const bool streamed : {true, false}) {
+    SCOPED_TRACE(streamed ? "streamed view" : "in-memory image");
     fault::ScopedInjector torn(
         fault::Injector::parse("seed=11,store.write.torn=1").take());
-    fault::Result<Generation> g = dir.commit(tiny_sharded_image());
+    const std::uint64_t failed_before = failures.value();
+    fault::Result<Generation> g =
+        streamed ? dir.commit(shard::sharded_image(tiny_sharded()))
+                 : dir.commit(tiny_sharded_image());
     ASSERT_FALSE(g.ok());
     EXPECT_EQ(g.status().code, fault::ErrCode::kInjected);
+    EXPECT_EQ(failures.value(), failed_before + 1);
+    const std::string debris =
+        slurp(dir.file_path(generation_filename(2)) + ".tmp");
+    EXPECT_EQ(debris.size(), g.status().offset);
+    EXPECT_LT(debris.size(), tiny_sharded_image().size());
+    EXPECT_TRUE(debris == tiny_sharded_image().substr(0, debris.size()));
   }
 
   // The manifest still lists exactly the one good generation, and the

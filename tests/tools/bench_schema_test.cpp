@@ -91,7 +91,8 @@ const std::vector<BenchSchema>& schemas() {
        {"pool_workers", "distinct_queries", "queries_per_thread",
         "cache_on_beats_off", "rows"}},
       {"bench_store", "store",
-       {"transceivers", "image_bytes", "build_s", "save_s", "load_s",
+       {"transceivers", "image_bytes", "build_s", "save_s", "save_cpu_s",
+        "save_hwm_step_mb", "save_identical", "load_s",
         "recover_fallback_s", "fallback_to_older_generation",
         "load_speedup", "load_faster"}},
       {"bench_serve_net", "serve_net",
