@@ -2,31 +2,24 @@
 // the corpus is the real 5,364,949 transceivers?
 //
 // Builds the continental world (FA_SHARD_SCALE divides the corpus for
-// smoke runs) three ways, persists it twice — one FASNAP01 image (what
-// servers wrote before serving was sharded-only), one sharded FASHRD01
-// container — and measures:
+// smoke runs) two ways, persists the served build as a FASHRD01
+// container, and measures:
 //
 //   build_s            World::build from synthesis (the oracle's input)
 //   shard_s            ShardedWorld::from_world over the default layout
 //   served_build_s     ShardedWorld::build: the World-free build every
 //                      server runs (synthesis straight into columns)
-//   mono_cold_s        FASNAP01 cold start to first answered point query
-//                      through Snapshot::recover (mmap + full decode +
-//                      in-memory migration to shards + evaluate)
 //   shard_cold_s       FASHRD01 cold start to first answered point query
 //                      through Snapshot::recover (mmap + O(sections)
-//                      validation, zero decode)
+//                      validation + the per-shard CRC sweep, zero decode)
 //   shard_qps          closed-loop point-query throughput at
 //                      FA_SHARD_THREADS threads
 //
-// Reported in the trailer against its target (read it from a full-scale
-// run; at smoke scale fixed overheads dominate and it misses):
-//   cold_speedup  = mono_cold_s / shard_cold_s   >= 10x  (cold_faster)
 // Gated by the exit code:
 //   build_identical — the World-free build's FASHRD01 bytes equal
 //                     from_world(World::build)'s
 //   identity_ok     — every pooled query answered byte-identically by
-//                     the migrated and the opened snapshot
+//                     the cold-started snapshot and the built one
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -43,7 +36,6 @@
 #include "serve/snapshot.hpp"
 #include "shard/codec.hpp"
 #include "shard/world.hpp"
-#include "store/codec.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -119,9 +111,7 @@ int main() {
       static_cast<unsigned long long>(cfg.seed), cfg.whp_cell_m,
       cfg.corpus_scale, cfg.corpus_size());
 
-  char mono_tmpl[] = "/tmp/fashard-bench-mono-XXXXXX";
   char shrd_tmpl[] = "/tmp/fashard-bench-shrd-XXXXXX";
-  const std::string mono_path = ::mkdtemp(mono_tmpl);
   const std::string shrd_path = ::mkdtemp(shrd_tmpl);
 
   // The oracle: a built World, cut by from_world. Scoped so the World is
@@ -129,7 +119,6 @@ int main() {
   double build_s = 0.0;
   double shard_s = 0.0;
   std::size_t transceivers = 0;
-  std::size_t mono_image_bytes = 0;
   std::string oracle_image;
   {
     bench::Stopwatch build_timer;
@@ -146,19 +135,13 @@ int main() {
     std::printf("from_world: %.2fs (%zu shards)\n", shard_s,
                 cut.shard_count());
     oracle_image = shard::encode_sharded(cut);
-    const std::string mono_image = store::encode_world(world, risk);
-    mono_image_bytes = mono_image.size();
-    store::StoreDir mono_dir = store::StoreDir::open(mono_path).take();
-    if (!mono_dir.commit(mono_image).ok()) {
-      std::fprintf(stderr, "commit failed\n");
-      return 1;
-    }
   }
 
   double served_build_s = 0.0;
   bool build_identical = false;
   std::size_t shards = 0;
   std::string shrd_image;
+  std::shared_ptr<const serve::Snapshot> built_snap;
   {
     bench::Stopwatch served_timer;
     fault::Result<shard::ShardedWorld> built =
@@ -172,6 +155,7 @@ int main() {
     shrd_image = shard::encode_sharded(built.value());
     build_identical = shrd_image == oracle_image;
     shards = built.value().shard_count();
+    built_snap = serve::Snapshot::adopt(std::move(built).take(), 1);
     std::printf(
         "World-free build: %.2fs (%zu shards), bytes %s from_world's\n",
         served_build_s, shards,
@@ -185,8 +169,7 @@ int main() {
       return 1;
     }
   }
-  std::printf("images: FASNAP01 %zu bytes, FASHRD01 %zu bytes\n",
-              mono_image_bytes, shrd_image.size());
+  std::printf("image: FASHRD01 %zu bytes\n", shrd_image.size());
 
   const std::vector<serve::PointRiskQuery> pool = make_pool(512, cfg.seed);
 
@@ -208,29 +191,17 @@ int main() {
     seconds = timer.seconds();
     return snap;
   };
-  double mono_cold_s = 0.0;
-  const std::shared_ptr<const serve::Snapshot> mono_snap =
-      cold_start(mono_path, mono_cold_s);
-  if (!mono_snap) return 1;
-  std::printf("FASNAP01 cold start (decode + migrate) to first query: %.3fs\n",
-              mono_cold_s);
   double shard_cold_s = 0.0;
   const std::shared_ptr<const serve::Snapshot> shrd_snap =
       cold_start(shrd_path, shard_cold_s);
   if (!shrd_snap) return 1;
-  const double cold_speedup =
-      shard_cold_s > 0.0 ? mono_cold_s / shard_cold_s : 0.0;
-  const bool cold_faster = cold_speedup >= 10.0;
-  std::printf(
-      "FASHRD01 cold start to first query: %.4fs  (%.0fx, %s the 10x "
-      "target)\n",
-      shard_cold_s, cold_speedup, cold_faster ? "clears" : "MISSES");
+  std::printf("FASHRD01 cold start to first query: %.4fs\n", shard_cold_s);
 
   // Byte-identity spot check over the whole pool before timing anything:
   // a fast wrong answer is not a result.
   std::size_t mismatches = 0;
   for (const serve::PointRiskQuery& q : pool) {
-    if (!(serve::evaluate(*mono_snap, q) == serve::evaluate(*shrd_snap, q))) {
+    if (!(serve::evaluate(*built_snap, q) == serve::evaluate(*shrd_snap, q))) {
       ++mismatches;
     }
   }
@@ -242,22 +213,17 @@ int main() {
   std::printf("point QPS at %zu threads: %.0f\n", threads, shard_qps);
 
   std::error_code ec;
-  std::filesystem::remove_all(mono_path, ec);
   std::filesystem::remove_all(shrd_path, ec);
 
   io::JsonObject payload;
   payload["transceivers"] = transceivers;
   payload["shards"] = shards;
-  payload["mono_image_bytes"] = mono_image_bytes;
   payload["shard_image_bytes"] = shrd_image.size();
   payload["build_s"] = build_s;
   payload["shard_s"] = shard_s;
   payload["served_build_s"] = served_build_s;
   payload["build_identical"] = build_identical;
-  payload["mono_cold_s"] = mono_cold_s;
   payload["shard_cold_s"] = shard_cold_s;
-  payload["cold_speedup"] = cold_speedup;
-  payload["cold_faster"] = cold_faster;
   payload["threads"] = threads;
   payload["shard_qps"] = shard_qps;
   payload["identity_ok"] = identity_ok;

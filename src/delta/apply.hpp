@@ -6,7 +6,7 @@
 //
 // The correctness contract (pinned by tests/delta/equivalence_test, the
 // shard apply suite and the delta-epoch golden): the successor must be
-// byte-identical — encode_sharded bytes, the FASNAP01 bytes of its
+// byte-identical — encode_sharded bytes, the canonical dump of its
 // materialized world and every query answer — to a from-scratch
 // rebuild of the same final state (tests/delta/reference_apply.hpp:
 // these stages, the batch folded into a plain transceiver vector,

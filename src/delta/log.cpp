@@ -1,11 +1,9 @@
 #include "delta/log.hpp"
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -51,11 +49,6 @@ std::uint64_t get_u64(const char* p) {
          << (8 * i);
   }
   return v;
-}
-
-fault::Status errno_status(const std::string& path, std::string what) {
-  return fault::Status::error(fault::ErrCode::kIoFailure, 0, path,
-                              what + ": " + std::strerror(errno));
 }
 
 std::string encode_increment(std::uint64_t base_gen, std::uint64_t ordinal,
@@ -126,29 +119,6 @@ fault::Status read_increment(const std::string& path,
   return {};
 }
 
-// The base image's whole-file CRC, read in fixed-size chunks chained
-// through crc32's seed: a paper-scale generation is hundreds of MB, and
-// neither a copy of it nor a second mapping belongs on the cold start.
-fault::Result<std::uint32_t> whole_file_crc(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return errno_status(path, "open base image for crc");
-  std::vector<char> chunk(DeltaLog::kCrcChunkBytes);
-  std::uint32_t crc = 0;
-  while (true) {
-    const ssize_t n = ::read(fd, chunk.data(), chunk.size());
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      fault::Status s = errno_status(path, "read base image for crc");
-      ::close(fd);
-      return s;
-    }
-    crc = store::crc32(chunk.data(), static_cast<std::size_t>(n), crc);
-  }
-  ::close(fd);
-  return crc;
-}
-
 }  // namespace
 
 std::string increment_filename(std::uint64_t base_gen,
@@ -163,13 +133,7 @@ std::string increment_filename(std::uint64_t base_gen,
 fault::Result<DeltaLog> DeltaLog::open(const store::StoreDir& dir,
                                        std::uint64_t base_gen,
                                        std::uint32_t base_crc) {
-  DeltaLog log(dir, base_gen);
-  if (base_crc == 0) {
-    fault::Result<std::uint32_t> crc = whole_file_crc(
-        dir.file_path(store::generation_filename(base_gen)));
-    if (!crc.ok()) return crc.status();
-    base_crc = crc.value();
-  }
+  DeltaLog log(dir, base_gen, base_crc);
   log.chain_crc_ = base_crc;
   // Walk the existing chain to its tail; everything past the first
   // broken link is unreachable debris from a torn append.
@@ -218,15 +182,8 @@ DeltaLog::Replay DeltaLog::replay() const {
   const obs::Span span(obs::metrics::kDeltaLogReplayNs);
   Replay out;
   // The on-disk chain may be longer than this handle has seen (another
-  // writer) or shorter (pruned); trust only the disk.
-  std::uint32_t expected_prev = 0;
-  {
-    // Re-derive the base link so replay stands alone on cold start.
-    fault::Result<std::uint32_t> crc = whole_file_crc(
-        dir_path_ + "/" + store::generation_filename(base_gen_));
-    if (!crc.ok()) return out;
-    expected_prev = crc.value();
-  }
+  // writer) or shorter (pruned); trust only the disk past the base link.
+  std::uint32_t expected_prev = base_crc_;
   for (std::uint64_t ordinal = 0;; ++ordinal) {
     const std::string path =
         dir_path_ + "/" + increment_filename(base_gen_, ordinal);

@@ -39,10 +39,11 @@ class DeltaLog {
   DeltaLog() = default;
 
   // Opens the increment chain for `base_gen` in `dir`. `base_crc` is
-  // the base snapshot's whole-file CRC as the manifest records it; pass
-  // 0 (a scan() manifest) to have it computed from the image file.
-  // Scans existing increments to find the chain tail; unreachable
-  // files past a broken link are deleted (they can never replay).
+  // the base image's whole-file CRC: the one a commit returns, or the
+  // one recovery verified against the file. The log never reads the
+  // base image. Scans existing increments to find the chain tail;
+  // unreachable files past a broken link are deleted (they can never
+  // replay).
   static fault::Result<DeltaLog> open(const store::StoreDir& dir,
                                       std::uint64_t base_gen,
                                       std::uint32_t base_crc);
@@ -57,16 +58,12 @@ class DeltaLog {
     // Increment files dropped at the first broken link (torn tail).
     std::size_t truncated = 0;
   };
-  // Re-reads and verifies the chain from disk (cold start).
+  // Re-reads and verifies the chain from disk (cold start), increment 0
+  // linked to `base_crc`.
   Replay replay() const;
 
   std::uint64_t base_generation() const { return base_gen_; }
   std::uint64_t next_ordinal() const { return next_ordinal_; }
-
-  // Read size for the base image's whole-file CRC (the chain's first
-  // link, derived from the file when the manifest does not carry it and
-  // on every replay).
-  static constexpr std::size_t kCrcChunkBytes = std::size_t{1} << 20;
 
   // Deletes increments belonging to any base generation other than
   // `keep_base` (after a new full snapshot commits, older chains are
@@ -75,11 +72,13 @@ class DeltaLog {
                           std::uint64_t keep_base);
 
  private:
-  DeltaLog(const store::StoreDir& dir, std::uint64_t base_gen)
-      : dir_path_(dir.path()), base_gen_(base_gen) {}
+  DeltaLog(const store::StoreDir& dir, std::uint64_t base_gen,
+           std::uint32_t base_crc)
+      : dir_path_(dir.path()), base_gen_(base_gen), base_crc_(base_crc) {}
 
   std::string dir_path_;
   std::uint64_t base_gen_ = 0;
+  std::uint32_t base_crc_ = 0;   // whole-file CRC of the base image
   std::uint64_t next_ordinal_ = 0;
   std::uint32_t chain_crc_ = 0;  // whole-file CRC of the chain tail
 };

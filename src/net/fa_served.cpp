@@ -17,8 +17,8 @@
 // --store DIR enables crash-safe persistence: the snapshot persists as a
 // FASHRD01 container, boot mmaps the newest clean generation's shard
 // columns zero-copy instead of rebuilding (near-instant cold start, the
-// continental --scale 1 path; a FASNAP01 generation from an older build
-// migrates in memory), the freshly built or rebuilt view is committed
+// continental --scale 1 path; a store from a build before sharding is
+// unreadable and rebuilt), the freshly built or rebuilt view is committed
 // back after boot and after every SIGHUP, and a failed persist only
 // logs — the in-memory epoch keeps serving.
 //

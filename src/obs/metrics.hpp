@@ -207,9 +207,6 @@ inline constexpr std::string_view kShardDeltaPagesShared =
 // apply rewrote every id dense.
 inline constexpr std::string_view kShardIdsCompactions =
     "shard.ids.compactions";
-// Monolithic FASNAP01 generations migrated to a sharded view by the
-// recovery ladder.
-inline constexpr std::string_view kShardMigrations = "shard.migrations";
 // Span/histogram names (nanoseconds).
 inline constexpr std::string_view kShardOpenNs = "shard.open_ns";
 inline constexpr std::string_view kShardBuildNs = "shard.build_ns";

@@ -46,7 +46,7 @@ Server::Server(const synth::ScenarioConfig& config,
 }
 
 void Server::cold_start(const synth::ScenarioConfig& config) {
-  auto recovered = Snapshot::recover(*store_dir_, 1, options_.shard_layout);
+  auto recovered = Snapshot::recover(*store_dir_, 1);
   if (!recovered.ok()) return;
   if (!(recovered.value().snapshot->config() == config)) return;
   Snapshot::Recovered rec = std::move(recovered).take();
@@ -58,7 +58,8 @@ void Server::cold_start(const synth::ScenarioConfig& config) {
   // and disengages the log — appending past a divergence would corrupt
   // the chain's meaning. A degraded view (quarantined shards) fails its
   // first batch, so it serves the bare generation image under the same
-  // contract.
+  // contract. The chain links to the whole-file CRC recovery verified,
+  // so the log never reads the base image.
   if (auto log = delta::DeltaLog::open(*store_dir_, rec.generation.number,
                                        rec.generation.crc);
       log.ok()) {
@@ -261,8 +262,7 @@ fault::Status Server::rebuild_from_store() {
                                 "no store directory configured");
   }
   const std::lock_guard<std::mutex> lock(rebuild_mu_);
-  auto recovered = Snapshot::recover(*store_dir_, store_.current_epoch() + 1,
-                                     options_.shard_layout);
+  auto recovered = Snapshot::recover(*store_dir_, store_.current_epoch() + 1);
   if (!recovered.ok()) {
     // Same survivability contract as a failed rebuild(): nothing
     // published, current epoch keeps serving.

@@ -14,8 +14,9 @@
 // serving.
 //
 // Every snapshot is a geo-sharded view (snapshot.hpp), so each
-// lifecycle step below has one body: builds, cold starts and recoveries
-// are handed options.shard_layout, applies are shard-native, and saves
+// lifecycle step below has one body: builds are handed
+// options.shard_layout, cold starts and recoveries open the layout the
+// stored FASHRD01 image carries, applies are shard-native, and saves
 // write FASHRD01.
 //
 // Determinism contract: for a fixed snapshot content, the cached and
@@ -61,9 +62,8 @@ struct ServerOptions {
   // Selects nothing: every server serves a geo-sharded view. Kept only
   // so callers that still assign it compile; slated for removal.
   bool sharded = false;
-  // How builds cut the view into shards, and how a FASNAP01 generation
-  // migrates at recovery (a FASHRD01 generation carries its own layout).
-  // Responses are the same bytes under any layout.
+  // How builds cut the view into shards (a stored generation carries
+  // its own layout). Responses are the same bytes under any layout.
   shard::LayoutOptions shard_layout;
 };
 
@@ -152,8 +152,10 @@ class Server {
  private:
   // Constructor cold start (store_dir_ engaged): publish epoch 1 from
   // the newest servable generation for `config`, replaying its
-  // delta-log chain; set loaded_from_store_ on success, leave the
-  // fresh-build fallback to the constructor otherwise.
+  // delta-log chain — linked to the whole-file CRC recovery verified,
+  // so the base image is never read again; set loaded_from_store_ on
+  // success, leave the fresh-build fallback to the constructor
+  // otherwise.
   void cold_start(const synth::ScenarioConfig& config);
   // The delta applier's options for this server's ingestion policy.
   delta::ApplyOptions apply_options() const;

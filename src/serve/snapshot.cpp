@@ -33,9 +33,8 @@ std::shared_ptr<const Snapshot> Snapshot::adopt(shard::ShardedWorld view,
 }
 
 fault::Result<Snapshot::Recovered> Snapshot::recover(
-    const store::StoreDir& dir, Epoch epoch,
-    const shard::LayoutOptions& layout) {
-  auto recovered = shard::recover(dir, layout);
+    const store::StoreDir& dir, Epoch epoch) {
+  auto recovered = shard::recover(dir);
   if (!recovered.ok()) return recovered.status();
   shard::Recovered rec = std::move(recovered).take();
   return Recovered{adopt(std::move(rec.world), epoch), rec.generation};

@@ -64,15 +64,15 @@ class Snapshot {
 
   // The newest servable generation in `dir`, as epoch `epoch`, and the
   // generation it came from, through shard::recover (the store's one
-  // recovery path): FASHRD01 opens zero-copy, degrading shard by shard;
-  // an older FASNAP01 generation migrates in memory, cut by `layout`.
+  // recovery path): FASHRD01 opens zero-copy in the layout it carries,
+  // checked against the manifest's whole-file CRC, degrading shard by
+  // shard. `generation.crc` is that verified CRC.
   struct Recovered {
     std::shared_ptr<const Snapshot> snapshot;
     store::Generation generation;
   };
-  static fault::Result<Recovered> recover(
-      const store::StoreDir& dir, Epoch epoch,
-      const shard::LayoutOptions& layout = {});
+  static fault::Result<Recovered> recover(const store::StoreDir& dir,
+                                          Epoch epoch);
 
   // This snapshot with `events` applied, as epoch `epoch`, through
   // shard::apply_delta. Fails closed (injected fault, strict-policy

@@ -38,8 +38,8 @@ constexpr std::uint64_t kMaxGlobalCells = 1ull << 26;
 constexpr int kMaxTilesPerAxis = 4096;
 constexpr std::uint64_t kMaxTiles = 1ull << 22;
 
-// The global sections decoded through the codecs shared with FASNAP01,
-// in encode order. The shard layout follows them, then the shards.
+// The global sections decoded through the store's section codecs, in
+// encode order. The shard layout follows them, then the shards.
 constexpr SectionKind kGlobalKinds[] = {
     SectionKind::kMeta,        SectionKind::kWhpGrid,
     SectionKind::kWhpStates,   SectionKind::kWhpUrban,
@@ -410,7 +410,6 @@ void encode_sections(const ShardedWorld& sw, store::ImageBuilder& b) {
 
 store::Image sharded_image(const ShardedWorld& sw) {
   return store::Image(
-      store::kShardMagic, store::kGlobalOwner,
       [&sw](store::ImageBuilder& b) { encode_sections(sw, b); });
 }
 
@@ -420,7 +419,8 @@ std::string encode_sharded(const ShardedWorld& sw) {
 
 fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
                                          std::shared_ptr<const void> payload,
-                                         std::string source) {
+                                         std::string source,
+                                         std::uint32_t* file_crc) {
   obs::Span span(obs::metrics::kShardOpenNs);
   obs::count(obs::metrics::kShardOpens);
 
@@ -429,8 +429,8 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
     return s;
   }
 
-  // Global sections: small, always CRC'd, decoded through the codecs
-  // shared with the monolithic format.
+  // Global sections: small, always CRC'd, decoded through the store's
+  // global section codecs.
   Status status;
   for (const SectionKind kind : kGlobalKinds) {
     const SectionInfo* s = store::need(img, kind, status);
@@ -460,9 +460,7 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
   // Shards: structural floor plus payload CRCs; a bad shard is
   // quarantined, not fatal. The shards are independent, so the walk fans
   // out on fa::exec — that turns the dominant cost of a cold start
-  // (CRCing the transceiver columns) into a parallel sweep, which is
-  // what keeps the sharded cold start an order of magnitude under the
-  // monolithic decode.
+  // (CRCing the transceiver columns) into a parallel sweep.
   const std::size_t shard_count = parts.records.size();
   std::vector<Shard> shards(shard_count);
   std::vector<std::uint8_t> bad(shard_count, 0);
@@ -503,6 +501,7 @@ fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
   if (quarantined) {
     obs::count(obs::metrics::kShardQuarantined, quarantined);
   }
+  if (file_crc) *file_crc = store::file_crc(img, size);
 
   return Codec::assemble(
       std::move(meta), std::make_shared<const synth::WhpModel>(std::move(whp)),
@@ -545,6 +544,7 @@ fault::Result<ContainerReport> inspect_sharded(const void* data,
   report.tiles_y = static_cast<std::uint64_t>(parts.layout.tiles_y());
 
   report.reserved_mismatches = reserved_mismatches(img, size);
+  report.file_crc = store::file_crc(img, size);
 
   report.shards.resize(parts.records.size());
   for (std::size_t s = 0; s < parts.records.size(); ++s) {

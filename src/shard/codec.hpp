@@ -9,8 +9,8 @@
 // StoreDir::commit with no image-sized buffer, or into a string through
 // encode_sharded(). Deterministic: same view, same bytes.
 //
-// open_sharded() is NOT decode_world's mirror — that is the point. It
-// validates the container frame (header/table/footer CRCs, in-bounds
+// open_sharded() is not a decoder — that is the point. It validates
+// the container frame (header/table/footer CRCs, in-bounds
 // non-overlapping sections), CRC-checks and decodes only the small
 // global sections, checks each shard (column lengths agree with the
 // layout record, cell_start is a monotone prefix-sum ending at n_s —
@@ -52,10 +52,13 @@ std::string encode_sharded(const ShardedWorld& sw);
 // Opens a container over caller-owned bytes (recovery passes a
 // generation's mapping). `payload` is retained by every shard, keeping
 // the bytes alive for the life of the view (and of any successor views
-// that still share untouched shards).
+// that still share untouched shards). On success `*file_crc`, when
+// given, receives the whole-file CRC derived from the walked table
+// (store::file_crc) — what recovery checks against the manifest.
 fault::Result<ShardedWorld> open_sharded(const void* data, std::size_t size,
                                          std::shared_ptr<const void> payload,
-                                         std::string source);
+                                         std::string source,
+                                         std::uint32_t* file_crc = nullptr);
 
 // -- inspection (fa_store_inspect, tests) ------------------------------
 
@@ -70,17 +73,20 @@ struct ShardReport {
 
 struct ContainerReport {
   std::uint64_t file_size = 0;
+  // The whole-file CRC derived from the table (store::file_crc): what
+  // recovery checks against the manifest.
+  std::uint32_t file_crc = 0;
   std::uint64_t total_points = 0;
   std::uint64_t tiles_x = 0, tiles_y = 0;
   bool globals_ok = false;  // frame + global sections decode and CRC clean
   std::vector<ShardReport> shards;
-  // Bytes no CRC or structural check covers that differ from what the
-  // encoder writes: each table entry's pad [28,32), the global entries'
-  // owner field (kGlobalOwner), the alignment padding between payloads
-  // and after the last one, and the footer pad [28,32). Zero for every
-  // container encode_sharded writes. Not part of ok(): damage here
-  // quarantines nothing, so ok() keeps mirroring what a cold start
-  // would serve.
+  // Bytes no section CRC or structural check covers that differ from
+  // what the encoder writes: each table entry's pad [28,32), the global
+  // entries' owner field (kGlobalOwner), the alignment padding between
+  // payloads and after the last one, and the footer pad [28,32). Zero
+  // for every container encode_sharded writes. Not part of ok(): in a
+  // store, damage here moves file_crc off the manifest's CRC, which
+  // the generation listing reports.
   std::uint64_t reserved_mismatches = 0;
   bool ok() const;
 };

@@ -4,29 +4,31 @@
 // generations newest to oldest) with one per-generation loader, and is
 // what serve::Snapshot::recover, fa_store_inspect's verdict and
 // bench_store all call. It recovers a serving *view*, degrading
-// shard-by-shard where the image format allows it. The loader maps the
-// generation, applies the store.read.corrupt seam, records store.loads,
-// store.load.bytes and the store.load_ns span, then branches on the
-// magic:
+// shard-by-shard. The loader maps the generation, applies the
+// store.read.corrupt seam, records store.loads, store.load.bytes and
+// the store.load_ns span, and opens the FASHRD01 container zero-copy
+// with deep verification: the frame and global sections are checked,
+// and every per-shard payload is CRC'd against the section table (one
+// parallel sweep over the file). A payload that fails its CRC
+// quarantines exactly that shard — one flipped bit in one shard costs
+// that shard, not the generation (and with it every delta committed
+// since).
 //
-//   * a FASHRD01 generation opens zero-copy with deep verification: the
-//     frame and global sections are checked, and every per-shard
-//     payload is CRC'd against the section table (one parallel sweep
-//     over the file). The manifest's whole-file CRC is never checked; a
-//     payload that fails its CRC quarantines exactly that shard — one
-//     flipped bit in one shard costs that shard, not the generation
-//     (and with it every delta committed since). The generation is
-//     rejected only when its frame or global sections are unreadable,
-//     or every shard is quarantined (nothing servable);
-//   * a FASNAP01 generation (a store written before sharding) must
-//     match the manifest's whole-file CRC and pass the strict
-//     decode_world, and is then migrated in memory with
-//     ShardedWorld::from_world — the upgrade needs no offline
-//     conversion step.
+// Once the open succeeds, the file is checked against the manifest's
+// whole-file CRC, derived from the table the open walked (the header,
+// table, padding and footer bytes as they are, each payload through
+// its table CRC): no second pass over the file. A swapped image, or a
+// flipped byte no section CRC covers, rejects the generation ("image
+// disagrees with manifest checksum"); a damaged payload leaves the
+// derived CRC unchanged, so it still costs only its shard. The
+// generation is also rejected when its frame or global sections are
+// unreadable, or every shard is quarantined (nothing servable). A file
+// in any other format (a FASNAP01 image from a build before sharding)
+// is unreadable: the ladder falls back past it, to an older generation
+// or to a rebuild.
 #pragma once
 
 #include "fault/status.hpp"
-#include "shard/layout.hpp"
 #include "shard/world.hpp"
 #include "store/recovery.hpp"
 #include "store/store.hpp"
@@ -35,18 +37,16 @@ namespace fa::shard {
 
 struct Recovered {
   ShardedWorld world;
-  store::Generation generation;  // which image produced it
-  // Loaded from a monolithic FASNAP01 image and re-sharded in memory.
-  bool migrated = false;
+  // Which image produced it. `crc` is its verified whole-file CRC: the
+  // manifest's, proven against the file, or the derived one when a
+  // directory scan supplied none — the delta log's base link.
+  store::Generation generation;
 };
 
-// The newest servable generation in `dir`. `layout` cuts a migrated
-// FASNAP01 generation (a FASHRD01 image carries its own layout). On
-// error every generation was rejected (or none exist); the Status
-// summarizes the newest failure, and `report` holds one step per
-// attempt.
+// The newest servable generation in `dir`. On error every generation
+// was rejected (or none exist); the Status summarizes the newest
+// failure, and `report` holds one step per attempt.
 fault::Result<Recovered> recover(const store::StoreDir& dir,
-                                 const LayoutOptions& layout = {},
                                  store::RecoveryReport* report = nullptr);
 
 }  // namespace fa::shard

@@ -529,9 +529,9 @@ fault::Result<core::World> ShardedWorld::materialize() const {
       });
   if (!status.ok()) return status;
 
-  // Rebuild the monolithic index over the same domain and dims the
+  // Rebuild the whole-world index over the same domain and dims the
   // original build used — same clamped binning, same counting sort, so
-  // the result round-trips byte-identical through the monolithic codec.
+  // the result dumps byte-identical to the build's world.
   index::GridIndex idx(std::move(positions), layout_.domain(), gcols_,
                        grows_);
 

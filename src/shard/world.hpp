@@ -250,8 +250,8 @@ class ShardedWorld {
   // Partitions a built world through the same column cut. The three-arg
   // form derives a balanced layout from the world's point distribution;
   // the fixed-layout form is the delta path's reference derivation (the
-  // layout of a lineage never changes, only shard membership does).
-  // FASNAP01 migration and the delta suites' oracle.
+  // layout of a lineage never changes, only shard membership does),
+  // and the delta suites' oracle.
   static ShardedWorld from_world(const core::World& world,
                                  const core::ProviderRiskResult& risk,
                                  const LayoutOptions& options = {});

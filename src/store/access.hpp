@@ -1,8 +1,9 @@
 // The one piece of code allowed behind the private walls of the classes
 // it rehydrates. Restoring a world is assignment of the exact arrays a
 // build would have produced — no re-derivation — so the friend surface
-// is "read the private SoA members, write them back". Shared by the
-// monolithic codec (store/codec.cpp) and the sharded one (fa::shard).
+// is "read the private SoA members, write them back". Used by the
+// global section codecs (store/codec.cpp), the sharded codec and
+// materialize (fa::shard), and the tests' canonical world dump.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,7 @@
 namespace fa::store {
 
 struct Access {
-  // --- readers (encode) -----------------------------------------------
+  // --- readers ----------------------------------------------------------
   static const std::vector<std::uint8_t>& txr_class(const core::World& w) {
     return w.txr_class_;
   }
@@ -46,28 +47,7 @@ struct Access {
   static double inv_cw(const index::GridIndex& g) { return g.inv_cw_; }
   static double inv_ch(const index::GridIndex& g) { return g.inv_ch_; }
 
-  // --- writers (decode) -----------------------------------------------
-  static index::GridIndex make_index(std::vector<geo::Vec2> points,
-                                     std::vector<std::uint32_t> binned,
-                                     std::vector<double> binned_x,
-                                     std::vector<double> binned_y,
-                                     std::vector<std::uint32_t> cell_start,
-                                     geo::BBox bounds, int cols, int rows,
-                                     double inv_cw, double inv_ch) {
-    index::GridIndex g;
-    g.points_ = std::move(points);
-    g.binned_ = std::move(binned);
-    g.binned_x_ = std::move(binned_x);
-    g.binned_y_ = std::move(binned_y);
-    g.cell_start_ = std::move(cell_start);
-    g.bounds_ = bounds;
-    g.cols_ = cols;
-    g.rows_ = rows;
-    g.inv_cw_ = inv_cw;
-    g.inv_ch_ = inv_ch;
-    return g;
-  }
-
+  // --- writers ----------------------------------------------------------
   static synth::WhpModel make_whp(raster::ClassRaster grid,
                                   raster::Raster<std::int16_t> states,
                                   raster::MaskRaster urban,
@@ -96,36 +76,8 @@ struct Access {
     return map;
   }
 
-  static core::World make_world(synth::ScenarioConfig config,
-                                synth::WhpModel whp,
-                                cellnet::CellCorpus corpus,
-                                synth::CountyMap counties,
-                                std::size_t ingest_dropped,
-                                std::size_t ingest_repaired,
-                                std::vector<std::uint8_t> txr_class,
-                                std::vector<std::int32_t> txr_county,
-                                std::vector<std::uint8_t> txr_provider,
-                                index::GridIndex txr_index) {
-    core::World w;
-    w.config_ = config;
-    w.atlas_ = &synth::UsAtlas::get();
-    w.whp_ = std::make_shared<const synth::WhpModel>(std::move(whp));
-    w.corpus_ = std::move(corpus);
-    w.counties_ =
-        std::make_shared<const synth::CountyMap>(std::move(counties));
-    w.ingest_dropped_ = ingest_dropped;
-    w.ingest_repaired_ = ingest_repaired;
-    // providers_ is the built-in deterministic registry, already
-    // default-constructed.
-    w.txr_class_ = std::move(txr_class);
-    w.txr_county_ = std::move(txr_county);
-    w.txr_provider_ = std::move(txr_provider);
-    w.txr_index_ = std::move(txr_index);
-    return w;
-  }
-
-  // Shared-parts variant for rebuilds that keep the hazard surface and
-  // county map of an existing world (sharded materialize, delta apply).
+  // A world over the hazard surface and county map of an existing one
+  // (sharded materialize, delta apply).
   static core::World make_world_shared(
       synth::ScenarioConfig config,
       std::shared_ptr<const synth::WhpModel> whp, cellnet::CellCorpus corpus,

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "cellnet/providers.hpp"
-#include "cellnet/types.hpp"
-#include "geo/bbox.hpp"
 #include "store/access.hpp"
 #include "store/image.hpp"
 #include "synth/usatlas.hpp"
@@ -253,328 +251,6 @@ fault::Status decode_provider_risk(const SectionLookup& img,
   }
   out.regional_brands_at_risk = rc.get<std::uint64_t>();
   return {};
-}
-
-// ---------------------------------------------------------------------
-// encode_world
-// ---------------------------------------------------------------------
-
-std::string encode_world(const core::World& world,
-                         const core::ProviderRiskResult& provider_risk) {
-  const auto& txr = world.corpus().transceivers();
-  const std::size_t n = txr.size();
-
-  // Transceiver SoA columns, gathered once for both passes.
-  std::vector<double> lon(n), lat(n);
-  std::vector<std::uint8_t> radio(n);
-  std::vector<std::uint16_t> mcc(n), mnc(n);
-  std::vector<std::uint32_t> cell_id(n);
-  std::vector<std::int16_t> state(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    lon[i] = txr[i].position.lon;
-    lat[i] = txr[i].position.lat;
-    radio[i] = static_cast<std::uint8_t>(txr[i].radio);
-    mcc[i] = txr[i].mcc;
-    mnc[i] = txr[i].mnc;
-    cell_id[i] = txr[i].cell_id;
-    state[i] = txr[i].state;
-  }
-
-  return Image(kMagic, 0, [&](ImageBuilder& b) {
-    encode_meta_section(b, MetaFields{world.config(), world.ingest_dropped(),
-                                      world.ingest_repaired(), n});
-    b.section_vec(SectionKind::kTxrLon, lon);
-    b.section_vec(SectionKind::kTxrLat, lat);
-    b.section_vec(SectionKind::kTxrRadio, radio);
-    b.section_vec(SectionKind::kTxrMcc, mcc);
-    b.section_vec(SectionKind::kTxrMnc, mnc);
-    b.section_vec(SectionKind::kTxrCellId, cell_id);
-    b.section_vec(SectionKind::kTxrState, state);
-    b.section_vec(SectionKind::kTxrClass, Access::txr_class(world));
-    b.section_vec(SectionKind::kTxrCounty, Access::txr_county(world));
-    b.section_vec(SectionKind::kTxrProvider, Access::txr_provider(world));
-
-    encode_whp_sections(b, world.whp());
-
-    encode_county_sections(b, world.counties());
-
-    const auto& idx = world.txr_index();
-    b.begin(SectionKind::kIndexMeta);
-    b.put<double>(idx.bounds().min_x);
-    b.put<double>(idx.bounds().min_y);
-    b.put<double>(idx.bounds().max_x);
-    b.put<double>(idx.bounds().max_y);
-    b.put<std::int32_t>(Access::cols(idx));
-    b.put<std::int32_t>(Access::rows(idx));
-    b.put<double>(Access::inv_cw(idx));
-    b.put<double>(Access::inv_ch(idx));
-    b.put<std::uint64_t>(idx.size());
-    b.put<std::uint64_t>(Access::binned(idx).size());
-    b.end();
-    b.section_vec(SectionKind::kIndexBinnedIds, Access::binned(idx));
-    b.section_vec(SectionKind::kIndexBinnedX, Access::binned_x(idx));
-    b.section_vec(SectionKind::kIndexBinnedY, Access::binned_y(idx));
-    b.section_vec(SectionKind::kIndexCellStart, Access::cell_start(idx));
-
-    encode_provider_risk_section(b, provider_risk);
-  }).bytes();
-}
-
-// ---------------------------------------------------------------------
-// decode_world
-// ---------------------------------------------------------------------
-
-fault::Result<LoadedWorld> decode_world(const void* data, std::size_t size,
-                                        std::string source) {
-  SectionLookup img;
-  if (Status s = validate_image(data, size, source, img, nullptr); !s.ok()) {
-    return s;
-  }
-  Status status;
-
-  // meta
-  MetaFields meta;
-  if (Status s = decode_meta(img, meta); !s.ok()) return s;
-  const synth::ScenarioConfig config = meta.config;
-  const std::uint64_t ingest_dropped = meta.ingest_dropped;
-  const std::uint64_t ingest_repaired = meta.ingest_repaired;
-  const std::uint64_t n = meta.transceivers;
-
-  // Transceiver columns — every column must agree on n.
-  struct Col {
-    SectionKind kind;
-    std::size_t elem;
-    const SectionInfo* info = nullptr;
-  };
-  Col cols[] = {
-      {SectionKind::kTxrLon, 8},    {SectionKind::kTxrLat, 8},
-      {SectionKind::kTxrRadio, 1},  {SectionKind::kTxrMcc, 2},
-      {SectionKind::kTxrMnc, 2},    {SectionKind::kTxrCellId, 4},
-      {SectionKind::kTxrState, 2},  {SectionKind::kTxrClass, 1},
-      {SectionKind::kTxrCounty, 4}, {SectionKind::kTxrProvider, 1},
-  };
-  for (auto& col : cols) {
-    col.info = need(img, col.kind, status);
-    if (!col.info) return status;
-    if (!check_len(img, *col.info, n * col.elem, status)) return status;
-  }
-  const auto col_ptr = [&](SectionKind kind) -> const unsigned char* {
-    for (const auto& col : cols) {
-      if (col.kind == kind) return img.base + col.info->offset;
-    }
-    return nullptr;
-  };
-  const auto lon = copy_vec<double>(col_ptr(SectionKind::kTxrLon), n * 8);
-  const auto lat = copy_vec<double>(col_ptr(SectionKind::kTxrLat), n * 8);
-  const auto radio =
-      copy_vec<std::uint8_t>(col_ptr(SectionKind::kTxrRadio), n);
-  const auto mcc =
-      copy_vec<std::uint16_t>(col_ptr(SectionKind::kTxrMcc), n * 2);
-  const auto mnc =
-      copy_vec<std::uint16_t>(col_ptr(SectionKind::kTxrMnc), n * 2);
-  const auto cell_id =
-      copy_vec<std::uint32_t>(col_ptr(SectionKind::kTxrCellId), n * 4);
-  const auto state =
-      copy_vec<std::int16_t>(col_ptr(SectionKind::kTxrState), n * 2);
-  auto txr_class = copy_vec<std::uint8_t>(col_ptr(SectionKind::kTxrClass), n);
-  auto txr_county =
-      copy_vec<std::int32_t>(col_ptr(SectionKind::kTxrCounty), n * 4);
-  auto txr_provider =
-      copy_vec<std::uint8_t>(col_ptr(SectionKind::kTxrProvider), n);
-
-  // counties (needed before txr_county domain check)
-  std::vector<synth::County> counties;
-  if (Status s = decode_counties(img, counties); !s.ok()) return s;
-  const std::uint64_t county_count = counties.size();
-
-  // Domain checks on the cached per-transceiver columns.
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (radio[i] >= cellnet::kNumRadioTypes) {
-      return fail(ErrCode::kOutOfRange, i, source,
-                  "transceiver radio type out of range");
-    }
-    if (txr_class[i] >= synth::kNumWhpClasses) {
-      return fail(ErrCode::kOutOfRange, i, source,
-                  "transceiver WHP class out of range");
-    }
-    if (txr_provider[i] >= cellnet::kNumProviders) {
-      return fail(ErrCode::kOutOfRange, i, source,
-                  "transceiver provider out of range");
-    }
-    if (txr_county[i] < -1 ||
-        txr_county[i] >= static_cast<std::int64_t>(county_count)) {
-      return fail(ErrCode::kOutOfRange, i, source,
-                  "transceiver county index out of range");
-    }
-    if (!geo::is_valid(geo::LonLat{lon[i], lat[i]})) {
-      return fail(ErrCode::kOutOfRange, i, source,
-                  "transceiver position outside lon/lat domain");
-    }
-  }
-
-  synth::WhpModel whp;
-  if (Status s = decode_whp(img, whp); !s.ok()) return s;
-
-  // grid index
-  const SectionInfo* imeta = need(img, SectionKind::kIndexMeta, status);
-  if (!imeta) return status;
-  if (!check_len(img, *imeta, 72, status)) return status;
-  Cursor ic{img.base + imeta->offset, static_cast<std::size_t>(imeta->length)};
-  geo::BBox bounds;
-  bounds.min_x = ic.get<double>();
-  bounds.min_y = ic.get<double>();
-  bounds.max_x = ic.get<double>();
-  bounds.max_y = ic.get<double>();
-  const std::int32_t icols = ic.get<std::int32_t>();
-  const std::int32_t irows = ic.get<std::int32_t>();
-  const double inv_cw = ic.get<double>();
-  const double inv_ch = ic.get<double>();
-  const std::uint64_t n_points = ic.get<std::uint64_t>();
-  const std::uint64_t n_binned = ic.get<std::uint64_t>();
-  if (n_points != n || n_binned != n) {
-    return fail(ErrCode::kSchema, imeta->offset, source,
-                "index point count disagrees with transceiver count");
-  }
-  if (icols < 0 || irows < 0 || !std::isfinite(inv_cw) ||
-      !std::isfinite(inv_ch)) {
-    return fail(ErrCode::kOutOfRange, imeta->offset, source,
-                "index grid dimensions invalid");
-  }
-  const std::uint64_t cell_count =
-      static_cast<std::uint64_t>(icols) * static_cast<std::uint64_t>(irows);
-  if (n > 0 && (icols == 0 || irows == 0)) {
-    return fail(ErrCode::kSchema, imeta->offset, source,
-                "index has points but zero cells");
-  }
-
-  const SectionInfo* sb = need(img, SectionKind::kIndexBinnedIds, status);
-  if (!sb) return status;
-  const SectionInfo* sbx = need(img, SectionKind::kIndexBinnedX, status);
-  if (!sbx) return status;
-  const SectionInfo* sby = need(img, SectionKind::kIndexBinnedY, status);
-  if (!sby) return status;
-  const SectionInfo* scs = need(img, SectionKind::kIndexCellStart, status);
-  if (!scs) return status;
-  if (!check_len(img, *sb, n * 4, status)) return status;
-  if (!check_len(img, *sbx, n * 8, status)) return status;
-  if (!check_len(img, *sby, n * 8, status)) return status;
-  const std::uint64_t want_cells = n == 0 && cell_count == 0
-                                       ? scs->length / 4
-                                       : cell_count + 1;
-  if (!check_len(img, *scs, want_cells * 4, status)) return status;
-
-  auto binned = copy_vec<std::uint32_t>(img.base + sb->offset, n * 4);
-  auto binned_x = copy_vec<double>(img.base + sbx->offset, n * 8);
-  auto binned_y = copy_vec<double>(img.base + sby->offset, n * 8);
-  auto cell_start =
-      copy_vec<std::uint32_t>(img.base + scs->offset, scs->length);
-
-  // cell_start must be a monotone prefix-sum ending at n, and every
-  // binned entry must reference a real point with the matching
-  // coordinates — this is what makes a loaded index memory-safe to
-  // query without re-deriving anything.
-  if (!cell_start.empty()) {
-    if (cell_start.front() != 0 || cell_start.back() != n) {
-      return fail(ErrCode::kOutOfRange, scs->offset, source,
-                  "index cell spans do not cover the point set");
-    }
-    for (std::size_t i = 1; i < cell_start.size(); ++i) {
-      if (cell_start[i] < cell_start[i - 1]) {
-        return fail(ErrCode::kOutOfRange, scs->offset, source,
-                    "index cell spans not monotone");
-      }
-    }
-  } else if (n != 0) {
-    return fail(ErrCode::kSchema, scs->offset, source,
-                "index has points but no cell spans");
-  }
-  std::vector<geo::Vec2> points(n);
-  for (std::uint64_t i = 0; i < n; ++i) points[i] = {lon[i], lat[i]};
-  for (std::uint64_t k = 0; k < n; ++k) {
-    const std::uint32_t id = binned[k];
-    if (id >= n) {
-      return fail(ErrCode::kOutOfRange, sb->offset + k * 4, source,
-                  "index binned id out of range");
-    }
-    if (std::memcmp(&binned_x[k], &lon[id], 8) != 0 ||
-        std::memcmp(&binned_y[k], &lat[id], 8) != 0) {
-      return fail(ErrCode::kSchema, sbx->offset + k * 8, source,
-                  "index SoA coordinates disagree with transceiver positions");
-    }
-  }
-
-  // provider risk aggregate
-  core::ProviderRiskResult stored_risk;
-  if (Status s = decode_provider_risk(img, stored_risk); !s.ok()) return s;
-
-  // assemble
-  std::vector<cellnet::Transceiver> records(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    auto& t = records[i];
-    t.id = static_cast<std::uint32_t>(i);
-    t.position = {lon[i], lat[i]};
-    t.radio = static_cast<cellnet::RadioType>(radio[i]);
-    t.mcc = mcc[i];
-    t.mnc = mnc[i];
-    t.cell_id = cell_id[i];
-    t.state = state[i];
-  }
-  LoadedWorld loaded{
-      Access::make_world(
-          config, std::move(whp), cellnet::CellCorpus(std::move(records)),
-          Access::make_counties(std::move(counties)), ingest_dropped,
-          ingest_repaired, std::move(txr_class), std::move(txr_county),
-          std::move(txr_provider),
-          Access::make_index(std::move(points), std::move(binned),
-                             std::move(binned_x), std::move(binned_y),
-                             std::move(cell_start), bounds, icols, irows,
-                             inv_cw, inv_ch)),
-      stored_risk};
-
-  // Semantic cross-check: the stored aggregate must be re-derivable from
-  // the restored arrays. Catches "checksums fine, writer was wrong".
-  const SectionInfo* risk = img.find(SectionKind::kProviderRisk);
-  const core::ProviderRiskResult fresh = core::run_provider_risk(loaded.world);
-  for (int p = 0; p < cellnet::kNumProviders; ++p) {
-    const auto& a = stored_risk.rows[static_cast<std::size_t>(p)];
-    const auto& b = fresh.rows[static_cast<std::size_t>(p)];
-    if (a.fleet != b.fleet || a.moderate != b.moderate || a.high != b.high ||
-        a.very_high != b.very_high) {
-      return fail(ErrCode::kSchema, risk->offset, source,
-                  "stored provider-risk aggregate disagrees with restored "
-                  "world");
-    }
-  }
-  if (stored_risk.regional_brands_at_risk != fresh.regional_brands_at_risk) {
-    return fail(ErrCode::kSchema, risk->offset, source,
-                "stored regional-brand aggregate disagrees with restored "
-                "world");
-  }
-  return loaded;
-}
-
-// ---------------------------------------------------------------------
-// inspect_image
-// ---------------------------------------------------------------------
-
-bool FileReport::ok() const {
-  if (!header_ok || !footer_ok || !body_crc_ok) return false;
-  for (const auto& s : sections) {
-    if (!s.crc_ok) return false;
-  }
-  return true;
-}
-
-fault::Result<FileReport> inspect_image(const void* data, std::size_t size,
-                                        std::string source) {
-  FileReport report;
-  report.file_size = size;
-  SectionLookup img;
-  const Status s = validate_image(data, size, source, img, &report);
-  // Walkable-but-corrupt files come back as a report with flags unset;
-  // only structurally unwalkable images are an error.
-  if (!s.ok() && !report.header_ok) return s;
-  return report;
 }
 
 }  // namespace fa::store

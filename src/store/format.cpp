@@ -215,27 +215,12 @@ std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
 std::string_view section_kind_name(SectionKind kind) {
   switch (kind) {
     case SectionKind::kMeta: return "meta";
-    case SectionKind::kTxrLon: return "txr.lon";
-    case SectionKind::kTxrLat: return "txr.lat";
-    case SectionKind::kTxrRadio: return "txr.radio";
-    case SectionKind::kTxrMcc: return "txr.mcc";
-    case SectionKind::kTxrMnc: return "txr.mnc";
-    case SectionKind::kTxrCellId: return "txr.cell_id";
-    case SectionKind::kTxrState: return "txr.state";
-    case SectionKind::kTxrClass: return "txr.class";
-    case SectionKind::kTxrCounty: return "txr.county";
-    case SectionKind::kTxrProvider: return "txr.provider";
     case SectionKind::kWhpGrid: return "whp.grid";
     case SectionKind::kWhpStates: return "whp.states";
     case SectionKind::kWhpUrban: return "whp.urban";
     case SectionKind::kWhpRoads: return "whp.roads";
     case SectionKind::kCountyTable: return "county.table";
     case SectionKind::kCountyNames: return "county.names";
-    case SectionKind::kIndexMeta: return "index.meta";
-    case SectionKind::kIndexBinnedIds: return "index.binned_ids";
-    case SectionKind::kIndexBinnedX: return "index.binned_x";
-    case SectionKind::kIndexBinnedY: return "index.binned_y";
-    case SectionKind::kIndexCellStart: return "index.cell_start";
     case SectionKind::kProviderRisk: return "provider.risk";
     case SectionKind::kShardLayout: return "shard.layout";
     case SectionKind::kShardIds: return "shard.ids";

@@ -1,7 +1,5 @@
 #include "store/image.hpp"
 
-#include "store/codec.hpp"
-
 namespace fa::store {
 
 using fault::ErrCode;
@@ -9,8 +7,7 @@ using fault::Status;
 
 namespace {
 
-// The header/table/footer frame both container flavors share, after
-// walk_frame() has checked it.
+// The header/table/footer frame, after walk_frame() has checked it.
 struct Frame {
   const unsigned char* base = nullptr;
   std::uint64_t section_count = 0;
@@ -48,24 +45,45 @@ Status out_of_order(const SectionInfo& s, const std::string& source) {
               "section payloads overlap or are out of order");
 }
 
+// The CRC of a container's bytes [0, data_end), chained on from `crc`,
+// the CRC of its header and table [0, table_end): each padding run
+// through `pad(at)` (the bytes at file offset `at`) and each payload
+// through its table CRC, so no payload byte is read. Image::plan pads
+// with the zeros it writes, file_crc with the file's own bytes.
+template <class Pad>
+std::uint32_t chain_body_crc(std::uint32_t crc, std::uint64_t table_end,
+                             const std::vector<SectionInfo>& sections,
+                             std::uint64_t data_end, Pad pad) {
+  std::uint64_t at = table_end;
+  for (const SectionInfo& s : sections) {
+    crc = crc32(pad(at), s.offset - at, crc);
+    crc = crc32_combine(crc, s.crc, s.length);
+    at = s.offset + s.length;
+  }
+  return crc32(pad(at), data_end - at, crc);
+}
+
 // Checks the frame: header (magic, version, endianness, header CRC),
 // the section table's bounds, and the footer (magic, CRC, file size,
-// data_end). A FASNAP01 frame must also carry zero footer padding.
+// data_end).
 Status walk_frame(const unsigned char* base, std::size_t size,
-                  const char* magic, const std::string& source, Frame& out,
-                  FileReport* report) {
-  const bool snapshot = std::memcmp(magic, kMagic, 8) == 0;
+                  const std::string& source, Frame& out) {
   if (size < kHeaderSize + kFooterSize) {
     return fail(ErrCode::kTruncated, size, source,
                 "file shorter than header + footer");
   }
-  if (std::memcmp(base, magic, 8) != 0) {
+  if (std::memcmp(base, kShardMagic, 8) != 0) {
+    // Quote what was found (a retired FASNAP01 image, say), printable
+    // bytes only.
+    std::string found;
+    for (std::size_t i = 0; i < 8; ++i) {
+      const unsigned char c = base[i];
+      found += c >= 0x20 && c < 0x7f ? static_cast<char>(c) : '.';
+    }
     return fail(ErrCode::kBadMagic, 0, source,
-                snapshot ? "bad snapshot magic"
-                         : "bad sharded container magic");
+                "bad container magic \"" + found + "\" (expected FASHRD01)");
   }
   const std::uint32_t version = load_u32(base + 8);
-  if (report) report->version = version;
   if (version != kFormatVersion) {
     return fail(ErrCode::kSchema, 8, source,
                 "unsupported format version " + std::to_string(version));
@@ -77,7 +95,6 @@ Status walk_frame(const unsigned char* base, std::size_t size,
   if (load_u32(base + 60) != crc32(base, 60)) {
     return fail(ErrCode::kParse, 60, source, "header checksum mismatch");
   }
-  if (report) report->header_ok = true;
 
   const std::uint64_t section_count = load_u64(base + 16);
   const std::uint64_t table_offset = load_u64(base + 24);
@@ -106,13 +123,6 @@ Status walk_frame(const unsigned char* base, std::size_t size,
     return fail(ErrCode::kParse, size - kFooterSize + 24, source,
                 "footer checksum mismatch");
   }
-  // The 4 pad bytes after footer_crc are the only ones no CRC covers;
-  // requiring them zero keeps FASNAP01's "every byte is validated"
-  // literally true.
-  if (snapshot && load_u32(footer + 28) != 0) {
-    return fail(ErrCode::kParse, size - kFooterSize + 28, source,
-                "footer padding is not zero");
-  }
   if (load_u64(footer) != size) {
     return fail(ErrCode::kTruncated, size - kFooterSize, source,
                 "footer file size disagrees with actual size");
@@ -121,7 +131,6 @@ Status walk_frame(const unsigned char* base, std::size_t size,
     return fail(ErrCode::kSchema, 32, source,
                 "header data_end disagrees with footer position");
   }
-  if (report) report->footer_ok = true;
   out = Frame{base, section_count, table_end, data_end};
   return Status{};
 }
@@ -151,7 +160,7 @@ Image::Plan Image::plan() const {
   // Sections are placed relative to the first one's 64-byte boundary
   // (the table's size is known only once they are counted); alignment
   // from an aligned base is the same either way.
-  ImageBuilder b(0, default_owner_, nullptr);
+  ImageBuilder b(0, nullptr);
   encode_(b);
   std::vector<SectionInfo>& sections = b.sections_;
   const std::uint64_t table_end =
@@ -166,7 +175,7 @@ Image::Plan Image::plan() const {
   char* h = plan.head.data();
   const auto put32 = [](char* at, std::uint32_t v) { std::memcpy(at, &v, 4); };
   const auto put64 = [](char* at, std::uint64_t v) { std::memcpy(at, &v, 8); };
-  std::memcpy(h, magic_, 8);
+  std::memcpy(h, kShardMagic, 8);
   put32(h + 8, kFormatVersion);
   put32(h + 12, kEndianTag);
   put64(h + 16, sections.size());
@@ -188,13 +197,9 @@ Image::Plan Image::plan() const {
 
   // The body CRC, chained from the header CRC over the table, each
   // padding run and each section's CRC — no payload byte is read again.
-  crc = crc32(h + 60, table_end - 60, crc);
-  std::uint64_t at = table_end;
-  for (const SectionInfo& s : sections) {
-    crc = crc32(kZeroPad, s.offset - at, crc);
-    crc = crc32_combine(crc, s.crc, s.length);
-    at = s.offset + s.length;
-  }
+  crc = chain_body_crc(crc32(h + 60, table_end - 60, crc), table_end,
+                       sections, data_end,
+                       [](std::uint64_t) { return kZeroPad; });
   char* f = plan.footer.data();
   put64(f, plan.size);
   put32(f + 8, crc);
@@ -209,7 +214,7 @@ Image::Plan Image::plan() const {
 
 void Image::emit(const Plan& plan, ByteSink& sink) const {
   sink.write(plan.head.data(), plan.head.size());
-  ImageBuilder b(plan.head.size(), default_owner_, &sink);
+  ImageBuilder b(plan.head.size(), &sink);
   encode_(b);
   sink.write(plan.footer.data(), plan.footer.size());
 }
@@ -223,88 +228,6 @@ std::string Image::bytes() const {
   return out;
 }
 
-// The frame walk plus the full CRC ladder. On success `out` holds every
-// section with in-bounds, CRC-clean payloads.
-Status validate_image(const void* data, std::size_t size,
-                      const std::string& source, SectionLookup& out,
-                      FileReport* report) {
-  const auto* base = static_cast<const unsigned char*>(data);
-  Frame frame;
-  if (Status s = walk_frame(base, size, kMagic, source, frame, report);
-      !s.ok()) {
-    return s;
-  }
-  // The whole-body CRC duplicates the per-section CRCs over the
-  // payloads; a second full pass would double cold-start checksum time.
-  // The strict decode path instead proves the same total coverage in
-  // one pass: per-section CRCs for payloads (below) plus explicit
-  // zero checks for every byte they skip (reserved entry fields,
-  // alignment padding, table slack). The inspector still verifies the
-  // redundant whole-body CRC — it is the cross-check on the ladder
-  // itself.
-  const bool body_ok =
-      report ? load_u32(base + frame.data_end + 8) ==
-                   crc32(base, frame.data_end)
-             : true;
-  if (report) report->body_crc_ok = body_ok;
-
-  out.base = base;
-  out.source = source;
-  out.sections.reserve(frame.section_count);
-  Status first_bad;  // inspect mode records all, returns first failure
-  for (std::uint64_t i = 0; i < frame.section_count; ++i) {
-    const SectionInfo info = frame.entry(i);
-    const std::uint64_t entry_off = frame.entry_offset(i);
-    bool crc_ok = false;
-    if (info.owner != 0 || load_u32(base + entry_off + 28) != 0) {
-      if (first_bad.ok()) {
-        first_bad = fail(ErrCode::kParse, entry_off, source,
-                         "section entry reserved bytes are not zero");
-      }
-    }
-    if (!frame.in_bounds(info)) {
-      if (first_bad.ok()) first_bad = out_of_bounds(entry_off, info, source);
-    } else {
-      crc_ok = crc32(base + info.offset, info.length) == info.crc;
-      if (!crc_ok && first_bad.ok()) {
-        first_bad = fail(ErrCode::kParse, info.offset, source,
-                         std::string("section ") +
-                             std::string(section_kind_name(info.kind)) +
-                             " checksum mismatch");
-      }
-    }
-    out.sections.push_back(info);
-    if (report) report->sections.push_back(SectionReport{info, crc_ok});
-  }
-  if (!first_bad.ok()) return first_bad;
-  if (!body_ok) {
-    // Every section passed but a covered byte (padding, table slack)
-    // flipped — still a corrupt file.
-    return fail(ErrCode::kParse, size - kFooterSize + 8, source,
-                "body checksum mismatch");
-  }
-
-  // Sections must tile [table_end, data_end) in ascending order with
-  // zero-filled gaps: together with the per-section CRCs this covers
-  // every body byte without the redundant second CRC pass.
-  std::uint64_t cursor = frame.table_end;
-  for (const SectionInfo& s : out.sections) {
-    if (s.offset < cursor) return out_of_order(s, source);
-    for (std::uint64_t b = cursor; b < s.offset; ++b) {
-      if (base[b] != 0) {
-        return fail(ErrCode::kParse, b, source, "padding byte is not zero");
-      }
-    }
-    cursor = s.offset + s.length;
-  }
-  for (std::uint64_t b = cursor; b < frame.data_end; ++b) {
-    if (base[b] != 0) {
-      return fail(ErrCode::kParse, b, source, "padding byte is not zero");
-    }
-  }
-  return Status{};
-}
-
 // The frame walk plus the structural floor: in-bounds, ascending,
 // non-overlapping payloads. This is the memory-safety floor for spans
 // served off the mmap; payload CRCs are a caller policy (deep verify /
@@ -313,10 +236,7 @@ Status validate_container(const void* data, std::size_t size,
                           const std::string& source, SectionLookup& out) {
   const auto* base = static_cast<const unsigned char*>(data);
   Frame frame;
-  if (Status s = walk_frame(base, size, kShardMagic, source, frame, nullptr);
-      !s.ok()) {
-    return s;
-  }
+  if (Status s = walk_frame(base, size, source, frame); !s.ok()) return s;
   out.base = base;
   out.source = source;
   out.sections.reserve(frame.section_count);
@@ -331,6 +251,17 @@ Status validate_container(const void* data, std::size_t size,
     out.sections.push_back(info);
   }
   return Status{};
+}
+
+std::uint32_t file_crc(const SectionLookup& img, std::size_t size) {
+  const std::uint64_t table_end =
+      kHeaderSize + img.sections.size() * kSectionEntrySize;
+  const std::uint64_t data_end = size - kFooterSize;
+  const auto file_bytes = [&img](std::uint64_t at) { return img.base + at; };
+  const std::uint32_t body = chain_body_crc(
+      crc32(img.base, table_end), table_end, img.sections, data_end,
+      file_bytes);
+  return crc32(img.base + data_end, kFooterSize, body);
 }
 
 const SectionInfo* need(const SectionLookup& img, SectionKind kind,

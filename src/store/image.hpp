@@ -1,23 +1,15 @@
-// Section-container internals shared by the monolithic snapshot codec
-// (store/codec.cpp) and the sharded container codec (fa::shard): the
-// streaming image writer (Image plans a container, then emits it in
-// file order into a ByteSink — a string, or StoreDir::commit's
-// fixed-buffer file writer), the container validators, and the small
-// decode helpers (cursors, bulk copies, shape checks).
+// FASHRD01 container internals shared by the store and the sharded
+// codec (fa::shard): the streaming image writer (Image plans a
+// container, then emits it in file order into a ByteSink — a string, or
+// StoreDir::commit's fixed-buffer file writer), the container walk and
+// the whole-file CRC a cold start derives from it, and the small decode
+// helpers (cursors, bulk copies, shape checks).
 //
-// Two container flavors share one byte layout — header, entry table,
-// 64-byte-aligned payloads, footer — and one frame walk (header CRC,
-// table bounds, footer CRC and size); each validator adds only its own
-// policy on top:
-//   * FASNAP01 (monolithic): one section per kind, entry bytes [4,8)
-//     reserved-zero, validated strictly by validate_image() (full CRC
-//     ladder, padding scan).
-//   * FASHRD01 (sharded): per-shard sections repeat a kind once per
-//     shard and carry the owning shard id in entry bytes [4,8).
-//     validate_container() adds only the structural section walk;
-//     payload verification is the caller's policy, which is what lets
-//     a shard open serve straight off the mmap without a per-record
-//     decode.
+// validate_container() checks the frame (header CRC, table bounds,
+// footer CRC and size) and the structural section walk, and never
+// checksums a payload: payload verification is the caller's policy,
+// which is what lets a shard open serve straight off the mmap without a
+// per-record decode.
 #pragma once
 
 #include <array>
@@ -46,7 +38,8 @@ namespace fa::store {
 // writes the file in order — header and table, each payload straight
 // from the encoder's storage, footer — into a ByteSink and CRCs
 // nothing. Every image byte is checksummed once, and the only
-// image-sized buffer is the one a string sink is asked to fill.
+// image-sized buffer is the one a string sink is asked to fill. A
+// reader derives the same whole-file CRC from the table (file_crc).
 
 // The alignment padding between payloads.
 inline constexpr char kZeroPad[kSectionAlign] = {};
@@ -88,11 +81,9 @@ class ImageBuilder {
     raw(p, count * sizeof(T));
   }
 
-  // `default_owner` (the Image's) is what begin(kind) stamps into the
-  // entry's owner bytes: 0 for monolithic images (validated as
-  // reserved), kGlobalOwner for whole-world sections of a sharded
-  // container. Shard-local sections pass their shard id explicitly.
-  void begin(SectionKind kind) { begin(kind, default_owner_); }
+  // A whole-world section (owner kGlobalOwner); shard-local sections
+  // pass their shard id.
+  void begin(SectionKind kind) { begin(kind, kGlobalOwner); }
   void begin(SectionKind kind, std::uint32_t owner) {
     const std::uint64_t at = align_up(pos_);
     if (sink_ && at > pos_) sink_->write(kZeroPad, at - pos_);
@@ -104,12 +95,6 @@ class ImageBuilder {
     cur_.length = pos_ - cur_.offset;
     cur_.crc = crc_;
     sections_.push_back(cur_);
-  }
-  template <class T>
-  void section_vec(SectionKind kind, const std::vector<T>& v) {
-    begin(kind);
-    vec(v);
-    end();
   }
   template <class T>
   void section_raster(SectionKind kind, const raster::Raster<T>& r) {
@@ -131,30 +116,24 @@ class ImageBuilder {
  private:
   friend class Image;
   // Places sections from byte `pos` on.
-  ImageBuilder(std::uint64_t pos, std::uint32_t default_owner, ByteSink* sink)
-      : sink_(sink), default_owner_(default_owner), pos_(pos) {}
+  ImageBuilder(std::uint64_t pos, ByteSink* sink) : sink_(sink), pos_(pos) {}
 
   ByteSink* sink_;
-  std::uint32_t default_owner_;
   std::uint64_t pos_;
   std::uint32_t crc_ = 0;
   SectionInfo cur_;
   std::vector<SectionInfo> sections_;
 };
 
-// A container image: the sections `encode` writes through the
-// ImageBuilder it is handed — identically on every call — in a FASNAP01
-// (`magic` kMagic) or FASHRD01 (kShardMagic) frame. Whatever `encode`
-// reads must outlive the Image and stay unchanged while it is planned
-// and emitted.
+// A FASHRD01 container image: the sections `encode` writes through the
+// ImageBuilder it is handed — identically on every call — in the
+// container frame. Whatever `encode` reads must outlive the Image and
+// stay unchanged while it is planned and emitted.
 class Image {
  public:
   using Encoder = std::function<void(ImageBuilder&)>;
 
-  Image(const char* magic, std::uint32_t default_owner, Encoder encode)
-      : magic_(magic),
-        default_owner_(default_owner),
-        encode_(std::move(encode)) {}
+  explicit Image(Encoder encode) : encode_(std::move(encode)) {}
 
   // The planning pass's result: the frame bytes around the payloads,
   // and the file's size and whole-file CRC.
@@ -173,8 +152,6 @@ class Image {
   std::string bytes() const;
 
  private:
-  const char* magic_;
-  std::uint32_t default_owner_;
   Encoder encode_;
 };
 
@@ -225,8 +202,8 @@ struct SectionLookup {
   std::vector<SectionInfo> sections;
   std::string source;
 
-  // The first section of `kind`. FASHRD01 repeats the per-shard kinds,
-  // so its shard sections are read by table position instead.
+  // The first section of `kind`. The per-shard kinds repeat once per
+  // shard, so shard sections are read by table position instead.
   const SectionInfo* find(SectionKind kind) const {
     for (const auto& s : sections) {
       if (s.kind == kind) return &s;
@@ -235,26 +212,27 @@ struct SectionLookup {
   }
 };
 
-struct FileReport;  // codec.hpp
-
-// Walks a FASNAP01 header/table/footer and validates the full CRC
-// ladder (per-section payload CRCs, padding scan, reserved-zero entry
-// bytes). On success `out` holds every section with in-bounds,
-// CRC-clean payloads.
-fault::Status validate_image(const void* data, std::size_t size,
-                             const std::string& source, SectionLookup& out,
-                             FileReport* report);
-
 // Walks a FASHRD01 header/table/footer and the structural section walk
 // (in-bounds, ascending, non-overlapping payloads — the memory-safety
 // floor for serving straight off the mmap). Deliberately does NOT
-// checksum payloads or scan padding: per-section CRCs stay recorded in
-// the table for the deep-verify path (inspector, recovery quarantine),
-// and skipping them here is what makes a sharded open O(sections)
-// instead of O(bytes).
+// checksum payloads: per-section CRCs stay recorded in the table for
+// the deep-verify path (inspector, recovery quarantine), and skipping
+// them here is what makes a sharded open O(sections) instead of
+// O(bytes). A file with another magic (a retired FASNAP01 image, say)
+// is kBadMagic, and the Status quotes the magic it found.
 fault::Status validate_container(const void* data, std::size_t size,
                                  const std::string& source,
                                  SectionLookup& out);
+
+// The whole-file CRC of a container validate_container walked (`img`
+// over `size` bytes), derived the way Image::plan derives it for the
+// manifest, in O(sections): the header, the table and every padding
+// byte as they are in the file, each payload through its table CRC
+// (crc32_combine), and the footer. It equals crc32 of the file whenever
+// every payload matches its table CRC; a damaged payload leaves it
+// unchanged (its own CRC check quarantines it), while a changed header,
+// table, padding or footer byte moves it.
+std::uint32_t file_crc(const SectionLookup& img, std::size_t size);
 
 // Fetches a required section and reports a missing kind.
 const SectionInfo* need(const SectionLookup& img, SectionKind kind,

@@ -115,8 +115,9 @@ class StoreDir {
   fault::Result<Manifest> read_manifest() const;
 
   // Lists gen-*.fa files by name, ignoring the manifest and any .tmp
-  // debris. Sizes come from stat; crc fields are 0 (unknown) — the
-  // image's own checksum ladder still guards the load.
+  // debris. Sizes come from stat; crc fields are 0 (unknown) — recovery
+  // then has no manifest CRC to check, and the image's frame and
+  // section CRCs alone guard the load.
   Manifest scan() const;
 
   // Next generation number: one past the highest on disk (scan-based so

@@ -18,7 +18,7 @@
 #include "reference_apply.hpp"
 #include "shard/apply.hpp"
 #include "shard/codec.hpp"
-#include "store/codec.hpp"
+#include "../core/world_dump.hpp"
 #include "../serve/serve_test_util.hpp"
 
 namespace fa::delta::testing {
@@ -44,9 +44,10 @@ inline shard::ShardedWorld small_view(const shard::LayoutOptions& layout) {
   return shard::ShardedWorld::from_world(small_world(), small_risk(), layout);
 }
 
+// The canonical dump of `world` with `risk` beside it.
 inline std::string encode(const core::World& world,
                           const core::ProviderRiskResult& risk) {
-  return store::encode_world(world, risk);
+  return core::testing::dump_world(world, risk);
 }
 
 // A shard-native view and the oracle's world, both starting at
@@ -102,7 +103,7 @@ inline Chain run_chain(const shard::LayoutOptions& layout,
 
 // A shard-native epoch against the oracle's: encode_sharded against a
 // from-scratch cut of the oracle's world over the same layout, and the
-// FASNAP01 bytes of the materialized world (both images carry the
+// canonical dump of the materialized world (both carry the
 // provider-risk aggregate). Compared with EXPECT_TRUE so a mismatch
 // does not print two multi-MB images.
 inline void expect_matches_reference(const shard::ShardedWorld& view,
@@ -115,7 +116,7 @@ inline void expect_matches_reference(const shard::ShardedWorld& view,
   ASSERT_TRUE(world.ok()) << world.status().to_string();
   EXPECT_TRUE(encode(world.value(), view.provider_risk()) ==
               encode(reference.world, reference.risk))
-      << "FASNAP01 bytes of the materialized view diverged from the oracle";
+      << "dump of the materialized view diverged from the oracle";
 }
 
 inline void expect_matches_reference(const Chain& chain) {

@@ -1,5 +1,5 @@
 // The tentpole contract: a view advanced by shard::apply_delta is
-// byte-identical — encode_sharded, the FASNAP01 bytes of its
+// byte-identical — encode_sharded, the canonical dump of its
 // materialized world, AND a golden query battery — to the from-scratch
 // rebuild of the same final state (reference_apply), under the default
 // layout and a small one. Randomized across seeds so the property

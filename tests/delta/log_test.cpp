@@ -1,11 +1,12 @@
 // DeltaLog: hash-chained increment persistence. Round trip, chain
 // verification (every link checked against the predecessor's whole-file
-// CRC, rooted at the base snapshot image), torn-tail truncation, debris
-// cleanup, and pruning of superseded chains.
+// CRC, rooted at the base image's CRC the handle was opened with),
+// torn-tail truncation, debris cleanup, and pruning of superseded
+// chains.
 //
-// The log is content-agnostic about its base image — it only needs the
-// file and its CRC — so these tests commit a tiny opaque blob as the
-// base generation instead of paying for a world build.
+// The log is content-agnostic about its base image — it only needs its
+// CRC — so these tests commit a tiny opaque blob as the base generation
+// instead of paying for a world build.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,7 +18,6 @@
 #include "delta/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "store/format.hpp"
 #include "store/store.hpp"
 #include "../store/store_test_util.hpp"
 
@@ -133,52 +133,21 @@ TEST(DeltaLog, FailedCommitIsAnAppendFailure) {
   EXPECT_EQ(replayed.batches.size(), 2u);
 }
 
-TEST(DeltaLog, ZeroBaseCrcComputedFromImage) {
+TEST(DeltaLog, ReplayNeverReadsTheBaseImage) {
+  // The chain's first link is the base CRC the handle was opened with
+  // (the one recovery verified); replay links increment 0 to it and
+  // never opens the base image, so the chain replays even with the
+  // image gone.
   Fixture fx;
-  // A scan()-sourced manifest reports crc 0; open() must derive the
-  // real base link from the image file so the chain still verifies.
-  auto log = DeltaLog::open(fx.dir, fx.gen.number, 0);
-  ASSERT_TRUE(log.ok());
-  DeltaLog d = std::move(log).take();
+  DeltaLog d = DeltaLog::open(fx.dir, fx.gen.number, fx.gen.crc).take();
   ASSERT_TRUE(d.append(batch(0, 2)).ok());
-  EXPECT_EQ(d.replay().batches.size(), 1u);
-}
-
-TEST(DeltaLog, MultiChunkBaseImageLinksAndReplays) {
-  // The base link is the image's whole-file CRC, read in kCrcChunkBytes
-  // pieces. An image over two chunks long, and not a whole number of
-  // them, must give the one-shot CRC both when open() derives the link
-  // (crc 0) and when replay() re-derives it.
-  TempDir tmp;
-  store::StoreDir dir = store::StoreDir::open(tmp.path).take();
-  std::string image(2 * DeltaLog::kCrcChunkBytes + 4099, '\0');
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;
-  for (char& c : image) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    c = static_cast<char>(x);
-  }
-  const store::Generation gen = dir.commit(image).take();
-  ASSERT_EQ(gen.crc, store::crc32(image.data(), image.size()));
-
-  DeltaLog derived = DeltaLog::open(dir, gen.number, 0).take();
-  ASSERT_TRUE(derived.append(batch(0, 2)).ok());
-  ASSERT_TRUE(derived.append(batch(2, 3)).ok());
-  // The manifest's CRC finds the chain the derived link started.
-  const DeltaLog logged = DeltaLog::open(dir, gen.number, gen.crc).take();
-  EXPECT_EQ(logged.next_ordinal(), 2u);
-  const DeltaLog::Replay replayed = logged.replay();
+  ASSERT_TRUE(d.append(batch(2, 3)).ok());
+  ASSERT_TRUE(std::filesystem::remove(fx.dir.file_path(fx.gen.filename)));
+  const DeltaLog::Replay replayed = d.replay();
   EXPECT_EQ(replayed.truncated, 0u);
-  EXPECT_EQ(replayed.batches.size(), 2u);
-
-  // One flipped bit in the image's last, partial chunk moves the link:
-  // replay no longer proves the chain starts at this image.
-  image.back() = static_cast<char>(image.back() ^ 1);
-  spit(dir.file_path(gen.filename), image);
-  const DeltaLog::Replay orphaned = logged.replay();
-  EXPECT_TRUE(orphaned.batches.empty());
-  EXPECT_EQ(orphaned.truncated, 1u);
+  ASSERT_EQ(replayed.batches.size(), 2u);
+  EXPECT_EQ(replayed.batches[0].size(), 2u);
+  EXPECT_EQ(replayed.batches[1].size(), 3u);
 }
 
 TEST(DeltaLog, ReopenFindsChainTail) {

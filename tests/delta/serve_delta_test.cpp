@@ -11,7 +11,7 @@
 #include "delta/feed.hpp"
 #include "fault/injector.hpp"
 #include "serve/server.hpp"
-#include "store/codec.hpp"
+#include "../core/world_dump.hpp"
 #include "../serve/serve_test_util.hpp"
 #include "../store/store_test_util.hpp"
 
@@ -31,7 +31,7 @@ std::size_t count_increments(const std::string& dir) {
 
 std::string serving_bytes(const Server& server) {
   const auto snap = server.snapshots().acquire();
-  return store::encode_world(snap->world(), snap->provider_risk());
+  return core::testing::dump_world(snap->world(), snap->provider_risk());
 }
 
 // One ingested feed batch derived from the serving epoch.

@@ -24,12 +24,12 @@
 #include "delta/event.hpp"
 #include "delta/feed.hpp"
 #include "io/json.hpp"
-#include "store/codec.hpp"
 #include "shard/apply.hpp"
 #include "shard/codec.hpp"
 #include "shard/world.hpp"
 #include "store/format.hpp"
 #include "test_world.hpp"
+#include "world_dump.hpp"
 #include "../delta/reference_apply.hpp"
 
 namespace fa::core::testing {
@@ -144,11 +144,11 @@ TEST(Golden, Fig6Fig7WhpOverlay) {
 
 TEST(Golden, DeltaEpochBytes) {
   // Pins the whole incremental-update pipeline: a fixed-seed feed chain
-  // over the shared test world through shard::apply_delta, the snapshot
-  // bytes of the delta-built epoch's materialized world, and — the
-  // tentpole contract — the identical bytes of the from-scratch
+  // over the shared test world through shard::apply_delta, the canonical
+  // dump of the delta-built epoch's materialized world, and — the
+  // tentpole contract — the identical dump of the from-scratch
   // reference_apply chain over the same batches. A drift in either CRC
-  // means the feed, the shard apply, the codec, or world synthesis
+  // means the feed, the shard apply, materialize, or world synthesis
   // changed; the two CRCs diverging means the shard apply broke
   // equivalence.
   const World& base = test_world();
@@ -176,23 +176,23 @@ TEST(Golden, DeltaEpochBytes) {
   }
   auto world = view.materialize();
   ASSERT_TRUE(world.ok()) << world.status().to_string();
-  const std::string delta_bytes =
-      store::encode_world(world.value(), view.provider_risk());
-  const std::string rebuilt_bytes =
-      store::encode_world(reference.world, reference.risk);
-  ASSERT_EQ(delta_bytes, rebuilt_bytes)
-      << "delta-built epoch no longer byte-identical to rebuild";
+  const std::string delta_dump =
+      dump_world(world.value(), view.provider_risk());
+  const std::string rebuilt_dump =
+      dump_world(reference.world, reference.risk);
+  ASSERT_TRUE(delta_dump == rebuilt_dump)
+      << "delta-built epoch no longer dumps identical to the rebuild";
 
   io::JsonObject doc;
   doc["feed_seed"] = static_cast<std::size_t>(feed_options.seed);
   doc["ticks"] = 3;
   doc["events_applied"] = events_applied;
   doc["corpus_size"] = static_cast<std::size_t>(view.total_points());
-  doc["snapshot_bytes"] = delta_bytes.size();
+  doc["dump_bytes"] = delta_dump.size();
   doc["delta_crc"] = static_cast<std::size_t>(
-      store::crc32(delta_bytes.data(), delta_bytes.size()));
+      store::crc32(delta_dump.data(), delta_dump.size()));
   doc["rebuild_crc"] = static_cast<std::size_t>(
-      store::crc32(rebuilt_bytes.data(), rebuilt_bytes.size()));
+      store::crc32(rebuilt_dump.data(), rebuilt_dump.size()));
   check_golden("delta_epoch", io::JsonValue{std::move(doc)});
 }
 

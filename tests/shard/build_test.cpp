@@ -2,8 +2,8 @@
 // serve::Snapshot::build runs): its FASHRD01 bytes equal the cut of a
 // built core::World at several corpus scales, under two layouts and the
 // degraded-ingest policies with the ingest.txr seam armed; Strict fails
-// with World::build's Status; materialize() round-trips through the
-// FASNAP01 codec to World::build's bytes; and an ordering property —
+// with World::build's Status; materialize() dumps (the canonical world
+// dump) identical to World::build's world; and an ordering property —
 // sharing no code with the builder — checks every entry's shard, cell
 // and position in its shard.
 #include <gtest/gtest.h>
@@ -20,8 +20,8 @@
 #include "shard/codec.hpp"
 #include "shard/world.hpp"
 #include "store/access.hpp"
-#include "store/codec.hpp"
 #include "shard_test_util.hpp"
+#include "../core/world_dump.hpp"
 
 namespace fa::shard {
 namespace {
@@ -142,17 +142,17 @@ TEST(ShardBuild, MaterializeRoundTripsToWorldBuildBytes) {
       const synth::ScenarioConfig cfg = config_at(scale);
       auto world = core::World::build(cfg, {policy, nullptr});
       ASSERT_TRUE(world.ok());
-      const std::string want = store::encode_world(
+      const std::string want = core::testing::dump_world(
           world.value(), core::run_provider_risk(world.value()));
       for (const LayoutOptions& layout : layouts()) {
         auto built = ShardedWorld::build(cfg, {policy, nullptr}, layout);
         ASSERT_TRUE(built.ok());
         auto materialized = built.value().materialize();
         ASSERT_TRUE(materialized.ok()) << materialized.status().to_string();
-        EXPECT_TRUE(store::encode_world(materialized.value(),
-                                        built.value().provider_risk()) ==
+        EXPECT_TRUE(core::testing::dump_world(materialized.value(),
+                                              built.value().provider_risk()) ==
                     want)
-            << "materialized world encodes unlike World::build's";
+            << "materialized world dumps unlike World::build's";
       }
     }
   }

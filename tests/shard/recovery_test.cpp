@@ -1,7 +1,6 @@
 // Shard-by-shard cold-start recovery through shard::recover: a flipped
-// bit costs one shard, not a generation; monolithic FASNAP01 stores
-// migrate in place; only an unservable container falls back down the
-// ladder.
+// payload bit costs one shard, not a generation; only an unservable
+// container falls back down the ladder.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -10,16 +9,12 @@
 #include "shard/codec.hpp"
 #include "shard/recovery.hpp"
 #include "shard_test_util.hpp"
-#include "store/codec.hpp"
 
 namespace fa::shard {
 namespace {
 
 using testing::small_image;
-using testing::small_layout;
-using testing::small_risk;
 using testing::small_sharded;
-using testing::small_world;
 using testing::TempDir;
 
 store::StoreDir open_store(const std::string& path) {
@@ -40,24 +35,9 @@ TEST(ShardRecovery, CleanShardedGenerationRecoversZeroCopy) {
   store::StoreDir dir = open_store(tmp.path);
   ASSERT_TRUE(dir.commit(small_image()).ok());
 
-  auto recovered = recover(open_store(tmp.path), small_layout());
+  auto recovered = recover(open_store(tmp.path));
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  EXPECT_FALSE(recovered.value().migrated);
   EXPECT_EQ(recovered.value().world.quarantined_count(), 0u);
-  EXPECT_EQ(encode_sharded(recovered.value().world), small_image());
-}
-
-TEST(ShardRecovery, MonolithicGenerationMigratesInMemory) {
-  TempDir tmp;
-  store::StoreDir dir = open_store(tmp.path);
-  ASSERT_TRUE(
-      dir.commit(store::encode_world(small_world(), small_risk())).ok());
-
-  auto recovered = recover(open_store(tmp.path), small_layout());
-  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
-  EXPECT_TRUE(recovered.value().migrated);
-  // The migrated view is the same function of the world the sharded
-  // writer computes.
   EXPECT_EQ(encode_sharded(recovered.value().world), small_image());
 }
 
@@ -87,15 +67,17 @@ TEST(ShardRecovery, FlippedBitQuarantinesOneShardNotTheGeneration) {
   store::StoreDir dir = open_store(tmp.path);
   auto gen = dir.commit(clean);
   ASSERT_TRUE(gen.ok());
-  // Corrupt after commit. The manifest CRC now disagrees, but a
-  // FASHRD01 load never reads it: every open deep-verifies, and the
-  // damaged payload fails only its own shard's CRC.
+  // Corrupt after commit. The manifest's CRC is checked against the one
+  // derived from the table, which takes each payload through its table
+  // CRC, so the damage leaves the check passing; the damaged payload
+  // fails only its own shard's CRC.
   rewrite_generation(dir, gen.value(), dirty);
 
   store::RecoveryReport report;
-  auto recovered = recover(open_store(tmp.path), small_layout(), &report);
+  auto recovered = recover(open_store(tmp.path), &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_EQ(recovered.value().generation.number, 1u);
+  EXPECT_EQ(recovered.value().generation.crc, gen.value().crc);
   ASSERT_EQ(report.steps.size(), 1u);
   EXPECT_TRUE(report.steps[0].ok());
   const ShardedWorld& view = recovered.value().world;
@@ -121,7 +103,7 @@ TEST(ShardRecovery, UnwalkableNewestFallsBackToOlderGeneration) {
   // Destroy generation 2's frame entirely; the ladder must land on 1.
   rewrite_generation(dir, gen2.value(), std::string(64, '\0'));
 
-  auto recovered = recover(open_store(tmp.path), small_layout());
+  auto recovered = recover(open_store(tmp.path));
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_EQ(recovered.value().generation.number, 1u);
   EXPECT_EQ(encode_sharded(recovered.value().world), small_image());
@@ -129,7 +111,7 @@ TEST(ShardRecovery, UnwalkableNewestFallsBackToOlderGeneration) {
 
 TEST(ShardRecovery, EmptyStoreErrors) {
   TempDir tmp;
-  EXPECT_FALSE(recover(open_store(tmp.path), small_layout()).ok());
+  EXPECT_FALSE(recover(open_store(tmp.path)).ok());
 }
 
 }  // namespace

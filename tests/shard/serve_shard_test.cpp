@@ -1,11 +1,10 @@
 // Server integration for sharded serving: byte-identity across layouts
 // through the public front door, FASHRD01 persistence and zero-copy cold
-// start, the upgrade path for stores written before serving was
-// sharded-only (FASNAP01 plus a delta log), shard-native deltas
-// (fail-closed contracts), a whole lifecycle that never builds or
-// materializes a monolithic world, degraded serving over a damaged
-// store, and epoch purity under concurrent queries while swaps land (the
-// TSan target).
+// start, the delta chain's base link (the CRC recovery verified, so a
+// changed base orphans the chain), shard-native deltas (fail-closed
+// contracts), a whole lifecycle that never builds or materializes a
+// monolithic world, degraded serving over a damaged store, and epoch
+// purity under concurrent queries while swaps land (the TSan target).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,10 +21,9 @@
 #include "delta/log.hpp"
 #include "serve/server.hpp"
 #include "shard/codec.hpp"
-#include "store/codec.hpp"
+#include "shard/recovery.hpp"
 #include "store/format.hpp"
 #include "shard_test_util.hpp"
-#include "../delta/reference_apply.hpp"
 
 namespace fa::shard {
 namespace {
@@ -112,18 +110,6 @@ void damage_one_shard(const std::string& store_dir) {
   out.write(dirty.data(), static_cast<std::streamsize>(dirty.size()));
 }
 
-// Commits `world` as a FASNAP01 generation, the way a server built
-// before serving was sharded-only persisted its monolithic world.
-store::Generation commit_fasnap01(const std::string& store_dir,
-                                  const core::World& world) {
-  auto dir = store::StoreDir::open(store_dir);
-  EXPECT_TRUE(dir.ok());
-  auto gen = dir.value().commit(
-      store::encode_world(world, core::run_provider_risk(world)));
-  EXPECT_TRUE(gen.ok());
-  return gen.value();
-}
-
 AnyResponse without_epoch(AnyResponse r) {
   std::visit([](auto& response) { response.epoch = 0; }, r);
   return r;
@@ -159,7 +145,9 @@ TEST(ServeSharded, SaveThenColdStartServesIdenticalAnswers) {
 
 // Saves `server`'s serving view and checks the generation the streamed
 // commit wrote: byte-equal to encode_sharded's string of the same view,
-// and recorded in MANIFEST with its size and crc32 of the file.
+// recorded in MANIFEST with its size and crc32 of the file, and
+// recovered with that CRC — the one recovery derives from the table it
+// walked and checks against the manifest's.
 store::Generation expect_save_writes_the_view(serve::Server& server,
                                               const std::string& store_dir) {
   const std::shared_ptr<const serve::Snapshot> snap =
@@ -177,12 +165,18 @@ store::Generation expect_save_writes_the_view(serve::Server& server,
       << "the streamed generation differs from encode_sharded's bytes";
   EXPECT_EQ(gen.size, bytes.size());
   EXPECT_EQ(gen.crc, store::crc32(bytes.data(), bytes.size()));
+  auto recovered = recover(dir.value());
+  EXPECT_TRUE(recovered.ok()) << recovered.status().to_string();
+  if (!recovered.ok()) return gen;
+  EXPECT_EQ(recovered.value().generation.number, gen.number);
+  EXPECT_EQ(recovered.value().generation.crc,
+            store::crc32(bytes.data(), bytes.size()));
+  EXPECT_EQ(recovered.value().generation.crc, gen.crc);
   return gen;
 }
 
-// The delta log rooted on `gen` replays `batches` increments: its first
-// link, the manifest's whole-file CRC, matches the one replay derives
-// from the file.
+// The delta log rooted on `gen` replays `batches` increments linked to
+// the manifest's whole-file CRC.
 void expect_log_replays(const std::string& store_dir,
                         const store::Generation& gen, std::size_t batches) {
   auto log = delta::DeltaLog::open(store::StoreDir::open(store_dir).take(),
@@ -263,19 +257,6 @@ TEST(ServeSharded, ColdStartCountsTheGenerationItLoads) {
   EXPECT_EQ(reg.counter(obs::metrics::kStoreLoadBytes).value(),
             gen.value().size);
   EXPECT_EQ(reg.histogram(obs::metrics::kStoreLoadNs).count(), 1u);
-}
-
-TEST(ServeSharded, MonolithicStoreMigratesOnColdStart) {
-  TempDir tmp;
-  commit_fasnap01(tmp.path, testing::small_world());
-  serve::Server shrd(st::small_config(), sharded_options(tmp.path));
-  EXPECT_TRUE(shrd.loaded_from_store());
-  serve::Server fresh(st::small_config(), sharded_options());
-  const std::vector<AnyQuery> stream = st::make_stream(120, 31);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(ask(shrd, stream[i]) == ask(fresh, stream[i]))
-        << "query " << i << " diverged after FASNAP01 migration";
-  }
 }
 
 TEST(ServeSharded, ApplyDeltaPublishesShardedEpochMatchingMonolithic) {
@@ -468,81 +449,62 @@ TEST(ServeSharded, ColdStartReplayingARetireNeverMaterializes) {
       0u);
 }
 
-// Stores written before serving was sharded-only hold a FASNAP01
-// generation and a delta log chained to it. A cold start migrates the
-// image, replays the chain, and serves the reference evaluator's bytes
-// over the world reference_apply rebuilds from the same prefix; the
-// next save commits a FASHRD01 generation and re-roots the log on it.
-TEST(ServeSharded, PreShardingStoreWithDeltaLogUpgradesOnColdStart) {
+// The delta chain is rooted at one image: increment 0 links to the
+// whole-file CRC of the generation it was appended on. When recovery
+// falls back to a directory scan (no manifest CRC to check against) and
+// the generation file is now a different valid image, the CRC recovery
+// derives from that file is not the chain's root, so the cold start
+// serves the image as it is and replays nothing.
+TEST(ServeSharded, ChangedBaseImageOrphansTheDeltaChain) {
   ObsOn obs_on;
   TempDir tmp;
-  const core::World& base = testing::small_world();
-  const store::Generation root = commit_fasnap01(tmp.path, base);
-  ASSERT_FALSE(HasFailure());
-  core::World world = base;
-  core::ProviderRiskResult risk = core::run_provider_risk(base);
+  std::string other_image;
   {
-    auto dir = store::StoreDir::open(tmp.path);
-    ASSERT_TRUE(dir.ok());
-    auto log = delta::DeltaLog::open(dir.value(), root.number, root.crc);
-    ASSERT_TRUE(log.ok()) << log.status().to_string();
+    serve::Server server(st::small_config(), sharded_options(tmp.path));
+    ASSERT_TRUE(server.save_snapshot().ok());
     delta::FeedOptions feed_options;
-    feed_options.seed = 17;
-    delta::FeedGenerator gen(base, feed_options);
+    feed_options.seed = 19;
+    delta::FeedGenerator gen(testing::small_world(), feed_options);
     delta::FeedIngestor ingestor;
-    std::size_t retires = 0;
     for (int tick = 0; tick < 3; ++tick) {
       auto cleaned = ingestor.ingest(gen.tick());
       ASSERT_TRUE(cleaned.ok());
-      auto applied = delta::testing::reference_apply(world, cleaned.value());
-      ASSERT_TRUE(applied.ok()) << applied.status().to_string();
-      delta::testing::ReferenceEpoch result = std::move(applied).take();
-      retires += result.stats.retires;
-      world = std::move(result.world);
-      risk = std::move(result.risk);
-      ASSERT_TRUE(log.value().append(cleaned.value()).ok());
+      ASSERT_TRUE(server.apply_delta(cleaned.value()).ok());
     }
-    ASSERT_GT(retires, 0u) << "the logged batches never retired a site";
+    other_image = serving_image(server);
+  }
+  auto dir = store::StoreDir::open(tmp.path);
+  ASSERT_TRUE(dir.ok());
+  auto manifest = dir.value().read_manifest();
+  ASSERT_TRUE(manifest.ok());
+  ASSERT_EQ(manifest.value().generations.size(), 1u);
+  const store::Generation root = manifest.value().generations.back();
+  ASSERT_EQ(delta::DeltaLog::open(dir.value(), root.number, root.crc)
+                .value()
+                .next_ordinal(),
+            3u);
+  {
+    std::ofstream out(dir.value().file_path("MANIFEST"), std::ios::binary);
+    out << "fastore-manifest 1\ngarbage\n";
+  }
+  {
+    std::ofstream out(dir.value().file_path(root.filename), std::ios::binary);
+    out.write(other_image.data(),
+              static_cast<std::streamsize>(other_image.size()));
   }
 
   obs::ScopedRegistry scoped;
   serve::ServerOptions options = sharded_options(tmp.path);
   options.registry = &scoped.registry();
-  serve::Server server(st::small_config(), options);
-  ASSERT_TRUE(server.loaded_from_store());
-  EXPECT_EQ(scoped.registry().counter(obs::metrics::kDeltaLogReplayed).value(),
-            3u);
-  EXPECT_EQ(scoped.registry().counter(obs::metrics::kShardMigrations).value(),
-            1u);
-  const std::vector<AnyQuery> stream = st::make_stream(150, 67);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_TRUE(st::ask_reference(world, risk, server.epoch(), stream[i]) ==
-                ask(server, stream[i]))
-        << "query " << i << " diverged from the oracle's world";
-  }
-
-  ASSERT_TRUE(server.save_snapshot().ok());
-  auto dir = store::StoreDir::open(tmp.path);
-  ASSERT_TRUE(dir.ok());
-  auto manifest = dir.value().read_manifest();
-  ASSERT_TRUE(manifest.ok());
-  const store::Generation& newest = manifest.value().generations.back();
-  ASSERT_GT(newest.number, root.number);
-  std::string magic(8, '\0');
-  std::ifstream(dir.value().file_path(newest.filename), std::ios::binary)
-      .read(magic.data(), 8);
-  EXPECT_EQ(magic, std::string(store::kShardMagic, 8));
-  // Re-rooted: a cold start now replays nothing past the new image.
-  const std::string image = serving_image(server);
-  obs::ScopedRegistry again;
-  options.registry = &again.registry();
   serve::Server reborn(st::small_config(), options);
   ASSERT_TRUE(reborn.loaded_from_store());
-  EXPECT_EQ(again.registry().counter(obs::metrics::kDeltaLogReplayed).value(),
+  EXPECT_EQ(
+      scoped.registry().counter(obs::metrics::kStoreManifestFallbacks).value(),
+      1u);
+  EXPECT_EQ(scoped.registry().counter(obs::metrics::kDeltaLogReplayed).value(),
             0u);
-  EXPECT_EQ(again.registry().counter(obs::metrics::kShardMigrations).value(),
-            0u);
-  EXPECT_EQ(serving_image(reborn), image);
+  EXPECT_TRUE(serving_image(reborn) == other_image)
+      << "the cold start did not serve the replaced image as it is";
 }
 
 // No serving path builds or materializes a core::World: the fresh build,

@@ -110,7 +110,7 @@ TEST(CrashMatrix, RecoveryNeverServesAHalfWrittenWorld) {
 
     RecoveryReport report;
     fault::Result<shard::Recovered> rec =
-        shard::recover(StoreDir::open(tmp.path).take(), {}, &report);
+        shard::recover(StoreDir::open(tmp.path).take(), &report);
     ASSERT_TRUE(rec.ok()) << rec.status().to_string();
     // Crashes before the rename leave only gen 1; after it, either
     // generation is a legitimate (identical-content) winner.
@@ -121,7 +121,6 @@ TEST(CrashMatrix, RecoveryNeverServesAHalfWrittenWorld) {
       EXPECT_GE(rec.value().generation.number, 1u);
       EXPECT_LE(rec.value().generation.number, 2u);
     }
-    EXPECT_FALSE(rec.value().migrated);
     expect_canonical(rec.value().world);
   }
 }
@@ -140,7 +139,7 @@ TEST(CrashMatrix, CrashOnEmptyStoreDegradesCleanly) {
 
     RecoveryReport report;
     fault::Result<shard::Recovered> rec =
-        shard::recover(StoreDir::open(tmp.path).take(), {}, &report);
+        shard::recover(StoreDir::open(tmp.path).take(), &report);
     const bool generation_durable =
         c.hooks.crash_at == CrashStep::kAfterRename ||
         c.hooks.crash_at == CrashStep::kMidManifest;

@@ -1,6 +1,6 @@
-// Seeded image mutations shared by the FASNAP01 and FASHRD01 format
-// fuzzers: truncations, extensions, zeroed runs and, the bulk,
-// single-byte XOR flips anywhere in the file.
+// Seeded image mutations for the FASHRD01 format fuzzer
+// (tests/shard/fuzz_test.cpp): truncations, extensions, zeroed runs
+// and, the bulk, single-byte XOR flips anywhere in the file.
 #pragma once
 
 #include <algorithm>
@@ -24,8 +24,8 @@ struct Mutant {
 // Deterministic mutant of `image` for `seed`; always differs from the
 // original. With a non-zero `hot_prefix`, every other single-byte flip
 // lands in the first `hot_prefix` bytes (a header and section table
-// that uniform offsets would almost never hit); with zero the mutants
-// are those the FASNAP01 fuzzer has always run.
+// that uniform offsets would almost never hit); with zero every flip
+// offset is uniform over the file.
 inline Mutant mutate(const std::string& image, std::uint64_t seed,
                      std::size_t hot_prefix = 0) {
   const std::uint64_t r0 = splitmix64(seed);

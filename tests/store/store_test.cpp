@@ -1,10 +1,9 @@
 // StoreDir unit suite: manifest syntax/checksum/hash-chain, the commit
 // + prune protocol, scan fallback, both fault seams, and the recovery
 // ladder's degrade order (newest good generation wins, older ones are
-// the fallback, a full rebuild is the floor). The ladder under test is
-// shard::recover, the one fa_served boots through, over FASHRD01
-// generations; the FASNAP01-only rungs (manifest CRC, strict decode,
-// migration) run over FASNAP01 generations through the same call.
+// the fallback, a full rebuild is the floor) and its manifest-CRC rung.
+// The ladder under test is shard::recover, the one fa_served boots
+// through, over FASHRD01 generations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,13 +12,15 @@
 #include <random>
 #include <string>
 
+#include "delta/feed.hpp"
 #include "fault/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "shard/apply.hpp"
 #include "shard/codec.hpp"
 #include "shard/recovery.hpp"
-#include "store/codec.hpp"
 #include "store/format.hpp"
+#include "store/image.hpp"
 #include "store/recovery.hpp"
 #include "store/store.hpp"
 #include "store_test_util.hpp"
@@ -30,7 +31,6 @@ namespace {
 
 using testing::expect_canonical;
 using testing::TempDir;
-using testing::tiny_image;
 using testing::tiny_sharded;
 using testing::tiny_sharded_image;
 
@@ -344,7 +344,7 @@ TEST(Recovery, LadderFallsBackToOlderGeneration) {
   ASSERT_TRUE(dir.commit(bad).ok());
 
   RecoveryReport report;
-  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, &report);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
   EXPECT_EQ(rec.value().generation.number, 1u);
   expect_canonical(rec.value().world);
@@ -357,52 +357,73 @@ TEST(Recovery, LadderFallsBackToOlderGeneration) {
   EXPECT_EQ(reg.counter(obs::metrics::kStoreRecoverLoaded).value(), 1u);
 }
 
-// The whole-file CRC in the manifest is a FASNAP01 rung (a FASHRD01
-// generation deep-verifies instead), so this runs over a pre-sharding
-// generation.
-TEST(Recovery, ManifestCrcCatchesAtRestTamper) {
-  TempDir tmp;
-  StoreDir dir = StoreDir::open(tmp.path).take();
-  ASSERT_TRUE(dir.commit(tiny_image()).ok());
-  // Flip one bit of the committed file behind the manifest's back.
-  const std::string path = dir.file_path(generation_filename(1));
-  std::string bytes = slurp(path);
-  bytes[bytes.size() / 3] ^= 0x10;
-  spit(path, bytes);
-
-  RecoveryReport report;
-  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
-  ASSERT_FALSE(rec.ok());
-  EXPECT_EQ(rec.status().code, fault::ErrCode::kParse);
-  ASSERT_EQ(report.steps.size(), 1u);
-  EXPECT_NE(report.steps[0].message.find("manifest checksum"),
-            std::string::npos)
-      << report.steps[0].to_string();
+// tiny_sharded() after one ingested feed tick: a different valid
+// FASHRD01 image of the same scenario.
+std::string fed_image() {
+  delta::FeedOptions feed_options;
+  feed_options.seed = 5;
+  delta::FeedGenerator gen(testing::tiny_world(), feed_options);
+  delta::FeedIngestor ingestor;
+  auto cleaned = ingestor.ingest(gen.tick());
+  EXPECT_TRUE(cleaned.ok());
+  auto fed = shard::apply_delta(tiny_sharded(), cleaned.value());
+  EXPECT_TRUE(fed.ok()) << fed.status().to_string();
+  return shard::encode_sharded(fed.value().world);
 }
 
-// A pre-sharding store: a FASNAP01 generation the strict decode rejects
-// falls back to an older one, which migrates into the serving view.
-TEST(Recovery, MonolithicGenerationsDecodeStrictlyAndMigrate) {
-  TempDir tmp;
-  StoreDir dir = StoreDir::open(tmp.path).take();
-  ASSERT_TRUE(dir.commit(tiny_image()).ok());
-  // Committed as is, so the manifest CRC matches and only the image's
-  // own checksum ladder can reject it.
-  std::string bad = tiny_image();
-  bad[bad.size() / 2] ^= 0x40;
-  ASSERT_TRUE(dir.commit(bad).ok());
+// The manifest's whole-file CRC, checked against the CRC derived from
+// the table the open walked, rejects what no section CRC covers.
+// Generation 2 is rewritten behind the manifest's back: (a) by a
+// different valid image, (b) with one flipped alignment-padding byte,
+// (c) with one flipped byte in a table entry's pad [28,32). Each opens
+// clean on its own, so only the manifest check rejects it, and the
+// ladder lands on generation 1.
+TEST(Recovery, ManifestCrcCatchesAtRestTamper) {
+  const std::string& clean = tiny_sharded_image();
+  SectionLookup img;
+  ASSERT_TRUE(validate_container(clean.data(), clean.size(), "clean", img)
+                  .ok());
+  std::size_t padding = 0;
+  std::uint64_t cursor = kHeaderSize + img.sections.size() * kSectionEntrySize;
+  for (const SectionInfo& s : img.sections) {
+    if (s.offset > cursor) {
+      padding = cursor;
+      break;
+    }
+    cursor = s.offset + s.length;
+  }
+  ASSERT_NE(padding, 0u) << "no alignment padding in the image";
+  const std::size_t entry_pad = kHeaderSize + 3 * kSectionEntrySize + 29;
 
-  RecoveryReport report;
-  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
-  ASSERT_TRUE(rec.ok()) << rec.status().to_string();
-  EXPECT_EQ(rec.value().generation.number, 1u);
-  EXPECT_TRUE(rec.value().migrated);
-  expect_canonical(rec.value().world);
-  ASSERT_EQ(report.steps.size(), 2u);
-  EXPECT_EQ(report.steps[0].code, fault::ErrCode::kParse)
-      << report.steps[0].to_string();
-  EXPECT_EQ(report.steps[1].message,
-            "loaded (migrated from monolithic image)");
+  std::string padding_flip = clean;
+  padding_flip[padding] ^= 0x01;
+  std::string entry_flip = clean;
+  entry_flip[entry_pad] ^= 0x20;
+  const std::pair<const char*, std::string> tampers[] = {
+      {"swapped image", fed_image()},
+      {"padding byte", padding_flip},
+      {"entry pad byte", entry_flip},
+  };
+  for (const auto& [what, bytes] : tampers) {
+    SCOPED_TRACE(what);
+    ASSERT_FALSE(bytes == clean);
+    TempDir tmp;
+    StoreDir dir = StoreDir::open(tmp.path).take();
+    ASSERT_TRUE(dir.commit(clean).ok());
+    ASSERT_TRUE(dir.commit(clean).ok());
+    spit(dir.file_path(generation_filename(2)), bytes);
+
+    RecoveryReport report;
+    fault::Result<shard::Recovered> rec = shard::recover(dir, &report);
+    ASSERT_TRUE(rec.ok()) << rec.status().to_string();
+    EXPECT_EQ(rec.value().generation.number, 1u);
+    expect_canonical(rec.value().world);
+    ASSERT_EQ(report.steps.size(), 2u);
+    EXPECT_EQ(report.steps[0].code, fault::ErrCode::kParse);
+    EXPECT_NE(report.steps[0].message.find("manifest checksum"),
+              std::string::npos)
+        << report.steps[0].to_string();
+  }
 }
 
 TEST(Recovery, CorruptManifestFallsBackToScan) {
@@ -416,7 +437,7 @@ TEST(Recovery, CorruptManifestFallsBackToScan) {
   spit(dir.file_path("MANIFEST"), "fastore-manifest 1\ngarbage\n");
 
   RecoveryReport report;
-  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, &report);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
   EXPECT_EQ(rec.value().generation.number, 2u);
   expect_canonical(rec.value().world);
@@ -436,7 +457,7 @@ TEST(Recovery, OverflowingGenerationFilenameIsIgnoredNotWrapped) {
   spit(dir.file_path("MANIFEST"), "fastore-manifest 1\ngarbage\n");
 
   RecoveryReport report;
-  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, &report);
   ASSERT_TRUE(rec.ok()) << rec.status().to_string();
   EXPECT_EQ(rec.value().generation.number, 1u);
   expect_canonical(rec.value().world);
@@ -450,7 +471,7 @@ TEST(Recovery, EmptyStoreIsAnErrorNotACrash) {
   TempDir tmp;
   RecoveryReport report;
   fault::Result<shard::Recovered> rec = shard::recover(
-      StoreDir::open(tmp.path, /*create=*/false).take(), {}, &report);
+      StoreDir::open(tmp.path, /*create=*/false).take(), &report);
   ASSERT_FALSE(rec.ok());
   EXPECT_EQ(rec.status().code, fault::ErrCode::kIoFailure);
 }
@@ -461,7 +482,7 @@ TEST(Recovery, EveryGenerationRejectedSummarizesNewestFailure) {
   ASSERT_TRUE(dir.commit("junk one").ok());
   ASSERT_TRUE(dir.commit("junk two").ok());
   RecoveryReport report;
-  fault::Result<shard::Recovered> rec = shard::recover(dir, {}, &report);
+  fault::Result<shard::Recovered> rec = shard::recover(dir, &report);
   ASSERT_FALSE(rec.ok());
   EXPECT_EQ(report.steps.size(), 2u);
   EXPECT_NE(rec.status().message.find("every generation rejected"),

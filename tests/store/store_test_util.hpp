@@ -1,8 +1,7 @@
 // Shared scaffolding for the store suite: a throwaway store directory
-// and one lazily built tiny world whose encoded images every test
-// reuses (world builds dominate runtime; the images are immutable):
-// the FASHRD01 container a server persists and boots from, and the
-// FASNAP01 image pre-sharding stores hold.
+// and one lazily built tiny world whose FASHRD01 image — the container
+// a server persists and boots from — every test reuses (world builds
+// dominate runtime; the image is immutable).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "core/world.hpp"
 #include "shard/codec.hpp"
 #include "shard/world.hpp"
-#include "store/codec.hpp"
 #include "../serve/serve_test_util.hpp"
 
 namespace fa::store::testing {
@@ -47,13 +45,6 @@ inline const core::ProviderRiskResult& tiny_risk() {
   static const core::ProviderRiskResult* risk =
       new core::ProviderRiskResult(core::run_provider_risk(tiny_world()));
   return *risk;
-}
-
-// The canonical FASNAP01 image of tiny_world().
-inline const std::string& tiny_image() {
-  static const std::string* image =
-      new std::string(encode_world(tiny_world(), tiny_risk()));
-  return *image;
 }
 
 // tiny_world() cut by the default layout, the view a server over it

@@ -108,10 +108,9 @@ const std::vector<BenchSchema>& schemas() {
         "byte_identical", "delta_speedup", "delta_faster"},
        "", "FA_DELTA_TICKS=4"},
       {"bench_shard_scale", "shard_scale",
-       {"transceivers", "shards", "mono_image_bytes", "shard_image_bytes",
-        "build_s", "shard_s", "served_build_s", "build_identical",
-        "mono_cold_s", "shard_cold_s", "cold_speedup", "cold_faster",
-        "threads", "shard_qps", "identity_ok"},
+       {"transceivers", "shards", "shard_image_bytes", "build_s", "shard_s",
+        "served_build_s", "build_identical", "shard_cold_s", "threads",
+        "shard_qps", "identity_ok"},
        "",
        "FA_SHARD_SCALE=400 FA_CELL_M=18000 FA_SHARD_THREADS=2 "
        "FA_SHARD_QUERIES=100"},

@@ -1,6 +1,7 @@
-// fa_store_inspect CLI contract: exit 0 on a clean store (monolithic or
-// sharded), non-zero on corruption, the sharded listing names the
-// shard a cold start would quarantine, and the cold-start verdict is
+// fa_store_inspect CLI contract: exit 0 on a clean store, non-zero on
+// corruption, the listing names the shard a cold start would quarantine
+// and prints each generation's derived whole-file CRC beside the
+// manifest's (a mismatch fails the run), and the cold-start verdict is
 // what a server on the store does. Runs the real binary — the
 // health-check semantics ("is this store safe to boot from?") are the
 // product here, so the test drives the same entry point an operator's
@@ -14,7 +15,6 @@
 
 #include "serve/snapshot.hpp"
 #include "shard/codec.hpp"
-#include "store/codec.hpp"
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "../shard/shard_test_util.hpp"
@@ -23,7 +23,6 @@ namespace fa {
 namespace {
 
 using shard::testing::small_image;
-using shard::testing::small_layout;
 using shard::testing::small_risk;
 using shard::testing::small_world;
 using shard::testing::TempDir;
@@ -68,6 +67,13 @@ std::string commit_sharded(const TempDir& dir) {
   return store.value().file_path(gen.value().filename);
 }
 
+// The CRC as the generation line prints it.
+std::string hex_crc(std::uint32_t crc) {
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "%08x", crc);
+  return buf;
+}
+
 // Flips one byte that lands in exactly one shard's payload (globals
 // still verify), so the listing shows a single quarantine candidate.
 void corrupt_one_shard(const std::string& gen_path) {
@@ -100,6 +106,30 @@ TEST(StoreInspectCli, CleanShardedStoreExitsZero) {
   // Every shard row lists bounds and both verification verdicts.
   EXPECT_NE(r.output.find("shard 0"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("crc=ok"), std::string::npos) << r.output;
+  // The generation line carries the derived CRC beside the manifest's.
+  const std::string crc =
+      hex_crc(store::crc32(small_image().data(), small_image().size()));
+  EXPECT_NE(r.output.find("manifest crc " + crc + ", file crc " + crc),
+            std::string::npos)
+      << r.output;
+}
+
+// A different valid image swapped in behind the manifest's back: the
+// container verifies clean on its own, but its CRC disagrees with the
+// manifest's, which fails the run — and a server would rebuild.
+TEST(StoreInspectCli, CrcDisagreeingWithManifestFailsTheRun) {
+  TempDir dir;
+  const std::string gen_path = commit_sharded(dir);
+  spit(gen_path, shard::encode_sharded(shard::ShardedWorld::from_world(
+                     small_world(), small_risk(), shard::LayoutOptions{})));
+  EXPECT_EQ(run_inspect("--image " + gen_path).exit_code, 0);
+  const CliResult r = run_inspect(dir.path);
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("disagrees with manifest checksum"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("cold start would REBUILD"), std::string::npos)
+      << r.output;
 }
 
 TEST(StoreInspectCli, CorruptShardIsFlaggedAndExitsNonZero) {
@@ -124,39 +154,27 @@ TEST(StoreInspectCli, ShardedImageModeVerifies) {
   EXPECT_NE(run_inspect("--image " + gen_path).exit_code, 0);
 }
 
-TEST(StoreInspectCli, MonolithicStoreStillVerifies) {
-  TempDir dir;
-  auto store = store::StoreDir::open(dir.path);
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(
-      store.value().commit(store::encode_world(small_world(), small_risk()))
-          .ok());
-  const CliResult r = run_inspect(dir.path);
-  EXPECT_EQ(r.exit_code, 0) << r.output;
-  EXPECT_NE(r.output.find("cold start would serve generation 1 (migrated "
-                          "from a monolithic image)"),
-            std::string::npos)
-      << r.output;
-}
-
-// A corrupt FASNAP01 generation committed over a clean FASHRD01 one: a
-// server skips it and boots generation 1, so the verdict must say the
-// same (the corrupt generation still fails the listing).
+// A generation in the retired FASNAP01 format committed over a clean
+// FASHRD01 one: a server skips it and boots generation 1, so the verdict
+// must say the same, and the listing fails it naming the format found.
 TEST(StoreInspectCli, VerdictIsWhatAServerBoots) {
   TempDir dir;
   commit_sharded(dir);
   auto store = store::StoreDir::open(dir.path);
   ASSERT_TRUE(store.ok());
-  std::string corrupt(store::kMagic, sizeof store::kMagic);
-  corrupt.append(4096, '\0');
-  ASSERT_TRUE(store.value().commit(corrupt).ok());
+  std::string retired = "FASNAP01";
+  retired.append(4096, '\0');
+  ASSERT_TRUE(store.value().commit(retired).ok());
 
-  auto served = serve::Snapshot::recover(store.value(), 1, small_layout());
+  auto served = serve::Snapshot::recover(store.value(), 1);
   ASSERT_TRUE(served.ok()) << served.status().to_string();
   EXPECT_EQ(served.value().generation.number, 1u);
 
   const CliResult r = run_inspect(dir.path);
   EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("bad container magic \"FASNAP01\""),
+            std::string::npos)
+      << r.output;
   EXPECT_NE(r.output.find("cold start would serve generation 1\n"),
             std::string::npos)
       << r.output;

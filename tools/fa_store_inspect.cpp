@@ -1,38 +1,45 @@
 // fa_store_inspect — operator's view of a snapshot store.
 //
 //   fa_store_inspect STORE_DIR          inspect the whole store
-//   fa_store_inspect --image FILE.fa    inspect one snapshot image
+//   fa_store_inspect --image FILE.fa    inspect one FASHRD01 image
 //
-// Dumps the manifest (generation chain, sizes, checksums) and walks
-// every generation image's checksum ladder, printing per-section
-// status, then says what a cold start would serve by running the
-// recovery fa_served boots through (shard::recover). Exit code 0 means
-// everything verified; any corruption — unreadable manifest, missing
-// generation, failed CRC, structural mismatch — is reported and the
-// exit code is non-zero, so the tool slots into health checks ("is this
-// store safe to boot from?").
+// Dumps the manifest (generation chain, sizes, checksums), prints each
+// generation's whole-file CRC derived from its table beside the one the
+// manifest recorded, and walks every generation's FASHRD01 container,
+// printing per-shard status; then says what a cold start would serve by
+// running the recovery fa_served boots through (shard::recover). Exit
+// code 0 means everything verified; any corruption — unreadable
+// manifest, missing generation, a file in another format, a CRC that
+// disagrees with the manifest, failed section CRC, structural mismatch
+// — is reported and the exit code is non-zero, so the tool slots into
+// health checks ("is this store safe to boot from?").
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "shard/codec.hpp"
 #include "shard/recovery.hpp"
-#include "store/codec.hpp"
-#include "store/format.hpp"
 #include "store/store.hpp"
 
 namespace {
 
 using namespace fa;
 
-// Per-shard listing for a FASHRD01 container: bounds, point count,
-// payload bytes, structural and CRC status. A shard that fails either
-// check is what a cold start would quarantine — flagged loudly, and the
-// exit code goes non-zero.
-bool inspect_sharded_file(const store::MappedFile& mapped,
-                          const std::string& path) {
-  fault::Result<shard::ContainerReport> report =
-      shard::inspect_sharded(mapped.data(), mapped.size(), path);
+// Maps and walks one image: its report, or the Status of a file that
+// cannot be mapped or walked (a foreign magic included).
+fault::Result<shard::ContainerReport> inspect_file(const std::string& path) {
+  fault::Result<store::MappedFile> mapped = store::MappedFile::open(path);
+  if (!mapped.ok()) return mapped.status();
+  return shard::inspect_sharded(mapped.value().data(), mapped.value().size(),
+                                path);
+}
+
+// Per-shard listing: bounds, point count, payload bytes, structural and
+// CRC status. A shard that fails either check is what a cold start
+// would quarantine — flagged loudly. Returns true when the container
+// verified clean.
+bool print_report(const fault::Result<shard::ContainerReport>& report,
+                  const std::string& path) {
   if (!report.ok()) {
     std::printf("  %-22s CORRUPT     %s\n", path.c_str(),
                 report.status().to_string().c_str());
@@ -68,46 +75,6 @@ bool inspect_sharded_file(const store::MappedFile& mapped,
   return true;
 }
 
-// Walks one image's ladder; returns true when it verified clean.
-// Dispatches on the magic: FASNAP01 monolithic images walk the section
-// checksum ladder, FASHRD01 containers get the per-shard listing.
-bool inspect_file(const std::string& path) {
-  fault::Result<store::MappedFile> mapped = store::MappedFile::open(path);
-  if (!mapped.ok()) {
-    std::printf("  %-22s UNREADABLE  %s\n", path.c_str(),
-                mapped.status().to_string().c_str());
-    return false;
-  }
-  if (mapped.value().size() >= 8 &&
-      std::memcmp(mapped.value().data(), store::kShardMagic, 8) == 0) {
-    return inspect_sharded_file(mapped.value(), path);
-  }
-  fault::Result<store::FileReport> report = store::inspect_image(
-      mapped.value().data(), mapped.value().size(), path);
-  if (!report.ok()) {
-    std::printf("  %-22s CORRUPT     %s\n", path.c_str(),
-                report.status().to_string().c_str());
-    return false;
-  }
-  const store::FileReport& r = report.value();
-  std::printf("  format v%u, %llu bytes, header %s, footer %s, body crc %s\n",
-              r.version, static_cast<unsigned long long>(r.file_size),
-              r.header_ok ? "ok" : "BAD", r.footer_ok ? "ok" : "BAD",
-              r.body_crc_ok ? "ok" : "BAD");
-  for (const store::SectionReport& s : r.sections) {
-    std::printf("    %-18s off=%-10llu len=%-10llu crc=%08x %s\n",
-                std::string(store::section_kind_name(s.info.kind)).c_str(),
-                static_cast<unsigned long long>(s.info.offset),
-                static_cast<unsigned long long>(s.info.length), s.info.crc,
-                s.crc_ok ? "ok" : "MISMATCH");
-  }
-  if (!r.ok()) {
-    std::printf("  => image FAILS verification\n");
-    return false;
-  }
-  return true;
-}
-
 int inspect_store(const std::string& dir_path) {
   fault::Result<store::StoreDir> opened =
       store::StoreDir::open(dir_path, /*create=*/false);
@@ -138,12 +105,24 @@ int inspect_store(const std::string& dir_path) {
     return all_ok ? 0 : 1;
   }
 
+  // A scan-derived entry (crc 0) records no CRC to check against.
   for (const store::Generation& gen : listing.generations) {
-    std::printf("generation %llu (%s, %llu bytes, manifest crc %08x):\n",
+    const std::string path = dir.file_path(gen.filename);
+    const fault::Result<shard::ContainerReport> report = inspect_file(path);
+    std::printf("generation %llu (%s, %llu bytes, manifest crc %08x",
                 static_cast<unsigned long long>(gen.number),
                 gen.filename.c_str(),
                 static_cast<unsigned long long>(gen.size), gen.crc);
-    all_ok &= inspect_file(dir.file_path(gen.filename));
+    bool crc_ok = true;
+    if (report.ok()) {
+      const shard::ContainerReport& r = report.value();
+      crc_ok = gen.crc == 0 ||
+               (r.file_size == gen.size && r.file_crc == gen.crc);
+      std::printf(", file crc %08x", r.file_crc);
+    }
+    std::printf("):%s\n",
+                crc_ok ? "" : "  << image disagrees with manifest checksum");
+    all_ok &= print_report(report, path) && crc_ok;
   }
 
   // The bottom line an operator (or a health check) actually wants:
@@ -164,9 +143,7 @@ int inspect_store(const std::string& dir_path) {
     std::printf(" DEGRADED (%zu of %zu shards quarantined)",
                 world.quarantined_count(), world.shard_count());
   }
-  std::printf("%s\n", rec.value().migrated
-                          ? " (migrated from a monolithic image)"
-                          : "");
+  std::printf("\n");
   return all_ok ? 0 : 1;
 }
 
@@ -174,7 +151,7 @@ int inspect_store(const std::string& dir_path) {
 
 int main(int argc, char** argv) {
   if (argc == 3 && std::strcmp(argv[1], "--image") == 0) {
-    return inspect_file(argv[2]) ? 0 : 1;
+    return print_report(inspect_file(argv[2]), argv[2]) ? 0 : 1;
   }
   if (argc != 2 || std::strcmp(argv[1], "--help") == 0) {
     std::fprintf(stderr,
